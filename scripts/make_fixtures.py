@@ -62,6 +62,18 @@ dir6 2 1
 default rank2
 """
 
+RANK3_CYCLE444 = """\
+# (4,4,4) triangle: a cycle of finite labels, so no symmetrizable integer
+# Cartan matrix; the integer root realization is checked against the
+# geometric one on this type
+rank 3
+m 1 2 4
+m 1 3 4
+m 2 3 4
+default rank2
+"""
+
+
 
 def mutate(text: str, old_line: str, new_line: str) -> str:
     if old_line not in text.splitlines():
@@ -78,6 +90,7 @@ def main() -> None:
     (FIXTURES / "rank3_b2_product.bp").write_text(RANK3_B2_PRODUCT)
     (FIXTURES / "rank3_a2_product.bp").write_text(RANK3_A2_PRODUCT)
     (FIXTURES / "rank3_g2_product.bp").write_text(RANK3_G2_PRODUCT)
+    (FIXTURES / "rank3_cycle444.bp").write_text(RANK3_CYCLE444)
 
     g2 = blueprints.serialize(blueprints.builtin("rank2:m6lr"), 6)
     (FIXTURES / "g2_full.bp").write_text(g2)

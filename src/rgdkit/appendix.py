@@ -326,8 +326,7 @@ def appendix_conjugation_check(bp: Blueprint, s: int, t: int, r: int,
             if rt.vec in seen:
                 continue
             seen.add(rt.vec)
-            if any(rt.vec[i] and not rt.vec[i].is_zero() for i in range(cox.rank)
-                   if i not in (s, t)):
+            if any(rt.vec[i] for i in range(cox.rank) if i not in (s, t)):
                 outside.append(rt)
 
     w0 = cox.longest_element((s, t))

@@ -1,26 +1,30 @@
-"""Exact-arithmetic Coxeter group engine.
+"""Exact integer Coxeter group engine.
 
 Generators are 0-based ints; words are tuples of generators read left to
 right, with the leftmost letter applied last (w = s1...sk acts on the left).
-All element computations go through the geometric representation over
-Q(sqrt2, sqrt3), which is faithful, so exact vector arithmetic decides
-lengths, descents and equality.
+Every allowed label is crystallographic, so the group is the Weyl group of
+an integer generalized Cartan matrix (Kac, Infinite-dimensional Lie
+algebras, Prop. 3.13).  Element computations act on the root lattice with
+integer vectors in the simple-root basis; the action is faithful, real roots
+have integer coordinates of one sign (Lemma 3.11 there), and so machine
+integers decide lengths, descents and equality exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
+from operator import mul
 
-from .errors import CapExceeded, NotSpherical, RgdError
-from .qf24 import HALF, ONE, QF24, SQRT2_HALF, SQRT3_HALF, ZERO
+from .errors import CapExceeded, InternalConsistencyError, NotSpherical, RgdError
 
 Word = tuple[int, ...]
-Vector = tuple[QF24, ...]
+Vector = tuple[int, ...]
 
 ALLOWED_LABELS = (2, 3, 4, 6, inf)
 
-_COS = {2: ZERO, 3: HALF, 4: SQRT2_HALF, 6: SQRT3_HALF, inf: ONE}
+# label -> (a_ij, a_ji) for i < j; a_ij * a_ji = 4 cos^2(pi/m), or 4 for inf
+_CARTAN = {2: (0, 0), 3: (-1, -1), 4: (-1, -2), 6: (-1, -3), inf: (-2, -2)}
 
 
 @dataclass(frozen=True)
@@ -93,42 +97,36 @@ class CoxeterSystem:
     def __init__(self, matrix: CoxeterMatrix):
         self.matrix = matrix
         self.rank = matrix.rank
-        self.bilinear = tuple(
-            tuple(ONE if i == j else -_COS[matrix.m(i, j)] for j in range(self.rank))
+        # cartan[i][j] = <alpha_j, alpha_i^vee>
+        self.cartan = tuple(
+            tuple(2 if i == j else _CARTAN[matrix.m(i, j)][0 if i < j else 1]
+                  for j in range(self.rank))
             for i in range(self.rank)
         )
         self.basis: tuple[Vector, ...] = tuple(
-            tuple(ONE if i == j else ZERO for j in range(self.rank)) for i in range(self.rank)
+            tuple(1 if i == j else 0 for j in range(self.rank)) for i in range(self.rank)
         )
         self._nf_cache: dict[Word, Word] = {(): ()}
         self._append_cache: dict[tuple[Word, int], Word] = {}
         self._ball_layers: list[list[Word]] = [[()]]
         self._min_gal_cache: dict[Word, tuple[Word, ...]] = {}
         self._gallery_cache: dict[Word, object] = {}
+        # radius -> root vector -> membership bitmask over ball(radius)
+        self._mask_cache: dict[int, dict[Vector, int]] = {}
 
-    # ---- geometric representation -------------------------------------
+    # ---- root lattice representation ----------------------------------
 
-    def bform(self, u: Vector, v: Vector) -> QF24:
-        total = ZERO
-        for i, ui in enumerate(u):
-            if ui.is_zero():
-                continue
-            row = self.bilinear[i]
-            for j, vj in enumerate(v):
-                if vj.is_zero():
-                    continue
-                total = total + ui * row[j] * vj
-        return total
+    def pairing(self, s: int, v: Vector) -> int:
+        """Coroot pairing <v, alpha_s^vee>."""
+        return sum(map(mul, self.cartan[s], v))
 
     def reflect(self, s: int, v: Vector) -> Vector:
-        """Simple reflection sigma_s(v) = v - 2 B(e_s, v) e_s."""
-        row = self.bilinear[s]
-        coeff = ZERO
-        for j, vj in enumerate(v):
-            if not vj.is_zero():
-                coeff = coeff + row[j] * vj
+        """Simple reflection sigma_s(v) = v - <v, alpha_s^vee> alpha_s."""
+        coeff = sum(map(mul, self.cartan[s], v))
+        if not coeff:
+            return v
         out = list(v)
-        out[s] = v[s] - (coeff + coeff)
+        out[s] -= coeff
         return tuple(out)
 
     def apply(self, word: Word, v: Vector) -> Vector:
@@ -147,10 +145,9 @@ class CoxeterSystem:
         """+1 for a positive vector, -1 for negative; mixed signs are an error."""
         pos = neg = False
         for coord in v:
-            sg = coord.sign()
-            if sg > 0:
+            if coord > 0:
                 pos = True
-            elif sg < 0:
+            elif coord < 0:
                 neg = True
         if pos and neg:
             raise RgdError(f"mixed-sign vector is not a root image: {v}")
@@ -217,16 +214,22 @@ class CoxeterSystem:
         return self._nf_reduced(red)
 
     def _nf_reduced(self, red: Word) -> Word:
-        cached = self._nf_cache.get(red)
-        if cached is not None:
-            return cached
-        for s in range(self.rank):
-            if self.is_left_descent(s, red):
-                nf = (s,) + self._nf_reduced(self.left_mult(s, red))
-                break
-        else:  # pragma: no cover - empty word is cached
-            nf = ()
-        self._nf_cache[red] = nf
+        """Peel off least left descents until a cached suffix; cache every suffix."""
+        cache = self._nf_cache
+        peeled: list[tuple[Word, int]] = []
+        nf = cache.get(red)
+        while nf is None:
+            for s in range(self.rank):
+                if self.is_left_descent(s, red):
+                    break
+            else:  # pragma: no cover - the empty word is cached
+                raise InternalConsistencyError(f"reduced word {red} has no left descent")
+            peeled.append((red, s))
+            red = self.left_mult(s, red)
+            nf = cache.get(red)
+        for red, s in reversed(peeled):
+            nf = (s,) + nf
+            cache[red] = nf
         return nf
 
     def nf_append(self, word: Word, t: int) -> Word:

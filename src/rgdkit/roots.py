@@ -1,9 +1,10 @@
 """Roots as half-spaces of a Coxeter system.
 
-A root is stored as its exact vector in the geometric representation plus an
-optional provenance expression (w, s) with alpha = w . alpha_s.  Chamber
-membership, positivity, reflections, intervals and prenilpotency are all
-derived from the vector.
+A root is stored as its integer vector in the root lattice of the system's
+generalized Cartan matrix plus an optional provenance expression (w, s) with
+alpha = w . alpha_s.  Chamber membership, positivity, reflections, intervals
+and prenilpotency are all derived from the vector and, through the
+expression, from the coroot alpha^vee = w . alpha_s^vee.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from math import inf
 
 from .coxeter import CoxeterSystem, Vector, Word
 from .errors import InternalConsistencyError, RgdError
-from .qf24 import ONE, QF24, ZERO
+# the retired Q(sqrt2, sqrt3) realization stays loaded as the engine's
+# differential oracle; perfbench/tracing.py patches its operators by module
+from . import qf24  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,7 @@ def _derive_expr(cox: CoxeterSystem, vec: Vector) -> tuple[Word, int]:
                     word = cox.normal_form(word + (s,))
                 return (word, s)
         for s in range(cox.rank):
-            if cox.bform(cox.basis[s], work).sign() > 0:
+            if cox.pairing(s, work) > 0:
                 prefix.append(s)
                 work = cox.reflect(s, work)
                 break
@@ -107,23 +110,30 @@ def phi_w(cox: CoxeterSystem, w: Word) -> list[Root]:
     return [Root(vec, (w[:i], w[i])) for i, vec in enumerate(cox.prefix_root_vectors(w))]
 
 
+def coroot_pairing(cox: CoxeterSystem, alpha: Root, beta: Root) -> int:
+    """<alpha, beta^vee> = <w^-1 . alpha, alpha_t^vee> for beta = w . alpha_t."""
+    w, t = expression(cox, beta)
+    return cox.pairing(t, cox.apply_inv(w, alpha.vec))
+
+
+def _pairing_product(cox: CoxeterSystem, alpha: Root, beta: Root) -> int:
+    """<alpha, beta^vee><beta, alpha^vee>: 4 cos^2(pi/m) for order m, >= 4 if infinite."""
+    return coroot_pairing(cox, alpha, beta) * coroot_pairing(cox, beta, alpha)
+
+
+_ORDER_OF_PRODUCT = {0: 2, 1: 3, 2: 4, 3: 6}
+
+
 def pair_order(cox: CoxeterSystem, alpha: Root, beta: Root) -> float:
-    """Order of r_alpha r_beta, matched from |B(alpha, beta)|."""
+    """Order of r_alpha r_beta, read off the pairing product."""
     if alpha == beta or alpha.vec == tuple(-c for c in beta.vec):
         raise RgdError("pair_order requires alpha != +-beta")
-    b = cox.bform(alpha.vec, beta.vec)
-    b2 = b * b
-    if (b2 - ONE).sign() >= 0:
+    p = _pairing_product(cox, alpha, beta)
+    if p >= 4:
         return inf
-    table = {
-        ZERO: 2,
-        QF24.of("1/4"): 3,
-        QF24.of("1/2"): 4,
-        QF24.of("3/4"): 6,
-    }
-    order = table.get(b2)
+    order = _ORDER_OF_PRODUCT.get(p)
     if order is None:
-        raise InternalConsistencyError(f"unexpected |B|^2 = {b2} for a finite pair")
+        raise InternalConsistencyError(f"unexpected pairing product {p} for a finite pair")
     return order
 
 
@@ -148,14 +158,15 @@ def prenilpotent(cox: CoxeterSystem, alpha: Root, beta: Root,
     return False
 
 
-def _solve_cone(cox: CoxeterSystem, alpha: Vector, beta: Vector, gamma: Vector) -> tuple[QF24, QF24] | None:
-    """Solve gamma = a*alpha + b*beta exactly; None if gamma is outside the span."""
+def _solve_cone(alpha: Vector, beta: Vector, gamma: Vector) -> tuple[int, int, int] | None:
+    """Solve det*gamma = a*alpha + b*beta by Cramer's rule; (a, b, det), or
+    None if gamma is outside the span."""
     n = len(gamma)
     piv = None
     for p in range(n):
         for q in range(p + 1, n):
             det = alpha[p] * beta[q] - alpha[q] * beta[p]
-            if not det.is_zero():
+            if det:
                 piv = (p, q, det)
                 break
         if piv:
@@ -163,18 +174,17 @@ def _solve_cone(cox: CoxeterSystem, alpha: Vector, beta: Vector, gamma: Vector) 
     if piv is None:
         raise RgdError("cone solve needs independent roots")
     p, q, det = piv
-    a = (gamma[p] * beta[q] - gamma[q] * beta[p]) / det
-    b = (alpha[p] * gamma[q] - alpha[q] * gamma[p]) / det
+    a = gamma[p] * beta[q] - gamma[q] * beta[p]
+    b = alpha[p] * gamma[q] - alpha[q] * gamma[p]
     for i in range(n):
-        if not (a * alpha[i] + b * beta[i] - gamma[i]).is_zero():
+        if a * alpha[i] + b * beta[i] != det * gamma[i]:
             return None
-    return a, b
+    return a, b, det
 
 
 def _noncrossing(cox: CoxeterSystem, alpha: Root, beta: Root) -> bool:
-    """|B(alpha, beta)| >= 1: the two walls do not cross."""
-    b = cox.bform(alpha.vec, beta.vec)
-    return (b * b - ONE).sign() >= 0
+    """The two walls do not cross: r_alpha r_beta has infinite order."""
+    return _pairing_product(cox, alpha, beta) >= 4
 
 
 def interval(cox: CoxeterSystem, alpha: Root, beta: Root, gallery) -> list[Root]:
@@ -200,11 +210,11 @@ def interval(cox: CoxeterSystem, alpha: Root, beta: Root, gallery) -> list[Root]
     out = [alpha]
     if pair_order(cox, alpha, beta) != inf:
         for gamma in roots[i:j - 1]:
-            sol = _solve_cone(cox, alpha.vec, beta.vec, gamma.vec)
+            sol = _solve_cone(alpha.vec, beta.vec, gamma.vec)
             if sol is None:
                 continue
-            a, b = sol
-            if a.sign() >= 0 and b.sign() >= 0:
+            a, b, det = sol
+            if a * det >= 0 and b * det >= 0:
                 out.append(gamma)
     else:
         for gamma in roots[i:j - 1]:
@@ -241,13 +251,9 @@ def interval_oracle(cox: CoxeterSystem, alpha: Root, beta: Root, r: int) -> set[
     return out
 
 
-_MASK_CACHE: dict[tuple[int, int], dict[Vector, int]] = {}
-
-
 def _membership_masks(cox: CoxeterSystem, r: int) -> dict[Vector, int]:
     """vec -> bitmask over ball(r) chambers of the half-space w in alpha."""
-    key = (id(cox), r)
-    cached = _MASK_CACHE.get(key)
+    cached = cox._mask_cache.get(r)
     if cached is not None:
         return cached
     chambers = cox.ball(r)
@@ -271,7 +277,7 @@ def _membership_masks(cox: CoxeterSystem, r: int) -> dict[Vector, int]:
             if cox.vec_sign(cur) > 0:
                 mask |= 1 << index[w]
         masks[vec] = mask
-    _MASK_CACHE[key] = masks
+    cox._mask_cache[r] = masks
     return masks
 
 

@@ -19,7 +19,6 @@ from rgdkit import parabolics as pb
 from rgdkit import roots as rt
 from rgdkit.coset_enum import group_order
 from rgdkit.galleries import min_gal
-from rgdkit.qf24 import QF24
 from rgdkit.roots import Root
 from tests.conftest import fixture_path
 
@@ -132,7 +131,7 @@ def test_criterion_6_interval_oracle_equivalence():
 def test_criterion_6_consistency_oracle_agreement():
     with criterion(6, "consistency = enumeration oracle", 60.0):
         def raw(k, rel):
-            basis = [Root((QF24.of(i + 1),)) for i in range(k)]
+            basis = [Root((i + 1,)) for i in range(k)]
             full = {(i, j): rel.get((i, j), ())
                     for i in range(1, k + 1) for j in range(i + 1, k + 1)}
             return gf.PCPres(basis, full)

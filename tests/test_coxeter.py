@@ -6,6 +6,7 @@ an explicit rotation/reflection model.
 """
 
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -112,6 +113,19 @@ def test_longest_element():
     assert len(cox_dihedral(6).longest_element((0, 1))) == 6
     with pytest.raises(NotSpherical):
         cox_universal(2).longest_element((0, 1))
+
+
+def test_normal_form_depth_does_not_grow_with_length():
+    cox = cox_universal(3)
+    word = (0, 1, 2) * 50  # reduced: no letter repeats next to itself
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(120)
+    try:
+        nf = cox.normal_form(word)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert nf == word
+    assert sys.getrecursionlimit() == limit
 
 
 def test_reflect_involution_on_basis():

@@ -9,30 +9,31 @@ from rgdkit.coxeter import CoxeterMatrix, CoxeterSystem
 from rgdkit.errors import (CapExceeded, CollectionOverflow,
                            InternalConsistencyError)
 from rgdkit.galleries import get_gallery
-from rgdkit.qf24 import QF24
 from rgdkit.roots import Root
 
 
 def test_pair_order_refuses_unknown_angles():
-    # |B| = cos(pi/12) = (sqrt6 + sqrt2)/4 lies in the field but matches no
-    # label; the engine must refuse rather than guess an order
+    # a pairing product below 4 outside {0, 1, 2, 3} matches no label; the
+    # engine must refuse rather than guess an order
     cox = CoxeterSystem(CoxeterMatrix.dihedral(6, direction=(1, 0)))
-    a = Root((QF24.of(1), QF24.of(0)))
-    cos12 = QF24.of(0, "1/4", 0, "1/4")
-    fake = Root((cos12, QF24.of(1)))  # not a real root; only the B-value matters
+    a = rt.simple_root(cox, 0)
+    # not a real root: <fake, alpha_0^vee> = 1, while its claimed coroot
+    # alpha_1^vee gives <alpha_0, alpha_1^vee> = -3
+    fake = Root((1, 1), ((), 1))
+    assert rt.coroot_pairing(cox, a, fake) * rt.coroot_pairing(cox, fake, a) == -3
     with pytest.raises(InternalConsistencyError):
         rt.pair_order(cox, a, fake)
 
 
 def test_collection_step_cap():
-    basis = [Root((QF24.of(i + 1),)) for i in range(3)]
+    basis = [Root((i + 1,)) for i in range(3)]
     p = gf.PCPres(basis, {(1, 2): (), (1, 3): (2,), (2, 3): ()}, step_cap=2)
     with pytest.raises(CollectionOverflow):
         p.collect([3, 1, 3, 1])
 
 
 def test_consistency_reports_overflow_as_inconsistent():
-    basis = [Root((QF24.of(i + 1),)) for i in range(3)]
+    basis = [Root((i + 1,)) for i in range(3)]
     p = gf.PCPres(basis, {(1, 2): (), (1, 3): (2,), (2, 3): ()}, step_cap=1)
     assert p.consistency_check() is False
     assert "steps" in (p.inconsistency_witness or "")
@@ -45,7 +46,7 @@ def test_ball_cap():
 
 
 def test_subgroup_closure_cap():
-    basis = [Root((QF24.of(i + 1),)) for i in range(4)]
+    basis = [Root((i + 1,)) for i in range(4)]
     p = gf.PCPres(basis, {(i, j): () for i in range(1, 5) for j in range(i + 1, 5)})
     with pytest.raises(CapExceeded):
         gf.subgroup_closure(p, [p.generator(i) for i in range(1, 5)], cap=4)
@@ -67,7 +68,7 @@ def test_composite_routes_infinite_pairs_to_secondary(bp_rightangled3):
 
 
 def test_relation_table_shape_validated():
-    basis = [Root((QF24.of(i + 1),)) for i in range(3)]
+    basis = [Root((i + 1,)) for i in range(3)]
     with pytest.raises(Exception):
         gf.PCPres(basis, {(1, 3): (3,)})  # value outside the open range
     with pytest.raises(Exception):

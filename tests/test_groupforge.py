@@ -8,13 +8,12 @@ from hypothesis import given, settings, strategies as st
 from rgdkit import blueprints as bpmod
 from rgdkit import groupforge as gf
 from rgdkit.coset_enum import group_order
-from rgdkit.qf24 import QF24
 from rgdkit.roots import Root
 
 
 def raw_pres(k, rel):
     """Presentation on k abstract generators (distinct dummy root vectors)."""
-    basis = [Root((QF24.of(i + 1),)) for i in range(k)]
+    basis = [Root((i + 1,)) for i in range(k)]
     full = {(i, j): rel.get((i, j), ()) for i in range(1, k + 1) for j in range(i + 1, k + 1)}
     return gf.PCPres(basis, full)
 

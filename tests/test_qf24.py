@@ -5,31 +5,31 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from rgdkit.qf24 import ONE, QF24, ZERO, qf24_sign
+from rgdkit.qf24 import ONE, QF24, ZERO
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=32)
 scalars = st.builds(QF24, rationals, rationals, rationals, rationals)
 
 
 def test_sign_zero():
-    assert qf24_sign(QF24.of(0, 0, 0, 0)) == 0
+    assert QF24.of(0, 0, 0, 0).sign() == 0
 
 
 def test_sign_sqrt2_minus_one():
     # sqrt2 > 1
-    assert qf24_sign(QF24.of(-1, 1, 0, 0)) == 1
+    assert QF24.of(-1, 1, 0, 0).sign() == 1
 
 
 def test_sign_two_sqrt6_minus_five():
     # oracle: compare squares, (2*sqrt6)^2 = 24 < 25 = 5^2
     assert (2 * 2 * 6) < 5 * 5
-    assert qf24_sign(QF24.of(-5, 0, 0, 2)) == -1
+    assert QF24.of(-5, 0, 0, 2).sign() == -1
 
 
 def test_sign_needs_refinement():
     # sqrt2 + sqrt3 - sqrt6 * 99/70 is tiny but nonzero (99/70 ~ sqrt2)
     q = QF24.of(0, 1, 1, Fraction(-99, 70))
-    assert qf24_sign(q) == math.copysign(1, float(q))
+    assert q.sign() == math.copysign(1, float(q))
 
 
 def test_mul_table():

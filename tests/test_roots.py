@@ -121,9 +121,9 @@ def test_prenilpotent_radius_rule_validated(bp_rightangled3, bp_product_b2):
 
 def test_noncrossing_sign_matches_bounded_search(bp_rightangled3, bp_product_b2):
     # the exact criterion behind interval(): for positive roots,
-    # prenilpotency is equivalent to B > -1 (crossing walls or same-facing
-    # nested walls); compared against the chamber-search definition
-    from rgdkit.qf24 import ONE
+    # prenilpotency is equivalent to crossing walls (pairing product < 4) or
+    # same-facing nested walls (<alpha, beta^vee> > 0); compared against the
+    # chamber-search definition
     cases = [(cox_universal(2), 3), (bp_rightangled3.cox, 2), (bp_product_b2.cox, 4)]
     for cox, depth_bound in cases:
         seen = {}
@@ -134,8 +134,9 @@ def test_noncrossing_sign_matches_bounded_search(bp_rightangled3, bp_product_b2)
         for a, b in itertools.combinations(roots, 2):
             if a.vec == tuple(-c for c in b.vec):
                 continue
-            sign_criterion = (cox.bform(a.vec, b.vec) + ONE).sign() > 0
-            assert rt.prenilpotent(cox, a, b) == sign_criterion
+            p = rt.coroot_pairing(cox, a, b) * rt.coroot_pairing(cox, b, a)
+            criterion = p < 4 or rt.coroot_pairing(cox, a, b) > 0
+            assert rt.prenilpotent(cox, a, b) == criterion
 
 
 def test_interval_examples():
@@ -182,6 +183,15 @@ def test_interval_matches_oracle_universal3():
                 cone = rt.interval(cox, G.root(i), G.root(j), G)
                 oracle = rt.interval_oracle(cox, G.root(i), G.root(j), 6)
                 assert set(cone) == oracle
+
+
+def test_membership_masks_are_owned_by_the_system():
+    cox, twin = cox_dihedral(3), cox_dihedral(3)
+    G = get_gallery(cox, (0, 1, 0))
+    rt.interval_oracle(cox, G.root(1), G.root(3), 3)
+    assert list(cox._mask_cache) == [3]
+    assert twin._mask_cache == {}
+    assert not hasattr(rt, "_MASK_CACHE")
 
 
 def test_halfspace_convexity():
