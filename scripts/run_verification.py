@@ -73,7 +73,8 @@ def main() -> int:
         ok &= check_blueprint(bp, args.radius)
         ok &= check_rank2(bp)
     for fixture in ("universal3_allempty.bp", "rightangled3_allempty.bp",
-                    "rank3_b2_product.bp", "rank3_a2_product.bp", "rank3_g2_product.bp"):
+                    "rank3_b2_product.bp", "rank3_a2_product.bp", "rank3_g2_product.bp",
+                    "rank3_cycle444.bp"):
         bp = blueprints.ingest_path(str(FIXTURES / fixture))
         radius = min(args.radius, 5)
         ok &= check_blueprint(bp, radius)

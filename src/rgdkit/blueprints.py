@@ -4,7 +4,7 @@ A blueprint answers, for every gallery G and crossed roots alpha <=_G beta,
 an ordered subset of the open interval (alpha, beta); these sets prescribe
 the relations [u_alpha, u_beta] = prod u_gamma of the groups built in
 `groupforge`.  Backends: built-in rank-2 Moufang tables, the all-empty
-blueprint, line-oriented files, and composites.  Validators check the three
+blueprint, and line-oriented files.  Validators check the three
 blueprint axioms (CB1 prefix coherence, CB2 rank-2 Moufang values, CB3 via
 group construction elsewhere) and Weyl-invariance.
 """
@@ -18,9 +18,7 @@ from .coxeter import CoxeterMatrix, CoxeterSystem, Word
 from .errors import BlueprintError, ParseError, RgdError
 from .galleries import Gallery, min_gal, min_gal_s, shift
 from .reports import Report, Violation
-from .roots import (Root, act, open_interval, pair_order, residue_at,
-                    residue_roots, residues_on_wall, simple_root,
-                    stabilizes_residue, reflection_word)
+from .roots import Root, act, common_residue, open_interval, pair_order, simple_root
 
 # Non-trivial commutation sets of the rank-2 Moufang tables over GF(2),
 # keyed by crossing positions (i, j) on the distinguished length-m gallery.
@@ -103,14 +101,12 @@ class LocalRank2(PairTableBlueprint):
 
     For a pair of roots whose reflections have finite product order, the
     value is the Moufang table entry of the base residue of that type,
-    translated by the gate of a common residue; infinite pairs get the
+    translated by the gate of their common residue; infinite pairs get the
     empty set.  On a rank-2 system this is exactly the built-in table.
     """
 
-    def __init__(self, cox: CoxeterSystem, name: str = "rank2",
-                 search_radius: int = 8):
+    def __init__(self, cox: CoxeterSystem, name: str = "rank2"):
         super().__init__(cox, name)
-        self.search_radius = search_radius
         self._base_tables: dict[tuple[int, int], dict[frozenset, frozenset]] = {}
         self._pair_cache: dict[frozenset, frozenset] = {}
 
@@ -153,70 +149,14 @@ class LocalRank2(PairTableBlueprint):
 
     def _residue_value(self, alpha: Root, beta: Root) -> frozenset:
         cox = self.cox
-        ra = reflection_word(cox, alpha)
-        rb = reflection_word(cox, beta)
-        best = None
-        for w in cox.ball(self.search_radius):
-            for s in range(cox.rank):
-                for t in range(s + 1, cox.rank):
-                    if cox.matrix.m(s, t) == inf:
-                        continue
-                    R = residue_at(cox, w, (s, t))
-                    if stabilizes_residue(cox, ra, R) and stabilizes_residue(cox, rb, R):
-                        if best is None or len(R.base) < len(best.base):
-                            best = R
-            if best is not None and len(best.base) <= len(w):
-                break
-        if best is None:
-            raise BlueprintError(
-                f"no common rank-2 residue within radius {self.search_radius} "
-                f"for pair {alpha.describe()}, {beta.describe()}")
-        g = best.base
+        R = common_residue(cox, alpha, beta)
+        g = R.base
         g_inv = tuple(reversed(g))
         a0 = act(cox, g_inv, alpha)
         b0 = act(cox, g_inv, beta)
-        table = self._base_table(best.J)
+        table = self._base_table(R.J)
         value = table.get(frozenset({a0, b0}), frozenset())
         return frozenset(act(cox, g, gamma) for gamma in value)
-
-
-class Rank2Table(LocalRank2):
-    """The built-in blueprint of a rank-2 spherical system."""
-
-    def __init__(self, cox: CoxeterSystem, name: str = "rank2table"):
-        if cox.rank != 2 or cox.matrix.m(0, 1) == inf:
-            raise BlueprintError("Rank2Table needs a rank-2 spherical system")
-        super().__init__(cox, name)
-
-
-class Composite(Blueprint):
-    """Rank-2 residues answered by the Moufang tables, the rest by a
-    secondary source; conflicts resolve in favor of the tables."""
-
-    def __init__(self, cox: CoxeterSystem, secondary: Blueprint, name: str = "composite"):
-        super().__init__(cox, name)
-        self.local = LocalRank2(cox, name=name + ":local")
-        self.secondary = secondary
-        self.conflicts: list[str] = []
-
-    def _value(self, G: Gallery, i: int, j: int) -> tuple[Root, ...]:
-        alpha, beta = G.root(i), G.root(j)
-        if pair_order(self.cox, alpha, beta) != inf:
-            local = _order_by_gallery(G, self.local.pair_value(alpha, beta))
-            try:
-                other = self.secondary.query(G, i, j)
-            except BlueprintError:
-                other = None
-            if other is not None and other != local:
-                self.conflicts.append(
-                    f"pair ({G.label()},{i},{j}): table {_fmt(G, local)} "
-                    f"overrides secondary {_fmt(G, other)}")
-            return local
-        return self.secondary.query(G, i, j)
-
-
-def _fmt(G: Gallery, roots: tuple[Root, ...]) -> str:
-    return ",".join(str(G.position(r)) for r in roots) or "-"
 
 
 class FileTable(Blueprint):
@@ -478,7 +418,7 @@ def builtin(name: str) -> Blueprint:
             matrix = CoxeterMatrix.dihedral(6, direction=(0, 1))
         else:
             raise BlueprintError(f"unknown rank2 variant {variant!r}")
-        return Rank2Table(CoxeterSystem(matrix), name=name)
+        return LocalRank2(CoxeterSystem(matrix), name=name)
     if family == "allempty":
         if not variant.startswith("universal"):
             raise BlueprintError(f"unknown allempty variant {variant!r}")

@@ -185,14 +185,6 @@ def build_CJ(bp: Blueprint, s: int, t: int) -> ChamberSystemJ:
     return ChamberSystemJ(bp, s, t, report)
 
 
-def appendix_conjugation_check(bp: Blueprint, s: int, t: int, r: int,
-                               depth_cap: int = 3) -> Report:
-    """Braid conjugation transport on generators outside the dihedral part;
-    see `appendix.appendix_conjugation_check` (re-exported here)."""
-    from .appendix import appendix_conjugation_check as impl
-    return impl(bp, s, t, r, depth_cap)
-
-
 # ---------------------------------------------------------------------------
 # building verification
 

@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Subcommands: validate | group | residue | chambers | appendix | roots.
-Exit codes: 0 success, 1 mathematical violation, 2 usage or I/O error.
+Exit codes: 0 success, 1 mathematical violation, 2 usage or I/O error,
+3 internal error (two routes disagreed, or a crash).
 Human-readable output goes to stdout; `--report PATH` additionally writes
 machine-readable VIOLATION records.
 """
@@ -15,7 +16,7 @@ from math import inf
 
 from . import appendix, blueprints, chambers, groupforge, parabolics
 from .coxeter import Word
-from .errors import RgdError
+from .errors import InternalConsistencyError, RgdError
 from .galleries import min_gal
 from .reports import Report, Violation
 from .roots import depth, phi_w, residue_at
@@ -210,9 +211,17 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "roots":
             return cmd_roots(cfg)
         raise RgdError(f"unknown command {args.command}")
+    except InternalConsistencyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except (RgdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a crash must not read as a violation (1)
+        import traceback  # loaded only on this path, so normal runs do not pay for it
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -241,12 +241,6 @@ class CoxeterSystem:
             self._append_cache[key] = out
         return out
 
-    def same_element(self, u: Word, v: Word) -> bool:
-        return self.normal_form(u) == self.normal_form(v)
-
-    def inverse_nf(self, word: Word) -> Word:
-        return self.normal_form(tuple(reversed(word)))
-
     # ---- enumeration ---------------------------------------------------
 
     def ball(self, r: int, cap: int = 200_000) -> list[Word]:
@@ -312,7 +306,3 @@ class CoxeterSystem:
             if len(seen) > cap:
                 raise NotSpherical(f"parabolic {J} exceeds cap {cap}; not finite?")
         return sorted(seen, key=lambda w: (len(w), w))
-
-
-def support(word: Word) -> frozenset[int]:
-    return frozenset(word)

@@ -28,10 +28,6 @@ class Gallery:
         return len(self.word)
 
     @cached_property
-    def chambers(self) -> tuple[Word, ...]:
-        return tuple(self.word[:i] for i in range(len(self.word) + 1))
-
-    @cached_property
     def roots(self) -> tuple[Root, ...]:
         out = tuple(phi_w(self.cox, self.word))
         if len({r.vec for r in out}) != len(out):
@@ -78,23 +74,38 @@ def min_gal(cox: CoxeterSystem, w: Word, cap: int = 10_000) -> list[Gallery]:
 
 
 def _reduced_words(cox: CoxeterSystem, w: Word, cap: int) -> tuple[Word, ...]:
-    cached = cox._min_gal_cache.get(w)
-    if cached is not None:
-        if len(cached) > cap:
-            raise CapExceeded(f"gallery cap {cap} exceeded for {w}")
-        return cached
-    if not w:
-        out: tuple[Word, ...] = ((),)
-    else:
+    """Reduced words of w in lex order, memoized for every element met on the
+    way; an explicit stack keeps the Python call depth independent of l(w)."""
+    cache = cox._min_gal_cache
+    below: dict[Word, list[tuple[int, Word]]] = {}
+    stack = [w]
+    while stack:
+        u = stack[-1]
+        if u in cache:
+            stack.pop()
+            continue
+        steps = below.get(u)
+        if steps is None:
+            steps = below[u] = [(s, cox.normal_form(cox.left_mult(s, u)))
+                                for s in range(cox.rank) if cox.is_left_descent(s, u)]
+            pending = [v for _, v in steps if v not in cache]
+            if pending:
+                stack.extend(pending)
+                continue
+        stack.pop()
+        if not u:
+            cache[u] = ((),)
+            continue
         acc: list[Word] = []
-        for s in range(cox.rank):
-            if cox.is_left_descent(s, w):
-                for tail in _reduced_words(cox, cox.normal_form(cox.left_mult(s, w)), cap):
-                    acc.append((s,) + tail)
-                    if len(acc) > cap:
-                        raise CapExceeded(f"gallery cap {cap} exceeded for {w}")
-        out = tuple(acc)
-    cox._min_gal_cache[w] = out
+        for s, v in steps:
+            for tail in cache[v]:
+                acc.append((s,) + tail)
+                if len(acc) > cap:
+                    raise CapExceeded(f"gallery cap {cap} exceeded for {u}")
+        cache[u] = tuple(acc)
+    out = cache[w]
+    if len(out) > cap:
+        raise CapExceeded(f"gallery cap {cap} exceeded for {w}")
     return out
 
 
@@ -114,8 +125,3 @@ def shift(G: Gallery, s: int) -> Gallery:
             raise RgdError("descent shift needs a gallery of type (s, ...)")
         return get_gallery(cox, G.word[1:])
     return get_gallery(cox, (s,) + G.word)
-
-
-def order_leq(G: Gallery, alpha: Root, beta: Root) -> bool:
-    """Crossing order: alpha <=_G beta."""
-    return G.position(alpha) <= G.position(beta)

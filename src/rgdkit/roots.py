@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import inf
+from operator import mul
 
 from .coxeter import CoxeterSystem, Vector, Word
 from .errors import InternalConsistencyError, RgdError
@@ -38,10 +39,6 @@ class Root:
 
 def simple_root(cox: CoxeterSystem, s: int) -> Root:
     return Root(cox.basis[s], ((), s))
-
-
-def root_from_vec(cox: CoxeterSystem, vec: Vector) -> Root:
-    return Root(vec, _derive_expr(cox, vec))
 
 
 def _derive_expr(cox: CoxeterSystem, vec: Vector) -> tuple[Word, int]:
@@ -77,10 +74,6 @@ def act(cox: CoxeterSystem, word: Word, alpha: Root) -> Root:
     vec = cox.apply(word, alpha.vec)
     w, s = expression(cox, alpha)
     return Root(vec, (cox.normal_form(word + w), s))
-
-
-def reflect_root(cox: CoxeterSystem, s: int, alpha: Root) -> Root:
-    return act(cox, (s,), alpha)
 
 
 def member(cox: CoxeterSystem, w: Word, alpha: Root) -> bool:
@@ -300,10 +293,6 @@ def residue_at(cox: CoxeterSystem, w: Word, J: tuple[int, int]) -> Residue2:
     return Residue2(cox.coset_gate(w, (s, t)), (s, t))
 
 
-def residue_chambers(cox: CoxeterSystem, R: Residue2) -> list[Word]:
-    return [cox.normal_form(R.base + v) for v in cox.parabolic_elements(R.J)]
-
-
 def residue_roots(cox: CoxeterSystem, R: Residue2) -> list[Root]:
     """Phi(R): the m positive roots whose walls run through the residue."""
     s, t = R.J
@@ -324,6 +313,58 @@ def stabilizes_residue(cox: CoxeterSystem, refl: Word, R: Residue2) -> bool:
     g = R.base
     conj = cox.normal_form(tuple(reversed(g)) + refl + g)
     return set(conj) <= set(R.J)
+
+
+def common_residue(cox: CoxeterSystem, alpha: Root, beta: Root) -> Residue2:
+    """The spherical rank-2 residue whose walls include those of alpha and beta.
+
+    Summing the point (1, ..., 1) of the fundamental chamber over the 2m
+    elements of <r_alpha, r_beta> gives a functional z fixed by both
+    reflections.  The stabilizer of a point of the Tits cone is
+    gate <J> gate^-1 for the face gate . F_J that holds it (Abramenko-Brown,
+    Buildings, GTM 248), so folding z into the fundamental chamber records
+    the gate, and the coordinates that vanish there are the type J.
+    """
+    m = pair_order(cox, alpha, beta)
+    if m == inf:
+        raise RgdError("common_residue needs reflections of finite product order")
+
+    def reflection(gamma: Root):
+        # r_gamma z = z - <gamma, z> gamma^vee, in coordinates z_j = <alpha_j, z>
+        co = [coroot_pairing(cox, simple_root(cox, j), gamma) for j in range(cox.rank)]
+
+        def reflect(z: list[int]) -> list[int]:
+            c = sum(map(mul, gamma.vec, z))
+            return [zj - c * cj for zj, cj in zip(z, co)]
+        return reflect
+
+    r_a, r_b = reflection(alpha), reflection(beta)
+    z = [0] * cox.rank
+    point = [1] * cox.rank
+    for _ in range(int(m)):  # the group is {(r_b r_a)^k, r_a (r_b r_a)^k : k < m}
+        mirrored = r_a(point)
+        z = [a + b + c for a, b, c in zip(z, point, mirrored)]
+        point = r_b(mirrored)
+    gate: list[int] = []
+    for _ in range(10_000):
+        s = next((s for s in range(cox.rank) if z[s] < 0), None)
+        if s is None:
+            break
+        zs = z[s]
+        z = [zj - a * zs for zj, a in zip(z, cox.cartan[s])]
+        gate.append(s)
+    else:
+        raise InternalConsistencyError("the fixed point did not fold into the fundamental chamber")
+    J = tuple(s for s in range(cox.rank) if z[s] == 0)
+    if len(J) != 2:
+        raise InternalConsistencyError(
+            f"fixed point of {alpha.describe()}, {beta.describe()} lies on a face of type {J}")
+    R = residue_at(cox, tuple(gate), J)
+    for gamma in (alpha, beta):
+        if not stabilizes_residue(cox, reflection_word(cox, gamma), R):
+            raise InternalConsistencyError(
+                f"{R.label()} is not stabilized by the reflection of {gamma.describe()}")
+    return R
 
 
 def residues_on_wall(cox: CoxeterSystem, alpha: Root, r: int) -> list[Residue2]:

@@ -165,15 +165,6 @@ def test_rel_entry_in_a2_file():
     assert bp.query_positions(G, 1, 3) == (2,)
 
 
-def test_composite_prefers_tables(bp_m4):
-    cox = bp_m4.cox
-    secondary = bpmod.FileTable(cox, {((0, 1, 0, 1), 1, 4): (2,)}, default="empty")
-    comp = bpmod.Composite(cox, secondary)
-    G = get_gallery(cox, (0, 1, 0, 1))
-    assert comp.query_positions(G, 1, 4) == (2, 3)
-    assert comp.conflicts  # the losing secondary value is recorded
-
-
 def test_builtin_names():
     with pytest.raises(BlueprintError):
         bpmod.builtin("rank2:m8")

@@ -1,6 +1,8 @@
 """Exit codes and report emission of the command-line surface."""
 
+from rgdkit import cli
 from rgdkit.cli import main
+from rgdkit.errors import InternalConsistencyError
 from tests.conftest import fixture_path
 
 
@@ -31,6 +33,22 @@ def test_usage_errors_exit_2(capsys):
     assert main(["validate"]) == 2                       # no blueprint
     assert main(["--blueprint", "/no/such/file.bp", "validate"]) == 2
     assert main(["--builtin", "rank2:m9", "validate"]) == 2
+
+
+def test_internal_errors_exit_3(capsys, monkeypatch):
+    def crash(cfg):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "cmd_validate", crash)
+    assert main(["--builtin", "rank2:m3", "validate"]) == 3
+    assert "internal error: RecursionError" in capsys.readouterr().err
+
+    def disagree(cfg):
+        raise InternalConsistencyError("two routes disagree")
+
+    monkeypatch.setattr(cli, "cmd_validate", disagree)
+    assert main(["--builtin", "rank2:m3", "validate"]) == 3
+    assert "internal error: two routes disagree" in capsys.readouterr().err
 
 
 def test_radius_zero_vacuous_pass():

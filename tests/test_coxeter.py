@@ -122,9 +122,11 @@ def test_normal_form_depth_does_not_grow_with_length():
     sys.setrecursionlimit(120)
     try:
         nf = cox.normal_form(word)
+        galleries = min_gal(cox, word)
     finally:
         sys.setrecursionlimit(limit)
     assert nf == word
+    assert [G.word for G in galleries] == [word]  # universal: one reduced word
     assert sys.getrecursionlimit() == limit
 
 

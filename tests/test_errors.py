@@ -2,13 +2,11 @@
 
 import pytest
 
-from rgdkit import blueprints as bpmod
 from rgdkit import groupforge as gf
 from rgdkit import roots as rt
 from rgdkit.coxeter import CoxeterMatrix, CoxeterSystem
 from rgdkit.errors import (CapExceeded, CollectionOverflow,
                            InternalConsistencyError)
-from rgdkit.galleries import get_gallery
 from rgdkit.roots import Root
 
 
@@ -50,21 +48,6 @@ def test_subgroup_closure_cap():
     p = gf.PCPres(basis, {(i, j): () for i in range(1, 5) for j in range(i + 1, 5)})
     with pytest.raises(CapExceeded):
         gf.subgroup_closure(p, [p.generator(i) for i in range(1, 5)], cap=4)
-
-
-def test_composite_routes_infinite_pairs_to_secondary(bp_rightangled3):
-    # gallery 3.1.3 crosses a nested pair; the quadrangle tables cannot
-    # answer it, so the secondary source must
-    cox = bp_rightangled3.cox
-    G = get_gallery(cox, (2, 0, 2))
-    middle = rt.open_interval(cox, G.root(1), G.root(3), G)
-    assert middle == [G.root(2)]
-    secondary = bpmod.FileTable(cox, {((2, 0, 2), 1, 3): (2,)}, default="empty")
-    comp = bpmod.Composite(cox, secondary)
-    assert comp.query_positions(G, 1, 3) == (2,)
-    # spherical pairs still come from the tables
-    H = get_gallery(cox, (0, 1))
-    assert comp.query_positions(H, 1, 2) == ()
 
 
 def test_relation_table_shape_validated():

@@ -5,7 +5,7 @@ import pytest
 from rgdkit import roots as rt
 from rgdkit.coxeter import CoxeterMatrix, CoxeterSystem
 from rgdkit.errors import CapExceeded, RgdError
-from rgdkit.galleries import Gallery, get_gallery, min_gal, min_gal_s, order_leq, shift
+from rgdkit.galleries import Gallery, get_gallery, min_gal, min_gal_s, shift
 
 
 def cox_dihedral(m):
@@ -62,23 +62,6 @@ def test_shift_root_relation():
                     sG = shift(G, s)
                     mapped = [rt.Root(cox.reflect(s, r.vec)) for r in G.roots[1:]]
                     assert list(sG.roots) == mapped
-
-
-def test_order_leq():
-    cox3 = cox_dihedral(3)
-    G = get_gallery(cox3, (0, 1, 0))
-    b1, b2, b3 = G.roots
-    assert order_leq(G, b1, b2) and order_leq(G, b2, b3) and order_leq(G, b1, b3)
-    assert order_leq(G, b2, b2)
-    assert not order_leq(G, b3, b1)
-    with pytest.raises(RgdError):
-        order_leq(G, b1, rt.opposite(cox3, b1))
-
-
-def test_gallery_chambers_prefixes():
-    cox3 = cox_dihedral(3)
-    G = get_gallery(cox3, (0, 1, 0))
-    assert G.chambers == ((), (0,), (0, 1), (0, 1, 0))
 
 
 def test_gallery_requires_reduced_word():

@@ -139,7 +139,7 @@ def test_noncrossing_sign_matches_bounded_search(bp_rightangled3, bp_product_b2)
             assert rt.prenilpotent(cox, a, b) == criterion
 
 
-def test_interval_examples():
+def test_interval_examples(bp_rightangled3):
     cox3 = cox_dihedral(3)
     G = get_gallery(cox3, (0, 1, 0))
     b1, b2, b3 = G.roots
@@ -152,6 +152,11 @@ def test_interval_examples():
     inner = rt.open_interval(cox6, G6.root(2), G6.root(6), G6)
     assert inner == [G6.root(3), G6.root(4), G6.root(5)]
     assert G6.root(4) in inner  # the hexagon constraint set sits inside
+
+    # gallery 3.1.3 crosses a nested pair of infinite order
+    cox = bp_rightangled3.cox
+    H = get_gallery(cox, (2, 0, 2))
+    assert rt.open_interval(cox, H.root(1), H.root(3), H) == [H.root(2)]
 
 
 def test_interval_empty_for_commuting_pair():
