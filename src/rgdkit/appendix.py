@@ -15,10 +15,10 @@ from math import inf
 from .blueprints import Blueprint
 from .coxeter import Word
 from .errors import RgdError
-from .galleries import Gallery
-from .groupforge import PCPres, presentation_for_gallery, build_Uw
+from .galleries import oriented_gallery
+from .groupforge import PCPres, build_Uw, presentation_for_gallery, reflected_positions
 from .reports import Report, Violation
-from .roots import act, phi_w, simple_root
+from .roots import act, simple_root
 from . import roots as rootmod
 
 Wd = tuple[int, ...]
@@ -192,49 +192,23 @@ M6_TAU: list[tuple[int, Wd, Wd]] = [
 _SUITES = {2: (M2_EQ, M2_TAU), 3: (M3_EQ, M3_TAU), 4: (M4_EQ, M4_TAU), 6: (M6_EQ, M6_TAU)}
 
 
-def oriented_gallery(bp: Blueprint, s: int, t: int) -> Gallery:
-    """Gallery of r_J anchoring the table indices (directed start for m = 6)."""
-    cox = bp.cox
-    m = cox.matrix.m(s, t)
-    if m == inf:
-        raise RgdError("spherical pair required")
-    first = min(s, t)
-    if m == 6:
-        for (a, b) in cox.matrix.directed6:
-            if {a, b} == {s, t}:
-                first = b
-    second = t if first == s else s
-    word = tuple(first if k % 2 == 0 else second for k in range(int(m)))
-    return Gallery(cox, word)
-
-
-def _tau_position_map(pres: PCPres, G: Gallery, anchor: int) -> dict[int, int]:
-    cox = G.cox
-    gen = G.word[0] if anchor == 1 else G.word[1]
-    mp = {}
-    for p in range(1, len(G) + 1):
-        if p == anchor:
-            continue
-        mp[p] = pres.position(act(cox, (gen,), G.root(p)))
-    return mp
-
-
 def verify_identity_chains(bp: Blueprint, s: int, t: int) -> Report:
     """Run the displayed-identity suite for the pair {s, t}."""
     cox = bp.cox
-    m = int(cox.matrix.m(s, t))
+    G = oriented_gallery(cox, s, t)
+    m = len(G)
     if m not in _SUITES:
         raise RgdError(f"no identity suite for m = {m}")
     report = Report(f"identities({bp.name}, m={m})")
-    G = oriented_gallery(bp, s, t)
     pres = presentation_for_gallery(bp, G)
     if not pres.consistency_check():
         report.add(Violation(axiom="CB3", gallery=G.label(),
                              expected="consistent", found="inconsistent"))
         return report
     eqs, taus = _SUITES[m]
-    tau_low = _tau_position_map(pres, G, 1)
-    tau_high = _tau_position_map(pres, G, m)
+    # tau anchored at position 1 (alpha of G.word[0]) or m (alpha of G.word[1])
+    tau_low = reflected_positions(cox, G.word[0], G.roots, pres)
+    tau_high = reflected_positions(cox, G.word[1], G.roots, pres)
     for lhs, rhs in eqs:
         report.checks += 1
         if pres.collect(lhs) != pres.collect(rhs):

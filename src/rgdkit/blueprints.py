@@ -14,9 +14,9 @@ from __future__ import annotations
 import io
 from math import inf
 
-from .coxeter import CoxeterMatrix, CoxeterSystem, Word
+from .coxeter import ALLOWED_LABELS, CoxeterMatrix, CoxeterSystem, Word, word_label
 from .errors import BlueprintError, ParseError, RgdError
-from .galleries import Gallery, min_gal, min_gal_s, shift
+from .galleries import Gallery, min_gal, min_gal_s, oriented_gallery, shift
 from .reports import Report, Violation
 from .roots import Root, act, common_residue, open_interval, pair_order, simple_root
 
@@ -68,9 +68,6 @@ class Blueprint:
     def _value(self, G: Gallery, i: int, j: int) -> tuple[Root, ...]:
         raise NotImplementedError
 
-    def describe(self) -> str:
-        return self.name
-
 
 def _order_by_gallery(G: Gallery, roots: frozenset) -> tuple[Root, ...]:
     return tuple(sorted(roots, key=G.position))
@@ -114,19 +111,9 @@ class LocalRank2(PairTableBlueprint):
         cached = self._base_tables.get(J)
         if cached is not None:
             return cached
-        s, t = J
-        m = int(self.cox.matrix.m(s, t))
-        first = s
-        if m == 6:
-            # the directed pair (t', s') anchors the table at galleries starting s'
-            for (a, b) in self.cox.matrix.directed6:
-                if {a, b} == {s, t}:
-                    first = b
-        second = t if first == s else s
-        word = tuple(first if k % 2 == 0 else second for k in range(m))
-        G = Gallery(self.cox, word)
+        G = oriented_gallery(self.cox, *J)
         table: dict[frozenset, frozenset] = {}
-        for (i, j), ks in RANK2_M_SETS[m].items():
+        for (i, j), ks in RANK2_M_SETS[len(G)].items():
             key = frozenset({G.root(i), G.root(j)})
             table[key] = frozenset(G.root(k) for k in ks)
         self._base_tables[J] = table
@@ -197,6 +184,10 @@ def ingest(text: str, name: str = "file") -> FileTable:
     rank = None
     labels: dict[tuple[int, int], float] = {}
     directed: set[tuple[int, int]] = set()
+    # line of the last `rank`, of each `m` edge and of each `dir6` direction
+    rank_line = 0
+    label_lines: dict[tuple[int, int], int] = {}
+    dir_lines: dict[tuple[int, int], int] = {}
     default = "empty"
     rels: list[tuple[int, Word, int, int, tuple[int, ...]]] = []
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -207,13 +198,19 @@ def ingest(text: str, name: str = "file") -> FileTable:
         kind = parts[0]
         try:
             if kind == "rank":
-                rank = int(parts[1])
+                rank, rank_line = int(parts[1]), ln
             elif kind == "m":
-                i, j = int(parts[1]) - 1, int(parts[2]) - 1
+                i, j = sorted((int(parts[1]) - 1, int(parts[2]) - 1))
                 v = inf if parts[3] == "inf" else int(parts[3])
-                labels[(i, j)] = v
+                if v not in ALLOWED_LABELS:
+                    raise ValueError(f"label {parts[3]} not in {{2,3,4,6,inf}}")
+                if labels.get((i, j), v) != v:
+                    raise ValueError(f"label {parts[3]} contradicts line {label_lines[(i, j)]}")
+                labels[(i, j)], label_lines[(i, j)] = v, ln
             elif kind == "dir6":
-                directed.add((int(parts[1]) - 1, int(parts[2]) - 1))
+                edge = (int(parts[1]) - 1, int(parts[2]) - 1)
+                directed.add(edge)
+                dir_lines[edge] = ln
             elif kind == "default":
                 default = parts[1]
             elif kind == "rel":
@@ -229,10 +226,18 @@ def ingest(text: str, name: str = "file") -> FileTable:
             raise ParseError(ln, str(exc)) from exc
     if rank is None:
         raise ParseError(0, "missing 'rank' directive")
+    for (i, j), ln in label_lines.items():
+        if not 0 <= i < j < rank:
+            raise ParseError(ln, f"m {i + 1} {j + 1}: not two distinct generators of 1..{rank}")
+        if labels[(i, j)] == 6 and len(directed & {(i, j), (j, i)}) != 1:
+            raise ParseError(ln, f"6-edge {i + 1} {j + 1} needs exactly one dir6 line")
+    for (t, s), ln in dir_lines.items():
+        if labels.get((min(t, s), max(t, s))) != 6:
+            raise ParseError(ln, f"dir6 {t + 1} {s + 1} is on an edge not labelled 6")
     try:
         matrix = CoxeterMatrix.from_dict(rank, labels, frozenset(directed))
-    except RgdError as exc:
-        raise ParseError(0, str(exc)) from exc
+    except RgdError as exc:  # a bad rank or a missing label
+        raise ParseError(rank_line, str(exc)) from exc
     cox = CoxeterSystem(matrix)
 
     entries: dict[tuple[Word, int, int], tuple[int, ...]] = {}
@@ -240,7 +245,7 @@ def ingest(text: str, name: str = "file") -> FileTable:
         if any(not 0 <= x < rank for x in word):
             raise ParseError(ln, f"generator out of range in gallery {word}")
         if not cox.is_reduced(word):
-            raise ParseError(ln, f"gallery word {'.'.join(str(x+1) for x in word)} is not reduced")
+            raise ParseError(ln, f"gallery word {word_label(word)} is not reduced")
         G = Gallery(cox, word)
         if not (1 <= i < j <= len(word)):
             raise ParseError(ln, f"positions ({i},{j}) out of range")
@@ -303,7 +308,7 @@ def validate_cb1(bp: Blueprint, r: int, gallery_cap: int = 10_000) -> Report:
                         got_g = bp.query_positions(G, i, j)
                         if got_h != got_g:
                             report.add(Violation(
-                                axiom="CB1", w=_word_label(w), gallery=H.label(),
+                                axiom="CB1", w=word_label(w), gallery=H.label(),
                                 i=i, j=j,
                                 expected=",".join(map(str, got_g)) or "-",
                                 found=",".join(map(str, got_h)) or "-"))
@@ -327,14 +332,10 @@ def validate_cb2(bp: Blueprint, gallery_cap: int = 10_000) -> Report:
                 continue
             m = int(m)
             w0 = cox.longest_element((s, t))
+            anchor = oriented_gallery(cox, s, t)
             for G in min_gal(cox, w0, gallery_cap):
-                oriented_first = None
-                if m == 6:
-                    for (a, b) in cox.matrix.directed6:
-                        if {a, b} == {s, t}:
-                            oriented_first = b
-                    if G.word[0] != oriented_first:
-                        continue
+                if m == 6 and G.word != anchor.word:
+                    continue
                 for i in range(1, m + 1):
                     for j in range(i + 1, m + 1):
                         report.checks += 1
@@ -343,7 +344,7 @@ def validate_cb2(bp: Blueprint, gallery_cap: int = 10_000) -> Report:
                             want = tuple(range(i + 1, j)) if (i, j) == (1, m) else ()
                             if got != want:
                                 report.add(Violation(
-                                    axiom="CB2", w=_word_label(w0), s=str(s + 1),
+                                    axiom="CB2", w=word_label(w0), s=str(s + 1),
                                     gallery=G.label(), i=i, j=j,
                                     expected=",".join(map(str, want)) or "-",
                                     found=",".join(map(str, got)) or "-"))
@@ -351,7 +352,7 @@ def validate_cb2(bp: Blueprint, gallery_cap: int = 10_000) -> Report:
                             want = RANK2_M_SETS[6].get((i, j), ())
                             if set(got) != set(want):
                                 report.add(Violation(
-                                    axiom="CB2", w=_word_label(w0), s=str(s + 1),
+                                    axiom="CB2", w=word_label(w0), s=str(s + 1),
                                     gallery=G.label(), i=i, j=j,
                                     expected=",".join(map(str, want)) or "-",
                                     found=",".join(map(str, got)) or "-"))
@@ -384,15 +385,11 @@ def validate_weyl(bp: Blueprint, r: int, gallery_cap: int = 10_000) -> Report:
                                            sG.position(s_image(s, G.root(j))))
                         if image != shifted:
                             report.add(Violation(
-                                axiom="Weyl", w=_word_label(w), s=str(s + 1),
+                                axiom="Weyl", w=word_label(w), s=str(s + 1),
                                 gallery=G.label(), i=i, j=j,
                                 expected=",".join(str(sG.position(x)) for x in image) or "-",
                                 found=",".join(str(sG.position(x)) for x in shifted) or "-"))
     return report
-
-
-def _word_label(w: Word) -> str:
-    return ".".join(str(x + 1) for x in w) if w else "e"
 
 
 # ---------------------------------------------------------------------------

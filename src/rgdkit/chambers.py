@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from math import inf
 
 from .blueprints import Blueprint
-from .coxeter import Word
+from .coxeter import Word, word_label
 from .errors import RgdError
-from .groupforge import GroupElem, build_Uw
+from .groupforge import GroupElem, build_Uw, reflected_positions
 from .reports import Report, Violation
-from .roots import act, simple_root
+from .roots import simple_root
 from . import roots as rootmod
 
 
@@ -30,8 +30,7 @@ class ChamberJ:
     rep: int  # canonical representative bits
 
     def label(self) -> str:
-        wl = ".".join(str(x + 1) for x in self.w) if self.w else "e"
-        return f"{self.rep:#x}U[{wl}]"
+        return f"{self.rep:#x}U[{word_label(self.w)}]"
 
 
 class ChamberSystemJ:
@@ -73,14 +72,8 @@ class ChamberSystemJ:
                     self.index[c] = len(self.chambers)
                     self.chambers.append(c)
         # tau root maps: basis position -> position of the s-image
-        self.tau_maps: dict[int, dict[int, int]] = {}
-        for gen in (s, t):
-            mp = {}
-            for i, root in enumerate(self.pres.basis, start=1):
-                if i == self.gen_pos[gen]:
-                    continue
-                mp[i] = self.pres.position(act(cox, (gen,), root))
-            self.tau_maps[gen] = mp
+        self.tau_maps = {gen: reflected_positions(cox, gen, self.pres.basis, self.pres)
+                         for gen in (s, t)}
         self._adj: dict[int, list[set[int]]] | None = None
 
     # -- coset plumbing ----------------------------------------------------
@@ -155,11 +148,6 @@ class ChamberSystemJ:
         n = self.pres.mul(GroupElem(bits), self.pres.generator(p)).bits if eps else bits
         return n, eps
 
-    def tau_elem(self, gen: int, bits: int) -> int:
-        mp = self.tau_maps[gen]
-        word = [mp[i] for i in self.pres.word_of(GroupElem(bits))]
-        return self.pres.collect(word).bits
-
     def act_tau(self, gen: int, c: ChamberJ, rep: int | None = None) -> ChamberJ:
         """The coset formula for tau_gen, evaluated on a chosen representative."""
         cox = self.cox
@@ -167,7 +155,7 @@ class ChamberSystemJ:
         n, eps = self.decompose(bits, gen)
         sw = cox.normal_form((gen,) + c.w)
         descent = len(sw) < len(c.w)
-        tn = self.tau_elem(gen, n)
+        tn = self.pres.map_elem(self.tau_maps[gen], GroupElem(n)).bits
         if descent or eps == 0:
             return self.canonical(sw, tn)
         out = self.pres.mul(GroupElem(tn), self.pres.generator(self.gen_pos[gen])).bits

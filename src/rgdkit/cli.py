@@ -90,9 +90,17 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 def cmd_group(cfg: RunConfig, word_text: str) -> int:
     bp = cfg.blueprint
-    w = bp.cox.normal_form(_parse_word(word_text, bp.cox.rank))
-    if len(w) > cfg.cap_group_bits:
-        raise RgdError(f"l(w) = {len(w)} exceeds group bit cap {cfg.cap_group_bits}")
+    cox = bp.cox
+    word = _parse_word(word_text, cox.rank)
+    # each letter still to come shortens the reduced prefix by at most one, so
+    # `bound` <= l(w): refuse once it passes the cap, before any normal form
+    red: Word = ()
+    for done, t in enumerate(word, start=1):
+        red = cox.right_mult(red, t)
+        bound = len(red) - (len(word) - done)
+        if bound > cfg.cap_group_bits:
+            raise RgdError(f"l(w) >= {bound} exceeds group bit cap {cfg.cap_group_bits}")
+    w = cox.normal_form(red)
     pres, rep = groupforge.build_Uw(bp, w, cfg.cap_galleries)
     print(f"word: {word_text}  base gallery: {pres.gallery.label()}")
     print(f"order: {pres.order}")

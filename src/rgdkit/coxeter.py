@@ -27,6 +27,11 @@ ALLOWED_LABELS = (2, 3, 4, 6, inf)
 _CARTAN = {2: (0, 0), 3: (-1, -1), 4: (-1, -2), 6: (-1, -3), inf: (-2, -2)}
 
 
+def word_label(w: Word) -> str:
+    """1-based dotted label of a word, `e` for the identity."""
+    return ".".join(str(x + 1) for x in w) if w else "e"
+
+
 @dataclass(frozen=True)
 class CoxeterMatrix:
     """Symmetric Coxeter matrix with labels in {2,3,4,6,inf}, plus a direction

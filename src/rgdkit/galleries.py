@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import inf
 
-from .coxeter import CoxeterSystem, Word
+from .coxeter import CoxeterSystem, Word, word_label
 from .errors import CapExceeded, RgdError
 from .roots import Root, phi_w
 
@@ -55,7 +56,7 @@ class Gallery:
         return Gallery(self.cox, self.word[:m])
 
     def label(self) -> str:
-        return ".".join(str(x + 1) for x in self.word) if self.word else "e"
+        return word_label(self.word)
 
 
 def get_gallery(cox: CoxeterSystem, word: Word) -> Gallery:
@@ -65,6 +66,22 @@ def get_gallery(cox: CoxeterSystem, word: Word) -> Gallery:
         g = Gallery(cox, word)
         cox._gallery_cache[word] = g
     return g
+
+
+def oriented_gallery(cox: CoxeterSystem, s: int, t: int) -> Gallery:
+    """The gallery of the longest element of <s, t> that anchors the rank-2
+    Moufang tables: it starts at the smaller generator, or for m = 6 at the
+    target of the directed edge."""
+    m = cox.matrix.m(s, t)
+    if m == inf:
+        raise RgdError("spherical pair required")
+    first = min(s, t)
+    if m == 6:
+        for (a, b) in cox.matrix.directed6:
+            if {a, b} == {s, t}:
+                first = b
+    second = s + t - first
+    return Gallery(cox, tuple(first if k % 2 == 0 else second for k in range(int(m))))
 
 
 def min_gal(cox: CoxeterSystem, w: Word, cap: int = 10_000) -> list[Gallery]:

@@ -12,14 +12,14 @@ order exactly 2^k.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .blueprints import Blueprint
-from .coxeter import Word
+from .coxeter import CoxeterSystem, Word, word_label
 from .errors import CapExceeded, CollectionOverflow, RgdError
 from .galleries import Gallery, min_gal
 from .reports import Report, Violation
-from .roots import Root
+from .roots import Root, simple_root
 
 
 @dataclass(frozen=True)
@@ -124,6 +124,10 @@ class PCPres:
         wx = self.word_of(x)
         return self.collect(wx + self.word_of(y) + tuple(reversed(wx)))
 
+    def map_elem(self, mp: Mapping[int, int], x: GroupElem) -> GroupElem:
+        """Send each normal-form letter i of x to the generator mp[i], then collect."""
+        return self.collect([mp[i] for i in self.word_of(x)])
+
     def elements(self) -> list[GroupElem]:
         return [GroupElem(bits) for bits in range(1 << self.k)]
 
@@ -184,15 +188,41 @@ class PCPres:
 
 
 # ---------------------------------------------------------------------------
+# generator maps
+
+
+def reflected_positions(cox: CoxeterSystem, s: int, roots: Sequence[Root],
+                        target: PCPres) -> dict[int, int]:
+    """{i: position in `target` of s.roots[i-1]} for every root but alpha_s."""
+    alpha_s = simple_root(cox, s)
+    return {i: target.position(Root(cox.reflect(s, root.vec)))
+            for i, root in enumerate(roots, start=1) if root != alpha_s}
+
+
+def relation_checks(rel: Mapping[tuple[int, int], Sequence[int]], image: Mapping[int, int],
+                    target: PCPres) -> Iterator[tuple[int, int, GroupElem, GroupElem]]:
+    """For u_i -> u_image(i): yield (i, j, [u_image(i), u_image(j)], image of
+    the relation value) for every relation (i, j) with both ends in `image`,
+    in key order.  The map respects the relation iff the two agree."""
+    for (i, j), word in sorted(rel.items()):
+        if i in image and j in image:
+            yield (i, j, target.comm(target.generator(image[i]), target.generator(image[j])),
+                   target.collect([image[x] for x in word]))
+
+
+# ---------------------------------------------------------------------------
 # construction from a blueprint
 
 
+def gallery_relations(bp: Blueprint, G: Gallery) -> dict[tuple[int, int], tuple[int, ...]]:
+    """The relation values M^G in gallery positions, for every pair i < j."""
+    n = len(G)
+    return {(i, j): bp.query_positions(G, i, j)
+            for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+
+
 def presentation_for_gallery(bp: Blueprint, G: Gallery, step_cap: int = 1_000_000) -> PCPres:
-    rel = {}
-    for i in range(1, len(G) + 1):
-        for j in range(i + 1, len(G) + 1):
-            rel[(i, j)] = bp.query_positions(G, i, j)
-    return PCPres(G.roots, rel, gallery=G, step_cap=step_cap)
+    return PCPres(G.roots, gallery_relations(bp, G), gallery=G, step_cap=step_cap)
 
 
 def build_Uw(bp: Blueprint, w: Word, gallery_cap: int = 10_000,
@@ -203,7 +233,7 @@ def build_Uw(bp: Blueprint, w: Word, gallery_cap: int = 10_000,
     gallery is certified and the report says so explicitly."""
     cox = bp.cox
     w = cox.normal_form(w)
-    report = Report(f"U_w({bp.name}, w={_wl(w)})")
+    report = Report(f"U_w({bp.name}, w={word_label(w)})")
     try:
         galleries = min_gal(cox, w, gallery_cap)
     except CapExceeded:
@@ -214,28 +244,19 @@ def build_Uw(bp: Blueprint, w: Word, gallery_cap: int = 10_000,
     pres = presentation_for_gallery(bp, base, step_cap)
     report.checks += 1
     if not pres.consistency_check():
-        report.add(Violation(axiom="CB3", w=_wl(w), gallery=base.label(),
+        report.add(Violation(axiom="CB3", w=word_label(w), gallery=base.label(),
                              expected="consistent collection",
                              found=pres.inconsistency_witness or "inconsistent"))
         return pres, report
     for H in galleries[1:]:
-        for i in range(1, len(H) + 1):
-            a = pres.position(H.root(i))
-            ua = pres.generator(a)
-            for j in range(i + 1, len(H) + 1):
-                b = pres.position(H.root(j))
-                report.checks += 1
-                lhs = pres.comm(ua, pres.generator(b))
-                rhs = pres.collect([pres.position(r) for r in bp.query(H, i, j)])
-                if lhs != rhs:
-                    report.add(Violation(
-                        axiom="CB3", w=_wl(w), gallery=H.label(), i=i, j=j,
-                        expected=str(pres.word_of(rhs)), found=str(pres.word_of(lhs))))
+        image = {i: pres.position(root) for i, root in enumerate(H.roots, start=1)}
+        for i, j, lhs, rhs in relation_checks(gallery_relations(bp, H), image, pres):
+            report.checks += 1
+            if lhs != rhs:
+                report.add(Violation(
+                    axiom="CB3", w=word_label(w), gallery=H.label(), i=i, j=j,
+                    expected=str(pres.word_of(rhs)), found=str(pres.word_of(lhs))))
     return pres, report
-
-
-def _wl(w: Word) -> str:
-    return ".".join(str(x + 1) for x in w) if w else "e"
 
 
 # ---------------------------------------------------------------------------
@@ -337,13 +358,11 @@ def build_Vws(bp: Blueprint, w: Word, s: int,
 
 def vws_iso_check(bp: Blueprint, w: Word, s: int) -> Report:
     """Verify V_G ~= V_{w,s} inside U_w and u_alpha -> u_{s.alpha} onto U_{sw}."""
-    from .roots import act  # local import to avoid cycle noise
-
     cox = bp.cox
-    report = Report(f"Vws({bp.name}, w={_wl(cox.normal_form(w))}, s={s + 1})")
+    report = Report(f"Vws({bp.name}, w={word_label(cox.normal_form(w))}, s={s + 1})")
     pres_u, pres_v, G = build_Vws(bp, w, s)
     if not pres_u.consistency_check() or not pres_v.consistency_check():
-        report.add(Violation(axiom="CB3", w=_wl(w), gallery=G.label(),
+        report.add(Violation(axiom="CB3", w=word_label(w), gallery=G.label(),
                              expected="consistent", found="inconsistent"))
         return report
 
@@ -351,32 +370,26 @@ def vws_iso_check(bp: Blueprint, w: Word, s: int) -> Report:
     v_elems = subgroup_closure(pres_u, [pres_u.generator(i) for i in range(2, pres_u.k + 1)])
     report.checks += 1
     if len(v_elems) != 1 << (pres_u.k - 1):
-        report.add(Violation(axiom="Vws", w=_wl(w),
+        report.add(Violation(axiom="Vws", w=word_label(w),
                              expected=str(1 << (pres_u.k - 1)), found=str(len(v_elems))))
     report.checks += 1
     if any(x.bits & 1 for x in v_elems):
-        report.add(Violation(axiom="Vws", w=_wl(w),
+        report.add(Violation(axiom="Vws", w=word_label(w),
                              expected="V avoids the u_1 bit", found="u_1 bit set"))
 
     # (b) u_alpha -> u_{s.alpha} is an isomorphism V_{w,s} -> U_{sw}
     sw = cox.normal_form(cox.left_mult(s, cox.normal_form(w)))
     pres_sw, rep_sw = build_Uw(bp, sw)
     report.merge(rep_sw)
-    image_pos = {}
-    for i in range(2, pres_u.k + 1):
-        image_pos[i] = pres_sw.position(act(cox, (s,), G.roots[i - 1]))
+    image_pos = reflected_positions(cox, s, G.roots, pres_sw)
     report.checks += 1
     if sorted(image_pos.values()) != list(range(1, pres_sw.k + 1)):
-        report.add(Violation(axiom="Vws", w=_wl(w),
+        report.add(Violation(axiom="Vws", w=word_label(w),
                              expected="bijection on generators", found=str(image_pos)))
-    for (i, j), word in sorted(pres_u.rel.items()):
-        if i < 2:
-            continue
+    for i, j, lhs, rhs in relation_checks(pres_u.rel, image_pos, pres_sw):
         report.checks += 1
-        lhs = pres_sw.comm(pres_sw.generator(image_pos[i]), pres_sw.generator(image_pos[j]))
-        rhs = pres_sw.collect([image_pos[x] for x in word])
         if lhs != rhs:
-            report.add(Violation(axiom="Vws", w=_wl(w), gallery=G.label(), i=i, j=j,
+            report.add(Violation(axiom="Vws", w=word_label(w), gallery=G.label(), i=i, j=j,
                                  expected=str(pres_sw.word_of(rhs)),
                                  found=str(pres_sw.word_of(lhs))))
     return report

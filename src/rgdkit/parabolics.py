@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .blueprints import Blueprint
-from .coxeter import Word
+from .coxeter import Word, word_label
 from .errors import RgdError
 from .galleries import Gallery, min_gal_s
-from .groupforge import (GroupElem, PCPres, build_Uw, project_to_first,
-                         subgroup_closure)
+from .groupforge import (IDENTITY, GroupElem, PCPres, build_Uw, project_to_first,
+                         reflected_positions, relation_checks, subgroup_closure)
 from .reports import Report, Violation
 from .roots import Residue2, Root, act, residue_roots, simple_root
 from . import roots as rootmod
@@ -47,8 +47,7 @@ class ResidueGroup:
         """tau_s on N_R: map each normal-form letter to its s-image."""
         if x.bits & 1:
             raise RgdError("tau_s is defined on N_R only (no u_s component)")
-        word = [self.tau_map[i] for i in self.pres.word_of(x)]
-        return self.pres.collect(word)
+        return self.pres.map_elem(self.tau_map, x)
 
     def conj_us(self, x: GroupElem) -> GroupElem:
         return self.pres.conj(self.pres.generator(1), x)
@@ -90,13 +89,8 @@ def build_residue_group(bp: Blueprint, R: Residue2, s: int) -> ResidueGroup:
                 word.append(pos_to_basis[p])
             rel[(a + 1, b + 1)] = tuple(word)
     pres = PCPres(ordered, rel, gallery=G)
-    tau_map = {}
-    for k, root in enumerate(ordered):
-        if k == 0:
-            continue
-        image = act(cox, (s,), root)
-        tau_map[k + 1] = pres.position(image)
-    return ResidueGroup(bp, R, s, G, pres, ordered, tuple(positions), tau_map)
+    return ResidueGroup(bp, R, s, G, pres, ordered, tuple(positions),
+                        reflected_positions(cox, s, ordered, pres))
 
 
 def tau_on_residue(rg: ResidueGroup) -> Report:
@@ -120,12 +114,8 @@ def tau_on_residue(rg: ResidueGroup) -> Report:
                                  found="u_s"))
 
     # homomorphism: every defining relation of N_R maps to a relation
-    for (i, j), word in sorted(pres.rel.items()):
-        if i == 1:
-            continue
+    for i, j, lhs, rhs in relation_checks(pres.rel, rg.tau_map, pres):
         report.checks += 1
-        lhs = pres.comm(pres.generator(rg.tau_map[i]), pres.generator(rg.tau_map[j]))
-        rhs = pres.collect([rg.tau_map[x] for x in word])
         if lhs != rhs:
             report.add(Violation(
                 axiom="Weyl", gallery=rg.gallery.label(), i=i, j=j,
@@ -226,7 +216,7 @@ def tau_on_truncation(bp: Blueprint, w: Word, s: int) -> Report:
     cardinality of the image closure."""
     cox = bp.cox
     w = cox.normal_form(w)
-    report = Report(f"tau-trunc({bp.name}, w={'.'.join(str(x+1) for x in w) or 'e'}, s={s + 1})")
+    report = Report(f"tau-trunc({bp.name}, w={word_label(w)}, s={s + 1})")
     if w and cox.is_left_descent(s, w):
         raise RgdError("tau_on_truncation needs l(sw) = l(w) + 1")
     pres_w, rep_w = build_Uw(bp, w)
@@ -236,20 +226,17 @@ def tau_on_truncation(bp: Blueprint, w: Word, s: int) -> Report:
     report.merge(rep_sw)
     if not report.ok:
         return report
-    image_pos = {}
-    for i, root in enumerate(pres_w.basis, start=1):
-        img = act(cox, (s,), root)
-        image_pos[i] = pres_sw.position(img)
+    image_pos = reflected_positions(cox, s, pres_w.basis, pres_sw)
+    s_pos = pres_sw.position(simple_root(cox, s))
+    for i, p in image_pos.items():
         report.checks += 1
-        if img == simple_root(cox, s):
+        if p == s_pos:
             report.add(Violation(axiom="tau-image", i=i, expected="!= alpha_s",
                                  found="alpha_s"))
-    for (i, j), word in sorted(pres_w.rel.items()):
+    for i, j, lhs, rhs in relation_checks(pres_w.rel, image_pos, pres_sw):
         report.checks += 1
-        lhs = pres_sw.comm(pres_sw.generator(image_pos[i]), pres_sw.generator(image_pos[j]))
-        rhs = pres_sw.collect([image_pos[x] for x in word])
         if lhs != rhs:
-            report.add(Violation(axiom="Weyl", w='.'.join(str(x+1) for x in w), i=i, j=j,
+            report.add(Violation(axiom="Weyl", w=word_label(w), i=i, j=j,
                                  expected=str(pres_sw.word_of(rhs)),
                                  found=str(pres_sw.word_of(lhs))))
     closure = subgroup_closure(pres_sw, [pres_sw.generator(p) for p in image_pos.values()])
@@ -295,16 +282,11 @@ def tau_conjugation_check(bp: Blueprint, s: int, beta: Root, radius: int = 6) ->
     if not rep.ok:
         return "failed"
 
-    def s_image_pos(root: Root) -> int:
-        return pres.position(Root(cox.reflect(s, root.vec)))
-
-    m_set = bp.query(G, 1, G.position(s_beta))
+    image = reflected_positions(cox, s, G.roots, pres)
+    m_set = bp.query_positions(G, 1, G.position(s_beta))
     word: list[int] = []
-    for gamma in m_set:
-        for delta in bp.query(G, 1, G.position(gamma)):
-            word.append(s_image_pos(delta))
-        word.append(s_image_pos(gamma))
-    for gamma in m_set:
-        word.append(s_image_pos(gamma))
-    from .groupforge import IDENTITY
+    for g in m_set:
+        word += [image[d] for d in bp.query_positions(G, 1, g)]
+        word.append(image[g])
+    word += [image[g] for g in m_set]
     return "verified" if pres.collect(word) == IDENTITY else "failed"

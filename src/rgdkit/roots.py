@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from math import inf
 from operator import mul
 
-from .coxeter import CoxeterSystem, Vector, Word
+from .coxeter import CoxeterSystem, Vector, Word, word_label
 from .errors import InternalConsistencyError, RgdError
 # the retired Q(sqrt2, sqrt3) realization stays loaded as the engine's
 # differential oracle; perfbench/tracing.py patches its operators by module
@@ -32,9 +32,8 @@ class Root:
 
     def describe(self) -> str:
         word, s = self.expr if self.expr else ((), -1)
-        expr = ".".join(str(x + 1) for x in word) if word else "e"
         coords = ",".join(repr(c) for c in self.vec)
-        return f"({expr}|{s + 1})[{coords}]"
+        return f"({word_label(word)}|{s + 1})[{coords}]"
 
 
 def simple_root(cox: CoxeterSystem, s: int) -> Root:
@@ -282,8 +281,7 @@ class Residue2:
     J: tuple[int, int]
 
     def label(self) -> str:
-        gate = ".".join(str(x + 1) for x in self.base) if self.base else "e"
-        return f"R{{{self.J[0] + 1},{self.J[1] + 1}}}({gate})"
+        return f"R{{{self.J[0] + 1},{self.J[1] + 1}}}({word_label(self.base)})"
 
 
 def residue_at(cox: CoxeterSystem, w: Word, J: tuple[int, int]) -> Residue2:
@@ -365,20 +363,3 @@ def common_residue(cox: CoxeterSystem, alpha: Root, beta: Root) -> Residue2:
             raise InternalConsistencyError(
                 f"{R.label()} is not stabilized by the reflection of {gamma.describe()}")
     return R
-
-
-def residues_on_wall(cox: CoxeterSystem, alpha: Root, r: int) -> list[Residue2]:
-    """All spherical rank-2 residues met by ball(r) stabilized by r_alpha."""
-    refl = reflection_word(cox, alpha)
-    seen: set[Residue2] = set()
-    for w in cox.ball(r):
-        for s in range(cox.rank):
-            for t in range(s + 1, cox.rank):
-                if cox.matrix.m(s, t) == inf:
-                    continue
-                R = residue_at(cox, w, (s, t))
-                if R in seen:
-                    continue
-                if stabilizes_residue(cox, refl, R):
-                    seen.add(R)
-    return sorted(seen, key=lambda R: (len(R.base), R.base, R.J))

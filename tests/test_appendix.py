@@ -4,6 +4,7 @@ import pytest
 
 from rgdkit import appendix as ap
 from rgdkit import blueprints as bpmod
+from rgdkit.galleries import oriented_gallery
 
 
 @pytest.mark.parametrize("name", ["rank2:m2", "rank2:m3", "rank2:m4",
@@ -21,7 +22,7 @@ def test_identity_suite_size(bp_m6):
 
 def test_numbered_identities_directly(bp_m6):
     from rgdkit.groupforge import presentation_for_gallery
-    G = ap.oriented_gallery(bp_m6, 0, 1)
+    G = oriented_gallery(bp_m6.cox, 0, 1)
     p = presentation_for_gallery(bp_m6, G)
     # (1) u1 u5 u6 = u6 u4 u3 u1 and (2) u1 u3 u5 = u5 u3 u1
     assert p.collect((1, 5, 6)) == p.collect((6, 4, 3, 1))
@@ -31,8 +32,8 @@ def test_numbered_identities_directly(bp_m6):
 def test_oriented_gallery_follows_direction():
     lr = bpmod.builtin("rank2:m6lr")
     rl = bpmod.builtin("rank2:m6rl")
-    assert ap.oriented_gallery(lr, 0, 1).word[0] == 0
-    assert ap.oriented_gallery(rl, 0, 1).word[0] == 1
+    assert oriented_gallery(lr.cox, 0, 1).word[0] == 0
+    assert oriented_gallery(rl.cox, 0, 1).word[0] == 1
 
 
 def test_conjugation_check_product_m2(bp_product_b2):

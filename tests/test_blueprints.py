@@ -150,6 +150,22 @@ def test_ingest_parse_error_has_line_number():
     assert "line 3" in str(err.value)
 
 
+def test_ingest_matrix_errors_name_their_line():
+    cases = [
+        ("rank 2\n\nm 1 2 5\n", 3),                     # label outside {2,3,4,6,inf}
+        ("rank 2\nm 1 2 3\ndir6 2 1\n", 3),             # dir6 on an edge labelled 3
+        ("rank 2\ndir6 2 1\nm 1 2 4\n", 2),             # ... also when it comes first
+        ("rank 2\nm 1 2 6\n", 2),                       # 6-edge without a direction
+        ("rank 2\nm 1 3 3\n", 2),                       # generator out of range
+        ("rank 2\nm 1 2 3\nm 2 1 4\n", 3),              # contradicts an earlier label
+        ("rank 3\nm 1 2 3\nm 1 3 2\n", 1),              # missing label: the rank line
+    ]
+    for text, line_no in cases:
+        with pytest.raises(ParseError) as err:
+            bpmod.ingest(text)
+        assert err.value.line_no == line_no, (text, str(err.value))
+
+
 def test_strict_default_raises():
     text = "rank 2\nm 1 2 3\ndefault strict\n"
     bp = bpmod.ingest(text)

@@ -2,6 +2,7 @@
 
 from rgdkit import cli
 from rgdkit.cli import main
+from rgdkit.coxeter import CoxeterSystem
 from rgdkit.errors import InternalConsistencyError
 from tests.conftest import fixture_path
 
@@ -33,6 +34,21 @@ def test_usage_errors_exit_2(capsys):
     assert main(["validate"]) == 2                       # no blueprint
     assert main(["--blueprint", "/no/such/file.bp", "validate"]) == 2
     assert main(["--builtin", "rank2:m9", "validate"]) == 2
+
+
+def test_group_refuses_long_word_before_normalizing(capsys, monkeypatch):
+    def refuse(self, word):
+        raise AssertionError("normal_form reached before the bit cap check")
+
+    monkeypatch.setattr(CoxeterSystem, "normal_form", refuse)
+    word = ".".join(["1.2.3"] * 400)
+    assert main(["--builtin", "allempty:universal3", "group", word]) == 2
+    assert "exceeds group bit cap 24" in capsys.readouterr().err
+
+
+def test_appendix_on_infinite_pair_exits_2(capsys):
+    assert main(["--builtin", "allempty:universal3", "appendix", "-s", "1", "-t", "2"]) == 2
+    assert "spherical pair required" in capsys.readouterr().err
 
 
 def test_internal_errors_exit_3(capsys, monkeypatch):

@@ -213,25 +213,26 @@ def test_halfspace_convexity():
             assert c == v
 
 
-def test_residues_on_wall():
+def test_stabilizes_residue_on_wall():
     cox = cox_universal(3)
     # universal type has no spherical rank-2 residues at all
-    assert rt.residues_on_wall(cox, rt.simple_root(cox, 0), 2) == []
+    for s, t in itertools.combinations(range(3), 2):
+        assert cox.matrix.m(s, t) == inf
+        with pytest.raises(RgdError):
+            rt.residue_at(cox, (), (s, t))
 
     cox3 = cox_dihedral(3)
-    res = rt.residues_on_wall(cox3, rt.simple_root(cox3, 0), 2)
-    assert rt.Residue2((), (0, 1)) in res
-    for R in res:
-        refl = rt.reflection_word(cox3, rt.simple_root(cox3, 0))
-        assert rt.stabilizes_residue(cox3, refl, R)
+    refl = rt.reflection_word(cox3, rt.simple_root(cox3, 0))
+    assert rt.stabilizes_residue(cox3, refl, rt.Residue2((), (0, 1)))
 
 
-def test_residues_on_wall_excludes_far_walls(bp_product_b2):
+def test_stabilizes_residue_excludes_far_walls(bp_product_b2):
     cox = bp_product_b2.cox
-    res = rt.residues_on_wall(cox, rt.simple_root(cox, 0), 2)
-    types = {R.J for R in res}
-    assert (0, 1) in types and (0, 2) in types
-    assert (1, 2) not in types  # generator 1's wall does not stabilize R_{2,3}
+    refl = rt.reflection_word(cox, rt.simple_root(cox, 0))
+    assert rt.stabilizes_residue(cox, refl, rt.residue_at(cox, (), (0, 1)))
+    assert rt.stabilizes_residue(cox, refl, rt.residue_at(cox, (), (0, 2)))
+    # generator 1's wall does not stabilize R_{2,3}
+    assert not rt.stabilizes_residue(cox, refl, rt.residue_at(cox, (), (1, 2)))
 
 
 def test_root_images_never_mix_signs(bp_universal3):
