@@ -36,9 +36,6 @@ class Blueprint:
     def __init__(self, cox: CoxeterSystem, name: str):
         self.cox = cox
         self.name = name
-        # when set, every query re-checks containment in the computed
-        # open interval (slow; meant for debugging blueprint sources)
-        self.debug_containment = False
 
     # -- core query -------------------------------------------------------
 
@@ -55,11 +52,6 @@ class Blueprint:
                 raise BlueprintError(
                     f"{self.name}: M^{G.label()}({i},{j}) contains position {p}, "
                     f"outside the open interval")
-        if self.debug_containment and value:
-            allowed = set(open_interval(self.cox, G.root(i), G.root(j), G))
-            if not set(value) <= allowed:
-                raise BlueprintError(
-                    f"{self.name}: M^{G.label()}({i},{j}) leaves the open interval")
         return value
 
     def query_positions(self, G: Gallery, i: int, j: int) -> tuple[int, ...]:

@@ -82,7 +82,6 @@ class ChamberSystemJ:
         ge = GroupElem(g)
         mask = self.masks[w]
         out = []
-        sub = mask
         # iterate all submasks of `mask`, including 0
         x = mask
         while True:

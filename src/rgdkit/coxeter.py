@@ -8,6 +8,13 @@ algebras, Prop. 3.13).  Element computations act on the root lattice with
 integer vectors in the simple-root basis; the action is faithful, real roots
 have integer coordinates of one sign (Lemma 3.11 there), and so machine
 integers decide lengths, descents and equality exactly.
+
+Canonical words come from one fold in the dual action on the Tits cone.
+With z_j = <alpha_j, w.x> for x in a face F_J of the fundamental chamber,
+s is a left descent of w iff z_s < 0 (Lemma 3.11 and Prop. 3.12 there), so
+crossing the least negative wall until none is left spells the lex-least
+reduced word of w (`normal_form`) or of the minimal element of w<J>
+(`coset_gate`), and folds a fixed point onto its face (`roots.common_residue`).
 """
 
 from __future__ import annotations
@@ -97,7 +104,7 @@ class CoxeterMatrix:
 
 
 class CoxeterSystem:
-    """Word arithmetic for one Coxeter matrix, with memoized normal forms."""
+    """Word arithmetic and the Tits-cone fold for one Coxeter matrix."""
 
     def __init__(self, matrix: CoxeterMatrix):
         self.matrix = matrix
@@ -111,7 +118,6 @@ class CoxeterSystem:
         self.basis: tuple[Vector, ...] = tuple(
             tuple(1 if i == j else 0 for j in range(self.rank)) for i in range(self.rank)
         )
-        self._nf_cache: dict[Word, Word] = {(): ()}
         self._append_cache: dict[tuple[Word, int], Word] = {}
         self._ball_layers: list[list[Word]] = [[()]]
         self._min_gal_cache: dict[Word, tuple[Word, ...]] = {}
@@ -185,65 +191,78 @@ class CoxeterSystem:
         v = self.apply(word, self.basis[t])
         if self.vec_sign(v) > 0:
             return word + (t,)
-        target = tuple(-c for c in v)
-        for i in range(len(word)):
-            beta = self.apply(word[:i], self.basis[word[i]])
-            if beta == target:
-                return word[:i] + word[i + 1:]
-        raise RgdError("exchange condition failed; input word not reduced?")
+        return self._exchange(word, tuple(-c for c in v))
 
     def left_mult(self, s: int, word: Word) -> Word:
         """Reduced word for s*w given a reduced word for w."""
         e_s = self.basis[s]
         if self.vec_sign(self.apply_inv(word, e_s)) > 0:
             return (s,) + word
-        for i in range(len(word)):
-            beta = self.apply(word[:i], self.basis[word[i]])
-            if beta == e_s:
+        return self._exchange(word, e_s)
+
+    def _exchange(self, word: Word, target: Vector) -> Word:
+        """Delete the letter word[i] whose crossed root word[:i] . e_{word[i]}
+        is `target`, carrying u = word[:i]^-1 . target along: one reflection
+        per letter."""
+        u = target
+        for i, s in enumerate(word):
+            if u == self.basis[s]:
                 return word[:i] + word[i + 1:]
+            u = self.reflect(s, u)
         raise RgdError("exchange condition failed; input word not reduced?")
 
     def reduce_word(self, word: Word) -> Word:
         """Deterministic reduced word for the same element."""
-        out: Word = ()
-        for t in word:
-            out = self.right_mult(out, t)
-        return out
+        return self.normal_form(word)
 
     def is_reduced(self, word: Word) -> bool:
         return len(self.reduce_word(word)) == len(word)
 
-    def normal_form(self, word: Word) -> Word:
-        """Lex-least reduced word: repeatedly pick the smallest left descent."""
-        red = self.reduce_word(word)
-        return self._nf_reduced(red)
+    # ---- the Tits cone: canonical words by folding -------------------
 
-    def _nf_reduced(self, red: Word) -> Word:
-        """Peel off least left descents until a cached suffix; cache every suffix."""
-        cache = self._nf_cache
-        peeled: list[tuple[Word, int]] = []
-        nf = cache.get(red)
-        while nf is None:
-            for s in range(self.rank):
-                if self.is_left_descent(s, red):
+    def point(self, word: Word, face: tuple[int, ...] = ()) -> list[int]:
+        """Coordinates z_j = <alpha_j, w.x> of the point w.x, where x has
+        z_j = 0 on `face` and 1 elsewhere (rightmost letter first)."""
+        z = [0 if j in face else 1 for j in range(self.rank)]
+        cartan = self.cartan
+        for s in reversed(word):
+            zs = z[s]
+            if zs:
+                z = [zj - a * zs for zj, a in zip(z, cartan[s])]
+        return z
+
+    def fold(self, z: list[int], limit: int) -> tuple[Word, list[int]]:
+        """Cross the wall of the least s with z_s < 0 until no z_s is negative.
+
+        Returns the recorded word and the final point, which lies in the
+        closed fundamental chamber.  For w.x with x in the face F_J, the
+        negative coordinates are the left descents s of the minimal element
+        of w<J> (<alpha_s, w.x> < 0 iff w^-1 alpha_s < 0 off <J>), so the
+        recorded word is that element's lex-least reduced word.
+        """
+        cartan = self.cartan
+        word: list[int] = []
+        while True:
+            for s, zs in enumerate(z):
+                if zs < 0:
                     break
-            else:  # pragma: no cover - the empty word is cached
-                raise InternalConsistencyError(f"reduced word {red} has no left descent")
-            peeled.append((red, s))
-            red = self.left_mult(s, red)
-            nf = cache.get(red)
-        for red, s in reversed(peeled):
-            nf = (s,) + nf
-            cache[red] = nf
-        return nf
+            else:
+                return tuple(word), z
+            if len(word) >= limit:
+                raise InternalConsistencyError(f"fold did not end within {limit} steps")
+            z = [zj - a * zs for zj, a in zip(z, cartan[s])]
+            word.append(s)
+
+    def normal_form(self, word: Word) -> Word:
+        """Lex-least reduced word: the fold of w.x for x in the open chamber."""
+        return self.fold(self.point(word), len(word))[0]
 
     def nf_append(self, word: Word, t: int) -> Word:
-        """normal_form(w * t) for a word already in normal form (memoized)."""
+        """normal_form(w * t), memoized."""
         key = (word, t)
         out = self._append_cache.get(key)
         if out is None:
-            out = self._nf_reduced(self.right_mult(word, t))
-            self._append_cache[key] = out
+            out = self._append_cache[key] = self.normal_form(word + (t,))
         return out
 
     # ---- enumeration ---------------------------------------------------
@@ -284,16 +303,8 @@ class CoxeterSystem:
         return self.normal_form(word)
 
     def coset_gate(self, word: Word, J: tuple[int, ...]) -> Word:
-        """Minimal-length element of w<J>: strip right descents in J."""
-        w = self.normal_form(word)
-        changed = True
-        while changed:
-            changed = False
-            for j in J:
-                if w and self.is_right_descent(w, j):
-                    w = self.normal_form(self.right_mult(w, j))
-                    changed = True
-        return w
+        """Lex-least reduced word of the minimal-length element of w<J>."""
+        return self.fold(self.point(word, J), len(word))[0]
 
     def parabolic_elements(self, J: tuple[int, ...], cap: int = 4096) -> list[Word]:
         """All elements of the standard parabolic <J> (must be finite)."""

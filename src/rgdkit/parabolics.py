@@ -137,25 +137,22 @@ def tau_on_residue(rg: ResidueGroup) -> Report:
 def ustausV_identity_check(rg: ResidueGroup, alpha: Root) -> bool:
     """The two expansions of tau_s u_s tau_s (alpha) = u_s tau_s u_s (alpha)
     collect to the same normal form in N_R."""
-    bp, cox, G, pres = rg.bp, rg.bp.cox, rg.gallery, rg.pres
+    bp, G, pres, tau = rg.bp, rg.gallery, rg.pres, rg.tau_map
     if alpha not in rg.phi_r or alpha == rg.phi_r[0]:
         raise RgdError("alpha must be a wall of R other than alpha_s")
-    s_alpha = act(cox, (rg.s,), alpha)
+    a = pres.position(alpha)
 
-    def m_set(target: Root) -> list[int]:
-        value = bp.query(G, 1, G.position(target))
-        return [pres.position(g) for g in value]
+    def m_set(k: int) -> list[int]:
+        # M^G(alpha_s, basis root k) as basis indices
+        return [pres.position(g) for g in bp.query(G, 1, rg.positions[k - 1])]
 
-    pos = pres.position
-    lhs_word = [rg.tau_map[p] for p in m_set(s_alpha)] + [pos(alpha)]
+    lhs_word = [tau[p] for p in m_set(tau[a])] + [a]
     rhs_word: list[int] = []
-    for p in m_set(alpha):
-        gamma = rg.phi_r[p - 1]
-        s_gamma = act(cox, (rg.s,), gamma)
-        rhs_word += m_set(s_gamma)
-        rhs_word.append(pres.position(s_gamma))
-    rhs_word += m_set(s_alpha)
-    rhs_word.append(pos(s_alpha))
+    for p in m_set(a):
+        rhs_word += m_set(tau[p])
+        rhs_word.append(tau[p])
+    rhs_word += m_set(tau[a])
+    rhs_word.append(tau[a])
     return pres.collect(lhs_word) == pres.collect(rhs_word)
 
 
@@ -175,7 +172,7 @@ def gallery_independence_check(bp: Blueprint, w: Word, w_prime: Word, s: int,
 
     def image_words(G: Gallery) -> list[Root]:
         value = bp.query(G, 1, G.position(alpha))
-        return [act(cox, (s,), g) for g in value]
+        return [Root(cox.reflect(s, g.vec)) for g in value]
 
     ambients = []
     for v in (w, w_prime):

@@ -31,9 +31,11 @@ class Root:
         return cox.vec_sign(self.vec) > 0
 
     def describe(self) -> str:
-        word, s = self.expr if self.expr else ((), -1)
-        coords = ",".join(repr(c) for c in self.vec)
-        return f"({word_label(word)}|{s + 1})[{coords}]"
+        coords = "[" + ",".join(repr(c) for c in self.vec) + "]"
+        if self.expr is None:
+            return coords
+        word, s = self.expr
+        return f"({word_label(word)}|{s + 1}){coords}"
 
 
 def simple_root(cox: CoxeterSystem, s: int) -> Root:
@@ -343,21 +345,12 @@ def common_residue(cox: CoxeterSystem, alpha: Root, beta: Root) -> Residue2:
         mirrored = r_a(point)
         z = [a + b + c for a, b, c in zip(z, point, mirrored)]
         point = r_b(mirrored)
-    gate: list[int] = []
-    for _ in range(10_000):
-        s = next((s for s in range(cox.rank) if z[s] < 0), None)
-        if s is None:
-            break
-        zs = z[s]
-        z = [zj - a * zs for zj, a in zip(z, cox.cartan[s])]
-        gate.append(s)
-    else:
-        raise InternalConsistencyError("the fixed point did not fold into the fundamental chamber")
+    gate, z = cox.fold(z, 10_000)
     J = tuple(s for s in range(cox.rank) if z[s] == 0)
     if len(J) != 2:
         raise InternalConsistencyError(
             f"fixed point of {alpha.describe()}, {beta.describe()} lies on a face of type {J}")
-    R = residue_at(cox, tuple(gate), J)
+    R = residue_at(cox, gate, J)
     for gamma in (alpha, beta):
         if not stabilizes_residue(cox, reflection_word(cox, gamma), R):
             raise InternalConsistencyError(

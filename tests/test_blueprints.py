@@ -5,6 +5,7 @@ import pytest
 from rgdkit import blueprints as bpmod
 from rgdkit.errors import BlueprintError, ParseError
 from rgdkit.galleries import get_gallery, min_gal
+from rgdkit.roots import open_interval
 from tests.conftest import fixture_path
 
 
@@ -197,13 +198,18 @@ def test_allempty_fails_cb2_on_spherical_edge():
     assert not report.ok
 
 
-def test_debug_containment_mode(bp_m6):
-    bp_m6.debug_containment = True
-    try:
-        G = get_gallery(bp_m6.cox, (0, 1, 0, 1, 0, 1))
-        assert bp_m6.query_positions(G, 1, 6) == (2, 3, 4, 5)
-    finally:
-        bp_m6.debug_containment = False
+def test_rank2_values_lie_in_open_interval():
+    for variant in ("m2", "m3", "m4", "m6lr", "m6rl"):
+        bp = bpmod.builtin(f"rank2:{variant}")
+        cox = bp.cox
+        for G in min_gal(cox, cox.longest_element((0, 1))):
+            for i in range(1, len(G) + 1):
+                for j in range(i, len(G) + 1):
+                    allowed = set(open_interval(cox, G.root(i), G.root(j), G))
+                    assert set(bp.query(G, i, j)) <= allowed, (variant, G.label(), i, j)
+    bp_m6 = bpmod.builtin("rank2:m6lr")
+    G = get_gallery(bp_m6.cox, (0, 1, 0, 1, 0, 1))
+    assert bp_m6.query_positions(G, 1, 6) == (2, 3, 4, 5)
 
 
 def test_build_uw_partiality_note(bp_m6):

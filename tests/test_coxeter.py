@@ -6,13 +6,14 @@ an explicit rotation/reflection model.
 """
 
 import itertools
+import math
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rgdkit.coxeter import CoxeterMatrix, CoxeterSystem
-from rgdkit.errors import NotSpherical, RgdError
+from rgdkit.errors import InternalConsistencyError, NotSpherical, RgdError
 from rgdkit.galleries import min_gal
 
 
@@ -199,3 +200,98 @@ def test_prefix_roots_are_the_crossed_walls():
     assert len(set(vecs)) == 6
     for v in vecs:
         assert cox.vec_sign(v) > 0
+
+
+def test_right_mult_exchange_search_is_linear():
+    # (1.2.3)^20.3 cancels its last letter; the exchange search must not
+    # recompute every prefix's crossed root (about L^2/2 reflections)
+    cox = cox_universal(3)
+    word = (0, 1, 2) * 20
+    calls = 0
+    reflect = cox.reflect
+
+    def counted(s, v):
+        nonlocal calls
+        calls += 1
+        return reflect(s, v)
+
+    cox.reflect = counted
+    assert cox.right_mult(word, 2) == word[:-1]
+    assert calls <= 3 * len(word)
+
+
+# ---- the fold against the retired loops ----------------------------------
+
+
+def peel_normal_form(cox, word):
+    """Retired normal form: reduce by exchange, then peel least left descents."""
+    red = ()
+    for t in word:
+        red = cox.right_mult(red, t)
+    out = []
+    while red:
+        s = next(s for s in range(cox.rank) if cox.is_left_descent(s, red))
+        out.append(s)
+        red = cox.left_mult(s, red)
+    return tuple(out)
+
+
+def strip_coset_gate(cox, word, J):
+    """Retired coset gate: strip right descents in J until none is left."""
+    w = peel_normal_form(cox, word)
+    changed = True
+    while changed:
+        changed = False
+        for j in J:
+            if w and cox.is_right_descent(w, j):
+                w = peel_normal_form(cox, cox.right_mult(w, j))
+                changed = True
+    return w
+
+
+def _rank3(m01, m02, m12, directed6=frozenset()):
+    return CoxeterSystem(CoxeterMatrix.from_dict(
+        3, {(0, 1): m01, (0, 2): m02, (1, 2): m12}, frozenset(directed6)))
+
+
+FOLD_SYSTEMS = {
+    "m2": lambda: cox_dihedral(2),
+    "m3": lambda: cox_dihedral(3),
+    "m4": lambda: cox_dihedral(4),
+    "m6": lambda: cox_dihedral(6),
+    "minf": lambda: cox_dihedral(math.inf),
+    "universal3": lambda: cox_universal(3),
+    "333": lambda: _rank3(3, 3, 3),
+    "444": lambda: _rank3(4, 4, 4),
+    "336dir6": lambda: _rank3(3, 3, 6, {(2, 1)}),
+    "3infinf": lambda: _rank3(3, math.inf, math.inf),
+    "A4": lambda: CoxeterSystem(CoxeterMatrix.from_dict(
+        4, {(0, 1): 3, (1, 2): 3, (2, 3): 3, (0, 2): 2, (0, 3): 2, (1, 3): 2})),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOLD_SYSTEMS))
+def test_fold_matches_retired_loops(name):
+    cox = FOLD_SYSTEMS[name]()
+    faces = [J for k in (1, 2) for J in itertools.combinations(range(cox.rank), k)]
+    for n in range(7):
+        for word in itertools.product(range(cox.rank), repeat=n):
+            nf = peel_normal_form(cox, word)
+            assert cox.normal_form(word) == nf, word
+            for J in faces:
+                assert cox.coset_gate(word, J) == strip_coset_gate(cox, nf, J), (word, J)
+
+
+def test_fold_ends_in_the_fundamental_chamber():
+    cox = _rank3(3, math.inf, math.inf)
+    word = (0, 1, 2, 1, 0, 2)
+    gate, z = cox.fold(cox.point(word, (1, 2)), len(word))
+    assert gate == cox.coset_gate(word, (1, 2))
+    assert z == [1, 0, 0]
+    assert cox.fold(cox.point(word), len(word)) == (cox.normal_form(word), [1, 1, 1])
+
+
+def test_fold_fails_closed_past_its_limit():
+    cox = cox_universal(3)
+    with pytest.raises(InternalConsistencyError):
+        cox.fold(cox.point((0, 1, 2)), 2)

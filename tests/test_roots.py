@@ -31,6 +31,15 @@ def test_member_examples():
     assert not rt.member(cox, (0, 1), s_at)
 
 
+def test_describe_names_only_real_generators():
+    cox = cox_dihedral(3)
+    s_at = rt.act(cox, (0,), rt.simple_root(cox, 1))
+    assert s_at.describe() == "(1|2)[1,1]"
+    assert rt.simple_root(cox, 0).describe() == "(e|1)[1,0]"
+    # no provenance: coordinates only, no generator 0
+    assert rt.Root((1, 1)).describe() == "[1,1]"
+
+
 def test_opposite():
     cox = cox_dihedral(3)
     a0 = rt.simple_root(cox, 0)
