@@ -1,11 +1,16 @@
 """Rank-2 chamber systems of cosets u U_w and the braid-triviality check.
 
 Chambers are cosets u U_w with u in the group U on Phi(r_J) and w in the
-dihedral parabolic <J>; s-adjacency is u U_w ~ v U_{w'} iff w' in {w, ws}
-and u^-1 v in the larger of the two subgroups.  The generators u_s, u_t and
-the involutions tau_s, tau_t act by the coset formulas; this module builds
-the full system, certifies the building axioms, verifies the actions and
-checks that (tau_s tau_t)^m acts trivially.
+dihedral parabolic <J>.  One table owns chamber identity: `chamber_of[w]`
+maps every element of U to the index of its U_w-coset, and each chamber is
+named by the least member of its coset.  s-adjacency is u U_w ~ v U_{w'}
+iff w' in {w, ws} and u^-1 v in the larger of the two subgroups, so the
+s-panel of u U_w is the coset u U_top, top the longer of w and ws; the
+panels are read off the table and give the adjacency (`adjacent` keeps the
+definition as a test oracle).  The generators u_s, u_t and the involutions
+tau_s, tau_t act by the coset formulas; this module builds the full
+system, certifies the building axioms, verifies the actions and checks
+that (tau_s tau_t)^m acts trivially.
 """
 
 from __future__ import annotations
@@ -56,25 +61,31 @@ class ChamberSystemJ:
         for w in self.w_elements:
             positions = sorted(self.pres.position(r) for r in rootmod.phi_w(cox, w))
             if positions and positions != list(range(positions[0], positions[0] + len(positions))):
-                raise RgdError(f"Phi({w}) is not an index range in the base order")
+                raise RgdError(f"Phi({word_label(w)}) is not an index range in the base order")
             mask = 0
             for p in positions:
                 mask |= 1 << (p - 1)
             self.masks[w] = mask
+        # chamber_of[w][g]: index of the chamber u U_w holding g.  A chamber is
+        # named by the least member of its coset, the first g that meets it
         self.chambers: list[ChamberJ] = []
-        self.index: dict[ChamberJ, int] = {}
+        self.chamber_of: dict[Word, list[int]] = {}
         for w in self.w_elements:
-            seen = set()
+            table = self.chamber_of[w] = [-1] * self.pres.order
             for g in range(self.pres.order):
-                c = self.canonical(w, g)
-                if c not in seen:
-                    seen.add(c)
-                    self.index[c] = len(self.chambers)
-                    self.chambers.append(c)
+                if table[g] < 0:
+                    for x in self.coset_members(w, g):
+                        table[x] = len(self.chambers)
+                    self.chambers.append(ChamberJ(w, g))
+        self.adjacency: dict[int, list[set[int]]] = {}
+        for gen in (s, t):
+            cells = self.adjacency[gen] = [set() for _ in self.chambers]
+            for panel in self.panels(gen):
+                for i in panel:
+                    cells[i] = {j for j in panel if j != i}
         # tau root maps: basis position -> position of the s-image
         self.tau_maps = {gen: reflected_positions(cox, gen, self.pres.basis, self.pres)
                          for gen in (s, t)}
-        self._adj: dict[int, list[set[int]]] | None = None
 
     # -- coset plumbing ----------------------------------------------------
 
@@ -91,14 +102,14 @@ class ChamberSystemJ:
             x = (x - 1) & mask
         return out
 
+    def index(self, c: ChamberJ) -> int:
+        return self.chamber_of[c.w][c.rep]
+
     def canonical(self, w: Word, g: int) -> ChamberJ:
-        return ChamberJ(w, min(self.coset_members(w, g)))
+        return self.chambers[self.chamber_of[w][g]]
 
     def chamber(self, w: Word, g: int = 0) -> ChamberJ:
         return self.canonical(self.cox.normal_form(w), g)
-
-    def in_subgroup(self, bits: int, w: Word) -> bool:
-        return not bits & ~self.masks[w]
 
     # -- adjacency -----------------------------------------------------------
 
@@ -109,31 +120,17 @@ class ChamberSystemJ:
         if b.w != a.w and b.w != ws:
             return False
         diff = self.pres.mul(self.pres.inv(GroupElem(a.rep)), GroupElem(b.rep)).bits
-        return self.in_subgroup(diff, a.w) or self.in_subgroup(diff, ws)
+        return not diff & ~self.masks[a.w] or not diff & ~self.masks[ws]
 
-    def panels(self, gen: int) -> list[set[int]]:
-        adj = self._adjacency()[gen]
-        seen = set()
-        out = []
-        for i, cell in enumerate(adj):
-            key = frozenset(cell | {i})
-            if key not in seen:
-                seen.add(key)
-                out.append(set(key))
-        return out
-
-    def _adjacency(self) -> dict[int, list[set[int]]]:
-        if self._adj is None:
-            self._adj = {}
-            n = len(self.chambers)
-            for gen in (self.s, self.t):
-                cells: list[set[int]] = [set() for _ in range(n)]
-                for i in range(n):
-                    for j in range(n):
-                        if i != j and self.adjacent(self.chambers[i], self.chambers[j], gen):
-                            cells[i].add(j)
-                self._adj[gen] = cells
-        return self._adj
+    def panels(self, gen: int) -> list[list[int]]:
+        """The gen-panels, each in ascending chamber order: the panel of u U_w
+        is the coset u U_top, top the longer of w and w*gen, which holds the
+        chambers of types w and w*gen inside it."""
+        cells: dict[int, list[int]] = {}
+        for i, c in enumerate(self.chambers):
+            top = max(c.w, self.cox.nf_append(c.w, gen), key=len)
+            cells.setdefault(self.chamber_of[top][c.rep], []).append(i)
+        return list(cells.values())
 
     # -- group actions --------------------------------------------------------
 
@@ -161,10 +158,10 @@ class ChamberSystemJ:
         return self.canonical(c.w, out)
 
     def perm_tau(self, gen: int) -> list[int]:
-        return [self.index[self.act_tau(gen, c)] for c in self.chambers]
+        return [self.index(self.act_tau(gen, c)) for c in self.chambers]
 
     def perm_group(self, g: GroupElem) -> list[int]:
-        return [self.index[self.act_group(g, c)] for c in self.chambers]
+        return [self.index(self.act_group(g, c)) for c in self.chambers]
 
 
 def build_CJ(bp: Blueprint, s: int, t: int) -> ChamberSystemJ:
@@ -182,7 +179,7 @@ def _delta(cs: ChamberSystemJ) -> tuple[list[list[Word]], Report]:
     report = Report("delta")
     cox = cs.cox
     n = len(cs.chambers)
-    adj = cs._adjacency()
+    adj = cs.adjacency
     delta: list[list[Word | None]] = [[None] * n for _ in range(n)]
     for x in range(n):
         delta[x][x] = ()
@@ -230,7 +227,7 @@ def verify_building(cs: ChamberSystemJ) -> Report:
     delta, rep = _delta(cs)
     report.merge(rep)
     n = len(cs.chambers)
-    adj = cs._adjacency()
+    adj = cs.adjacency
 
     for gen in (cs.s, cs.t):
         for panel in cs.panels(gen):
@@ -246,7 +243,7 @@ def verify_building(cs: ChamberSystemJ) -> Report:
             if (w == ()) != (x == y):
                 report.add(Violation(axiom="Bu1", w=cs.chambers[x].label(),
                                      gallery=cs.chambers[y].label(),
-                                     expected="delta=1 iff equal", found=str(w)))
+                                     expected="delta=1 iff equal", found=word_label(w)))
             for gen in (cs.s, cs.t):
                 ws = cox.nf_append(w, gen)
                 # Bu2 over all z in the gen-panel of y
@@ -256,17 +253,18 @@ def verify_building(cs: ChamberSystemJ) -> Report:
                     if got not in (w, ws):
                         report.add(Violation(axiom="Bu2", w=cs.chambers[x].label(),
                                              gallery=cs.chambers[z].label(),
-                                             expected=f"{w} or {ws}", found=str(got)))
+                                             expected=f"{word_label(w)} or {word_label(ws)}",
+                                             found=word_label(got)))
                     elif len(ws) == len(w) + 1 and got != ws:
                         report.add(Violation(axiom="Bu2", w=cs.chambers[x].label(),
                                              gallery=cs.chambers[z].label(),
-                                             expected=str(ws), found=str(got)))
+                                             expected=word_label(ws), found=word_label(got)))
                 # Bu3: some z with delta(y,z) = gen and delta(x,z) = ws
                 report.checks += 1
                 if not any(delta[x][z] == ws for z in adj[gen][y]):
                     report.add(Violation(axiom="Bu3", w=cs.chambers[x].label(),
                                          gallery=cs.chambers[y].label(), s=str(gen + 1),
-                                         expected=str(ws), found="missing"))
+                                         expected=word_label(ws), found="missing"))
     return report
 
 
@@ -302,7 +300,7 @@ def verify_action(cs: ChamberSystemJ, gen: int) -> Report:
         report.add(Violation(axiom="(us*tau)^3", expected="id", found="nontrivial"))
 
     # adjacency preservation for both tau and u
-    adj = cs._adjacency()
+    adj = cs.adjacency
     for other in (cs.s, cs.t):
         for i in range(n):
             for j in adj[other][i]:
@@ -335,9 +333,9 @@ def verify_action(cs: ChamberSystemJ, gen: int) -> Report:
     checks = [
         (cs.act_tau(gen, c0), c_s, "tau.U_1 = U_s"),
         (u_c0 != c0, True, "u.U_1 != U_1"),
-        (cs.chambers[six["u*tau"][cs.index[c0]]], c_s, "u*tau.U_1 = U_s"),
-        (cs.chambers[six["tau*u"][cs.index[c_s]]], c0, "tau*u.U_s = U_1"),
-        (cs.chambers[six["u*tau*u"][cs.index[c_s]]], u_c0, "u*tau*u.U_s = u.U_1"),
+        (cs.chambers[six["u*tau"][cs.index(c0)]], c_s, "u*tau.U_1 = U_s"),
+        (cs.chambers[six["tau*u"][cs.index(c_s)]], c0, "tau*u.U_s = U_1"),
+        (cs.chambers[six["u*tau*u"][cs.index(c_s)]], u_c0, "u*tau*u.U_s = u.U_1"),
     ]
     for got, want, tag in checks:
         report.checks += 1

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from math import inf
 
 from . import appendix, blueprints, chambers, groupforge, parabolics
-from .coxeter import Word
-from .errors import InternalConsistencyError, RgdError
+from .coxeter import Word, word_label
+from .errors import CapExceeded, InternalConsistencyError, RgdError
 from .galleries import min_gal
 from .reports import Report, Violation
 from .roots import depth, phi_w, residue_at
@@ -80,7 +80,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     cb3 = Report(f"CB3({bp.name}, r={cfg.radius})")
     for w in bp.cox.ball(cfg.radius):
         if len(w) > cfg.cap_group_bits:
-            cb3.note(f"skipped w={w}: exceeds group bit cap")
+            cb3.note(f"skipped w={word_label(w)}: exceeds group bit cap")
             continue
         _, rep = groupforge.build_Uw(bp, w, cfg.cap_galleries)
         cb3.merge(rep)
@@ -92,20 +92,22 @@ def cmd_group(cfg: RunConfig, word_text: str) -> int:
     bp = cfg.blueprint
     cox = bp.cox
     word = _parse_word(word_text, cox.rank)
-    # each letter still to come shortens the reduced prefix by at most one, so
+    # each letter still to come shortens the prefix by at most one, so
     # `bound` <= l(w): refuse once it passes the cap, before any normal form
-    red: Word = ()
-    for done, t in enumerate(word, start=1):
-        red = cox.right_mult(red, t)
-        bound = len(red) - (len(word) - done)
+    for done, length in enumerate(cox.prefix_lengths(word), start=1):
+        bound = length - (len(word) - done)
         if bound > cfg.cap_group_bits:
             raise RgdError(f"l(w) >= {bound} exceeds group bit cap {cfg.cap_group_bits}")
-    w = cox.normal_form(red)
+    w = cox.normal_form(word)
     pres, rep = groupforge.build_Uw(bp, w, cfg.cap_galleries)
+    try:  # build_Uw has already noted a cap overflow as partial coverage
+        count = str(len(min_gal(cox, w, cfg.cap_galleries)))
+    except CapExceeded:
+        count = f"more than {cfg.cap_galleries}"
     print(f"word: {word_text}  base gallery: {pres.gallery.label()}")
     print(f"order: {pres.order}")
     print(f"consistent: {pres.consistent}")
-    print(f"cross-gallery: {'PASS' if rep.ok else 'FAIL'} ({len(min_gal(bp.cox, w, cfg.cap_galleries))} galleries)")
+    print(f"cross-gallery: {'PASS' if rep.ok else 'FAIL'} ({count} galleries)")
     if pres.consistent:
         series = groupforge.lower_central_series(pres)
         dims = [len(g).bit_length() - 1 for g in series]
@@ -147,7 +149,7 @@ def cmd_chambers(cfg: RunConfig, s: int, t: int, dump_adjacency: bool = False) -
     print(f"braid:    {'PASS' if reports[4].ok else 'FAIL'}")
     if dump_adjacency:
         for gen in (s, t):
-            for a_idx, cell in enumerate(cs._adjacency()[gen]):
+            for a_idx, cell in enumerate(cs.adjacency[gen]):
                 for b_idx in sorted(cell):
                     if a_idx < b_idx:
                         print(f"edge {gen + 1} {cs.chambers[a_idx].label()} "

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import inf
 from operator import mul
+from typing import Iterator
 
 from .errors import CapExceeded, InternalConsistencyError, NotSpherical, RgdError
 
@@ -166,9 +167,19 @@ class CoxeterSystem:
             raise RgdError("zero vector has no sign")
         return 1 if pos else -1
 
-    def matrix_of(self, word: Word) -> tuple[Vector, ...]:
-        """Image of the basis under the element; faithful, so an equality oracle."""
-        return tuple(self.apply(word, e) for e in self.basis)
+    def prefix_lengths(self, word: Word) -> Iterator[int]:
+        """l(w[:k]) for k = 1 .. len(word), one rank x rank update per letter.
+
+        Keeps cols[j] = w.e_j for the prefix w read so far: l(wt) = l(w) + 1
+        iff w.e_t > 0, and wt.e_j = w.e_j - <alpha_j, alpha_t^vee> w.e_t."""
+        cols = self.basis
+        length = 0
+        for t in word:
+            ct = cols[t]
+            length += self.vec_sign(ct)
+            cols = tuple(tuple(x - a * y for x, y in zip(col, ct)) if a else col
+                         for col, a in zip(cols, self.cartan[t]))
+            yield length
 
     # ---- length, descents, reduction ----------------------------------
 

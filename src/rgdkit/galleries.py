@@ -118,11 +118,11 @@ def _reduced_words(cox: CoxeterSystem, w: Word, cap: int) -> tuple[Word, ...]:
             for tail in cache[v]:
                 acc.append((s,) + tail)
                 if len(acc) > cap:
-                    raise CapExceeded(f"gallery cap {cap} exceeded for {u}")
+                    raise CapExceeded(f"gallery cap {cap} exceeded for {word_label(u)}")
         cache[u] = tuple(acc)
     out = cache[w]
     if len(out) > cap:
-        raise CapExceeded(f"gallery cap {cap} exceeded for {w}")
+        raise CapExceeded(f"gallery cap {cap} exceeded for {word_label(w)}")
     return out
 
 

@@ -318,11 +318,6 @@ def lower_central_series(pres: PCPres, cap: int = 1 << 24) -> list[set[GroupElem
     return series
 
 
-def nilpotency_class(pres: PCPres, cap: int = 1 << 24) -> int:
-    series = lower_central_series(pres, cap)
-    return len(series) - 1
-
-
 def project_to_first(pres: PCPres, s_pos: int) -> Report:
     """Certify the retraction u_{s_pos} -> u_{s_pos}, all other u -> 1.
 

@@ -82,12 +82,6 @@ def member(cox: CoxeterSystem, w: Word, alpha: Root) -> bool:
     return cox.vec_sign(cox.apply_inv(w, alpha.vec)) > 0
 
 
-def opposite(cox: CoxeterSystem, alpha: Root) -> Root:
-    vec = tuple(-c for c in alpha.vec)
-    word, s = expression(cox, alpha)
-    return Root(vec, (cox.normal_form(word + (s,)), s))
-
-
 def reflection_word(cox: CoxeterSystem, alpha: Root) -> Word:
     """Normal form of the reflection r_alpha = w s w^-1."""
     word, s = expression(cox, alpha)

@@ -2,7 +2,9 @@
 
 import pytest
 
+from rgdkit import blueprints
 from rgdkit import chambers as ch
+from tests.conftest import fixture_path
 
 EXPECTED_COUNTS = {2: 9, 3: 21, 4: 45, 6: 189}
 
@@ -112,3 +114,41 @@ def test_chamber_system_on_product_type(bp_product_b2):
     cs2 = ch.build_CJ(bp_product_b2, 0, 2)
     assert len(cs2.chambers) == 9
     assert ch.braid_check(cs2).ok
+
+
+# every rank-2 builtin, and a rank-3 blueprint on a quadrangle and a commuting pair
+COSET_TABLE_CASES = [(f"rank2:{v}", 0, 1) for v in ("m2", "m3", "m4", "m6lr", "m6rl")] + [
+    ("rank3_b2_product.bp", 0, 1), ("rank3_b2_product.bp", 0, 2)]
+
+
+@pytest.fixture(scope="module", params=COSET_TABLE_CASES,
+                ids=[f"{name}-{s + 1}{t + 1}" for name, s, t in COSET_TABLE_CASES])
+def table_system(request):
+    name, s, t = request.param
+    bp = (blueprints.ingest_path(fixture_path(name)) if name.endswith(".bp")
+          else blueprints.builtin(name))
+    return ch.build_CJ(bp, s, t)
+
+
+def test_adjacency_matches_the_definition(table_system):
+    # the panel-built adjacency against `adjacent` on all ordered pairs
+    cs = table_system
+    for gen in (cs.s, cs.t):
+        for i, a in enumerate(cs.chambers):
+            want = {j for j, b in enumerate(cs.chambers)
+                    if j != i and cs.adjacent(a, b, gen)}
+            assert cs.adjacency[gen][i] == want, (gen, a.label())
+
+
+def test_coset_table_partitions_U_into_cosets(table_system):
+    cs = table_system
+    for w in cs.w_elements:
+        cells: dict[int, set[int]] = {}
+        for g, idx in enumerate(cs.chamber_of[w]):
+            cells.setdefault(idx, set()).add(g)
+        assert len(cs.chamber_of[w]) == cs.pres.order and -1 not in cells
+        for idx, cell in cells.items():
+            c = cs.chambers[idx]
+            assert c.w == w and c.rep == min(cell)
+            assert cell == set(cs.coset_members(w, c.rep))
+            assert len(cell) == 1 << len(w)

@@ -1,5 +1,7 @@
 """Exit codes and report emission of the command-line surface."""
 
+import time
+
 from rgdkit import cli
 from rgdkit.cli import main
 from rgdkit.coxeter import CoxeterSystem
@@ -44,6 +46,33 @@ def test_group_refuses_long_word_before_normalizing(capsys, monkeypatch):
     word = ".".join(["1.2.3"] * 400)
     assert main(["--builtin", "allempty:universal3", "group", word]) == 2
     assert "exceeds group bit cap 24" in capsys.readouterr().err
+
+
+def test_group_cancelling_word_is_linear(capsys):
+    # (1.2.3)^500 then its reverse: 3000 letters, l(w) = 0, so the bit cap
+    # never fires; re-applying the reduced prefix per letter took seconds
+    half = ["1.2.3"] * 500
+    word = ".".join(half + ["3.2.1"] * 500)
+    start = time.perf_counter()
+    assert main(["--builtin", "allempty:universal3", "group", word]) == 0
+    elapsed = time.perf_counter() - start
+    assert "order: 1" in capsys.readouterr().out
+    assert elapsed < 1.0, f"3000-letter group word took {elapsed:.2f}s (budget 1.0s)"
+
+
+def test_group_over_gallery_cap_ends_on_partial_report(capsys):
+    assert main(["--builtin", "rank2:m3", "--cap-galleries", "1", "group", "1.2.1"]) == 0
+    out = capsys.readouterr().out
+    assert "cross-gallery: PASS (more than 1 galleries)" in out
+    assert "note: partial: more than 1 galleries" in out
+
+
+def test_validate_skip_note_names_the_word_1_based(capsys):
+    assert main(["--builtin", "allempty:universal3", "--radius", "5",
+                 "--cap-group-bits", "3", "validate"]) == 0
+    out = capsys.readouterr().out
+    assert "note: skipped w=1.2.1.2: exceeds group bit cap" in out
+    assert "skipped w=(" not in out
 
 
 def test_appendix_on_infinite_pair_exits_2(capsys):

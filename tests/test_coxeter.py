@@ -17,6 +17,11 @@ from rgdkit.errors import InternalConsistencyError, NotSpherical, RgdError
 from rgdkit.galleries import min_gal
 
 
+def matrix_of(cox, word):
+    """Image of the basis under the element; faithful, so an equality oracle."""
+    return tuple(cox.apply(word, e) for e in cox.basis)
+
+
 def cox_dihedral(m):
     return CoxeterSystem(CoxeterMatrix.dihedral(m, direction=(1, 0) if m == 6 else None))
 
@@ -169,7 +174,7 @@ words_u3 = st.lists(st.integers(0, 2), max_size=8).map(tuple)
 def test_nf_separates_elements_g2(u, v):
     cox = cox_dihedral(6)
     same_nf = cox.normal_form(u) == cox.normal_form(v)
-    same_matrix = cox.matrix_of(u) == cox.matrix_of(v)
+    same_matrix = matrix_of(cox, u) == matrix_of(cox, v)
     assert same_nf == same_matrix
 
 
@@ -179,7 +184,15 @@ def test_nf_idempotent_universal(word):
     cox = cox_universal(3)
     nf = cox.normal_form(word)
     assert cox.normal_form(nf) == nf
-    assert cox.matrix_of(nf) == cox.matrix_of(word)
+    assert matrix_of(cox, nf) == matrix_of(cox, word)
+
+
+@given(st.lists(st.integers(0, 2), max_size=30).map(tuple))
+@settings(max_examples=200, deadline=None)
+def test_prefix_lengths_match_normal_forms(word):
+    cox = cox_universal(3)
+    lengths = list(cox.prefix_lengths(word))
+    assert lengths == [len(cox.normal_form(word[:k])) for k in range(1, len(word) + 1)]
 
 
 @given(words_g2, st.integers(0, 9), st.integers(0, 1))

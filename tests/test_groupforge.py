@@ -18,6 +18,10 @@ def raw_pres(k, rel):
     return gf.PCPres(basis, full)
 
 
+def nilpotency_class(pres):
+    return len(gf.lower_central_series(pres)) - 1
+
+
 A2 = {(1, 3): (2,)}
 B2 = {(1, 4): (2, 3)}
 G2 = {(1, 3): (2,), (3, 5): (4,), (1, 5): (2, 4), (2, 6): (4,), (1, 6): (2, 3, 4, 5)}
@@ -127,20 +131,20 @@ def test_lower_central_series():
     p = raw_pres(3, A2)
     series = gf.lower_central_series(p)
     assert [len(g) for g in series] == [8, 2, 1]
-    assert gf.nilpotency_class(p) == 2
+    assert nilpotency_class(p) == 2
 
     p2 = raw_pres(3, {})
-    assert gf.nilpotency_class(p2) == 1
+    assert nilpotency_class(p2) == 1
 
     p6 = raw_pres(6, G2)
-    assert gf.nilpotency_class(p6) == 3  # regression value, computed by this engine
+    assert nilpotency_class(p6) == 3  # regression value, computed by this engine
 
 
 def test_class_one_iff_every_square_trivial():
     # sanity cross-check: exponent 2 is equivalent to being abelian here
     for k, rel in ((3, {}), (3, A2), (4, B2), (6, G2)):
         p = raw_pres(k, rel)
-        abelian = gf.nilpotency_class(p) <= 1
+        abelian = nilpotency_class(p) <= 1
         exponent_two = all(p.mul(x, x) == gf.IDENTITY for x in p.elements())
         assert abelian == exponent_two
 
