@@ -1,12 +1,15 @@
 """Commutator blueprints: the assignment (G, alpha, beta) -> M^G_{alpha,beta}.
 
 A blueprint answers, for every gallery G and crossed roots alpha <=_G beta,
-an ordered subset of the open interval (alpha, beta); these sets prescribe
-the relations [u_alpha, u_beta] = prod u_gamma of the groups built in
+a subset of the open interval (alpha, beta), given as the strictly
+increasing gallery positions of its roots; these sets prescribe the
+relations [u_alpha, u_beta] = prod u_gamma of the groups built in
 `groupforge`.  Backends: built-in rank-2 Moufang tables, the all-empty
-blueprint, and line-oriented files.  Validators check the three
-blueprint axioms (CB1 prefix coherence, CB2 rank-2 Moufang values, CB3 via
-group construction elsewhere) and Weyl-invariance.
+blueprint, and line-oriented files.  Validators check the three blueprint
+axioms (CB1 prefix coherence, CB2 rank-2 Moufang values, CB3 via group
+construction elsewhere) and Weyl-invariance, which compares positions
+shifted by one place: s maps the root at position p of G to the root at
+position p + len(sG) - len(G) of sG.
 """
 
 from __future__ import annotations
@@ -16,9 +19,9 @@ from math import inf
 
 from .coxeter import ALLOWED_LABELS, CoxeterMatrix, CoxeterSystem, Word, word_label
 from .errors import BlueprintError, ParseError, RgdError
-from .galleries import Gallery, min_gal, min_gal_s, oriented_gallery, shift
+from .galleries import Gallery, get_gallery, min_gal, min_gal_s, oriented_gallery, shift
 from .reports import Report, Violation
-from .roots import Root, act, common_residue, open_interval, pair_order, simple_root
+from .roots import Root, act, common_residue, open_interval, pair_order
 
 # Non-trivial commutation sets of the rank-2 Moufang tables over GF(2),
 # keyed by crossing positions (i, j) on the distinguished length-m gallery.
@@ -39,30 +42,25 @@ class Blueprint:
 
     # -- core query -------------------------------------------------------
 
-    def query(self, G: Gallery, i: int, j: int) -> tuple[Root, ...]:
-        """Ordered M-set for positions 1 <= i <= j <= len(G)."""
+    def query(self, G: Gallery, i: int, j: int) -> tuple[int, ...]:
+        """M^G for positions 1 <= i <= j <= len(G), as the strictly increasing
+        gallery positions of its roots; a value leaving (i, j) is an error."""
         if not (1 <= i <= j <= len(G)):
             raise BlueprintError(f"positions ({i},{j}) out of range for gallery {G.label()}")
         if i == j:
             return ()
         value = self._value(G, i, j)
-        for root in value:
-            p = G.position(root)
-            if not (i < p < j):
+        prev = i
+        for p in value:
+            if not prev < p < j:
                 raise BlueprintError(
-                    f"{self.name}: M^{G.label()}({i},{j}) contains position {p}, "
-                    f"outside the open interval")
+                    f"{self.name}: M^{G.label()}({i},{j}) = {value} is not strictly "
+                    f"increasing inside the open interval")
+            prev = p
         return value
 
-    def query_positions(self, G: Gallery, i: int, j: int) -> tuple[int, ...]:
-        return tuple(G.position(r) for r in self.query(G, i, j))
-
-    def _value(self, G: Gallery, i: int, j: int) -> tuple[Root, ...]:
+    def _value(self, G: Gallery, i: int, j: int) -> tuple[int, ...]:
         raise NotImplementedError
-
-
-def _order_by_gallery(G: Gallery, roots: frozenset) -> tuple[Root, ...]:
-    return tuple(sorted(roots, key=G.position))
 
 
 class PairTableBlueprint(Blueprint):
@@ -71,8 +69,8 @@ class PairTableBlueprint(Blueprint):
     def pair_value(self, alpha: Root, beta: Root) -> frozenset:
         raise NotImplementedError
 
-    def _value(self, G: Gallery, i: int, j: int) -> tuple[Root, ...]:
-        return _order_by_gallery(G, self.pair_value(G.root(i), G.root(j)))
+    def _value(self, G: Gallery, i: int, j: int) -> tuple[int, ...]:
+        return tuple(sorted(map(G.position, self.pair_value(G.root(i), G.root(j)))))
 
 
 class AllEmpty(PairTableBlueprint):
@@ -155,15 +153,15 @@ class FileTable(Blueprint):
         self.default = default
         self._local = LocalRank2(cox, name=name + ":rank2") if default == "rank2" else None
 
-    def _value(self, G: Gallery, i: int, j: int) -> tuple[Root, ...]:
+    def _value(self, G: Gallery, i: int, j: int) -> tuple[int, ...]:
         ks = self.entries.get((G.word, i, j))
         if ks is not None:
-            return tuple(G.root(k) for k in ks)
+            return ks
         if self.default == "strict":
             raise BlueprintError(
                 f"{self.name}: no entry for gallery {G.label()} pair ({i},{j}) (strict mode)")
         if self._local is not None:
-            return _order_by_gallery(G, self._local.pair_value(G.root(i), G.root(j)))
+            return self._local._value(G, i, j)
         return ()
 
 
@@ -238,7 +236,7 @@ def ingest(text: str, name: str = "file") -> FileTable:
             raise ParseError(ln, f"generator out of range in gallery {word_label(word)}")
         if not cox.is_reduced(word):
             raise ParseError(ln, f"gallery word {word_label(word)} is not reduced")
-        G = Gallery(cox, word)
+        G = get_gallery(cox, word)
         if not (1 <= i < j <= len(word)):
             raise ParseError(ln, f"positions ({i},{j}) out of range")
         if any(not i < k < j for k in ks):
@@ -275,7 +273,7 @@ def serialize(bp: Blueprint, r: int, gallery_cap: int = 10_000) -> str:
         for G in min_gal(cox, w, gallery_cap):
             for i in range(1, len(G) + 1):
                 for j in range(i + 1, len(G) + 1):
-                    ks = bp.query_positions(G, i, j)
+                    ks = bp.query(G, i, j)
                     if ks:
                         out.write(f"rel {G.label()} {i} {j} : {' '.join(map(str, ks))}\n")
     return out.getvalue()
@@ -296,8 +294,8 @@ def validate_cb1(bp: Blueprint, r: int, gallery_cap: int = 10_000) -> Report:
                 for i in range(1, m + 1):
                     for j in range(i, m + 1):
                         report.checks += 1
-                        got_h = bp.query_positions(H, i, j)
-                        got_g = bp.query_positions(G, i, j)
+                        got_h = bp.query(H, i, j)
+                        got_g = bp.query(G, i, j)
                         if got_h != got_g:
                             report.add(Violation(
                                 axiom="CB1", w=word_label(w), gallery=H.label(),
@@ -332,7 +330,7 @@ def validate_cb2(bp: Blueprint, gallery_cap: int = 10_000) -> Report:
                 for i in range(1, m + 1):
                     for j in range(i + 1, m + 1):
                         report.checks += 1
-                        got = bp.query_positions(G, i, j)
+                        got = bp.query(G, i, j)
                         # both tuples are in gallery order, so equality is exact
                         want = RANK2_M_SETS[m].get((i, j), ())
                         if got != want:
@@ -346,34 +344,30 @@ def validate_cb2(bp: Blueprint, gallery_cap: int = 10_000) -> Report:
 
 def validate_weyl(bp: Blueprint, r: int, gallery_cap: int = 10_000) -> Report:
     """Weyl-invariance: M^{sG}_{s.alpha, s.beta} = s . M^G_{alpha, beta}
-    for every gallery G in Min_s(w) and alpha <=_G beta away from alpha_s."""
+    for every gallery G in Min_s(w) and alpha <=_G beta away from alpha_s.
+
+    s maps the root at position p of G to the root at position p + d of sG,
+    d = len(sG) - len(G): on a descent (d = -1) G starts at alpha_s, which is
+    skipped; on an ascent (d = +1) G does not cross alpha_s.  So both sides
+    are compared as gallery positions of sG."""
     report = Report(f"Weyl({bp.name}, r={r})")
     cox = bp.cox
-
-    def s_image(s: int, root: Root) -> Root:
-        return Root(cox.reflect(s, root.vec))
-
     for w in cox.ball(r):
         for s in range(cox.rank):
-            alpha_s = simple_root(cox, s)
             for G in min_gal_s(cox, w, s, gallery_cap):
                 sG = shift(G, s)
-                for i in range(1, len(G) + 1):
-                    if G.root(i) == alpha_s:
-                        continue
+                d = len(sG) - len(G)
+                for i in range(2 if d < 0 else 1, len(G) + 1):
                     for j in range(i, len(G) + 1):
-                        if G.root(j) == alpha_s:
-                            continue
                         report.checks += 1
-                        image = tuple(s_image(s, g) for g in bp.query(G, i, j))
-                        shifted = bp.query(sG, sG.position(s_image(s, G.root(i))),
-                                           sG.position(s_image(s, G.root(j))))
+                        image = tuple(p + d for p in bp.query(G, i, j))
+                        shifted = bp.query(sG, i + d, j + d)
                         if image != shifted:
                             report.add(Violation(
                                 axiom="Weyl", w=word_label(w), s=str(s + 1),
                                 gallery=G.label(), i=i, j=j,
-                                expected=",".join(str(sG.position(x)) for x in image) or "-",
-                                found=",".join(str(sG.position(x)) for x in shifted) or "-"))
+                                expected=",".join(map(str, image)) or "-",
+                                found=",".join(map(str, shifted)) or "-"))
     return report
 
 

@@ -53,7 +53,7 @@ class Gallery:
         return alpha.vec in self._pos
 
     def prefix(self, m: int) -> "Gallery":
-        return Gallery(self.cox, self.word[:m])
+        return get_gallery(self.cox, self.word[:m])
 
     def label(self) -> str:
         return word_label(self.word)
@@ -81,7 +81,7 @@ def oriented_gallery(cox: CoxeterSystem, s: int, t: int) -> Gallery:
             if {a, b} == {s, t}:
                 first = b
     second = s + t - first
-    return Gallery(cox, tuple(first if k % 2 == 0 else second for k in range(int(m))))
+    return get_gallery(cox, tuple(first if k % 2 == 0 else second for k in range(int(m))))
 
 
 def min_gal(cox: CoxeterSystem, w: Word, cap: int = 10_000) -> list[Gallery]:

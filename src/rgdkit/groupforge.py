@@ -12,12 +12,12 @@ order exactly 2^k.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .blueprints import Blueprint
 from .coxeter import CoxeterSystem, Word, word_label
 from .errors import CapExceeded, CollectionOverflow, RgdError
-from .galleries import Gallery, min_gal
+from .galleries import Gallery, get_gallery, min_gal
 from .reports import Report, Violation
 from .roots import Root, simple_root
 
@@ -42,6 +42,9 @@ class PCPres:
                  gallery: Gallery | None = None, step_cap: int = 1_000_000):
         self.basis = tuple(basis)
         self.k = len(self.basis)
+        self._index: dict[Root, int] = {}
+        for i, root in enumerate(self.basis, start=1):
+            self._index.setdefault(root, i)
         self.gallery = gallery
         self.step_cap = step_cap
         self._consistent: bool | None = None
@@ -65,10 +68,10 @@ class PCPres:
         return 1 << self.k
 
     def position(self, root: Root) -> int:
-        for i, b in enumerate(self.basis):
-            if b == root:
-                return i + 1
-        raise RgdError(f"root {root.describe()} not in basis")
+        i = self._index.get(root)
+        if i is None:
+            raise RgdError(f"root {root.describe()} not in basis")
+        return i
 
     # -- collection -------------------------------------------------------
 
@@ -200,14 +203,19 @@ def reflected_positions(cox: CoxeterSystem, s: int, roots: Sequence[Root],
 
 
 def relation_checks(rel: Mapping[tuple[int, int], Sequence[int]], image: Mapping[int, int],
-                    target: PCPres) -> Iterator[tuple[int, int, GroupElem, GroupElem]]:
-    """For u_i -> u_image(i): yield (i, j, [u_image(i), u_image(j)], image of
-    the relation value) for every relation (i, j) with both ends in `image`,
-    in key order.  The map respects the relation iff the two agree."""
+                    target: PCPres, report: Report, **fields: str) -> None:
+    """Check the generator map u_i -> u_image(i) into `target` on every
+    relation (i, j) with both ends in `image`, in key order: one check each,
+    and a violation carrying `fields` where [u_image(i), u_image(j)] differs
+    from the image of the relation value."""
     for (i, j), word in sorted(rel.items()):
         if i in image and j in image:
-            yield (i, j, target.comm(target.generator(image[i]), target.generator(image[j])),
-                   target.collect([image[x] for x in word]))
+            report.checks += 1
+            lhs = target.comm(target.generator(image[i]), target.generator(image[j]))
+            rhs = target.collect([image[x] for x in word])
+            if lhs != rhs:
+                report.add(Violation(i=i, j=j, expected=str(target.word_of(rhs)),
+                                     found=str(target.word_of(lhs)), **fields))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +225,7 @@ def relation_checks(rel: Mapping[tuple[int, int], Sequence[int]], image: Mapping
 def gallery_relations(bp: Blueprint, G: Gallery) -> dict[tuple[int, int], tuple[int, ...]]:
     """The relation values M^G in gallery positions, for every pair i < j."""
     n = len(G)
-    return {(i, j): bp.query_positions(G, i, j)
+    return {(i, j): bp.query(G, i, j)
             for i in range(1, n + 1) for j in range(i + 1, n + 1)}
 
 
@@ -237,7 +245,7 @@ def build_Uw(bp: Blueprint, w: Word, gallery_cap: int = 10_000,
     try:
         galleries = min_gal(cox, w, gallery_cap)
     except CapExceeded:
-        galleries = [Gallery(cox, w)]  # the normal form is the lex-least word
+        galleries = [get_gallery(cox, w)]  # the normal form is the lex-least word
         report.note(f"partial: more than {gallery_cap} galleries; "
                     f"cross-checked the base gallery only")
     base = galleries[0]
@@ -250,12 +258,8 @@ def build_Uw(bp: Blueprint, w: Word, gallery_cap: int = 10_000,
         return pres, report
     for H in galleries[1:]:
         image = {i: pres.position(root) for i, root in enumerate(H.roots, start=1)}
-        for i, j, lhs, rhs in relation_checks(gallery_relations(bp, H), image, pres):
-            report.checks += 1
-            if lhs != rhs:
-                report.add(Violation(
-                    axiom="CB3", w=word_label(w), gallery=H.label(), i=i, j=j,
-                    expected=str(pres.word_of(rhs)), found=str(pres.word_of(lhs))))
+        relation_checks(gallery_relations(bp, H), image, pres, report,
+                        axiom="CB3", w=word_label(w), gallery=H.label())
     return pres, report
 
 
@@ -341,7 +345,7 @@ def build_Vws(bp: Blueprint, w: Word, s: int,
     w = cox.normal_form(w)
     if not (w and cox.is_left_descent(s, w)):
         raise RgdError("build_Vws needs s to be a left descent of w")
-    G = Gallery(cox, (s,) + cox.normal_form(cox.left_mult(s, w)))
+    G = get_gallery(cox, (s,) + cox.normal_form(cox.left_mult(s, w)))
     pres_u = presentation_for_gallery(bp, G, step_cap)
     rel_v = {}
     for (i, j), word in pres_u.rel.items():
@@ -381,10 +385,6 @@ def vws_iso_check(bp: Blueprint, w: Word, s: int) -> Report:
     if sorted(image_pos.values()) != list(range(1, pres_sw.k + 1)):
         report.add(Violation(axiom="Vws", w=word_label(w),
                              expected="bijection on generators", found=str(image_pos)))
-    for i, j, lhs, rhs in relation_checks(pres_u.rel, image_pos, pres_sw):
-        report.checks += 1
-        if lhs != rhs:
-            report.add(Violation(axiom="Vws", w=word_label(w), gallery=G.label(), i=i, j=j,
-                                 expected=str(pres_sw.word_of(rhs)),
-                                 found=str(pres_sw.word_of(lhs))))
+    relation_checks(pres_u.rel, image_pos, pres_sw, report,
+                    axiom="Vws", w=word_label(w), gallery=G.label())
     return report

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .blueprints import Blueprint
 from .coxeter import Word, word_label
 from .errors import RgdError
-from .galleries import Gallery, min_gal_s
+from .galleries import Gallery, get_gallery, min_gal_s, shift
 from .groupforge import (IDENTITY, GroupElem, PCPres, build_Uw, project_to_first,
                          reflected_positions, relation_checks, subgroup_closure)
 from .reports import Report, Violation
@@ -69,7 +69,7 @@ def build_residue_group(bp: Blueprint, R: Residue2, s: int) -> ResidueGroup:
     w_star = cox.normal_form(R.base + cox.longest_element(R.J))
     if not cox.is_left_descent(s, w_star):
         raise RgdError("gallery construction failed: s not a descent of gate*r_J")
-    G = Gallery(cox, (s,) + cox.normal_form(cox.left_mult(s, w_star)))
+    G = get_gallery(cox, (s,) + cox.normal_form(cox.left_mult(s, w_star)))
     positions = sorted(G.position(r) for r in phi_r)
     if positions[0] != 1:
         raise RgdError("alpha_s is not the first crossed root of the residue gallery")
@@ -78,13 +78,11 @@ def build_residue_group(bp: Blueprint, R: Residue2, s: int) -> ResidueGroup:
     rel = {}
     for a in range(len(positions)):
         for b in range(a + 1, len(positions)):
-            value = bp.query(G, positions[a], positions[b])
             word = []
-            for gamma in value:
-                p = G.position(gamma)
+            for p in bp.query(G, positions[a], positions[b]):
                 if p not in pos_to_basis:
                     raise RgdError(
-                        f"relation value leaves Phi(R): {gamma.describe()} "
+                        f"relation value leaves Phi(R): {G.root(p).describe()} "
                         f"for pair ({positions[a]},{positions[b]})")
                 word.append(pos_to_basis[p])
             rel[(a + 1, b + 1)] = tuple(word)
@@ -114,12 +112,8 @@ def tau_on_residue(rg: ResidueGroup) -> Report:
                                  found="u_s"))
 
     # homomorphism: every defining relation of N_R maps to a relation
-    for i, j, lhs, rhs in relation_checks(pres.rel, rg.tau_map, pres):
-        report.checks += 1
-        if lhs != rhs:
-            report.add(Violation(
-                axiom="Weyl", gallery=rg.gallery.label(), i=i, j=j,
-                expected=str(pres.word_of(rhs)), found=str(pres.word_of(lhs))))
+    relation_checks(pres.rel, rg.tau_map, pres, report,
+                    axiom="Weyl", gallery=rg.gallery.label())
 
     # involution and the braid with u_s, on all of N_R
     for x in rg.n_r_elements():
@@ -144,7 +138,7 @@ def ustausV_identity_check(rg: ResidueGroup, alpha: Root) -> bool:
 
     def m_set(k: int) -> list[int]:
         # M^G(alpha_s, basis root k) as basis indices
-        return [pres.position(g) for g in bp.query(G, 1, rg.positions[k - 1])]
+        return [pres.position(G.root(p)) for p in bp.query(G, 1, rg.positions[k - 1])]
 
     lhs_word = [tau[p] for p in m_set(tau[a])] + [a]
     rhs_word: list[int] = []
@@ -168,11 +162,11 @@ def gallery_independence_check(bp: Blueprint, w: Word, w_prime: Word, s: int,
             raise RgdError("both words need s as a left descent")
     gs = [G for G in min_gal_s(cox, w, s)]
     hs = [H for H in min_gal_s(cox, w_prime, s)]
-    alpha_s = simple_root(cox, s)
 
     def image_words(G: Gallery) -> list[Root]:
-        value = bp.query(G, 1, G.position(alpha))
-        return [Root(cox.reflect(s, g.vec)) for g in value]
+        # G starts with s, so s maps its position p to position p - 1 of sG
+        sG = shift(G, s)
+        return [sG.root(p - 1) for p in bp.query(G, 1, G.position(alpha))]
 
     ambients = []
     for v in (w, w_prime):
@@ -230,12 +224,7 @@ def tau_on_truncation(bp: Blueprint, w: Word, s: int) -> Report:
         if p == s_pos:
             report.add(Violation(axiom="tau-image", i=i, expected="!= alpha_s",
                                  found="alpha_s"))
-    for i, j, lhs, rhs in relation_checks(pres_w.rel, image_pos, pres_sw):
-        report.checks += 1
-        if lhs != rhs:
-            report.add(Violation(axiom="Weyl", w=word_label(w), i=i, j=j,
-                                 expected=str(pres_sw.word_of(rhs)),
-                                 found=str(pres_sw.word_of(lhs))))
+    relation_checks(pres_w.rel, image_pos, pres_sw, report, axiom="Weyl", w=word_label(w))
     closure = subgroup_closure(pres_sw, [pres_sw.generator(p) for p in image_pos.values()])
     report.checks += 1
     if len(closure) != pres_w.order:
@@ -280,10 +269,10 @@ def tau_conjugation_check(bp: Blueprint, s: int, beta: Root, radius: int = 6) ->
         return "failed"
 
     image = reflected_positions(cox, s, G.roots, pres)
-    m_set = bp.query_positions(G, 1, G.position(s_beta))
+    m_set = bp.query(G, 1, G.position(s_beta))
     word: list[int] = []
     for g in m_set:
-        word += [image[d] for d in bp.query_positions(G, 1, g)]
+        word += [image[d] for d in bp.query(G, 1, g)]
         word.append(image[g])
     word += [image[g] for g in m_set]
     return "verified" if pres.collect(word) == IDENTITY else "failed"

@@ -1,12 +1,19 @@
 """Blueprint queries, axioms validators, file round trips, mutation detection."""
 
+import importlib.util
+import pathlib
+
 import pytest
 
 from rgdkit import blueprints as bpmod
+from rgdkit.coxeter import word_label
 from rgdkit.errors import BlueprintError, ParseError
-from rgdkit.galleries import get_gallery, min_gal
-from rgdkit.roots import open_interval
-from tests.conftest import fixture_path
+from rgdkit.galleries import get_gallery, min_gal, min_gal_s, shift
+from rgdkit.reports import Report, Violation
+from rgdkit.roots import Root, open_interval, simple_root
+from tests.conftest import FIXTURES, fixture_path
+
+MAKE_FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "make_fixtures.py"
 
 
 def G_of(bp, word):
@@ -15,36 +22,36 @@ def G_of(bp, word):
 
 def test_query_a2(bp_m3):
     G = G_of(bp_m3, (0, 1, 0))
-    assert bp_m3.query_positions(G, 1, 3) == (2,)
-    assert bp_m3.query_positions(G, 1, 2) == ()
-    assert bp_m3.query_positions(G, 2, 2) == ()
+    assert bp_m3.query(G, 1, 3) == (2,)
+    assert bp_m3.query(G, 1, 2) == ()
+    assert bp_m3.query(G, 2, 2) == ()
 
 
 def test_query_b2(bp_m4):
     G = G_of(bp_m4, (0, 1, 0, 1))
-    assert bp_m4.query_positions(G, 1, 4) == (2, 3)
-    assert all(bp_m4.query_positions(G, i, j) == ()
+    assert bp_m4.query(G, 1, 4) == (2, 3)
+    assert all(bp_m4.query(G, i, j) == ()
                for i in range(1, 5) for j in range(i, 5) if (i, j) != (1, 4))
 
 
 def test_query_g2(bp_m6):
     G = G_of(bp_m6, (0, 1, 0, 1, 0, 1))
-    assert bp_m6.query_positions(G, 1, 6) == (2, 3, 4, 5)
-    assert bp_m6.query_positions(G, 2, 6) == (4,)
-    assert bp_m6.query_positions(G, 1, 3) == (2,)
-    assert bp_m6.query_positions(G, 3, 5) == (4,)
-    assert bp_m6.query_positions(G, 1, 5) == (2, 4)
+    assert bp_m6.query(G, 1, 6) == (2, 3, 4, 5)
+    assert bp_m6.query(G, 2, 6) == (4,)
+    assert bp_m6.query(G, 1, 3) == (2,)
+    assert bp_m6.query(G, 3, 5) == (4,)
+    assert bp_m6.query(G, 1, 5) == (2, 4)
 
 
 def test_query_g2_mirror_gallery(bp_m6):
     # values on the opposite gallery carry the same underlying sets,
     # re-indexed; forced by prefix coherence plus Weyl-invariance
     H = G_of(bp_m6, (1, 0, 1, 0, 1, 0))
-    assert bp_m6.query_positions(H, 1, 6) == (2, 3, 4, 5)
-    assert bp_m6.query_positions(H, 2, 6) == (3, 5)
-    assert bp_m6.query_positions(H, 1, 5) == (3,)
-    assert bp_m6.query_positions(H, 2, 4) == (3,)
-    assert bp_m6.query_positions(H, 4, 6) == (5,)
+    assert bp_m6.query(H, 1, 6) == (2, 3, 4, 5)
+    assert bp_m6.query(H, 2, 6) == (3, 5)
+    assert bp_m6.query(H, 1, 5) == (3,)
+    assert bp_m6.query(H, 2, 4) == (3,)
+    assert bp_m6.query(H, 4, 6) == (5,)
 
 
 def test_query_bounds(bp_m3):
@@ -53,6 +60,17 @@ def test_query_bounds(bp_m3):
         bp_m3.query(G, 0, 2)
     with pytest.raises(BlueprintError):
         bp_m3.query(G, 1, 4)
+
+
+def test_query_fails_closed_on_bad_table_values(bp_m4):
+    # a table built without ingest: a value must be strictly increasing
+    # positions inside the open interval
+    word = (0, 1, 0, 1)
+    G = get_gallery(bp_m4.cox, word)
+    for bad in ((3, 2), (2, 2), (1, 2), (2, 4)):
+        bp = bpmod.FileTable(bp_m4.cox, {(word, 1, 4): bad})
+        with pytest.raises(BlueprintError):
+            bp.query(G, 1, 4)
 
 
 @pytest.mark.parametrize("name", ["rank2:m2", "rank2:m3", "rank2:m4",
@@ -105,6 +123,76 @@ def test_weyl_detects_mutation_with_witness():
                for v in report.violations)
 
 
+def weyl_by_roots(bp, r):
+    """The root-based Weyl loop that `validate_weyl` replaced: reflect every
+    root of M^G and look up the images and both ends again in sG."""
+    report = Report(f"Weyl({bp.name}, r={r})")
+    cox = bp.cox
+
+    def s_image(s, root):
+        return Root(cox.reflect(s, root.vec))
+
+    for w in cox.ball(r):
+        for s in range(cox.rank):
+            alpha_s = simple_root(cox, s)
+            for G in min_gal_s(cox, w, s):
+                sG = shift(G, s)
+                for i in range(1, len(G) + 1):
+                    if G.root(i) == alpha_s:
+                        continue
+                    for j in range(i, len(G) + 1):
+                        if G.root(j) == alpha_s:
+                            continue
+                        report.checks += 1
+                        image = tuple(s_image(s, G.root(p)) for p in bp.query(G, i, j))
+                        q = bp.query(sG, sG.position(s_image(s, G.root(i))),
+                                     sG.position(s_image(s, G.root(j))))
+                        shifted = tuple(sG.root(p) for p in q)
+                        if image != shifted:
+                            report.add(Violation(
+                                axiom="Weyl", w=word_label(w), s=str(s + 1),
+                                gallery=G.label(), i=i, j=j,
+                                expected=",".join(str(sG.position(x)) for x in image) or "-",
+                                found=",".join(str(sG.position(x)) for x in shifted) or "-"))
+    return report
+
+
+@pytest.mark.parametrize("name, r", [
+    ("g2_weyl_mutated.bp", 6), ("g2_full.bp", 6), ("b2_full.bp", 4),
+    ("rank3_a2_product.bp", 5), ("rank3_b2_product.bp", 5),
+    ("rank3_g2_product.bp", 5), ("rank3_cycle444.bp", 5)])
+def test_weyl_matches_root_oracle_on_fixtures(name, r):
+    bp = bpmod.ingest_path(fixture_path(name))
+    assert bpmod.validate_weyl(bp, r).machine_lines() == weyl_by_roots(bp, r).machine_lines()
+
+
+def drop_one_position_mutants(text):
+    """Every file that drops one value position from one `rel` line."""
+    lines = text.splitlines()
+    for n, line in enumerate(lines):
+        if not line.startswith("rel "):
+            continue
+        head, values = line.split(" : ")
+        ks = values.split()
+        for k in range(len(ks)):
+            mutant = f"{head} : {' '.join(ks[:k] + ks[k + 1:])}"
+            yield "\n".join(lines[:n] + [mutant] + lines[n + 1:]) + "\n"
+
+
+def test_weyl_matches_root_oracle_on_drop_one_mutants():
+    mutants = caught = 0
+    for name, r in (("g2_full.bp", 6), ("b2_full.bp", 4)):
+        with open(fixture_path(name), encoding="utf-8") as fh:
+            text = fh.read()
+        for mutant_text in drop_one_position_mutants(text):
+            bp = bpmod.ingest(mutant_text)
+            got = bpmod.validate_weyl(bp, r)
+            assert got.machine_lines() == weyl_by_roots(bp, r).machine_lines()
+            mutants += 1
+            caught += not got.ok
+    assert (mutants, caught) == (31, 15)
+
+
 def test_serialize_round_trip(bp_m3):
     text = bpmod.serialize(bp_m3, 3)
     clone = bpmod.ingest(text)
@@ -113,8 +201,8 @@ def test_serialize_round_trip(bp_m3):
             H = get_gallery(clone.cox, G.word)
             for i in range(1, len(G) + 1):
                 for j in range(i, len(G) + 1):
-                    assert bp_m3.query_positions(G, i, j) == \
-                        clone.query_positions(H, i, j)
+                    assert bp_m3.query(G, i, j) == \
+                        clone.query(H, i, j)
 
 
 def test_serialize_round_trip_g2(bp_m6):
@@ -125,8 +213,21 @@ def test_serialize_round_trip_g2(bp_m6):
             H = get_gallery(clone.cox, G.word)
             for i in range(1, len(G) + 1):
                 for j in range(i, len(G) + 1):
-                    assert bp_m6.query_positions(G, i, j) == \
-                        clone.query_positions(H, i, j)
+                    assert bp_m6.query(G, i, j) == \
+                        clone.query(H, i, j)
+
+
+def test_make_fixtures_reproduces_the_committed_files(tmp_path, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("make_fixtures", MAKE_FIXTURES)
+    make_fixtures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_fixtures)
+    monkeypatch.setattr(make_fixtures, "FIXTURES", tmp_path)
+    make_fixtures.main()
+    capsys.readouterr()
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(p.name for p in FIXTURES.glob("*.bp"))
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes(), name
 
 
 def test_ingest_rejects_value_outside_interval():
@@ -179,7 +280,7 @@ def test_rel_entry_in_a2_file():
     text = "rank 2\nm 1 2 3\ndefault empty\nrel 1.2.1 1 3 : 2\n"
     bp = bpmod.ingest(text)
     G = get_gallery(bp.cox, (0, 1, 0))
-    assert bp.query_positions(G, 1, 3) == (2,)
+    assert bp.query(G, 1, 3) == (2,)
 
 
 def test_builtin_names():
@@ -205,11 +306,11 @@ def test_rank2_values_lie_in_open_interval():
         for G in min_gal(cox, cox.longest_element((0, 1))):
             for i in range(1, len(G) + 1):
                 for j in range(i, len(G) + 1):
-                    allowed = set(open_interval(cox, G.root(i), G.root(j), G))
+                    allowed = {G.position(r) for r in open_interval(cox, G.root(i), G.root(j), G)}
                     assert set(bp.query(G, i, j)) <= allowed, (variant, G.label(), i, j)
     bp_m6 = bpmod.builtin("rank2:m6lr")
     G = get_gallery(bp_m6.cox, (0, 1, 0, 1, 0, 1))
-    assert bp_m6.query_positions(G, 1, 6) == (2, 3, 4, 5)
+    assert bp_m6.query(G, 1, 6) == (2, 3, 4, 5)
 
 
 def test_build_uw_partiality_note(bp_m6):

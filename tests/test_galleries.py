@@ -1,5 +1,7 @@
 """Gallery enumeration, the s-shift, and crossing orders."""
 
+from math import inf
+
 import pytest
 
 from rgdkit import roots as rt
@@ -62,6 +64,42 @@ def test_shift_root_relation():
                     sG = shift(G, s)
                     mapped = [rt.Root(cox.reflect(s, r.vec)) for r in G.roots[1:]]
                     assert list(sG.roots) == mapped
+
+
+SHIFT_SYSTEMS = {
+    "dihedral2": lambda: CoxeterMatrix.dihedral(2),
+    "dihedral3": lambda: CoxeterMatrix.dihedral(3),
+    "dihedral4": lambda: CoxeterMatrix.dihedral(4),
+    "dihedral6": lambda: CoxeterMatrix.dihedral(6, direction=(1, 0)),
+    "universal3": lambda: CoxeterMatrix.universal(3),
+    "3_inf_inf": lambda: CoxeterMatrix.from_dict(3, {(0, 1): 3, (0, 2): inf, (1, 2): inf}),
+    "cycle444": lambda: CoxeterMatrix.from_dict(3, {(0, 1): 4, (0, 2): 4, (1, 2): 4}),
+    "cycle336": lambda: CoxeterMatrix.from_dict(
+        3, {(0, 1): 3, (0, 2): 3, (1, 2): 6}, frozenset({(2, 1)})),
+    "A4": lambda: CoxeterMatrix.from_dict(
+        4, {(0, 1): 3, (0, 2): 2, (0, 3): 2, (1, 2): 3, (1, 3): 2, (2, 3): 3}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIFT_SYSTEMS))
+def test_shift_moves_every_crossed_root_by_one_place(name):
+    # s . beta_p(G) = beta_{p+d}(sG) with d = len(sG) - len(G), for every
+    # position p but that of alpha_s (position 1 on a descent); Weyl-invariance
+    # compares blueprint values through this identity alone
+    cox = CoxeterSystem(SHIFT_SYSTEMS[name]())
+    for w in cox.ball(4 if cox.rank == 4 else 5):
+        for s in range(cox.rank):
+            alpha_s = rt.simple_root(cox, s)
+            for G in min_gal_s(cox, w, s):
+                sG = shift(G, s)
+                d = len(sG) - len(G)
+                assert d == (-1 if G.word[:1] == (s,) else 1)
+                for p in range(1, len(G) + 1):
+                    if G.root(p) == alpha_s:
+                        assert (d, p) == (-1, 1)
+                        continue
+                    assert rt.Root(cox.reflect(s, G.root(p).vec)) == sG.root(p + d), \
+                        (G.label(), s, p)
 
 
 def test_gallery_requires_reduced_word():

@@ -101,7 +101,7 @@ def test_far_residue_on_3_inf_inf():
     G = get_gallery(cox, (2, 0, 1, 0, 2, 0, 1, 0, 2, 0, 1, 0))
     R = rt.common_residue(cox, G.root(10), G.root(12))
     assert R.label() == "R{1,2}(3.1.2.1.3.1.2.1.3)"
-    assert bp.query_positions(G, 10, 12) == (11,)
+    assert bp.query(G, 10, 12) == (11,)
 
 
 def test_common_residue_refuses_infinite_pairs():
