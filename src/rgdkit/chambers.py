@@ -3,14 +3,22 @@
 Chambers are cosets u U_w with u in the group U on Phi(r_J) and w in the
 dihedral parabolic <J>.  One table owns chamber identity: `chamber_of[w]`
 maps every element of U to the index of its U_w-coset, and each chamber is
-named by the least member of its coset.  s-adjacency is u U_w ~ v U_{w'}
-iff w' in {w, ws} and u^-1 v in the larger of the two subgroups, so the
-s-panel of u U_w is the coset u U_top, top the longer of w and ws; the
-panels are read off the table and give the adjacency (`adjacent` keeps the
-definition as a test oracle).  The generators u_s, u_t and the involutions
-tau_s, tau_t act by the coset formulas; this module builds the full
-system, certifies the building axioms, verifies the actions and checks
-that (tau_s tau_t)^m acts trivially.
+named by the least member of its coset, whose members it keeps.
+s-adjacency is u U_w ~ v U_{w'} iff w' in {w, ws} and u^-1 v in the larger
+of the two subgroups, so the s-panel of u U_w is the coset u U_top, top the
+longer of w and ws; the panels are read off the table and give the
+adjacency (`adjacent` keeps the definition as a test oracle).  The
+generators u_s, u_t and the involutions tau_s, tau_t act by the coset
+formulas.  This module builds the full system, certifies the building
+axioms, verifies the actions and checks that (tau_s tau_t)^m acts
+trivially.
+
+The battery runs on small integer tables built once per system: the 2m
+elements of <J> are numbered (`w_elements`, id 0 the identity) with their
+right and left multiplication tables `rmul`/`lmul`, the W-distance is an
+int matrix of those ids, and tau_gen is read from `tau_table`, its coset
+formula evaluated once for every element of U.  No word arithmetic or
+collection runs per chamber pair.
 """
 
 from __future__ import annotations
@@ -66,26 +74,45 @@ class ChamberSystemJ:
             for p in positions:
                 mask |= 1 << (p - 1)
             self.masks[w] = mask
+        # W_J ids: w_elements[i] is element i, id 0 is the identity;
+        # rmul[gen][i] is the id of w_i * gen, lmul[gen][i] that of gen * w_i
+        self.w_id = {w: i for i, w in enumerate(self.w_elements)}
+        self.rmul = {gen: [self.w_id[cox.nf_append(w, gen)] for w in self.w_elements]
+                     for gen in (s, t)}
+        self.lmul = {gen: [self.w_id[cox.normal_form((gen,) + w)] for w in self.w_elements]
+                     for gen in (s, t)}
         # chamber_of[w][g]: index of the chamber u U_w holding g.  A chamber is
-        # named by the least member of its coset, the first g that meets it
+        # named by the least member of its coset, the first g that meets it;
+        # members[i] lists the coset of chamber i in `coset_members` order
         self.chambers: list[ChamberJ] = []
+        self.members: list[list[int]] = []
         self.chamber_of: dict[Word, list[int]] = {}
         for w in self.w_elements:
             table = self.chamber_of[w] = [-1] * self.pres.order
             for g in range(self.pres.order):
                 if table[g] < 0:
-                    for x in self.coset_members(w, g):
+                    coset = self.coset_members(w, g)
+                    for x in coset:
                         table[x] = len(self.chambers)
                     self.chambers.append(ChamberJ(w, g))
+                    self.members.append(coset)
         self.adjacency: dict[int, list[set[int]]] = {}
         for gen in (s, t):
             cells = self.adjacency[gen] = [set() for _ in self.chambers]
             for panel in self.panels(gen):
                 for i in panel:
                     cells[i] = {j for j in panel if j != i}
-        # tau root maps: basis position -> position of the s-image
-        self.tau_maps = {gen: reflected_positions(cox, gen, self.pres.basis, self.pres)
-                         for gen in (s, t)}
+        # tau_table[gen][g] = (eps, tn, tn * u_gen) for g = n * u_gen^eps and
+        # tn the image of n under the root map of gen; see `act_tau`
+        self.tau_table: dict[int, list[tuple[int, int, int]]] = {}
+        for gen in (s, t):
+            root_map = reflected_positions(cox, gen, self.pres.basis, self.pres)
+            u = self.pres.generator(self.gen_pos[gen])
+            rows = self.tau_table[gen] = []
+            for g in range(self.pres.order):
+                n, eps = self.decompose(g, gen)
+                tn = self.pres.map_elem(root_map, GroupElem(n))
+                rows.append((eps, tn.bits, self.pres.mul(tn, u).bits))
 
     # -- coset plumbing ----------------------------------------------------
 
@@ -145,17 +172,14 @@ class ChamberSystemJ:
         return n, eps
 
     def act_tau(self, gen: int, c: ChamberJ, rep: int | None = None) -> ChamberJ:
-        """The coset formula for tau_gen, evaluated on a chosen representative."""
-        cox = self.cox
-        bits = c.rep if rep is None else rep
-        n, eps = self.decompose(bits, gen)
-        sw = cox.normal_form((gen,) + c.w)
-        descent = len(sw) < len(c.w)
-        tn = self.pres.map_elem(self.tau_maps[gen], GroupElem(n)).bits
-        if descent or eps == 0:
+        """The coset formula for tau_gen, evaluated on a chosen representative:
+        g U_w with g = n u_gen^eps goes to tn U_{gen w} on a descent or when
+        eps = 0, and to tn u_gen U_w otherwise."""
+        eps, tn, tn_u = self.tau_table[gen][c.rep if rep is None else rep]
+        sw = self.w_elements[self.lmul[gen][self.w_id[c.w]]]
+        if eps == 0 or len(sw) < len(c.w):
             return self.canonical(sw, tn)
-        out = self.pres.mul(GroupElem(tn), self.pres.generator(self.gen_pos[gen])).bits
-        return self.canonical(c.w, out)
+        return self.canonical(c.w, tn_u)
 
     def perm_tau(self, gen: int) -> list[int]:
         return [self.index(self.act_tau(gen, c)) for c in self.chambers]
@@ -173,61 +197,58 @@ def build_CJ(bp: Blueprint, s: int, t: int) -> ChamberSystemJ:
 # building verification
 
 
-def _delta(cs: ChamberSystemJ) -> tuple[list[list[Word]], Report]:
-    """Minimal-gallery distance words for all chamber pairs, with a
-    well-definedness check (all minimal galleries give one element)."""
+def _delta(cs: ChamberSystemJ) -> tuple[list[list[int]], Report]:
+    """Minimal-gallery distances for all chamber pairs, as ids into
+    `cs.w_elements`, with a well-definedness check (all minimal galleries
+    give one element)."""
     report = Report("delta")
-    cox = cs.cox
+    words = cs.w_elements
     n = len(cs.chambers)
-    adj = cs.adjacency
-    delta: list[list[Word | None]] = [[None] * n for _ in range(n)]
+    # links[y]: the neighbours z of y, each with the right-multiplication
+    # table of the generator that joins them
+    links = [[(z, cs.rmul[gen]) for gen in (cs.s, cs.t) for z in cs.adjacency[gen][y]]
+             for y in range(n)]
+    delta: list[list[int]] = []
     for x in range(n):
-        delta[x][x] = ()
-        dist = {x: 0}
-        frontier = [x]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for y in frontier:
-                for gen in (cs.s, cs.t):
-                    for z in adj[gen][y]:
-                        if z not in dist:
-                            dist[z] = d
-                            nxt.append(z)
-            frontier = nxt
-        order = sorted(dist, key=dist.get)
+        # BFS from x; `order` lists the chambers by distance
+        dist = [-1] * n
+        dist[x] = 0
+        order = [x]
         for y in order:
-            if y == x:
-                continue
-            candidates = set()
-            for gen in (cs.s, cs.t):
-                for z in adj[gen][y]:
-                    if dist[z] == dist[y] - 1:
-                        candidates.add(cox.nf_append(delta[x][z], gen))
-            report.checks += 1
+            d = dist[y] + 1
+            for z, _ in links[y]:
+                if dist[z] < 0:
+                    dist[z] = d
+                    order.append(z)
+        # a chamber the BFS cannot reach keeps id 0 and fails Bu1
+        row = [0] * n
+        for y in order[1:]:
+            dy = dist[y]
+            prev = dy - 1
+            candidates = {rmul[row[z]] for z, rmul in links[y] if dist[z] == prev}
             if len(candidates) != 1:
                 report.add(Violation(axiom="delta", w=cs.chambers[x].label(),
                                      gallery=cs.chambers[y].label(),
                                      expected="unique element", found=str(len(candidates))))
-                candidates = {sorted(candidates)[0]}
-            word = candidates.pop()
-            if len(word) != dist[y]:
+                candidates = {min(candidates, key=words.__getitem__)}
+            w = row[y] = candidates.pop()
+            if len(words[w]) != dy:
                 report.add(Violation(axiom="delta", w=cs.chambers[x].label(),
                                      gallery=cs.chambers[y].label(),
-                                     expected=f"length {dist[y]}", found=f"length {len(word)}"))
-            delta[x][y] = word
-    return delta, report  # type: ignore[return-value]
+                                     expected=f"length {dy}", found=f"length {len(words[w])}"))
+        report.checks += len(order) - 1
+        delta.append(row)
+    return delta, report
 
 
 def verify_building(cs: ChamberSystemJ) -> Report:
     """Distance function well-defined, building axioms, thickness 3."""
     report = Report(f"building({cs.bp.name}, m={cs.m})")
-    cox = cs.cox
     delta, rep = _delta(cs)
     report.merge(rep)
     n = len(cs.chambers)
-    adj = cs.adjacency
+    words = cs.w_elements
+    labels = [c.label() for c in cs.chambers]
 
     for gen in (cs.s, cs.t):
         for panel in cs.panels(gen):
@@ -236,35 +257,43 @@ def verify_building(cs: ChamberSystemJ) -> Report:
                 report.add(Violation(axiom="thickness", s=str(gen + 1),
                                      expected="3", found=str(len(panel))))
 
+    # per gen: its adjacency, its rmul table and whether w_i * gen is longer
+    gens = [(gen, cs.adjacency[gen], cs.rmul[gen],
+             [len(words[r]) > len(w) for r, w in zip(cs.rmul[gen], words)])
+            for gen in (cs.s, cs.t)]
+    # per pair (x, y): one Bu1 check, and for each gen one Bu2 check per z in
+    # the gen-panel of y and one Bu3 check
+    report.checks += n * (n + sum(len(cell) + 1 for _, adj, _, _ in gens for cell in adj))
     for x in range(n):
+        row = delta[x]
         for y in range(n):
-            w = delta[x][y]
-            report.checks += 1
-            if (w == ()) != (x == y):
-                report.add(Violation(axiom="Bu1", w=cs.chambers[x].label(),
-                                     gallery=cs.chambers[y].label(),
-                                     expected="delta=1 iff equal", found=word_label(w)))
-            for gen in (cs.s, cs.t):
-                ws = cox.nf_append(w, gen)
-                # Bu2 over all z in the gen-panel of y
-                for z in adj[gen][y]:
-                    report.checks += 1
-                    got = delta[x][z]
-                    if got not in (w, ws):
-                        report.add(Violation(axiom="Bu2", w=cs.chambers[x].label(),
-                                             gallery=cs.chambers[z].label(),
-                                             expected=f"{word_label(w)} or {word_label(ws)}",
-                                             found=word_label(got)))
-                    elif len(ws) == len(w) + 1 and got != ws:
-                        report.add(Violation(axiom="Bu2", w=cs.chambers[x].label(),
-                                             gallery=cs.chambers[z].label(),
-                                             expected=word_label(ws), found=word_label(got)))
-                # Bu3: some z with delta(y,z) = gen and delta(x,z) = ws
-                report.checks += 1
-                if not any(delta[x][z] == ws for z in adj[gen][y]):
-                    report.add(Violation(axiom="Bu3", w=cs.chambers[x].label(),
-                                         gallery=cs.chambers[y].label(), s=str(gen + 1),
-                                         expected=word_label(ws), found="missing"))
+            w = row[y]
+            if (w == 0) != (x == y):
+                report.add(Violation(axiom="Bu1", w=labels[x], gallery=labels[y],
+                                     expected="delta=1 iff equal",
+                                     found=word_label(words[w])))
+            for gen, adj, rmul, ascent in gens:
+                ws = rmul[w]
+                # Bu2 over all z in the gen-panel of y; Bu3: some such z has
+                # delta(x, z) = ws
+                reached = False
+                for z in adj[y]:
+                    got = row[z]
+                    if got == ws:
+                        reached = True
+                    elif got != w:
+                        report.add(Violation(axiom="Bu2", w=labels[x], gallery=labels[z],
+                                             expected=f"{word_label(words[w])} or "
+                                                      f"{word_label(words[ws])}",
+                                             found=word_label(words[got])))
+                    elif ascent[w]:
+                        report.add(Violation(axiom="Bu2", w=labels[x], gallery=labels[z],
+                                             expected=word_label(words[ws]),
+                                             found=word_label(words[got])))
+                if not reached:
+                    report.add(Violation(axiom="Bu3", w=labels[x], gallery=labels[y],
+                                         s=str(gen + 1), expected=word_label(words[ws]),
+                                         found="missing"))
     return report
 
 
@@ -272,16 +301,15 @@ def verify_action(cs: ChamberSystemJ, gen: int) -> Report:
     """Well-definedness on every coset representative, adjacency preservation,
     tau^2 = id, (u_gen tau_gen)^3 = id, and the six-element faithfulness table."""
     report = Report(f"action({cs.bp.name}, s={gen + 1})")
-    cox = cs.cox
 
-    for c in cs.chambers:
+    for c, members in zip(cs.chambers, cs.members):
         expected = cs.act_tau(gen, c)
-        for rep_bits in cs.coset_members(c.w, c.rep):
+        for rep_bits in members:
             report.checks += 1
-            if cs.act_tau(gen, c, rep=rep_bits) != expected:
+            got = cs.act_tau(gen, c, rep=rep_bits)
+            if got != expected:
                 report.add(Violation(axiom="well-defined", w=c.label(),
-                                     expected=expected.label(),
-                                     found=cs.act_tau(gen, c, rep=rep_bits).label()))
+                                     expected=expected.label(), found=got.label()))
 
     perm_t = cs.perm_tau(gen)
     perm_u = cs.perm_group(cs.pres.generator(cs.gen_pos[gen]))

@@ -82,8 +82,8 @@ def test_criterion_3_residue_tau():
 # -- 4: chamber systems ----------------------------------------------------------
 
 @pytest.mark.parametrize("name,count,budget", [
-    ("rank2:m2", 9, 10.0), ("rank2:m3", 21, 10.0),
-    ("rank2:m4", 45, 10.0), ("rank2:m6lr", 189, 10.0),
+    ("rank2:m2", 9, 3.0), ("rank2:m3", 21, 3.0),
+    ("rank2:m4", 45, 3.0), ("rank2:m6lr", 189, 3.0),
 ])
 def test_criterion_4_chamber_systems(name, count, budget):
     with criterion(4, f"chambers {name}", budget):

@@ -1,9 +1,13 @@
 """Coset chamber systems: counts, building axioms, actions, braid triviality."""
 
+import hashlib
+from collections import Counter
+
 import pytest
 
 from rgdkit import blueprints
 from rgdkit import chambers as ch
+from rgdkit.groupforge import GroupElem, reflected_positions
 from tests.conftest import fixture_path
 
 EXPECTED_COUNTS = {2: 9, 3: 21, 4: 45, 6: 189}
@@ -152,3 +156,103 @@ def test_coset_table_partitions_U_into_cosets(table_system):
             assert c.w == w and c.rep == min(cell)
             assert cell == set(cs.coset_members(w, c.rep))
             assert len(cell) == 1 << len(w)
+
+
+def _swap_in_panels(cs, gen, a, b):
+    """Move chamber a into b's gen-panel and b into a's, rewriting the cells of
+    both panels so the adjacency relation stays symmetric."""
+    adj = cs.adjacency[gen]
+    old_a, old_b = adj[a] | {a}, adj[b] | {b}
+    for panel in ((old_a - {a}) | {b}, (old_b - {b}) | {a}):
+        for i in panel:
+            adj[i] = panel - {i}
+
+
+# (builtin, gen, violations per axiom, checks, lines that must appear, to_text digest)
+SWAP_CASES = [
+    ("rank2:m3", 0, {"delta": 24, "Bu2": 80, "Bu3": 56}, 3521, [
+        "axiom=delta w=0x0U[1.2.1] s=- gallery=0x1U[2] i=0 j=0 expected=unique element found=2",
+        "axiom=Bu2 w=0x7U[e] s=- gallery=0x4U[1.2] i=0 j=0 expected=1.2.1 found=1.2",
+        "axiom=Bu2 w=0x0U[1.2.1] s=- gallery=0x1U[2.1] i=0 j=0 expected=1.2 or 1.2.1 found=2",
+        "axiom=Bu3 w=0x7U[e] s=1 gallery=0x1U[e] i=0 j=0 expected=1.2 found=missing",
+    ], "094ffc93f4f8111541d69a137187beb45dd7c91a8974ae4fb98a8f5dbff63095"),
+    ("rank2:m4", 1, {"delta": 156, "Bu2": 328, "Bu3": 188}, 16185, [
+        "axiom=delta w=0xfU[e] s=- gallery=0x1U[e] i=0 j=0 expected=length 5 found=length 3",
+        "axiom=Bu2 w=0xfU[e] s=- gallery=0x3U[2.1] i=0 j=0 expected=1.2.1 or 1.2.1.2 found=2.1",
+        "axiom=Bu2 w=0x0U[1.2.1.2] s=- gallery=0x0U[1.2.1] i=0 j=0 expected=1.2.1.2 found=1.2.1",
+        "axiom=Bu3 w=0xfU[e] s=2 gallery=0x1U[2.1.2] i=0 j=0 expected=1.2.1.2 found=missing",
+    ], "1e5262a9ff4416a1089714119a926580b7e6d719aebc7f34ca37b6a2e8d57273"),
+]
+
+
+@pytest.mark.parametrize("name,gen,counts,checks,lines,digest", SWAP_CASES,
+                         ids=[case[0] for case in SWAP_CASES])
+def test_building_violations_after_a_panel_swap(name, gen, counts, checks, lines, digest):
+    # first and last chamber change gen-panels: the panels still have three
+    # chambers each, so only delta, Bu2 and Bu3 can see the damage
+    cs = ch.build_CJ(blueprints.builtin(name), 0, 1)
+    _swap_in_panels(cs, gen, 0, len(cs.chambers) - 1)
+    report = ch.verify_building(cs)
+    assert report.checks == checks
+    assert Counter(v.axiom for v in report.violations) == counts
+    text = report.to_text()
+    rendered = text.splitlines()
+    for line in lines:
+        assert f"  VIOLATION {line}" in rendered
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _delta_words(cs):
+    """Word-level oracle for `_delta`: the same BFS on normal-form tuples."""
+    cox = cs.cox
+    n = len(cs.chambers)
+    adj = cs.adjacency
+    delta = [[None] * n for _ in range(n)]
+    for x in range(n):
+        delta[x][x] = ()
+        dist = {x: 0}
+        frontier = [x]
+        while frontier:
+            nxt = []
+            for y in frontier:
+                for gen in (cs.s, cs.t):
+                    for z in adj[gen][y]:
+                        if z not in dist:
+                            dist[z] = dist[y] + 1
+                            nxt.append(z)
+            frontier = nxt
+        for y in sorted(dist, key=dist.get)[1:]:
+            candidates = {cox.nf_append(delta[x][z], gen)
+                          for gen in (cs.s, cs.t) for z in adj[gen][y]
+                          if dist[z] == dist[y] - 1}
+            delta[x][y] = sorted(candidates)[0]
+    return delta
+
+
+def _act_tau_formula(cs, gen, root_map, c, rep):
+    """Oracle for `act_tau`: the coset formula evaluated on U directly."""
+    n, eps = cs.decompose(rep, gen)
+    sw = cs.cox.normal_form((gen,) + c.w)
+    tn = cs.pres.map_elem(root_map, GroupElem(n))
+    if len(sw) < len(c.w) or eps == 0:
+        return cs.canonical(sw, tn.bits)
+    return cs.canonical(c.w, cs.pres.mul(tn, cs.pres.generator(cs.gen_pos[gen])).bits)
+
+
+def test_delta_ids_match_the_word_oracle(table_system):
+    cs = table_system
+    delta, report = ch._delta(cs)
+    assert report.ok, report.to_text()
+    want = _delta_words(cs)
+    assert [[cs.w_elements[w] for w in row] for row in delta] == want
+
+
+def test_act_tau_matches_the_coset_formula(table_system):
+    cs = table_system
+    for gen in (cs.s, cs.t):
+        root_map = reflected_positions(cs.cox, gen, cs.pres.basis, cs.pres)
+        for c, members in zip(cs.chambers, cs.members):
+            assert members == cs.coset_members(c.w, c.rep)
+            for r in members:
+                want = _act_tau_formula(cs, gen, root_map, c, r)
+                assert cs.act_tau(gen, c, rep=r) == want, (gen, c.label(), r)
