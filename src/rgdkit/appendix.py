@@ -269,7 +269,7 @@ def appendix_conjugation_check(bp: Blueprint, s: int, t: int, r: int,
                 return w
         return None
 
-    def as_elem(root_word: list) -> tuple[Word, "object"] | None:
+    def as_elem(root_word: list) -> tuple[Word, int] | None:
         vecs = frozenset(rt.vec for rt in root_word)
         w = minimal_ambient(vecs)
         if w is None:
@@ -279,11 +279,11 @@ def appendix_conjugation_check(bp: Blueprint, s: int, t: int, r: int,
             return None
         return w, pres.collect([pres.position(rt) for rt in root_word])
 
-    def support_roots(w: Word, x) -> list:
+    def support_roots(w: Word, x: int) -> list:
         pres = engine(w)
         return [pres.basis[i - 1] for i in pres.word_of(x)]
 
-    def tau_step(gen: int, w: Word, x):
+    def tau_step(gen: int, w: Word, x: int):
         pres = engine(w)
         alpha_gen = simple_root(cox, gen)
         sup = support_roots(w, x)
@@ -308,11 +308,9 @@ def appendix_conjugation_check(bp: Blueprint, s: int, t: int, r: int,
     if pres0 is None:
         report.add(Violation(axiom="CB3", w="r_J", expected="consistent", found="not"))
         return report
-    u_elements = pres0.elements()
-
     unverifiable = 0
     for alpha in outside:
-        for u in u_elements:
+        for u in range(pres0.order):
             u_roots = support_roots(w0, u)
             start = as_elem(u_roots + [alpha] + list(reversed(u_roots)))
             if start is None:

@@ -29,7 +29,7 @@ from math import inf
 from .blueprints import Blueprint
 from .coxeter import Word, word_label
 from .errors import RgdError
-from .groupforge import GroupElem, build_Uw, reflected_positions
+from .groupforge import build_Uw, reflected_positions
 from .reports import Report, Violation
 from .roots import simple_root
 from . import roots as rootmod
@@ -96,10 +96,19 @@ class ChamberSystemJ:
                         table[x] = len(self.chambers)
                     self.chambers.append(ChamberJ(w, g))
                     self.members.append(coset)
+        # panels[gen]: the gen-panels, each in ascending chamber order.  The
+        # panel of u U_w is the coset u U_top, top the longer of w and w*gen,
+        # which holds the chambers of types w and w*gen inside it
+        self.panels: dict[int, list[list[int]]] = {}
         self.adjacency: dict[int, list[set[int]]] = {}
         for gen in (s, t):
+            by_top: dict[int, list[int]] = {}
+            for i, c in enumerate(self.chambers):
+                top = max(c.w, self.w_elements[self.rmul[gen][self.w_id[c.w]]], key=len)
+                by_top.setdefault(self.chamber_of[top][c.rep], []).append(i)
+            self.panels[gen] = list(by_top.values())
             cells = self.adjacency[gen] = [set() for _ in self.chambers]
-            for panel in self.panels(gen):
+            for panel in self.panels[gen]:
                 for i in panel:
                     cells[i] = {j for j in panel if j != i}
         # tau_table[gen][g] = (eps, tn, tn * u_gen) for g = n * u_gen^eps and
@@ -111,19 +120,18 @@ class ChamberSystemJ:
             rows = self.tau_table[gen] = []
             for g in range(self.pres.order):
                 n, eps = self.decompose(g, gen)
-                tn = self.pres.map_elem(root_map, GroupElem(n))
-                rows.append((eps, tn.bits, self.pres.mul(tn, u).bits))
+                tn = self.pres.map_elem(root_map, n)
+                rows.append((eps, tn, self.pres.mul(tn, u)))
 
     # -- coset plumbing ----------------------------------------------------
 
     def coset_members(self, w: Word, g: int) -> list[int]:
-        ge = GroupElem(g)
         mask = self.masks[w]
         out = []
         # iterate all submasks of `mask`, including 0
         x = mask
         while True:
-            out.append(self.pres.mul(ge, GroupElem(x)).bits)
+            out.append(self.pres.mul(g, x))
             if x == 0:
                 break
             x = (x - 1) & mask
@@ -146,29 +154,19 @@ class ChamberSystemJ:
         ws = cox.nf_append(a.w, gen)
         if b.w != a.w and b.w != ws:
             return False
-        diff = self.pres.mul(self.pres.inv(GroupElem(a.rep)), GroupElem(b.rep)).bits
+        diff = self.pres.mul(self.pres.inv(a.rep), b.rep)
         return not diff & ~self.masks[a.w] or not diff & ~self.masks[ws]
-
-    def panels(self, gen: int) -> list[list[int]]:
-        """The gen-panels, each in ascending chamber order: the panel of u U_w
-        is the coset u U_top, top the longer of w and w*gen, which holds the
-        chambers of types w and w*gen inside it."""
-        cells: dict[int, list[int]] = {}
-        for i, c in enumerate(self.chambers):
-            top = max(c.w, self.cox.nf_append(c.w, gen), key=len)
-            cells.setdefault(self.chamber_of[top][c.rep], []).append(i)
-        return list(cells.values())
 
     # -- group actions --------------------------------------------------------
 
-    def act_group(self, g: GroupElem, c: ChamberJ) -> ChamberJ:
-        return self.canonical(c.w, self.pres.mul(g, GroupElem(c.rep)).bits)
+    def act_group(self, g: int, c: ChamberJ) -> ChamberJ:
+        return self.canonical(c.w, self.pres.mul(g, c.rep))
 
     def decompose(self, bits: int, gen: int) -> tuple[int, int]:
         """g = n * u_gen^eps with n in the kernel of the u_gen retraction."""
         p = self.gen_pos[gen]
         eps = bits >> (p - 1) & 1
-        n = self.pres.mul(GroupElem(bits), self.pres.generator(p)).bits if eps else bits
+        n = self.pres.mul(bits, self.pres.generator(p)) if eps else bits
         return n, eps
 
     def act_tau(self, gen: int, c: ChamberJ, rep: int | None = None) -> ChamberJ:
@@ -184,7 +182,7 @@ class ChamberSystemJ:
     def perm_tau(self, gen: int) -> list[int]:
         return [self.index(self.act_tau(gen, c)) for c in self.chambers]
 
-    def perm_group(self, g: GroupElem) -> list[int]:
+    def perm_group(self, g: int) -> list[int]:
         return [self.index(self.act_group(g, c)) for c in self.chambers]
 
 
@@ -251,7 +249,7 @@ def verify_building(cs: ChamberSystemJ) -> Report:
     labels = [c.label() for c in cs.chambers]
 
     for gen in (cs.s, cs.t):
-        for panel in cs.panels(gen):
+        for panel in cs.panels[gen]:
             report.checks += 1
             if len(panel) != 3:
                 report.add(Violation(axiom="thickness", s=str(gen + 1),

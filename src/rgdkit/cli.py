@@ -2,7 +2,9 @@
 
 Subcommands: validate | group | residue | chambers | appendix | roots.
 Exit codes: 0 success, 1 mathematical violation, 2 usage or I/O error,
-3 internal error (two routes disagreed, or a crash).
+3 internal error (two routes disagreed, or a crash), 4 incomplete (no
+violation, but a cap skipped work: an element over `--cap-group-bits`, or
+the galleries past `--cap-galleries`).
 Human-readable output goes to stdout; `--report PATH` additionally writes
 machine-readable VIOLATION records.
 """
@@ -67,7 +69,9 @@ def _emit(reports: list[Report], path: str | None) -> int:
             for rep in reports:
                 for line in rep.machine_lines():
                     fh.write(line + "\n")
-    return 0 if all(r.ok for r in reports) else 1
+    if not all(r.ok for r in reports):
+        return 1
+    return 4 if any(r.skipped for r in reports) else 0
 
 
 def cmd_validate(cfg: RunConfig) -> int:
@@ -80,7 +84,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     cb3 = Report(f"CB3({bp.name}, r={cfg.radius})")
     for w in bp.cox.ball(cfg.radius):
         if len(w) > cfg.cap_group_bits:
-            cb3.note(f"skipped w={word_label(w)}: exceeds group bit cap")
+            cb3.skip(f"skipped w={word_label(w)}: exceeds group bit cap")
             continue
         _, rep = groupforge.build_Uw(bp, w, cfg.cap_galleries)
         cb3.merge(rep)

@@ -2,8 +2,9 @@
 
 A presentation has involutive generators u_1 < ... < u_k (one per crossed
 root of a base gallery) and relations [u_i, u_j] = prod of generators
-strictly between i and j.  Elements are bit vectors: bit i-1 is the exponent
-of u_i in the normal form u_1^e1 ... u_k^ek.  Collection from the left
+strictly between i and j.  An element is a plain `int` bit mask: bit i-1 is
+the exponent of u_i in the normal form u_1^e1 ... u_k^ek, and 0 is the
+identity, so `range(pres.order)` lists the group.  Collection from the left
 rewrites any word to this normal form; the consistency (overlap) test
 certifies that normal forms are unique, equivalently that the group has
 order exactly 2^k.
@@ -11,7 +12,6 @@ order exactly 2^k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .blueprints import Blueprint
@@ -20,19 +20,6 @@ from .errors import CapExceeded, CollectionOverflow, RgdError
 from .galleries import Gallery, get_gallery, min_gal
 from .reports import Report, Violation
 from .roots import Root, simple_root
-
-
-@dataclass(frozen=True)
-class GroupElem:
-    """Normal form as a bit vector; bit i-1 = exponent of generator i."""
-
-    bits: int
-
-    def __bool__(self) -> bool:
-        return self.bits != 0
-
-
-IDENTITY = GroupElem(0)
 
 
 class PCPres:
@@ -47,7 +34,7 @@ class PCPres:
             self._index.setdefault(root, i)
         self.gallery = gallery
         self.step_cap = step_cap
-        self._consistent: bool | None = None
+        self.consistent: bool | None = None  # set by consistency_check
         self.inconsistency_witness: str | None = None
         self.rel: dict[tuple[int, int], tuple[int, ...]] = {}
         for (i, j), word in rel.items():
@@ -58,10 +45,6 @@ class PCPres:
             if tuple(sorted(word)) != tuple(word) or len(set(word)) != len(word):
                 raise RgdError(f"relation word {word} not strictly increasing")
             self.rel[(i, j)] = tuple(word)
-
-    @property
-    def consistent(self) -> bool | None:
-        return self._consistent
 
     @property
     def order(self) -> int:
@@ -75,7 +58,7 @@ class PCPres:
 
     # -- collection -------------------------------------------------------
 
-    def collect(self, word: Iterable[int]) -> GroupElem:
+    def collect(self, word: Iterable[int]) -> int:
         """Leftmost collection to the unique ascending normal form."""
         buf = list(word)
         for x in buf:
@@ -101,38 +84,35 @@ class PCPres:
         bits = 0
         for x in buf:
             bits |= 1 << (x - 1)
-        return GroupElem(bits)
+        return bits
 
-    def word_of(self, x: GroupElem) -> tuple[int, ...]:
-        return tuple(i + 1 for i in range(self.k) if x.bits >> i & 1)
+    def word_of(self, x: int) -> tuple[int, ...]:
+        return tuple(i + 1 for i in range(self.k) if x >> i & 1)
 
-    def generator(self, i: int) -> GroupElem:
+    def generator(self, i: int) -> int:
         if not 1 <= i <= self.k:
             raise RgdError(f"generator index {i} out of range")
-        return GroupElem(1 << (i - 1))
+        return 1 << (i - 1)
 
-    def mul(self, x: GroupElem, y: GroupElem) -> GroupElem:
+    def mul(self, x: int, y: int) -> int:
         return self.collect(self.word_of(x) + self.word_of(y))
 
-    def inv(self, x: GroupElem) -> GroupElem:
+    def inv(self, x: int) -> int:
         return self.collect(tuple(reversed(self.word_of(x))))
 
-    def comm(self, x: GroupElem, y: GroupElem) -> GroupElem:
+    def comm(self, x: int, y: int) -> int:
         """[x, y] = x y x^-1 y^-1."""
         wx, wy = self.word_of(x), self.word_of(y)
         return self.collect(wx + wy + tuple(reversed(wx)) + tuple(reversed(wy)))
 
-    def conj(self, x: GroupElem, y: GroupElem) -> GroupElem:
+    def conj(self, x: int, y: int) -> int:
         """x y x^-1."""
         wx = self.word_of(x)
         return self.collect(wx + self.word_of(y) + tuple(reversed(wx)))
 
-    def map_elem(self, mp: Mapping[int, int], x: GroupElem) -> GroupElem:
+    def map_elem(self, mp: Mapping[int, int], x: int) -> int:
         """Send each normal-form letter i of x to the generator mp[i], then collect."""
         return self.collect([mp[i] for i in self.word_of(x)])
-
-    def elements(self) -> list[GroupElem]:
-        return [GroupElem(bits) for bits in range(1 << self.k)]
 
     # -- consistency ------------------------------------------------------
 
@@ -171,11 +151,11 @@ class PCPres:
         except CollectionOverflow as exc:
             self._set_witness(str(exc))
             return False
-        self._consistent = True
+        self.consistent = True
         return True
 
     def _set_witness(self, text: str) -> None:
-        self._consistent = False
+        self.consistent = False
         self.inconsistency_witness = text
 
     def relators(self) -> list[tuple[int, ...]]:
@@ -246,7 +226,7 @@ def build_Uw(bp: Blueprint, w: Word, gallery_cap: int = 10_000,
         galleries = min_gal(cox, w, gallery_cap)
     except CapExceeded:
         galleries = [get_gallery(cox, w)]  # the normal form is the lex-least word
-        report.note(f"partial: more than {gallery_cap} galleries; "
+        report.skip(f"partial: more than {gallery_cap} galleries; "
                     f"cross-checked the base gallery only")
     base = galleries[0]
     pres = presentation_for_gallery(bp, base, step_cap)
@@ -267,12 +247,12 @@ def build_Uw(bp: Blueprint, w: Word, gallery_cap: int = 10_000,
 # subgroups, series, decompositions
 
 
-def subgroup_closure(pres: PCPres, gens: Iterable[GroupElem],
-                     cap: int = 1 << 24) -> set[GroupElem]:
+def subgroup_closure(pres: PCPres, gens: Iterable[int],
+                     cap: int = 1 << 24) -> set[int]:
     """Subgroup generated by `gens`, as an explicit element set (BFS)."""
     gens = list(gens)
-    seen = {IDENTITY}
-    frontier = [IDENTITY]
+    seen = {0}
+    frontier = [0]
     while frontier:
         new = []
         for x in frontier:
@@ -287,8 +267,8 @@ def subgroup_closure(pres: PCPres, gens: Iterable[GroupElem],
     return seen
 
 
-def normal_closure(pres: PCPres, seed: Iterable[GroupElem],
-                   cap: int = 1 << 24) -> set[GroupElem]:
+def normal_closure(pres: PCPres, seed: Iterable[int],
+                   cap: int = 1 << 24) -> set[int]:
     """Smallest normal subgroup containing `seed` (conjugation by the
     presentation generators suffices since they generate)."""
     gens = {x for x in seed if x}
@@ -301,14 +281,14 @@ def normal_closure(pres: PCPres, seed: Iterable[GroupElem],
         gens |= new
 
 
-def lower_central_series(pres: PCPres, cap: int = 1 << 24) -> list[set[GroupElem]]:
+def lower_central_series(pres: PCPres, cap: int = 1 << 24) -> list[set[int]]:
     """gamma_1 = U, gamma_{i+1} = <[gamma_i, U]>, until it stabilizes at 1.
 
     [gamma_i, U] is the normal closure of the commutators of gamma_i with the
     generators of U."""
     if pres.order > cap:
         raise CapExceeded(f"group order {pres.order} exceeds cap {cap}")
-    whole = set(pres.elements())
+    whole = set(range(pres.order))
     group_gens = [pres.generator(i) for i in range(1, pres.k + 1)]
     series = [whole]
     current = whole
@@ -372,7 +352,7 @@ def vws_iso_check(bp: Blueprint, w: Word, s: int) -> Report:
         report.add(Violation(axiom="Vws", w=word_label(w),
                              expected=str(1 << (pres_u.k - 1)), found=str(len(v_elems))))
     report.checks += 1
-    if any(x.bits & 1 for x in v_elems):
+    if any(x & 1 for x in v_elems):
         report.add(Violation(axiom="Vws", w=word_label(w),
                              expected="V avoids the u_1 bit", found="u_1 bit set"))
 

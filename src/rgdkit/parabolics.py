@@ -16,8 +16,8 @@ from .blueprints import Blueprint
 from .coxeter import Word, word_label
 from .errors import RgdError
 from .galleries import Gallery, get_gallery, min_gal_s, shift
-from .groupforge import (IDENTITY, GroupElem, PCPres, build_Uw, project_to_first,
-                         reflected_positions, relation_checks, subgroup_closure)
+from .groupforge import (PCPres, build_Uw, project_to_first, reflected_positions,
+                         relation_checks, subgroup_closure)
 from .reports import Report, Violation
 from .roots import Residue2, Root, act, residue_roots, simple_root
 from . import roots as rootmod
@@ -40,19 +40,19 @@ class ResidueGroup:
     def m(self) -> int:
         return len(self.phi_r)
 
-    def n_r_elements(self) -> list[GroupElem]:
-        return [x for x in self.pres.elements() if not x.bits & 1]
+    def n_r_elements(self) -> range:
+        return range(0, self.pres.order, 2)
 
-    def tau(self, x: GroupElem) -> GroupElem:
+    def tau(self, x: int) -> int:
         """tau_s on N_R: map each normal-form letter to its s-image."""
-        if x.bits & 1:
+        if x & 1:
             raise RgdError("tau_s is defined on N_R only (no u_s component)")
         return self.pres.map_elem(self.tau_map, x)
 
-    def conj_us(self, x: GroupElem) -> GroupElem:
+    def conj_us(self, x: int) -> int:
         return self.pres.conj(self.pres.generator(1), x)
 
-    def us_tau(self, x: GroupElem) -> GroupElem:
+    def us_tau(self, x: int) -> int:
         """The composite n -> u_s tau_s(n) u_s on N_R."""
         return self.conj_us(self.tau(x))
 
@@ -275,4 +275,4 @@ def tau_conjugation_check(bp: Blueprint, s: int, beta: Root, radius: int = 6) ->
         word += [image[d] for d in bp.query(G, 1, g)]
         word.append(image[g])
     word += [image[g] for g in m_set]
-    return "verified" if pres.collect(word) == IDENTITY else "failed"
+    return "verified" if pres.collect(word) == 0 else "failed"

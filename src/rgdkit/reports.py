@@ -33,6 +33,7 @@ class Report:
     violations: list[Violation] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     checks: int = 0
+    skipped: int = 0  # pieces of work left undone at a cap; see `skip`
 
     @property
     def ok(self) -> bool:
@@ -44,10 +45,16 @@ class Report:
     def note(self, text: str) -> None:
         self.notes.append(text)
 
+    def skip(self, text: str) -> None:
+        """Note work left undone at a cap; a run with a skip is incomplete."""
+        self.notes.append(text)
+        self.skipped += 1
+
     def merge(self, other: "Report") -> None:
         self.violations.extend(other.violations)
         self.notes.extend(other.notes)
         self.checks += other.checks
+        self.skipped += other.skipped
 
     def machine_lines(self) -> list[str]:
         lines = [v.render() for v in sorted(self.violations, key=Violation.sort_key)]

@@ -7,7 +7,7 @@ import pytest
 
 from rgdkit import blueprints
 from rgdkit import chambers as ch
-from rgdkit.groupforge import GroupElem, reflected_positions
+from rgdkit.groupforge import reflected_positions
 from tests.conftest import fixture_path
 
 EXPECTED_COUNTS = {2: 9, 3: 21, 4: 45, 6: 189}
@@ -39,7 +39,7 @@ def test_panels_partition_and_thickness(systems, m):
     cs = systems[m]
     n = len(cs.chambers)
     for gen in (0, 1):
-        panels = cs.panels(gen)
+        panels = cs.panels[gen]
         assert all(len(p) == 3 for p in panels)
         covered = sorted(i for p in panels for i in p)
         assert covered == list(range(n))  # each chamber in exactly one panel
@@ -78,7 +78,7 @@ def test_act_examples(systems):
     assert cs.act_group(us, c0) != c0
     # m = 2 concrete case: tau_s . u_s U_t = u_s U_t (ascent, u = u_s)
     cs2 = systems[2]
-    ct = cs2.chamber((1,), cs2.pres.generator(cs2.gen_pos[0]).bits)
+    ct = cs2.chamber((1,), cs2.pres.generator(cs2.gen_pos[0]))
     assert cs2.act_tau(0, ct) == ct
 
 
@@ -106,7 +106,7 @@ def test_m3_panel_counts_match_small_building(systems):
     # the 21-chamber system has 7 panels of each type, the incidence
     # structure of the rank-2 building with parameters (2, 2)
     cs = systems[3]
-    assert len(cs.panels(0)) == 7 and len(cs.panels(1)) == 7
+    assert len(cs.panels[0]) == 7 and len(cs.panels[1]) == 7
 
 
 def test_chamber_system_on_product_type(bp_product_b2):
@@ -233,10 +233,10 @@ def _act_tau_formula(cs, gen, root_map, c, rep):
     """Oracle for `act_tau`: the coset formula evaluated on U directly."""
     n, eps = cs.decompose(rep, gen)
     sw = cs.cox.normal_form((gen,) + c.w)
-    tn = cs.pres.map_elem(root_map, GroupElem(n))
+    tn = cs.pres.map_elem(root_map, n)
     if len(sw) < len(c.w) or eps == 0:
-        return cs.canonical(sw, tn.bits)
-    return cs.canonical(c.w, cs.pres.mul(tn, cs.pres.generator(cs.gen_pos[gen])).bits)
+        return cs.canonical(sw, tn)
+    return cs.canonical(c.w, cs.pres.mul(tn, cs.pres.generator(cs.gen_pos[gen])))
 
 
 def test_delta_ids_match_the_word_oracle(table_system):

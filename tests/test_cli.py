@@ -61,7 +61,7 @@ def test_group_cancelling_word_is_linear(capsys):
 
 
 def test_group_over_gallery_cap_ends_on_partial_report(capsys):
-    assert main(["--builtin", "rank2:m3", "--cap-galleries", "1", "group", "1.2.1"]) == 0
+    assert main(["--builtin", "rank2:m3", "--cap-galleries", "1", "group", "1.2.1"]) == 4
     out = capsys.readouterr().out
     assert "cross-gallery: PASS (more than 1 galleries)" in out
     assert "note: partial: more than 1 galleries" in out
@@ -69,10 +69,34 @@ def test_group_over_gallery_cap_ends_on_partial_report(capsys):
 
 def test_validate_skip_note_names_the_word_1_based(capsys):
     assert main(["--builtin", "allempty:universal3", "--radius", "5",
-                 "--cap-group-bits", "3", "validate"]) == 0
+                 "--cap-group-bits", "3", "validate"]) == 4
     out = capsys.readouterr().out
     assert "note: skipped w=1.2.1.2: exceeds group bit cap" in out
     assert "skipped w=(" not in out
+
+
+def test_validate_over_group_bit_cap_exits_incomplete(capsys, tmp_path):
+    # the report holds only passing SUMMARY lines, so the exit code is the
+    # one place where the skipped elements show; a violation still wins
+    report = tmp_path / "report.txt"
+    assert main(["--builtin", "allempty:universal3", "--radius", "5", "--cap-group-bits", "3",
+                 "--report", str(report), "validate"]) == 4
+    lines = report.read_text().splitlines()
+    assert lines and all(line.startswith("SUMMARY ") and line.endswith(" violations=0")
+                         for line in lines)
+    assert main(["--builtin", "allempty:universal3", "--radius", "5", "validate"]) == 0
+    assert main(["--blueprint", fixture_path("g2_weyl_mutated.bp"), "--radius", "6",
+                 "--cap-group-bits", "3", "validate"]) == 1
+    assert "skipped w=" in capsys.readouterr().out
+
+
+def test_group_on_the_base_gallery_only_exits_incomplete(capsys):
+    assert main(["--builtin", "rank2:m6lr", "--cap-galleries", "1",
+                 "group", "1.2.1.2.1.2"]) == 4
+    out = capsys.readouterr().out
+    assert "note: partial: more than 1 galleries; cross-checked the base gallery only" in out
+    assert "cross-gallery: PASS (more than 1 galleries)" in out
+    assert main(["--builtin", "rank2:m6lr", "--cap-galleries", "2", "group", "1.2.1.2.1.2"]) == 0
 
 
 def test_appendix_on_infinite_pair_exits_2(capsys):
