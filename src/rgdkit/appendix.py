@@ -338,5 +338,5 @@ def appendix_conjugation_check(bp: Blueprint, s: int, t: int, r: int,
                     gallery=str(pres0.word_of(u)),
                     expected="fixed by the braid", found="moved"))
     if unverifiable:
-        report.note(f"{unverifiable} instances unverifiable at radius {r}")
+        report.skip(f"{unverifiable} instances unverifiable at radius {r}")
     return report

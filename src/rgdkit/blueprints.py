@@ -4,17 +4,25 @@ A blueprint answers, for every gallery G and crossed roots alpha <=_G beta,
 a subset of the open interval (alpha, beta), given as the strictly
 increasing gallery positions of its roots; these sets prescribe the
 relations [u_alpha, u_beta] = prod u_gamma of the groups built in
-`groupforge`.  Backends: built-in rank-2 Moufang tables, the all-empty
-blueprint, and line-oriented files.  Validators check the three blueprint
-axioms (CB1 prefix coherence, CB2 rank-2 Moufang values, CB3 via group
-construction elsewhere) and Weyl-invariance, which compares positions
-shifted by one place: s maps the root at position p of G to the root at
-position p + len(sG) - len(G) of sG.
+`groupforge`.  `Blueprint.relations(G)` is the one place a gallery's answer
+lives: the table {(i, j): M^G(i, j)} over every pair of positions i < j,
+built once from `query` (which validates each value) and memoized by the
+blueprint.  Every check reads it: a prefix gallery's table is a restriction
+of its extension's, and Weyl-invariance compares tables shifted by one
+place: s maps the root at position p of G to the root at position
+p + len(sG) - len(G) of sG.
+
+Backends: built-in rank-2 Moufang tables propagated to every spherical
+residue (`LocalRank2`), and line-oriented files (`FileTable`); the
+`allempty` builtin is a file table without entries.  Validators check the
+three blueprint axioms (CB1 prefix coherence, CB2 rank-2 Moufang values,
+CB3 via group construction elsewhere) and Weyl-invariance.
 """
 
 from __future__ import annotations
 
 import io
+from functools import cache
 from math import inf
 
 from .coxeter import ALLOWED_LABELS, CoxeterMatrix, CoxeterSystem, Word, word_label
@@ -33,12 +41,34 @@ RANK2_M_SETS: dict[int, dict[tuple[int, int], tuple[int, ...]]] = {
 }
 
 
+@cache
+def _pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """(i, j) for 1 <= i < j <= n in row order, one tuple per length, so the
+    tables of all galleries of a length share their keys."""
+    return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
+
+
 class Blueprint:
-    """Base class; subclasses provide values for root pairs or gallery triples."""
+    """Base class; subclasses provide `_value` for gallery triples."""
 
     def __init__(self, cox: CoxeterSystem, name: str):
         self.cox = cox
         self.name = name
+        self._relations: dict[Word, dict] = {}
+        self._tables: dict[tuple, dict] = {}  # one table per distinct answer
+
+    def relations(self, G: Gallery) -> dict[tuple[int, int], tuple[int, ...]]:
+        """M^G as {(i, j): positions} for every pair 1 <= i < j <= len(G),
+        in row order; built once per gallery from `query` and memoized.
+        Galleries with equal answers, mostly all-empty ones, share one
+        table, so callers must not mutate it."""
+        table = self._relations.get(G.word)
+        if table is None:
+            pairs = _pairs(len(G))
+            values = tuple(self.query(G, *ij) for ij in pairs)
+            table = self._tables.setdefault(values, dict(zip(pairs, values)))
+            self._relations[G.word] = table
+        return table
 
     # -- core query -------------------------------------------------------
 
@@ -63,27 +93,7 @@ class Blueprint:
         raise NotImplementedError
 
 
-class PairTableBlueprint(Blueprint):
-    """Blueprint whose values depend only on the unordered root pair."""
-
-    def pair_value(self, alpha: Root, beta: Root) -> frozenset:
-        raise NotImplementedError
-
-    def _value(self, G: Gallery, i: int, j: int) -> tuple[int, ...]:
-        return tuple(sorted(map(G.position, self.pair_value(G.root(i), G.root(j)))))
-
-
-class AllEmpty(PairTableBlueprint):
-    """Every commutator trivial; valid for right-angled and universal types."""
-
-    def __init__(self, cox: CoxeterSystem, name: str = "allempty"):
-        super().__init__(cox, name)
-
-    def pair_value(self, alpha: Root, beta: Root) -> frozenset:
-        return frozenset()
-
-
-class LocalRank2(PairTableBlueprint):
+class LocalRank2(Blueprint):
     """Moufang rank-2 values propagated to every spherical residue.
 
     For a pair of roots whose reflections have finite product order, the
@@ -108,6 +118,9 @@ class LocalRank2(PairTableBlueprint):
             table[key] = frozenset(G.root(k) for k in ks)
         self._base_tables[J] = table
         return table
+
+    def _value(self, G: Gallery, i: int, j: int) -> tuple[int, ...]:
+        return tuple(sorted(map(G.position, self.pair_value(G.root(i), G.root(j)))))
 
     def pair_value(self, alpha: Root, beta: Root) -> frozenset:
         if alpha == beta:
@@ -141,7 +154,9 @@ class FileTable(Blueprint):
 
     Explicit entries are keyed by (gallery type word, i, j); unspecified
     triples follow the default mode: `empty` (trivial), `strict` (error) or
-    `rank2` (Moufang residue values, empty outside spherical pairs).
+    `rank2` (Moufang residue values, empty outside spherical pairs).  With
+    no entries and `empty`, every commutator is trivial, which is valid for
+    right-angled and universal types (the `allempty` builtin).
     """
 
     def __init__(self, cox: CoxeterSystem, entries: dict[tuple[Word, int, int], tuple[int, ...]],
@@ -271,11 +286,9 @@ def serialize(bp: Blueprint, r: int, gallery_cap: int = 10_000) -> str:
     out.write("default empty\n")
     for w in cox.ball(r):
         for G in min_gal(cox, w, gallery_cap):
-            for i in range(1, len(G) + 1):
-                for j in range(i + 1, len(G) + 1):
-                    ks = bp.query(G, i, j)
-                    if ks:
-                        out.write(f"rel {G.label()} {i} {j} : {' '.join(map(str, ks))}\n")
+            for (i, j), ks in bp.relations(G).items():
+                if ks:
+                    out.write(f"rel {G.label()} {i} {j} : {' '.join(map(str, ks))}\n")
     return out.getvalue()
 
 
@@ -284,24 +297,24 @@ def serialize(bp: Blueprint, r: int, gallery_cap: int = 10_000) -> str:
 
 
 def validate_cb1(bp: Blueprint, r: int, gallery_cap: int = 10_000) -> Report:
-    """Prefix coherence: a prefix gallery answers exactly like its extension."""
+    """Prefix coherence: each prefix gallery's table is the restriction of
+    its extension's; a prefix of length m counts its m(m+1)/2 pairs i <= j."""
     report = Report(f"CB1({bp.name}, r={r})")
     cox = bp.cox
     for w in cox.ball(r):
         for G in min_gal(cox, w, gallery_cap):
+            full = bp.relations(G)
             for m in range(1, len(G)):
                 H = G.prefix(m)
-                for i in range(1, m + 1):
-                    for j in range(i, m + 1):
-                        report.checks += 1
-                        got_h = bp.query(H, i, j)
-                        got_g = bp.query(G, i, j)
-                        if got_h != got_g:
-                            report.add(Violation(
-                                axiom="CB1", w=word_label(w), gallery=H.label(),
-                                i=i, j=j,
-                                expected=",".join(map(str, got_g)) or "-",
-                                found=",".join(map(str, got_h)) or "-"))
+                report.checks += m * (m + 1) // 2
+                for (i, j), got_h in bp.relations(H).items():
+                    got_g = full[(i, j)]
+                    if got_h != got_g:
+                        report.add(Violation(
+                            axiom="CB1", w=word_label(w), gallery=H.label(),
+                            i=i, j=j,
+                            expected=",".join(map(str, got_g)) or "-",
+                            found=",".join(map(str, got_h)) or "-"))
     return report
 
 
@@ -327,18 +340,16 @@ def validate_cb2(bp: Blueprint, gallery_cap: int = 10_000) -> Report:
             for G in min_gal(cox, w0, gallery_cap):
                 if m == 6 and G.word != anchor.word:
                     continue
-                for i in range(1, m + 1):
-                    for j in range(i + 1, m + 1):
-                        report.checks += 1
-                        got = bp.query(G, i, j)
-                        # both tuples are in gallery order, so equality is exact
-                        want = RANK2_M_SETS[m].get((i, j), ())
-                        if got != want:
-                            report.add(Violation(
-                                axiom="CB2", w=word_label(w0), s=str(s + 1),
-                                gallery=G.label(), i=i, j=j,
-                                expected=",".join(map(str, want)) or "-",
-                                found=",".join(map(str, got)) or "-"))
+                for (i, j), got in bp.relations(G).items():
+                    report.checks += 1
+                    # both tuples are in gallery order, so equality is exact
+                    want = RANK2_M_SETS[m].get((i, j), ())
+                    if got != want:
+                        report.add(Violation(
+                            axiom="CB2", w=word_label(w0), s=str(s + 1),
+                            gallery=G.label(), i=i, j=j,
+                            expected=",".join(map(str, want)) or "-",
+                            found=",".join(map(str, got)) or "-"))
     return report
 
 
@@ -348,8 +359,8 @@ def validate_weyl(bp: Blueprint, r: int, gallery_cap: int = 10_000) -> Report:
 
     s maps the root at position p of G to the root at position p + d of sG,
     d = len(sG) - len(G): on a descent (d = -1) G starts at alpha_s, which is
-    skipped; on an ascent (d = +1) G does not cross alpha_s.  So both sides
-    are compared as gallery positions of sG."""
+    skipped; on an ascent (d = +1) G does not cross alpha_s.  So G's table, shifted
+    by d, is compared with sG's, counting the n(n+1)/2 pairs i <= j of the n roots kept."""
     report = Report(f"Weyl({bp.name}, r={r})")
     cox = bp.cox
     for w in cox.ball(r):
@@ -357,17 +368,20 @@ def validate_weyl(bp: Blueprint, r: int, gallery_cap: int = 10_000) -> Report:
             for G in min_gal_s(cox, w, s, gallery_cap):
                 sG = shift(G, s)
                 d = len(sG) - len(G)
-                for i in range(2 if d < 0 else 1, len(G) + 1):
-                    for j in range(i, len(G) + 1):
-                        report.checks += 1
-                        image = tuple(p + d for p in bp.query(G, i, j))
-                        shifted = bp.query(sG, i + d, j + d)
-                        if image != shifted:
-                            report.add(Violation(
-                                axiom="Weyl", w=word_label(w), s=str(s + 1),
-                                gallery=G.label(), i=i, j=j,
-                                expected=",".join(map(str, image)) or "-",
-                                found=",".join(map(str, shifted)) or "-"))
+                n = len(G) - (d < 0)
+                report.checks += n * (n + 1) // 2
+                table, table_s = bp.relations(G), bp.relations(sG)
+                for (i, j), value in table.items():
+                    if i + d < 1:  # alpha_s itself
+                        continue
+                    image = tuple(p + d for p in value)
+                    shifted = table_s[(i + d, j + d)]
+                    if image != shifted:
+                        report.add(Violation(
+                            axiom="Weyl", w=word_label(w), s=str(s + 1),
+                            gallery=G.label(), i=i, j=j,
+                            expected=",".join(map(str, image)) or "-",
+                            found=",".join(map(str, shifted)) or "-"))
     return report
 
 
@@ -399,5 +413,5 @@ def builtin(name: str) -> Blueprint:
         if not variant.startswith("universal"):
             raise BlueprintError(f"unknown allempty variant {variant!r}")
         n = int(variant[len("universal"):])
-        return AllEmpty(CoxeterSystem(CoxeterMatrix.universal(n)), name=name)
+        return FileTable(CoxeterSystem(CoxeterMatrix.universal(n)), {}, name=name)
     raise BlueprintError(f"unknown builtin family {family!r}")

@@ -3,8 +3,9 @@
 Subcommands: validate | group | residue | chambers | appendix | roots.
 Exit codes: 0 success, 1 mathematical violation, 2 usage or I/O error,
 3 internal error (two routes disagreed, or a crash), 4 incomplete (no
-violation, but a cap skipped work: an element over `--cap-group-bits`, or
-the galleries past `--cap-galleries`).
+violation, but work was skipped: an element over `--cap-group-bits`, the
+galleries past `--cap-galleries`, or `appendix` instances unverifiable
+within `--radius`).
 Human-readable output goes to stdout; `--report PATH` additionally writes
 machine-readable VIOLATION records.
 """

@@ -202,15 +202,8 @@ def relation_checks(rel: Mapping[tuple[int, int], Sequence[int]], image: Mapping
 # construction from a blueprint
 
 
-def gallery_relations(bp: Blueprint, G: Gallery) -> dict[tuple[int, int], tuple[int, ...]]:
-    """The relation values M^G in gallery positions, for every pair i < j."""
-    n = len(G)
-    return {(i, j): bp.query(G, i, j)
-            for i in range(1, n + 1) for j in range(i + 1, n + 1)}
-
-
 def presentation_for_gallery(bp: Blueprint, G: Gallery, step_cap: int = 1_000_000) -> PCPres:
-    return PCPres(G.roots, gallery_relations(bp, G), gallery=G, step_cap=step_cap)
+    return PCPres(G.roots, bp.relations(G), gallery=G, step_cap=step_cap)
 
 
 def build_Uw(bp: Blueprint, w: Word, gallery_cap: int = 10_000,
@@ -238,7 +231,7 @@ def build_Uw(bp: Blueprint, w: Word, gallery_cap: int = 10_000,
         return pres, report
     for H in galleries[1:]:
         image = {i: pres.position(root) for i, root in enumerate(H.roots, start=1)}
-        relation_checks(gallery_relations(bp, H), image, pres, report,
+        relation_checks(bp.relations(H), image, pres, report,
                         axiom="CB3", w=word_label(w), gallery=H.label())
     return pres, report
 

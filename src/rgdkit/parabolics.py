@@ -33,7 +33,6 @@ class ResidueGroup:
     gallery: Gallery
     pres: PCPres
     phi_r: tuple[Root, ...]        # ordered by the gallery
-    positions: tuple[int, ...]     # gallery positions of phi_r
     tau_map: dict[int, int]        # basis index -> basis index of s.root
 
     @property
@@ -79,7 +78,7 @@ def build_residue_group(bp: Blueprint, R: Residue2, s: int) -> ResidueGroup:
     for a in range(len(positions)):
         for b in range(a + 1, len(positions)):
             word = []
-            for p in bp.query(G, positions[a], positions[b]):
+            for p in bp.relations(G)[(positions[a], positions[b])]:
                 if p not in pos_to_basis:
                     raise RgdError(
                         f"relation value leaves Phi(R): {G.root(p).describe()} "
@@ -87,8 +86,7 @@ def build_residue_group(bp: Blueprint, R: Residue2, s: int) -> ResidueGroup:
                 word.append(pos_to_basis[p])
             rel[(a + 1, b + 1)] = tuple(word)
     pres = PCPres(ordered, rel, gallery=G)
-    return ResidueGroup(bp, R, s, G, pres, ordered, tuple(positions),
-                        reflected_positions(cox, s, ordered, pres))
+    return ResidueGroup(bp, R, s, G, pres, ordered, reflected_positions(cox, s, ordered, pres))
 
 
 def tau_on_residue(rg: ResidueGroup) -> Report:
@@ -131,14 +129,14 @@ def tau_on_residue(rg: ResidueGroup) -> Report:
 def ustausV_identity_check(rg: ResidueGroup, alpha: Root) -> bool:
     """The two expansions of tau_s u_s tau_s (alpha) = u_s tau_s u_s (alpha)
     collect to the same normal form in N_R."""
-    bp, G, pres, tau = rg.bp, rg.gallery, rg.pres, rg.tau_map
+    pres, tau = rg.pres, rg.tau_map
     if alpha not in rg.phi_r or alpha == rg.phi_r[0]:
         raise RgdError("alpha must be a wall of R other than alpha_s")
     a = pres.position(alpha)
 
-    def m_set(k: int) -> list[int]:
-        # M^G(alpha_s, basis root k) as basis indices
-        return [pres.position(G.root(p)) for p in bp.query(G, 1, rg.positions[k - 1])]
+    def m_set(k: int) -> tuple[int, ...]:
+        # M^G(alpha_s, basis root k) as basis indices; alpha_s is basis root 1
+        return pres.rel.get((1, k), ())
 
     lhs_word = [tau[p] for p in m_set(tau[a])] + [a]
     rhs_word: list[int] = []
@@ -166,7 +164,7 @@ def gallery_independence_check(bp: Blueprint, w: Word, w_prime: Word, s: int,
     def image_words(G: Gallery) -> list[Root]:
         # G starts with s, so s maps its position p to position p - 1 of sG
         sG = shift(G, s)
-        return [sG.root(p - 1) for p in bp.query(G, 1, G.position(alpha))]
+        return [sG.root(p - 1) for p in bp.relations(G).get((1, G.position(alpha)), ())]
 
     ambients = []
     for v in (w, w_prime):
@@ -196,7 +194,7 @@ def gallery_independence_check(bp: Blueprint, w: Word, w_prime: Word, s: int,
                         gallery=H.label(),
                         expected=str(pres.word_of(rhs)), found=str(pres.word_of(lhs))))
             if not comparable:
-                report.note(f"untestable instance: no common ambient for {G.label()} vs "
+                report.skip(f"untestable instance: no common ambient for {G.label()} vs "
                             f"{H.label()} at alpha={alpha.describe()}")
     return report
 
@@ -269,10 +267,11 @@ def tau_conjugation_check(bp: Blueprint, s: int, beta: Root, radius: int = 6) ->
         return "failed"
 
     image = reflected_positions(cox, s, G.roots, pres)
-    m_set = bp.query(G, 1, G.position(s_beta))
+    table = bp.relations(G)
+    m_set = table.get((1, G.position(s_beta)), ())
     word: list[int] = []
     for g in m_set:
-        word += [image[d] for d in bp.query(G, 1, g)]
+        word += [image[d] for d in table[(1, g)]]
         word.append(image[g])
     word += [image[g] for g in m_set]
     return "verified" if pres.collect(word) == 0 else "failed"

@@ -54,6 +54,38 @@ def test_query_g2_mirror_gallery(bp_m6):
     assert bp_m6.query(H, 4, 6) == (5,)
 
 
+def test_relations_table_restricts_to_prefixes(bp_m6):
+    G = G_of(bp_m6, (0, 1, 0, 1, 0, 1))
+    table = bp_m6.relations(G)
+    assert list(table) == [(i, j) for i in range(1, 7) for j in range(i + 1, 7)]
+    assert table == {(i, j): bp_m6.query(G, i, j) for (i, j) in table}
+    assert bp_m6.relations(G) is table  # memoized by the blueprint
+    H = G.prefix(4)
+    assert bp_m6.relations(H) == {ij: table[ij] for ij in bp_m6.relations(H)}
+    # galleries of one length share their key tuples, and equal answers one table
+    mirror = bp_m6.relations(G_of(bp_m6, (1, 0, 1, 0, 1, 0)))
+    assert all(a is b for a, b in zip(table, mirror))
+    assert bp_m6.relations(G_of(bp_m6, (0, 1))) is bp_m6.relations(G_of(bp_m6, (1, 0)))
+
+
+def test_validate_queries_each_triple_once(monkeypatch):
+    from rgdkit import cli
+
+    seen = []
+    query = bpmod.Blueprint.query
+
+    def counting(self, G, i, j):
+        seen.append((G.word, i, j))
+        return query(self, G, i, j)
+
+    monkeypatch.setattr(bpmod.Blueprint, "query", counting)
+    for argv in (["--builtin", "allempty:universal3"],
+                 ["--blueprint", fixture_path("g2_full.bp")]):
+        seen.clear()
+        assert cli.main(argv + ["--radius", "4", "validate"]) == 0
+        assert seen and len(set(seen)) == len(seen), argv
+
+
 def test_query_bounds(bp_m3):
     G = G_of(bp_m3, (0, 1, 0))
     with pytest.raises(BlueprintError):
@@ -294,7 +326,7 @@ def test_builtin_names():
 def test_allempty_fails_cb2_on_spherical_edge():
     # trivializing a triangle's commutators contradicts the forced value
     from rgdkit.coxeter import CoxeterMatrix, CoxeterSystem
-    bp = bpmod.AllEmpty(CoxeterSystem(CoxeterMatrix.dihedral(3)))
+    bp = bpmod.FileTable(CoxeterSystem(CoxeterMatrix.dihedral(3)), {})
     report = bpmod.validate_cb2(bp)
     assert not report.ok
 

@@ -99,6 +99,12 @@ def test_group_on_the_base_gallery_only_exits_incomplete(capsys):
     assert main(["--builtin", "rank2:m6lr", "--cap-galleries", "2", "group", "1.2.1.2.1.2"]) == 0
 
 
+def test_appendix_with_unverifiable_instances_exits_incomplete(capsys):
+    assert main(["--blueprint", fixture_path("rank3_b2_product.bp"), "--radius", "3",
+                 "appendix", "-s", "1", "-t", "2"]) == 4
+    assert "note: 9 instances unverifiable at radius 3" in capsys.readouterr().out
+
+
 def test_appendix_on_infinite_pair_exits_2(capsys):
     assert main(["--builtin", "allempty:universal3", "appendix", "-s", "1", "-t", "2"]) == 2
     assert "spherical pair required" in capsys.readouterr().err

@@ -281,6 +281,19 @@ def test_gallery_independence_trivial(bp_m3):
     assert rep.ok
 
 
+def test_gallery_independence_untestable_instance_is_skipped(bp_m3, monkeypatch):
+    # ambients without the image roots leave the pair untested: a skip, not a pass
+    from rgdkit.groupforge import PCPres
+    from rgdkit.reports import Report
+
+    monkeypatch.setattr(pb, "build_Uw", lambda bp, w: (PCPres((), {}), Report("empty")))
+    w = (0, 1, 0)
+    alpha = rt.phi_w(bp_m3.cox, w)[2]  # M^G(1, 3) = (2,) on the gallery 1.2.1
+    rep = pb.gallery_independence_check(bp_m3, w, w, 0, alpha)
+    assert rep.ok and rep.skipped == 1
+    assert rep.notes[0].startswith("untestable instance: no common ambient for 1.2.1")
+
+
 def test_gallery_independence_product(bp_product_b2):
     """Two distinct galleries through the quadrangle residue agree."""
     cox = bp_product_b2.cox
