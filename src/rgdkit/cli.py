@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import inf
 
 from . import appendix, blueprints, chambers, groupforge, parabolics
-from .coxeter import Word, word_label
+from .coxeter import Word
 from .errors import CapExceeded, InternalConsistencyError, RgdError
 from .galleries import min_gal
 from .reports import Report, Violation
@@ -81,15 +81,8 @@ def cmd_validate(cfg: RunConfig) -> int:
         blueprints.validate_cb1(bp, cfg.radius, cfg.cap_galleries),
         blueprints.validate_cb2(bp, cfg.cap_galleries),
         blueprints.validate_weyl(bp, cfg.radius, cfg.cap_galleries),
+        groupforge.validate_cb3(bp, cfg.radius, cfg.cap_galleries, cfg.cap_group_bits),
     ]
-    cb3 = Report(f"CB3({bp.name}, r={cfg.radius})")
-    for w in bp.cox.ball(cfg.radius):
-        if len(w) > cfg.cap_group_bits:
-            cb3.skip(f"skipped w={word_label(w)}: exceeds group bit cap")
-            continue
-        _, rep = groupforge.build_Uw(bp, w, cfg.cap_galleries)
-        cb3.merge(rep)
-    reports.append(cb3)
     return _emit(reports, cfg.report_path)
 
 

@@ -5,14 +5,19 @@ root of a base gallery) and relations [u_i, u_j] = prod of generators
 strictly between i and j.  An element is a plain `int` bit mask: bit i-1 is
 the exponent of u_i in the normal form u_1^e1 ... u_k^ek, and 0 is the
 identity, so `range(pres.order)` lists the group.  Collection from the left
-rewrites any word to this normal form; the consistency (overlap) test
-certifies that normal forms are unique, equivalently that the group has
-order exactly 2^k.
+folds the letters of a word into such a mask one at a time, with an explicit
+stack for the letters a reordering leaves behind; `mul`, `inv`, `comm`,
+`conj` and `map_elem` feed it the letters of their masks directly.  The
+consistency (overlap) test certifies that normal forms are unique,
+equivalently that the group has order exactly 2^k.  `validate_cb3` runs it
+along the prefix tree of the ball: when the presentation of w[:-1] was
+certified with the restricted table, only the tests involving u_k remain.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .blueprints import Blueprint
 from .coxeter import CoxeterSystem, Word, word_label
@@ -20,6 +25,22 @@ from .errors import CapExceeded, CollectionOverflow, RgdError
 from .galleries import Gallery, get_gallery, min_gal
 from .reports import Report, Violation
 from .roots import Root, simple_root
+
+
+def _ascending(x: int) -> Iterator[int]:
+    """The letters of the normal form x, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length()
+        x ^= low
+
+
+def _descending(x: int) -> Iterator[int]:
+    """The letters of the normal form x, descending: x^-1 as a word."""
+    while x:
+        top = x.bit_length()
+        yield top
+        x ^= 1 << (top - 1)
 
 
 class PCPres:
@@ -45,6 +66,11 @@ class PCPres:
             if tuple(sorted(word)) != tuple(word) or len(set(word)) != len(word):
                 raise RgdError(f"relation word {word} not strictly increasing")
             self.rel[(i, j)] = tuple(word)
+        # _moves[j][a] for a > j: what u_a pushes onto the collection stack
+        # when it moves past u_j, its relation value then a, top last
+        k, get = self.k, self.rel.get
+        self._moves = [[()] * (j + 1) + [(*get((j, a), ()), a) for a in range(j + 1, k + 1)]
+                       for j in range(k + 1)]
 
     @property
     def order(self) -> int:
@@ -59,35 +85,44 @@ class PCPres:
     # -- collection -------------------------------------------------------
 
     def collect(self, word: Iterable[int]) -> int:
-        """Leftmost collection to the unique ascending normal form."""
-        buf = list(word)
-        for x in buf:
-            if not 1 <= x <= self.k:
-                raise RgdError(f"generator index {x} out of range")
-        i = 0
+        """Leftmost collection of a word in the generators to its normal form."""
+        return self._fold(0, word)
+
+    def _fold(self, x: int, letters: Iterable[int]) -> int:
+        """Normal form of x * letters, collected one letter at a time into
+        the mask x.  When u_j meets x, each u_a of x with a > j moves right
+        past it, by u_a u_j = u_j u_a m^-1 with m the relation value of
+        (j, a).  So u_j toggles its bit, the bits above it leave x, and each
+        such a, ascending and followed by m^-1, goes in front of the rest of
+        the input: onto the `todo` stack, top last.  This is leftmost
+        collection of a word buffer whose ascending prefix is kept as a
+        mask.  One step is one letter taken from the input or the stack."""
+        k, moves, cap = self.k, self._moves, self.step_cap
         steps = 0
-        while i + 1 <= len(buf) - 1:
-            a, b = buf[i], buf[i + 1]
-            if a == b:
-                del buf[i:i + 2]
-                i = max(0, i - 1)
-            elif a > b:
-                tail = self.rel.get((b, a), ())
-                buf[i:i + 2] = [b, a, *reversed(tail)]
-                i = max(0, i - 1)
-            else:
-                i += 1
-            steps += 1
-            if steps > self.step_cap:
-                raise CollectionOverflow(
-                    f"collection exceeded {self.step_cap} steps; malformed table?")
-        bits = 0
-        for x in buf:
-            bits |= 1 << (x - 1)
-        return bits
+        todo: list[int] = []
+        for j in letters:
+            if not 0 < j <= k:
+                raise RgdError(f"generator index {j} out of range")
+            while True:
+                steps += 1
+                if steps > cap:
+                    raise CollectionOverflow(
+                        f"collection exceeded {cap} steps; malformed table?")
+                hi = x >> j << j
+                x ^= hi ^ (1 << (j - 1))
+                if hi:
+                    row = moves[j]
+                    while hi:
+                        a = hi.bit_length()
+                        hi ^= 1 << (a - 1)
+                        todo += row[a]
+                if not todo:
+                    break
+                j = todo.pop()
+        return x
 
     def word_of(self, x: int) -> tuple[int, ...]:
-        return tuple(i + 1 for i in range(self.k) if x >> i & 1)
+        return tuple(_ascending(x))
 
     def generator(self, i: int) -> int:
         if not 1 <= i <= self.k:
@@ -95,32 +130,36 @@ class PCPres:
         return 1 << (i - 1)
 
     def mul(self, x: int, y: int) -> int:
-        return self.collect(self.word_of(x) + self.word_of(y))
+        return self._fold(x, _ascending(y))
 
     def inv(self, x: int) -> int:
-        return self.collect(tuple(reversed(self.word_of(x))))
+        return self._fold(0, _descending(x))
 
     def comm(self, x: int, y: int) -> int:
         """[x, y] = x y x^-1 y^-1."""
-        wx, wy = self.word_of(x), self.word_of(y)
-        return self.collect(wx + wy + tuple(reversed(wx)) + tuple(reversed(wy)))
+        return self._fold(x, chain(_ascending(y), _descending(x), _descending(y)))
 
     def conj(self, x: int, y: int) -> int:
         """x y x^-1."""
-        wx = self.word_of(x)
-        return self.collect(wx + self.word_of(y) + tuple(reversed(wx)))
+        return self._fold(x, chain(_ascending(y), _descending(x)))
 
     def map_elem(self, mp: Mapping[int, int], x: int) -> int:
         """Send each normal-form letter i of x to the generator mp[i], then collect."""
-        return self.collect([mp[i] for i in self.word_of(x)])
+        return self._fold(0, map(mp.__getitem__, _ascending(x)))
 
     # -- consistency ------------------------------------------------------
 
-    def consistency_check(self) -> bool:
+    def consistency_check(self, top: int = 1) -> bool:
         """Overlap test: all parenthesizations of u_k u_j u_i agree, and the
-        square relations interact correctly with every exchange."""
+        square relations interact correctly with every exchange.
+
+        Only the tests whose largest generator is at least `top` run.  A
+        relation value lies strictly between its indices, so the tests below
+        `top` are those of the presentation on u_1 ... u_{top-1} with the
+        restricted table: a caller that has certified that presentation
+        passes `top` and gets the same outcome and witness as a full check."""
         try:
-            for j in range(1, self.k + 1):
+            for j in range(top, self.k + 1):
                 uj = self.generator(j)
                 for i in range(1, j):
                     ui = self.generator(i)
@@ -134,7 +173,7 @@ class PCPres:
                     if self.mul(self.mul(uj, uj), ui) != self.mul(uj, ji):
                         self._set_witness(f"(u{j} u{j}) u{i} != u{j} (u{j} u{i})")
                         return False
-            for kk in range(1, self.k + 1):
+            for kk in range(top, self.k + 1):
                 uk = self.generator(kk)
                 for j in range(1, kk):
                     uj = self.generator(j)
@@ -207,11 +246,17 @@ def presentation_for_gallery(bp: Blueprint, G: Gallery, step_cap: int = 1_000_00
 
 
 def build_Uw(bp: Blueprint, w: Word, gallery_cap: int = 10_000,
-             step_cap: int = 1_000_000) -> tuple[PCPres, Report]:
+             step_cap: int = 1_000_000, *,
+             certified: Mapping[Word, Mapping] | None = None) -> tuple[PCPres, Report]:
     """Group on Phi(w) from the lex-least gallery, cross-checked against the
     relations of every other gallery of w (the executable content of the
     order-2^l axiom).  If the gallery count exceeds the cap, only the base
-    gallery is certified and the report says so explicitly."""
+    gallery is certified and the report says so explicitly.
+
+    `certified` maps gallery words to the relation tables of presentations
+    already found consistent.  When it holds the base gallery's prefix with
+    the restriction of the base table, the presentation on u_1 ... u_{k-1}
+    is that certified one, and only the overlap tests involving u_k run."""
     cox = bp.cox
     w = cox.normal_form(w)
     report = Report(f"U_w({bp.name}, w={word_label(w)})")
@@ -223,8 +268,13 @@ def build_Uw(bp: Blueprint, w: Word, gallery_cap: int = 10_000,
                     f"cross-checked the base gallery only")
     base = galleries[0]
     pres = presentation_for_gallery(bp, base, step_cap)
+    k = pres.k
+    prefix = certified.get(base.word[:-1]) if certified else None
+    top = 1
+    if prefix is not None and prefix == {(i, j): v for (i, j), v in pres.rel.items() if j < k}:
+        top = k
     report.checks += 1
-    if not pres.consistency_check():
+    if not pres.consistency_check(top):
         report.add(Violation(axiom="CB3", w=word_label(w), gallery=base.label(),
                              expected="consistent collection",
                              found=pres.inconsistency_witness or "inconsistent"))
@@ -234,6 +284,32 @@ def build_Uw(bp: Blueprint, w: Word, gallery_cap: int = 10_000,
         relation_checks(bp.relations(H), image, pres, report,
                         axiom="CB3", w=word_label(w), gallery=H.label())
     return pres, report
+
+
+def validate_cb3(bp: Blueprint, radius: int, cap_galleries: int = 10_000,
+                 cap_group_bits: int = 24) -> Report:
+    """CB3 on the ball of the given radius: `build_Uw` for every element,
+    except those longer than `cap_group_bits`, which are skipped.
+
+    The ball lists normal forms by length, and the base gallery of w[:-1]
+    is the prefix of the base gallery of w.  So the tables certified at the
+    previous length are all `build_Uw` can use to check only the overlap
+    tests that involve the last generator; older layers are dropped."""
+    report = Report(f"CB3({bp.name}, r={radius})")
+    previous: dict[Word, Mapping] = {}
+    current: dict[Word, Mapping] = {}
+    length = 0
+    for w in bp.cox.ball(radius):
+        if len(w) > cap_group_bits:
+            report.skip(f"skipped w={word_label(w)}: exceeds group bit cap")
+            continue
+        if len(w) != length:
+            previous, current, length = current, {}, len(w)
+        pres, rep = build_Uw(bp, w, cap_galleries, certified=previous)
+        if pres.consistent:  # the blueprint's own table: no copy is kept
+            current[pres.gallery.word] = bp.relations(pres.gallery)
+        report.merge(rep)
+    return report
 
 
 # ---------------------------------------------------------------------------

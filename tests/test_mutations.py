@@ -14,20 +14,15 @@ import pytest
 
 from rgdkit import blueprints as bpmod
 from rgdkit.galleries import min_gal
-from rgdkit.groupforge import build_Uw
+from rgdkit.groupforge import validate_cb3
 from rgdkit.roots import open_interval
 from tests.conftest import fixture_path
-
-
-def _cb3_ok(bp, r):
-    return all(build_Uw(bp, w)[1].ok for w in bp.cox.ball(r))
-
 
 VALIDATORS = (
     ("CB1", lambda bp, r: bpmod.validate_cb1(bp, r).ok),
     ("CB2", lambda bp, r: bpmod.validate_cb2(bp).ok),
     ("Weyl", lambda bp, r: bpmod.validate_weyl(bp, r).ok),
-    ("CB3", _cb3_ok),
+    ("CB3", lambda bp, r: validate_cb3(bp, r).ok),
 )
 
 
