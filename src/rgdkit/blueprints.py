@@ -26,7 +26,7 @@ from functools import cache
 from math import inf
 
 from .coxeter import ALLOWED_LABELS, CoxeterMatrix, CoxeterSystem, Word, word_label
-from .errors import BlueprintError, ParseError, RgdError
+from .errors import BlueprintError, CapExceeded, ParseError, RgdError
 from .galleries import Gallery, get_gallery, min_gal, min_gal_s, oriented_gallery, shift
 from .reports import Report, Violation
 from .roots import Root, act, common_residue, open_interval, pair_order
@@ -298,11 +298,17 @@ def serialize(bp: Blueprint, r: int, gallery_cap: int = 10_000) -> str:
 
 def validate_cb1(bp: Blueprint, r: int, gallery_cap: int = 10_000) -> Report:
     """Prefix coherence: each prefix gallery's table is the restriction of
-    its extension's; a prefix of length m counts its m(m+1)/2 pairs i <= j."""
+    its extension's; a prefix of length m counts its m(m+1)/2 pairs i <= j.
+    An element with more than `gallery_cap` galleries is skipped."""
     report = Report(f"CB1({bp.name}, r={r})")
     cox = bp.cox
     for w in cox.ball(r):
-        for G in min_gal(cox, w, gallery_cap):
+        try:
+            gals = min_gal(cox, w, gallery_cap)
+        except CapExceeded:
+            report.skip(f"skipped w={word_label(w)}: more than {gallery_cap} galleries")
+            continue
+        for G in gals:
             full = bp.relations(G)
             for m in range(1, len(G)):
                 H = G.prefix(m)
@@ -325,7 +331,8 @@ def validate_cb2(bp: Blueprint, gallery_cap: int = 10_000) -> Report:
     open interval on the simple pair and the empty set elsewhere, on both
     galleries.  Label 6 constrains only the gallery starting at the directed
     edge's target; the mirror gallery is covered by CB1 and Weyl-invariance
-    instead.
+    instead.  A longest element with more than `gallery_cap` galleries is
+    skipped.
     """
     report = Report(f"CB2({bp.name})")
     cox = bp.cox
@@ -337,7 +344,12 @@ def validate_cb2(bp: Blueprint, gallery_cap: int = 10_000) -> Report:
             m = int(m)
             w0 = cox.longest_element((s, t))
             anchor = oriented_gallery(cox, s, t)
-            for G in min_gal(cox, w0, gallery_cap):
+            try:
+                gals = min_gal(cox, w0, gallery_cap)
+            except CapExceeded:
+                report.skip(f"skipped w={word_label(w0)}: more than {gallery_cap} galleries")
+                continue
+            for G in gals:
                 if m == 6 and G.word != anchor.word:
                     continue
                 for (i, j), got in bp.relations(G).items():
@@ -360,12 +372,18 @@ def validate_weyl(bp: Blueprint, r: int, gallery_cap: int = 10_000) -> Report:
     s maps the root at position p of G to the root at position p + d of sG,
     d = len(sG) - len(G): on a descent (d = -1) G starts at alpha_s, which is
     skipped; on an ascent (d = +1) G does not cross alpha_s.  So G's table, shifted
-    by d, is compared with sG's, counting the n(n+1)/2 pairs i <= j of the n roots kept."""
+    by d, is compared with sG's, counting the n(n+1)/2 pairs i <= j of the n roots kept.
+    An element with more than `gallery_cap` galleries is skipped."""
     report = Report(f"Weyl({bp.name}, r={r})")
     cox = bp.cox
     for w in cox.ball(r):
         for s in range(cox.rank):
-            for G in min_gal_s(cox, w, s, gallery_cap):
+            try:  # the cap depends on w alone: it fires at s = 0 or never
+                gals = min_gal_s(cox, w, s, gallery_cap)
+            except CapExceeded:
+                report.skip(f"skipped w={word_label(w)}: more than {gallery_cap} galleries")
+                break
+            for G in gals:
                 sG = shift(G, s)
                 d = len(sG) - len(G)
                 n = len(G) - (d < 0)

@@ -3,9 +3,10 @@
 Subcommands: validate | group | residue | chambers | appendix | roots.
 Exit codes: 0 success, 1 mathematical violation, 2 usage or I/O error,
 3 internal error (two routes disagreed, or a crash), 4 incomplete (no
-violation, but work was skipped: an element over `--cap-group-bits`, the
-galleries past `--cap-galleries`, or `appendix` instances unverifiable
-within `--radius`).
+violation, but work was skipped: `validate` passed over an element longer
+than `--cap-group-bits` or with more galleries than `--cap-galleries`,
+`group` cross-checked only the base gallery past `--cap-galleries`, or
+`appendix` instances were unverifiable within `--radius`).
 Human-readable output goes to stdout; `--report PATH` additionally writes
 machine-readable VIOLATION records.
 """

@@ -123,8 +123,6 @@ class CoxeterSystem:
         self._ball_layers: list[list[Word]] = [[()]]
         self._min_gal_cache: dict[Word, tuple[Word, ...]] = {}
         self._gallery_cache: dict[Word, object] = {}
-        # radius -> root vector -> membership bitmask over ball(radius)
-        self._mask_cache: dict[int, dict[Vector, int]] = {}
 
     # ---- root lattice representation ----------------------------------
 

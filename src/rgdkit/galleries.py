@@ -127,18 +127,18 @@ def _reduced_words(cox: CoxeterSystem, w: Word, cap: int) -> tuple[Word, ...]:
 
 
 def min_gal_s(cox: CoxeterSystem, w: Word, s: int, cap: int = 10_000) -> list[Gallery]:
-    """Min_s(w): galleries starting with s if s is a left descent, else Min(w)."""
+    """Min_s(w): galleries starting with s if s is a left descent, else Min(w).
+
+    s is a left descent of w iff some reduced word of w starts with s."""
     gals = min_gal(cox, w, cap)
-    if w and cox.is_left_descent(s, cox.normal_form(w)):
-        return [G for G in gals if G.word[0] == s]
-    return gals
+    return [G for G in gals if G.word[:1] == (s,)] or gals
 
 
 def shift(G: Gallery, s: int) -> Gallery:
-    """The gallery sG: drop the leading s (descent) or prepend s (ascent)."""
-    cox = G.cox
-    if G.word and cox.is_left_descent(s, G.word):
-        if G.word[0] != s:
-            raise RgdError("descent shift needs a gallery of type (s, ...)")
-        return get_gallery(cox, G.word[1:])
-    return get_gallery(cox, (s,) + G.word)
+    """The gallery sG: drop the leading s (descent) or prepend s (ascent).
+
+    A descent gallery that does not start with s has no sG: prepending s
+    gives an unreduced word, which `Gallery` refuses."""
+    if G.word[:1] == (s,):
+        return get_gallery(G.cox, G.word[1:])
+    return get_gallery(G.cox, (s,) + G.word)

@@ -197,17 +197,6 @@ class PCPres:
         self.consistent = False
         self.inconsistency_witness = text
 
-    def relators(self) -> list[tuple[int, ...]]:
-        """All defining relators [u_i, u_j] * (M-word)^-1, for enumeration oracles.
-
-        The squares u_i^2 are implicit in the oracle's involutive generators."""
-        out = []
-        for i in range(1, self.k + 1):
-            for j in range(i + 1, self.k + 1):
-                m_word = self.rel.get((i, j), ())
-                out.append((i, j, i, j) + tuple(reversed(m_word)))
-        return out
-
 
 # ---------------------------------------------------------------------------
 # generator maps
@@ -383,57 +372,4 @@ def project_to_first(pres: PCPres, s_pos: int) -> Report:
             report.add(Violation(axiom="semidirect", i=i, j=j,
                                  expected=f"u{s_pos} absent from relation value",
                                  found=str(word)))
-    return report
-
-
-def build_Vws(bp: Blueprint, w: Word, s: int,
-              step_cap: int = 1_000_000) -> tuple[PCPres, PCPres, Gallery]:
-    """U_w over a gallery starting with s, plus the presentation V_G on the
-    remaining k-1 generators. Requires l(sw) = l(w) - 1."""
-    cox = bp.cox
-    w = cox.normal_form(w)
-    if not (w and cox.is_left_descent(s, w)):
-        raise RgdError("build_Vws needs s to be a left descent of w")
-    G = get_gallery(cox, (s,) + cox.normal_form(cox.left_mult(s, w)))
-    pres_u = presentation_for_gallery(bp, G, step_cap)
-    rel_v = {}
-    for (i, j), word in pres_u.rel.items():
-        if i >= 2:
-            rel_v[(i - 1, j - 1)] = tuple(x - 1 for x in word)
-    pres_v = PCPres(G.roots[1:], rel_v, step_cap=step_cap)
-    return pres_u, pres_v, G
-
-
-def vws_iso_check(bp: Blueprint, w: Word, s: int) -> Report:
-    """Verify V_G ~= V_{w,s} inside U_w and u_alpha -> u_{s.alpha} onto U_{sw}."""
-    cox = bp.cox
-    report = Report(f"Vws({bp.name}, w={word_label(cox.normal_form(w))}, s={s + 1})")
-    pres_u, pres_v, G = build_Vws(bp, w, s)
-    if not pres_u.consistency_check() or not pres_v.consistency_check():
-        report.add(Violation(axiom="CB3", w=word_label(w), gallery=G.label(),
-                             expected="consistent", found="inconsistent"))
-        return report
-
-    # (a) canonical embedding V_G -> U_w lands on the bit-subgroup without u_1
-    v_elems = subgroup_closure(pres_u, [pres_u.generator(i) for i in range(2, pres_u.k + 1)])
-    report.checks += 1
-    if len(v_elems) != 1 << (pres_u.k - 1):
-        report.add(Violation(axiom="Vws", w=word_label(w),
-                             expected=str(1 << (pres_u.k - 1)), found=str(len(v_elems))))
-    report.checks += 1
-    if any(x & 1 for x in v_elems):
-        report.add(Violation(axiom="Vws", w=word_label(w),
-                             expected="V avoids the u_1 bit", found="u_1 bit set"))
-
-    # (b) u_alpha -> u_{s.alpha} is an isomorphism V_{w,s} -> U_{sw}
-    sw = cox.normal_form(cox.left_mult(s, cox.normal_form(w)))
-    pres_sw, rep_sw = build_Uw(bp, sw)
-    report.merge(rep_sw)
-    image_pos = reflected_positions(cox, s, G.roots, pres_sw)
-    report.checks += 1
-    if sorted(image_pos.values()) != list(range(1, pres_sw.k + 1)):
-        report.add(Violation(axiom="Vws", w=word_label(w),
-                             expected="bijection on generators", found=str(image_pos)))
-    relation_checks(pres_u.rel, image_pos, pres_sw, report,
-                    axiom="Vws", w=word_label(w), gallery=G.label())
     return report

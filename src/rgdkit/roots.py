@@ -2,8 +2,8 @@
 
 A root is stored as its integer vector in the root lattice of the system's
 generalized Cartan matrix plus an optional provenance expression (w, s) with
-alpha = w . alpha_s.  Chamber membership, positivity, reflections, intervals
-and prenilpotency are all derived from the vector and, through the
+alpha = w . alpha_s.  Positivity, reflections, reflection orders, intervals
+and rank-2 residues are all derived from the vector and, through the
 expression, from the coroot alpha^vee = w . alpha_s^vee.
 """
 
@@ -77,11 +77,6 @@ def act(cox: CoxeterSystem, word: Word, alpha: Root) -> Root:
     return Root(vec, (cox.normal_form(word + w), s))
 
 
-def member(cox: CoxeterSystem, w: Word, alpha: Root) -> bool:
-    """Chamber membership: w in alpha iff w^-1 . vec is positive."""
-    return cox.vec_sign(cox.apply_inv(w, alpha.vec)) > 0
-
-
 def reflection_word(cox: CoxeterSystem, alpha: Root) -> Word:
     """Normal form of the reflection r_alpha = w s w^-1."""
     word, s = expression(cox, alpha)
@@ -125,27 +120,6 @@ def pair_order(cox: CoxeterSystem, alpha: Root, beta: Root) -> float:
     return order
 
 
-def prenilpotent(cox: CoxeterSystem, alpha: Root, beta: Root,
-                 radius: int | None = None) -> bool:
-    """Both positive: true iff some chamber lies outside both half-spaces.
-
-    Finite pair order settles it immediately; otherwise a bounded chamber
-    search over ball(dp(alpha) + dp(beta) + 2) looks for a witness.
-    """
-    if not alpha.is_positive(cox) or not beta.is_positive(cox):
-        raise RgdError("prenilpotent is defined for positive roots")
-    if alpha == beta:
-        return True
-    if pair_order(cox, alpha, beta) != inf:
-        return True
-    if radius is None:
-        radius = depth(cox, alpha) + depth(cox, beta) + 2
-    for w in cox.ball(radius):
-        if not member(cox, w, alpha) and not member(cox, w, beta):
-            return True
-    return False
-
-
 def _solve_cone(alpha: Vector, beta: Vector, gamma: Vector) -> tuple[int, int, int] | None:
     """Solve det*gamma = a*alpha + b*beta by Cramer's rule; (a, b, det), or
     None if gamma is outside the span."""
@@ -184,8 +158,8 @@ def interval(cox: CoxeterSystem, alpha: Root, beta: Root, gallery) -> list[Root]
     inside the later one (two non-crossing walls crossed by one minimal
     gallery leave exactly one empty sector, which must be alpha ^ -gamma),
     so gamma lies in the interval iff its wall crosses neither endpoint
-    wall.  The half-space oracle `interval_oracle` is the permanent
-    cross-check for this computation.
+    wall.  The tests cross-check this computation against the half-space
+    definition, scanned over a ball (`interval_oracle` in tests/oracles.py).
     """
     roots = list(gallery.roots)
     if alpha not in roots or beta not in roots:
@@ -214,59 +188,6 @@ def interval(cox: CoxeterSystem, alpha: Root, beta: Root, gallery) -> list[Root]
 
 def open_interval(cox: CoxeterSystem, alpha: Root, beta: Root, gallery) -> list[Root]:
     return [g for g in interval(cox, alpha, beta, gallery) if g != alpha and g != beta]
-
-
-def interval_oracle(cox: CoxeterSystem, alpha: Root, beta: Root, r: int) -> set[Root]:
-    """Brute-force [alpha, beta] from the half-space definition over ball(r).
-
-    Candidates are the crossed roots of all chambers in ball(r); gamma
-    qualifies iff every ball chamber in alpha^beta lies in gamma and every
-    ball chamber in (-alpha)^(-beta) lies outside gamma.
-    """
-    chambers = cox.ball(r)
-    masks = _membership_masks(cox, r)
-    am, bm = masks[alpha.vec], masks[beta.vec]
-    full = (1 << len(chambers)) - 1
-    both = am & bm
-    neither = full & ~am & ~bm
-    out: set[Root] = set()
-    for vec, gm in masks.items():
-        if both & ~gm:
-            continue
-        if neither & gm:
-            continue
-        out.add(Root(vec))
-    return out
-
-
-def _membership_masks(cox: CoxeterSystem, r: int) -> dict[Vector, int]:
-    """vec -> bitmask over ball(r) chambers of the half-space w in alpha."""
-    cached = cox._mask_cache.get(r)
-    if cached is not None:
-        return cached
-    chambers = cox.ball(r)
-    index = {w: i for i, w in enumerate(chambers)}
-    vecs: set[Vector] = set()
-    for w in chambers:
-        for v in cox.prefix_root_vectors(w):
-            vecs.add(v)
-    masks: dict[Vector, int] = {}
-    for vec in vecs:
-        # BFS propagation: value at chamber w is w^-1 . vec
-        carried: dict[Word, Vector] = {(): vec}
-        mask = 0
-        for w in chambers:  # ball() is ordered by length, so prefixes come first
-            if w:
-                prev = carried[w[:-1]]
-                cur = cox.reflect(w[-1], prev)
-                carried[w] = cur
-            else:
-                cur = vec
-            if cox.vec_sign(cur) > 0:
-                mask |= 1 << index[w]
-        masks[vec] = mask
-    cox._mask_cache[r] = masks
-    return masks
 
 
 @dataclass(frozen=True)

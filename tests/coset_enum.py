@@ -1,15 +1,28 @@
 """Todd-Coxeter coset enumeration over the trivial subgroup.
 
 Independent brute-force oracle for the order of a finitely presented group
-with involutive generators; used to cross-check the collection-based
-consistency test.  Generators are 1-based ints; relators are words.
+with involutive generators, the test suite's cross-check of the
+collection-based consistency test.  Generators are 1-based ints; relators
+are words.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import CapExceeded
+from rgdkit.errors import CapExceeded
+
+
+def relators(pres) -> list[tuple[int, ...]]:
+    """All defining relators [u_i, u_j] * (M-word)^-1 of a `PCPres`.
+
+    The squares u_i^2 are implicit in the oracle's involutive generators."""
+    out = []
+    for i in range(1, pres.k + 1):
+        for j in range(i + 1, pres.k + 1):
+            m_word = pres.rel.get((i, j), ())
+            out.append((i, j, i, j) + tuple(reversed(m_word)))
+    return out
 
 
 class _Cosets:

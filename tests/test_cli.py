@@ -99,6 +99,20 @@ def test_group_on_the_base_gallery_only_exits_incomplete(capsys):
     assert main(["--builtin", "rank2:m6lr", "--cap-galleries", "2", "group", "1.2.1.2.1.2"]) == 0
 
 
+def test_validate_over_gallery_cap_skips_and_exits_incomplete(capsys):
+    # CB1, CB2 and Weyl pass over 1.2.1 (two galleries) as CB3 does: a
+    # coverage gap, not a usage error
+    assert main(["--builtin", "rank2:m3", "--cap-galleries", "1", "--radius", "3",
+                 "validate"]) == 4
+    out = capsys.readouterr().out
+    for name in ("CB1(rank2:m3, r=3)", "CB2(rank2:m3)", "Weyl(rank2:m3, r=3)"):
+        block = out.split(name, 1)[1].split("\n[", 1)[0]
+        assert "note: skipped w=1.2.1: more than 1 galleries" in block, name
+    assert "note: partial: more than 1 galleries" in out
+    assert main(["--builtin", "rank2:m3", "--cap-galleries", "2", "--radius", "3",
+                 "validate"]) == 0
+
+
 def test_appendix_with_unverifiable_instances_exits_incomplete(capsys):
     assert main(["--blueprint", fixture_path("rank3_b2_product.bp"), "--radius", "3",
                  "appendix", "-s", "1", "-t", "2"]) == 4

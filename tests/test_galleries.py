@@ -105,3 +105,36 @@ def test_shift_moves_every_crossed_root_by_one_place(name):
 def test_gallery_requires_reduced_word():
     with pytest.raises(RgdError):
         Gallery(cox_dihedral(3), (0, 0))
+
+
+def _descent_min_gal_s(cox, w, s):
+    """Min_s(w) by an explicit left-descent test on the normal form."""
+    gals = min_gal(cox, w)
+    if w and cox.is_left_descent(s, cox.normal_form(w)):
+        return [G for G in gals if G.word[0] == s]
+    return gals
+
+
+def _descent_shift(G, s):
+    """sG by an explicit left-descent test: None where it does not exist."""
+    cox = G.cox
+    if G.word and cox.is_left_descent(s, G.word):
+        return get_gallery(cox, G.word[1:]) if G.word[0] == s else None
+    return get_gallery(cox, (s,) + G.word)
+
+
+@pytest.mark.parametrize("name", sorted(SHIFT_SYSTEMS))
+def test_min_gal_s_and_shift_match_the_descent_test(name):
+    # min_gal_s and shift read the descent off the first letter of the
+    # galleries they are given; the definitions by left-descent test agree
+    cox = CoxeterSystem(SHIFT_SYSTEMS[name]())
+    for w in cox.ball(5):
+        for s in range(cox.rank):
+            assert min_gal_s(cox, w, s) == _descent_min_gal_s(cox, w, s), (w, s)
+            for G in min_gal(cox, w):
+                want = _descent_shift(G, s)
+                if want is None:
+                    with pytest.raises(RgdError):
+                        shift(G, s)
+                else:
+                    assert shift(G, s) is want, (G.label(), s)

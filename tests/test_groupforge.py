@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from rgdkit import blueprints as bpmod
 from rgdkit import groupforge as gf
-from rgdkit.coset_enum import group_order
+from rgdkit.errors import RgdError
 from rgdkit.roots import Root
+from tests.coset_enum import group_order, relators
+from tests.lemma_checks import vws_iso_check
 
 
 def raw_pres(k, rel):
@@ -73,25 +75,25 @@ def test_consistency_matches_enumeration_oracle_exhaustive():
             for r14 in [(), (2,), (3,), (2, 3)]:
                 rel = {(1, 3): r13, (2, 4): r24, (1, 4): r14}
                 p = raw_pres(4, rel)
-                order = group_order(4, p.relators())
+                order = group_order(4, relators(p))
                 assert p.consistency_check() == (order == 16), (rel, order)
     for r13 in [(), (2,)]:
         p = raw_pres(3, {(1, 3): r13})
-        assert p.consistency_check() == (group_order(3, p.relators()) == 8)
+        assert p.consistency_check() == (group_order(3, relators(p)) == 8)
 
 
 def test_inconsistent_table_has_witness():
     p = raw_pres(4, {(1, 3): (2,), (2, 4): (3,)})
     assert not p.consistency_check()
     assert p.inconsistency_witness
-    assert group_order(4, p.relators()) < 16
+    assert group_order(4, relators(p)) < 16
 
 
 def test_mutated_b2_table_is_consistent_but_wrong():
     # the order-16 check alone cannot see the wrong Moufang value
     p = raw_pres(4, {(1, 4): (2,)})
     assert p.consistency_check()
-    assert group_order(4, p.relators()) == 16
+    assert group_order(4, relators(p)) == 16
 
 
 @pytest.mark.parametrize("name,length,order", [
@@ -115,7 +117,7 @@ def test_build_uw_trivial(bp_universal3):
 def test_build_uw_orders_match_enumeration(bp_m4, bp_m6):
     for bp in (bp_m4, bp_m6):
         pres, _ = gf.build_Uw(bp, bp.cox.longest_element((0, 1)))
-        assert group_order(pres.k, pres.relators()) == pres.order
+        assert group_order(pres.k, relators(pres)) == pres.order
 
 
 def test_subgroup_closure():
@@ -160,28 +162,42 @@ def test_vws_iso_rank2(bp_m3, bp_m4, bp_m6, bp_m6_mirror):
     for bp, w in ((bp_m3, (0, 1, 0)), (bp_m4, (0, 1, 0, 1)),
                   (bp_m6, (0, 1, 0, 1, 0, 1)), (bp_m6_mirror, (0, 1, 0, 1, 0, 1))):
         for s in (0, 1):
-            rep = gf.vws_iso_check(bp, w, s)
+            rep = vws_iso_check(bp, w, s)
             assert rep.ok, rep.to_text()
 
 
 def test_vws_iso_product(bp_product_b2):
     cox = bp_product_b2.cox
     for w, s in (((0, 1, 0, 1), 0), ((0, 2, 1, 0, 1), 0), ((2, 0, 1), 2)):
-        rep = gf.vws_iso_check(bp_product_b2, cox.normal_form(w), s)
+        rep = vws_iso_check(bp_product_b2, cox.normal_form(w), s)
         assert rep.ok, rep.to_text()
 
 
 def test_vws_universal(bp_universal3):
     # w = st: V_{w,s} = <u_{s.alpha_t}> of order 2, isomorphic to U_t
-    rep = gf.vws_iso_check(bp_universal3, (0, 1), 0)
+    rep = vws_iso_check(bp_universal3, (0, 1), 0)
     assert rep.ok
-    pres_u, pres_v, G = gf.build_Vws(bp_universal3, (0, 1), 0)
-    assert pres_v.k == 1 and pres_u.k == 2
+    pres_u, _ = gf.build_Uw(bp_universal3, (0, 1))
+    pres_t, _ = gf.build_Uw(bp_universal3, (1,))
+    assert pres_u.k == 2 and pres_t.order == 2
+
+
+def test_tail_generators_span_the_masks_without_u1(bp_m4, bp_m6):
+    # why vws_iso_check needs no subgroup closure for V_{w,s}: relation
+    # values for i, j >= 2 lie strictly between i and j, so in a consistent
+    # presentation u_2 ... u_k generate exactly the even masks
+    presentations = [raw_pres(3, A2), raw_pres(4, B2), raw_pres(6, G2)]
+    for bp in (bp_m4, bp_m6):
+        presentations.append(gf.build_Uw(bp, bp.cox.longest_element((0, 1)))[0])
+    for p in presentations:
+        assert p.consistency_check()
+        tail = gf.subgroup_closure(p, [p.generator(i) for i in range(2, p.k + 1)])
+        assert tail == set(range(0, p.order, 2))
 
 
 def test_vws_requires_descent(bp_m3):
-    with pytest.raises(Exception):
-        gf.build_Vws(bp_m3, (0, 1), 1)
+    with pytest.raises(RgdError):
+        vws_iso_check(bp_m3, (0, 1), 1)
 
 
 def test_collect_split_compatibility_random():

@@ -7,6 +7,7 @@ import pytest
 from rgdkit import parabolics as pb
 from rgdkit import roots as rt
 from rgdkit.galleries import min_gal_s
+from tests import lemma_checks as lc
 
 
 def residue_group(bp, s):
@@ -277,7 +278,7 @@ def test_residue_group_off_wall_rejected(bp_product_b2):
 def test_gallery_independence_trivial(bp_m3):
     # single gallery in Min_s: vacuously equal
     alpha = rt.act(bp_m3.cox, (0,), rt.simple_root(bp_m3.cox, 1))
-    rep = pb.gallery_independence_check(bp_m3, (0, 1, 0), (0, 1, 0), 0, alpha)
+    rep = lc.gallery_independence_check(bp_m3, (0, 1, 0), (0, 1, 0), 0, alpha)
     assert rep.ok
 
 
@@ -286,10 +287,10 @@ def test_gallery_independence_untestable_instance_is_skipped(bp_m3, monkeypatch)
     from rgdkit.groupforge import PCPres
     from rgdkit.reports import Report
 
-    monkeypatch.setattr(pb, "build_Uw", lambda bp, w: (PCPres((), {}), Report("empty")))
+    monkeypatch.setattr(lc, "build_Uw", lambda bp, w: (PCPres((), {}), Report("empty")))
     w = (0, 1, 0)
     alpha = rt.phi_w(bp_m3.cox, w)[2]  # M^G(1, 3) = (2,) on the gallery 1.2.1
-    rep = pb.gallery_independence_check(bp_m3, w, w, 0, alpha)
+    rep = lc.gallery_independence_check(bp_m3, w, w, 0, alpha)
     assert rep.ok and rep.skipped == 1
     assert rep.notes[0].startswith("untestable instance: no common ambient for 1.2.1")
 
@@ -301,7 +302,7 @@ def test_gallery_independence_product(bp_product_b2):
     gals = min_gal_s(cox, w, 0)
     assert len(gals) >= 2
     for alpha in gals[0].roots[1:]:
-        rep = pb.gallery_independence_check(bp_product_b2, w, w, 0, alpha)
+        rep = lc.gallery_independence_check(bp_product_b2, w, w, 0, alpha)
         assert rep.ok, rep.to_text()
         assert rep.checks > 1
     # across two different elements sharing the residue
@@ -309,30 +310,30 @@ def test_gallery_independence_product(bp_product_b2):
     shared = [a for a in gals[0].roots[1:]
               if any(a == b for b in min_gal_s(cox, w2, 0)[0].roots)]
     for alpha in shared:
-        rep = pb.gallery_independence_check(bp_product_b2, w, w2, 0, alpha)
+        rep = lc.gallery_independence_check(bp_product_b2, w, w2, 0, alpha)
         assert rep.ok, rep.to_text()
 
 
 def test_tau_on_truncation_universal(bp_universal3):
     cox = bp_universal3.cox
-    rep = pb.tau_on_truncation(bp_universal3, (1,), 0)
+    rep = lc.tau_on_truncation(bp_universal3, (1,), 0)
     assert rep.ok
-    rep = pb.tau_on_truncation(bp_universal3, (1, 0, 2), 0)
+    rep = lc.tau_on_truncation(bp_universal3, (1, 0, 2), 0)
     assert rep.ok
     with pytest.raises(Exception):
-        pb.tau_on_truncation(bp_universal3, (0, 1), 0)
+        lc.tau_on_truncation(bp_universal3, (0, 1), 0)
 
 
 def test_tau_on_truncation_rank2(bp_m3, bp_m6):
     for bp in (bp_m3, bp_m6):
-        rep = pb.tau_on_truncation(bp, (1, 0), 0)
+        rep = lc.tau_on_truncation(bp, (1, 0), 0)
         assert rep.ok, rep.to_text()
 
 
 def test_tau_on_truncation_product(bp_product_b2):
     cox = bp_product_b2.cox
     for w, s in (((1, 0, 1), 0), ((2, 1), 0), ((1, 0, 2), 0)):
-        rep = pb.tau_on_truncation(bp_product_b2, cox.normal_form(w), s)
+        rep = lc.tau_on_truncation(bp_product_b2, cox.normal_form(w), s)
         assert rep.ok, rep.to_text()
 
 
@@ -350,10 +351,10 @@ def test_tau_conjugation_identity_universal(bp_universal3):
     cox = bp_universal3.cox
     # beta beyond the wall of generator 1: beta = 2.alpha_1 (non-prenilpotent pair)
     beta = rt.act(cox, (1,), rt.simple_root(cox, 0))
-    assert pb.tau_conjugation_check(bp_universal3, 0, beta, radius=5) == "verified"
+    assert lc.tau_conjugation_check(bp_universal3, 0, beta, radius=5) == "verified"
 
 
 def test_tau_conjugation_identity_rightangled(bp_rightangled3):
     cox = bp_rightangled3.cox
     beta = rt.act(cox, (2,), rt.simple_root(cox, 0))
-    assert pb.tau_conjugation_check(bp_rightangled3, 0, beta, radius=5) == "verified"
+    assert lc.tau_conjugation_check(bp_rightangled3, 0, beta, radius=5) == "verified"

@@ -9,6 +9,7 @@ from rgdkit import roots as rt
 from rgdkit.coxeter import CoxeterMatrix, CoxeterSystem
 from rgdkit.errors import RgdError
 from rgdkit.galleries import get_gallery, min_gal
+from tests.oracles import MASKS, interval_oracle, member, prenilpotent
 
 
 def cox_dihedral(m):
@@ -24,11 +25,11 @@ def test_member_examples():
     a0 = rt.simple_root(cox, 0)
     # positive roots contain the identity
     for root in rt.phi_w(cox, (0, 1, 0)):
-        assert rt.member(cox, (), root)
-    assert not rt.member(cox, (0,), a0)
+        assert member(cox, (), root)
+    assert not member(cox, (0,), a0)
     # m=3: st lies outside s.alpha_t
     s_at = rt.act(cox, (0,), rt.simple_root(cox, 1))
-    assert not rt.member(cox, (0, 1), s_at)
+    assert not member(cox, (0, 1), s_at)
 
 
 def test_describe_names_only_real_generators():
@@ -53,7 +54,7 @@ def test_opposite():
     assert neg.vec == tuple(-c for c in a0.vec)
     assert opposite(cox, neg) == a0
     for w in cox.ball(4):
-        assert rt.member(cox, w, a0) != rt.member(cox, w, neg)
+        assert member(cox, w, a0) != member(cox, w, neg)
 
 
 def test_reflection_word():
@@ -102,16 +103,16 @@ def test_pair_order():
 
 def test_prenilpotent():
     cox3 = cox_dihedral(3)
-    assert rt.prenilpotent(cox3, rt.simple_root(cox3, 0), rt.simple_root(cox3, 1))
+    assert prenilpotent(cox3, rt.simple_root(cox3, 0), rt.simple_root(cox3, 1))
     u2 = cox_universal(2)
     a0 = rt.simple_root(u2, 0)
     s_at = rt.act(u2, (0,), rt.simple_root(u2, 1))
-    assert rt.prenilpotent(u2, a0, s_at)
+    assert prenilpotent(u2, a0, s_at)
     # beta = t.alpha_s: -alpha_s is contained in beta, so the quadrant
     # (-alpha)^(-beta) is empty (opposite-facing rays on the tree)
     beta = rt.act(u2, (1,), a0)
     assert beta.is_positive(u2)
-    assert not rt.prenilpotent(u2, a0, beta)
+    assert not prenilpotent(u2, a0, beta)
 
 
 def test_prenilpotent_radius_rule_validated(bp_rightangled3, bp_product_b2):
@@ -130,8 +131,8 @@ def test_prenilpotent_radius_rule_validated(bp_rightangled3, bp_product_b2):
             if a.vec == tuple(-c for c in b.vec):
                 continue
             base = rt.depth(cox, a) + rt.depth(cox, b) + 2
-            assert rt.prenilpotent(cox, a, b) == \
-                rt.prenilpotent(cox, a, b, radius=base + 4)
+            assert prenilpotent(cox, a, b) == \
+                prenilpotent(cox, a, b, radius=base + 4)
 
 
 def test_noncrossing_sign_matches_bounded_search(bp_rightangled3, bp_product_b2):
@@ -151,7 +152,7 @@ def test_noncrossing_sign_matches_bounded_search(bp_rightangled3, bp_product_b2)
                 continue
             p = rt.coroot_pairing(cox, a, b) * rt.coroot_pairing(cox, b, a)
             criterion = p < 4 or rt.coroot_pairing(cox, a, b) > 0
-            assert rt.prenilpotent(cox, a, b) == criterion
+            assert prenilpotent(cox, a, b) == criterion
 
 
 def test_interval_examples(bp_rightangled3):
@@ -178,7 +179,7 @@ def test_interval_empty_for_commuting_pair():
     cox2 = cox_dihedral(2)
     G = get_gallery(cox2, (0, 1))
     assert rt.open_interval(cox2, G.root(1), G.root(2), G) == []
-    oracle = rt.interval_oracle(cox2, G.root(1), G.root(2), 2)
+    oracle = interval_oracle(cox2, G.root(1), G.root(2), 2)
     assert oracle == {G.root(1), G.root(2)}
 
 
@@ -190,7 +191,7 @@ def test_interval_matches_oracle_dihedral(m, r):
     for i in range(1, m + 1):
         for j in range(i, m + 1):
             cone = rt.interval(cox, G.root(i), G.root(j), G)
-            oracle = rt.interval_oracle(cox, G.root(i), G.root(j), r)
+            oracle = interval_oracle(cox, G.root(i), G.root(j), r)
             assert set(cone) == oracle
 
 
@@ -201,23 +202,23 @@ def test_interval_matches_oracle_universal3():
         for i in range(1, len(w) + 1):
             for j in range(i, len(w) + 1):
                 cone = rt.interval(cox, G.root(i), G.root(j), G)
-                oracle = rt.interval_oracle(cox, G.root(i), G.root(j), 6)
+                oracle = interval_oracle(cox, G.root(i), G.root(j), 6)
                 assert set(cone) == oracle
 
 
 def test_membership_masks_are_owned_by_the_system():
     cox, twin = cox_dihedral(3), cox_dihedral(3)
     G = get_gallery(cox, (0, 1, 0))
-    rt.interval_oracle(cox, G.root(1), G.root(3), 3)
-    assert list(cox._mask_cache) == [3]
-    assert twin._mask_cache == {}
-    assert not hasattr(rt, "_MASK_CACHE")
+    interval_oracle(cox, G.root(1), G.root(3), 3)
+    assert list(MASKS[cox]) == [3]
+    assert twin not in MASKS
+    assert not hasattr(cox, "_mask_cache") and not hasattr(rt, "_MASK_CACHE")
 
 
 def test_halfspace_convexity():
     cox = cox_dihedral(6)
     a = rt.act(cox, (0,), rt.simple_root(cox, 1))
-    inside = [w for w in cox.ball(5) if rt.member(cox, w, a)]
+    inside = [w for w in cox.ball(5) if member(cox, w, a)]
     for u in inside:
         for v in inside:
             # walk one minimal gallery from u to v and stay inside alpha
