@@ -14,7 +14,6 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from rgdkit import appendix, blueprints, chambers, groupforge, parabolics  # noqa: E402
-from rgdkit import roots as rootmod  # noqa: E402
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "tests" / "fixtures"
 
@@ -44,9 +43,9 @@ def check_rank2(bp) -> bool:
             if s >= t or bp.cox.matrix.m(s, t) == float("inf"):
                 continue
             t0 = time.perf_counter()
-            rg = parabolics.build_residue_group(bp, rootmod.residue_at(bp.cox, (), (s, t)), s)
+            rg = parabolics.build_residue_group(bp, s, t)
             res_ok = parabolics.tau_on_residue(rg).ok
-            res_ok &= all(parabolics.ustausV_identity_check(rg, a) for a in rg.phi_r[1:])
+            res_ok &= all(parabolics.ustausV_identity_check(rg, a) for a in rg.gallery.roots[1:])
             ok &= line(f"{bp.name}: residue tau {{{s + 1},{t + 1}}}", res_ok, t0)
             t0 = time.perf_counter()
             cs = chambers.build_CJ(bp, s, t)

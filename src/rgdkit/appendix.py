@@ -15,11 +15,10 @@ from math import inf
 from .blueprints import Blueprint
 from .coxeter import Word
 from .errors import RgdError
-from .galleries import oriented_gallery
+from .galleries import get_gallery, oriented_gallery
 from .groupforge import PCPres, build_Uw, presentation_for_gallery, reflected_positions
 from .reports import Report, Violation
 from .roots import act, simple_root
-from . import roots as rootmod
 
 Wd = tuple[int, ...]
 
@@ -207,8 +206,8 @@ def verify_identity_chains(bp: Blueprint, s: int, t: int) -> Report:
         return report
     eqs, taus = _SUITES[m]
     # tau anchored at position 1 (alpha of G.word[0]) or m (alpha of G.word[1])
-    tau_low = reflected_positions(cox, G.word[0], G.roots, pres)
-    tau_high = reflected_positions(cox, G.word[1], G.roots, pres)
+    tau_low = reflected_positions(G, G.word[0])
+    tau_high = reflected_positions(G, G.word[1])
     for lhs, rhs in eqs:
         report.checks += 1
         if pres.collect(lhs) != pres.collect(rhs):
@@ -261,47 +260,34 @@ def appendix_conjugation_check(bp: Blueprint, s: int, t: int, r: int,
             engines[w] = pres if rep.ok else None
         return engines[w]
 
-    phi_sets = {w: frozenset(rt.vec for rt in rootmod.phi_w(cox, w)) for w in cox.ball(r)}
+    # the ball's galleries, shortest first: the first crossing a set of roots
+    # is the minimal ambient group of that set
+    ambients = [get_gallery(cox, w) for w in cox.ball(r)]
 
-    def minimal_ambient(vecs: frozenset) -> Word | None:
-        for w in cox.ball(r):
-            if vecs <= phi_sets[w]:
-                return w
-        return None
-
-    def as_elem(root_word: list) -> tuple[Word, int] | None:
-        vecs = frozenset(rt.vec for rt in root_word)
-        w = minimal_ambient(vecs)
-        if w is None:
-            return None
-        pres = engine(w)
+    def as_elem(root_word: list) -> tuple[PCPres, int] | None:
+        G = next((G for G in ambients if all(map(G.crosses, root_word))), None)
+        pres = engine(G.word) if G else None
         if pres is None:
             return None
-        return w, pres.collect([pres.position(rt) for rt in root_word])
+        return pres, pres.collect(map(pres.position, root_word))
 
-    def support_roots(w: Word, x: int) -> list:
-        pres = engine(w)
-        return [pres.basis[i - 1] for i in pres.word_of(x)]
+    def support_roots(pres: PCPres, x: int) -> list:
+        return [pres.gallery.root(i) for i in pres.word_of(x)]
 
-    def tau_step(gen: int, w: Word, x: int):
-        pres = engine(w)
+    def tau_step(gen: int, pres: PCPres, x: int):
         alpha_gen = simple_root(cox, gen)
-        sup = support_roots(w, x)
+        sup = support_roots(pres, x)
         if any(rt == alpha_gen for rt in sup):
             return None
         mapped = [act(cox, (gen,), rt) for rt in sup]
         return as_elem(mapped)
 
     # candidate outside roots of bounded depth
-    outside: list = []
-    seen = set()
+    outside: dict = {}
     for w in cox.ball(depth_cap):
-        for rt in rootmod.phi_w(cox, w):
-            if rt.vec in seen:
-                continue
-            seen.add(rt.vec)
+        for rt in get_gallery(cox, w).roots:
             if any(rt.vec[i] for i in range(cox.rank) if i not in (s, t)):
-                outside.append(rt)
+                outside.setdefault(rt.vec, rt)
 
     w0 = cox.longest_element((s, t))
     pres0 = engine(w0)
@@ -309,9 +295,9 @@ def appendix_conjugation_check(bp: Blueprint, s: int, t: int, r: int,
         report.add(Violation(axiom="CB3", w="r_J", expected="consistent", found="not"))
         return report
     unverifiable = 0
-    for alpha in outside:
+    for alpha in outside.values():
         for u in range(pres0.order):
-            u_roots = support_roots(w0, u)
+            u_roots = support_roots(pres0, u)
             start = as_elem(u_roots + [alpha] + list(reversed(u_roots)))
             if start is None:
                 unverifiable += 1
@@ -329,8 +315,8 @@ def appendix_conjugation_check(bp: Blueprint, s: int, t: int, r: int,
             if not ok:
                 continue
             report.checks += 1
-            final_sup = support_roots(state[0], state[1])
-            start_sup = support_roots(start[0], start[1])
+            final_sup = support_roots(*state)
+            start_sup = support_roots(*start)
             if frozenset(r.vec for r in final_sup) != frozenset(r.vec for r in start_sup) \
                     or as_elem(final_sup) != as_elem(start_sup):
                 report.add(Violation(

@@ -40,6 +40,9 @@ RANK2_M_SETS: dict[int, dict[tuple[int, int], tuple[int, ...]]] = {
     6: {(1, 3): (2,), (3, 5): (4,), (1, 5): (2, 4), (2, 6): (4,), (1, 6): (2, 3, 4, 5)},
 }
 
+# what a file's `default` line may say: how triples without a `rel` line read
+DEFAULT_MODES = ("empty", "strict", "rank2")
+
 
 @cache
 def _pairs(n: int) -> tuple[tuple[int, int], ...]:
@@ -162,7 +165,7 @@ class FileTable(Blueprint):
     def __init__(self, cox: CoxeterSystem, entries: dict[tuple[Word, int, int], tuple[int, ...]],
                  default: str = "empty", name: str = "file"):
         super().__init__(cox, name)
-        if default not in ("empty", "strict", "rank2"):
+        if default not in DEFAULT_MODES:
             raise BlueprintError(f"unknown default mode {default!r}")
         self.entries = dict(entries)
         self.default = default
@@ -218,6 +221,8 @@ def ingest(text: str, name: str = "file") -> FileTable:
                 dir_lines[edge] = ln
             elif kind == "default":
                 default = parts[1]
+                if default not in DEFAULT_MODES:
+                    raise ValueError(f"unknown default mode {default!r}")
             elif kind == "rel":
                 word = tuple(int(x) - 1 for x in parts[1].split("."))
                 i, j = int(parts[2]), int(parts[3])
@@ -239,13 +244,19 @@ def ingest(text: str, name: str = "file") -> FileTable:
     for (t, s), ln in dir_lines.items():
         if labels.get((min(t, s), max(t, s))) != 6:
             raise ParseError(ln, f"dir6 {t + 1} {s + 1} is on an edge not labelled 6")
+    # the first missing pair in row order, found before the rank x rank matrix is built
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            if (i, j) not in labels:
+                raise ParseError(rank_line, f"missing label for pair ({i},{j})")
     try:
         matrix = CoxeterMatrix.from_dict(rank, labels, frozenset(directed))
-    except RgdError as exc:  # a bad rank or a missing label
+    except RgdError as exc:  # a bad rank
         raise ParseError(rank_line, str(exc)) from exc
     cox = CoxeterSystem(matrix)
 
     entries: dict[tuple[Word, int, int], tuple[int, ...]] = {}
+    entry_lines: dict[tuple[Word, int, int], int] = {}
     for ln, word, i, j, ks in rels:
         if any(not 0 <= x < rank for x in word):
             raise ParseError(ln, f"generator out of range in gallery {word_label(word)}")
@@ -262,7 +273,11 @@ def ingest(text: str, name: str = "file") -> FileTable:
         if not set(ks) <= allowed:
             raise ParseError(ln, f"relation value {ks} leaves the open interval "
                                  f"({i},{j}) = {sorted(allowed)}")
-        entries[(word, i, j)] = ks
+        key = (word, i, j)
+        if entries.get(key, ks) != ks:
+            raise ParseError(ln, f"relation value {ks} contradicts line {entry_lines[key]}")
+        entries[key] = ks
+        entry_lines.setdefault(key, ln)
     return FileTable(cox, entries, default=default, name=name)
 
 

@@ -28,7 +28,7 @@ from math import inf
 
 from .blueprints import Blueprint
 from .coxeter import Word, word_label
-from .errors import RgdError
+from .errors import RgdError, Violated
 from .groupforge import build_Uw, reflected_positions
 from .reports import Report, Violation
 from .roots import simple_root
@@ -60,7 +60,7 @@ class ChamberSystemJ:
         self.pres, rep = build_Uw(bp, w0)
         report.merge(rep)
         if not rep.ok:
-            raise RgdError("U on Phi(r_J) is inconsistent; cannot build chambers")
+            raise Violated(report, "U on Phi(r_J) fails CB3; cannot build chambers")
         self.w_elements = cox.parabolic_elements((s, t))
         self.gen_pos = {s: self.pres.position(simple_root(cox, s)),
                         t: self.pres.position(simple_root(cox, t))}
@@ -115,7 +115,7 @@ class ChamberSystemJ:
         # tn the image of n under the root map of gen; see `act_tau`
         self.tau_table: dict[int, list[tuple[int, int, int]]] = {}
         for gen in (s, t):
-            root_map = reflected_positions(cox, gen, self.pres.basis, self.pres)
+            root_map = reflected_positions(self.pres.gallery, gen)
             u = self.pres.generator(self.gen_pos[gen])
             rows = self.tau_table[gen] = []
             for g in range(self.pres.order):

@@ -20,10 +20,10 @@ from math import inf
 
 from . import appendix, blueprints, chambers, groupforge, parabolics
 from .coxeter import Word
-from .errors import CapExceeded, InternalConsistencyError, RgdError
+from .errors import CapExceeded, InternalConsistencyError, RgdError, Violated
 from .galleries import min_gal
 from .reports import Report, Violation
-from .roots import depth, phi_w, residue_at
+from .roots import depth, phi_w
 
 
 @dataclass
@@ -123,14 +123,13 @@ def cmd_residue(cfg: RunConfig, s: int) -> int:
     for t in range(cox.rank):
         if t == s or cox.matrix.m(s, t) == inf:
             continue
-        R = residue_at(cox, (), tuple(sorted((s, t))))
-        rg = parabolics.build_residue_group(bp, R, s)
+        rg = parabolics.build_residue_group(bp, s, t)
         rep = parabolics.tau_on_residue(rg)
-        ust = all(parabolics.ustausV_identity_check(rg, a) for a in rg.phi_r[1:])
+        ust = all(parabolics.ustausV_identity_check(rg, a) for a in rg.gallery.roots[1:])
         if not ust:
             rep.add(Violation(axiom="ustausV", gallery=rg.gallery.label(),
                               expected="equal", found="differs"))
-        print(f"  {R.label()}: |U_R| = {rg.pres.order}, "
+        print(f"  {rg.residue.label()}: |U_R| = {rg.pres.order}, "
               f"tau^2/braid/hom: {'PASS' if rep.ok else 'FAIL'}, ustausV: {'PASS' if ust else 'FAIL'}")
         reports.append(rep)
     return _emit(reports, cfg.report_path)
@@ -138,7 +137,10 @@ def cmd_residue(cfg: RunConfig, s: int) -> int:
 
 def cmd_chambers(cfg: RunConfig, s: int, t: int, dump_adjacency: bool = False) -> int:
     bp = cfg.blueprint
-    cs = chambers.build_CJ(bp, s, t)
+    try:
+        cs = chambers.build_CJ(bp, s, t)
+    except Violated as exc:  # U failed CB3: its report is the verdict
+        return _emit([exc.report], cfg.report_path)
     reports = [cs.build_report, chambers.verify_building(cs),
                chambers.verify_action(cs, s), chambers.verify_action(cs, t),
                chambers.braid_check(cs)]
@@ -207,6 +209,9 @@ def main(argv: list[str] | None = None) -> int:
         bp = _load_blueprint(args)
         cfg = RunConfig(bp, args.radius, args.cap_galleries, args.cap_group_bits,
                         args.report_path)
+        gens = [g for g in (getattr(args, "s", None), getattr(args, "t", None)) if g is not None]
+        if not all(1 <= g <= bp.cox.rank for g in gens) or len(set(gens)) < len(gens):
+            raise RgdError(f"-s and -t must be distinct generators in 1..{bp.cox.rank}")
         if args.command == "validate":
             return cmd_validate(cfg)
         if args.command == "group":

@@ -81,16 +81,10 @@ class CoxeterMatrix:
     @staticmethod
     def from_dict(rank: int, labels: dict[tuple[int, int], float],
                   directed6: frozenset[tuple[int, int]] = frozenset()) -> "CoxeterMatrix":
-        rows = [[1.0 if i == j else 0.0 for j in range(rank)] for i in range(rank)]
-        for i in range(rank):
-            rows[i][i] = 1
+        rows = [[1 if i == j else 0.0 for j in range(rank)] for i in range(rank)]
         for (i, j), m in labels.items():
             rows[i][j] = m
             rows[j][i] = m
-        for i in range(rank):
-            for j in range(rank):
-                if i != j and rows[i][j] == 0.0:
-                    raise RgdError(f"missing label for pair ({i},{j})")
         return CoxeterMatrix(rank, tuple(tuple(r) for r in rows), directed6)
 
     @staticmethod

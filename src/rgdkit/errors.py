@@ -31,3 +31,11 @@ class CollectionOverflow(RgdError):
 
 class InternalConsistencyError(RgdError):
     """Two routes that must agree disagreed; refusing to guess."""
+
+
+class Violated(RgdError):
+    """A construction stopped at a mathematical violation; `report` holds it."""
+
+    def __init__(self, report, message: str):
+        super().__init__(message)
+        self.report = report

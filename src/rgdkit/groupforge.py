@@ -1,10 +1,11 @@
 """Finite 2-groups from blueprint relations, via power-commutator collection.
 
-A presentation has involutive generators u_1 < ... < u_k (one per crossed
-root of a base gallery) and relations [u_i, u_j] = prod of generators
-strictly between i and j.  An element is a plain `int` bit mask: bit i-1 is
-the exponent of u_i in the normal form u_1^e1 ... u_k^ek, and 0 is the
-identity, so `range(pres.order)` lists the group.  Collection from the left
+A presentation has involutive generators u_1 < ... < u_k and relations
+[u_i, u_j] = prod of generators strictly between i and j.  It knows its
+generators by index only: for U_w, the gallery the table came from names
+the root of u_i, its i-th crossed root.  An element is a plain `int` bit
+mask: bit i-1 is the exponent of u_i in the normal form u_1^e1 ... u_k^ek,
+and 0 is the identity, so `range(pres.order)` lists the group.  Collection from the left
 folds the letters of a word into such a mask one at a time, with an explicit
 stack for the letters a reordering leaves behind; `mul`, `inv`, `comm`,
 `conj` and `map_elem` feed it the letters of their masks directly.  The
@@ -20,7 +21,7 @@ from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .blueprints import Blueprint
-from .coxeter import CoxeterSystem, Word, word_label
+from .coxeter import Word, word_label
 from .errors import CapExceeded, CollectionOverflow, RgdError
 from .galleries import Gallery, get_gallery, min_gal
 from .reports import Report, Violation
@@ -44,15 +45,12 @@ def _descending(x: int) -> Iterator[int]:
 
 
 class PCPres:
-    """Power-commutator presentation over an ordered root basis."""
+    """Power-commutator presentation on k generators; the gallery, when
+    there is one, names their roots."""
 
-    def __init__(self, basis: Sequence[Root], rel: dict[tuple[int, int], tuple[int, ...]],
+    def __init__(self, k: int, rel: dict[tuple[int, int], tuple[int, ...]],
                  gallery: Gallery | None = None, step_cap: int = 1_000_000):
-        self.basis = tuple(basis)
-        self.k = len(self.basis)
-        self._index: dict[Root, int] = {}
-        for i, root in enumerate(self.basis, start=1):
-            self._index.setdefault(root, i)
+        self.k = k
         self.gallery = gallery
         self.step_cap = step_cap
         self.consistent: bool | None = None  # set by consistency_check
@@ -77,10 +75,7 @@ class PCPres:
         return 1 << self.k
 
     def position(self, root: Root) -> int:
-        i = self._index.get(root)
-        if i is None:
-            raise RgdError(f"root {root.describe()} not in basis")
-        return i
+        return self.gallery.position(root)
 
     # -- collection -------------------------------------------------------
 
@@ -202,12 +197,12 @@ class PCPres:
 # generator maps
 
 
-def reflected_positions(cox: CoxeterSystem, s: int, roots: Sequence[Root],
-                        target: PCPres) -> dict[int, int]:
-    """{i: position in `target` of s.roots[i-1]} for every root but alpha_s."""
-    alpha_s = simple_root(cox, s)
-    return {i: target.position(Root(cox.reflect(s, root.vec)))
-            for i, root in enumerate(roots, start=1) if root != alpha_s}
+def reflected_positions(G: Gallery, s: int) -> dict[int, int]:
+    """{i: position in G of s.G.root(i)} for every crossed root but alpha_s:
+    the generator map of tau_s on a gallery of r_J, whose other roots s permutes."""
+    alpha_s = simple_root(G.cox, s)
+    return {i: G.position(Root(G.cox.reflect(s, root.vec)))
+            for i, root in enumerate(G.roots, start=1) if root != alpha_s}
 
 
 def relation_checks(rel: Mapping[tuple[int, int], Sequence[int]], image: Mapping[int, int],
@@ -231,7 +226,7 @@ def relation_checks(rel: Mapping[tuple[int, int], Sequence[int]], image: Mapping
 
 
 def presentation_for_gallery(bp: Blueprint, G: Gallery, step_cap: int = 1_000_000) -> PCPres:
-    return PCPres(G.roots, bp.relations(G), gallery=G, step_cap=step_cap)
+    return PCPres(len(G), bp.relations(G), gallery=G, step_cap=step_cap)
 
 
 def build_Uw(bp: Blueprint, w: Word, gallery_cap: int = 10_000,

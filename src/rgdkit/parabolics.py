@@ -2,9 +2,10 @@
 
 For a simple generator s, the involution tau_s sends u_alpha to u_{s.alpha}
 on every generator away from alpha_s.  This module realizes tau_s on the
-residue groups U_R of the rank-2 residues on the wall of alpha_s and
-verifies its defining identities there: tau_s^2 = 1, (u_s tau_s)^3 = 1 and
-the conjugation identity for v_alpha.  The proof's other lemmas about
+residue groups U_R of the rank-2 residues at 1 whose type holds s, each
+presented by the gallery of r_J that crosses alpha_s first, and verifies
+its defining identities there: tau_s^2 = 1, (u_s tau_s)^3 = 1 and the
+conjugation identity for v_alpha.  The proof's other lemmas about
 tau_s (the truncation maps U_w -> U_{sw}, independence of the chosen
 gallery, tau_s^2 = 1 beyond the s-wall) follow from Weyl-invariance and
 CB3, which `validate` checks; the tests keep them as oracles.
@@ -16,27 +17,25 @@ from dataclasses import dataclass
 
 from .blueprints import Blueprint
 from .errors import RgdError
-from .galleries import Gallery, get_gallery
-from .groupforge import PCPres, project_to_first, reflected_positions, relation_checks
+from .galleries import Gallery, min_gal_s
+from .groupforge import (PCPres, presentation_for_gallery, project_to_first,
+                         reflected_positions, relation_checks)
 from .reports import Report, Violation
-from .roots import Residue2, Root, residue_roots, simple_root
+from .roots import Residue2, Root, residue_at
 
 
 @dataclass
 class ResidueGroup:
-    """U_R over Phi(R), with alpha_s first in the basis and N_R = bits without it."""
+    """U_R for the residue R of type {s, t} at 1, presented by the gallery of
+    r_J that starts with s: its crossed roots are Phi(R), alpha_s is u_1, and
+    N_R is the masks without bit 1."""
 
     bp: Blueprint
     residue: Residue2
     s: int
     gallery: Gallery
     pres: PCPres
-    phi_r: tuple[Root, ...]        # ordered by the gallery
-    tau_map: dict[int, int]        # basis index -> basis index of s.root
-
-    @property
-    def m(self) -> int:
-        return len(self.phi_r)
+    tau_map: dict[int, int]        # generator index -> generator index of s.root
 
     def n_r_elements(self) -> range:
         return range(0, self.pres.order, 2)
@@ -55,37 +54,13 @@ class ResidueGroup:
         return self.conj_us(self.tau(x))
 
 
-def build_residue_group(bp: Blueprint, R: Residue2, s: int) -> ResidueGroup:
-    """Presentation of U_R induced from a gallery G in Min_s(w) with
-    Phi(R) inside Phi(G); alpha_s must be a wall of R."""
+def build_residue_group(bp: Blueprint, s: int, t: int) -> ResidueGroup:
+    """U_R for the residue R of type {s, t} at 1, from the gallery of r_J
+    that starts with s."""
     cox = bp.cox
-    alpha_s = simple_root(cox, s)
-    phi_r = residue_roots(cox, R)
-    if alpha_s not in phi_r:
-        raise RgdError(f"residue {R.label()} is not on the wall of generator {s + 1}")
-    # w* = gate * r_J crosses every wall of R; alpha_s in Phi(w*) forces the descent
-    w_star = cox.normal_form(R.base + cox.longest_element(R.J))
-    if not cox.is_left_descent(s, w_star):
-        raise RgdError("gallery construction failed: s not a descent of gate*r_J")
-    G = get_gallery(cox, (s,) + cox.normal_form(cox.left_mult(s, w_star)))
-    positions = sorted(G.position(r) for r in phi_r)
-    if positions[0] != 1:
-        raise RgdError("alpha_s is not the first crossed root of the residue gallery")
-    ordered = tuple(G.root(p) for p in positions)
-    pos_to_basis = {p: k + 1 for k, p in enumerate(positions)}
-    rel = {}
-    for a in range(len(positions)):
-        for b in range(a + 1, len(positions)):
-            word = []
-            for p in bp.relations(G)[(positions[a], positions[b])]:
-                if p not in pos_to_basis:
-                    raise RgdError(
-                        f"relation value leaves Phi(R): {G.root(p).describe()} "
-                        f"for pair ({positions[a]},{positions[b]})")
-                word.append(pos_to_basis[p])
-            rel[(a + 1, b + 1)] = tuple(word)
-    pres = PCPres(ordered, rel, gallery=G)
-    return ResidueGroup(bp, R, s, G, pres, ordered, reflected_positions(cox, s, ordered, pres))
+    R = residue_at(cox, (), (s, t))
+    G = min_gal_s(cox, cox.longest_element(R.J), s)[0]
+    return ResidueGroup(bp, R, s, G, presentation_for_gallery(bp, G), reflected_positions(G, s))
 
 
 def tau_on_residue(rg: ResidueGroup) -> Report:
@@ -129,12 +104,12 @@ def ustausV_identity_check(rg: ResidueGroup, alpha: Root) -> bool:
     """The two expansions of tau_s u_s tau_s (alpha) = u_s tau_s u_s (alpha)
     collect to the same normal form in N_R."""
     pres, tau = rg.pres, rg.tau_map
-    if alpha not in rg.phi_r or alpha == rg.phi_r[0]:
+    if not rg.gallery.crosses(alpha) or alpha == rg.gallery.root(1):
         raise RgdError("alpha must be a wall of R other than alpha_s")
     a = pres.position(alpha)
 
     def m_set(k: int) -> tuple[int, ...]:
-        # M^G(alpha_s, basis root k) as basis indices; alpha_s is basis root 1
+        # M^G(alpha_s, root k) as generator indices; alpha_s is u_1
         return pres.rel.get((1, k), ())
 
     lhs_word = [tau[p] for p in m_set(tau[a])] + [a]

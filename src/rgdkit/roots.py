@@ -27,9 +27,6 @@ class Root:
     vec: Vector
     expr: tuple[Word, int] | None = field(default=None, compare=False, hash=False)
 
-    def is_positive(self, cox: CoxeterSystem) -> bool:
-        return cox.vec_sign(self.vec) > 0
-
     def describe(self) -> str:
         coords = "[" + ",".join(repr(c) for c in self.vec) + "]"
         if self.expr is None:
@@ -161,8 +158,7 @@ def interval(cox: CoxeterSystem, alpha: Root, beta: Root, gallery) -> list[Root]
     wall.  The tests cross-check this computation against the half-space
     definition, scanned over a ball (`interval_oracle` in tests/oracles.py).
     """
-    roots = list(gallery.roots)
-    if alpha not in roots or beta not in roots:
+    if not (gallery.crosses(alpha) and gallery.crosses(beta)):
         raise RgdError("interval endpoints must be crossed by the gallery")
     if alpha == beta:
         return [alpha]
@@ -171,7 +167,7 @@ def interval(cox: CoxeterSystem, alpha: Root, beta: Root, gallery) -> list[Root]
         raise RgdError("interval endpoints must be in gallery order")
     out = [alpha]
     if pair_order(cox, alpha, beta) != inf:
-        for gamma in roots[i:j - 1]:
+        for gamma in gallery.roots[i:j - 1]:
             sol = _solve_cone(alpha.vec, beta.vec, gamma.vec)
             if sol is None:
                 continue
@@ -179,7 +175,7 @@ def interval(cox: CoxeterSystem, alpha: Root, beta: Root, gallery) -> list[Root]
             if a * det >= 0 and b * det >= 0:
                 out.append(gamma)
     else:
-        for gamma in roots[i:j - 1]:
+        for gamma in gallery.roots[i:j - 1]:
             if _noncrossing(cox, alpha, gamma) and _noncrossing(cox, gamma, beta):
                 out.append(gamma)
     out.append(beta)
@@ -206,21 +202,6 @@ def residue_at(cox: CoxeterSystem, w: Word, J: tuple[int, int]) -> Residue2:
     if cox.matrix.m(s, t) == inf:
         raise RgdError("residue type must be spherical")
     return Residue2(cox.coset_gate(w, (s, t)), (s, t))
-
-
-def residue_roots(cox: CoxeterSystem, R: Residue2) -> list[Root]:
-    """Phi(R): the m positive roots whose walls run through the residue."""
-    s, t = R.J
-    m = int(cox.matrix.m(s, t))
-    g = R.base
-    word = tuple(s if i % 2 == 0 else t for i in range(m))
-    out = []
-    for i in range(m):
-        vec = cox.apply(g + word[:i], cox.basis[word[i]])
-        out.append(Root(vec, (cox.normal_form(g + word[:i]), word[i])))
-    if len({r.vec for r in out}) != m:
-        raise InternalConsistencyError("residue walls are not distinct")
-    return out
 
 
 def stabilizes_residue(cox: CoxeterSystem, refl: Word, R: Residue2) -> bool:

@@ -17,16 +17,28 @@ that passes both; `tests/test_lemma_implications.py` asserts exactly that.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from rgdkit.blueprints import Blueprint
-from rgdkit.coxeter import Word, word_label
+from rgdkit.coxeter import CoxeterSystem, Word, word_label
 from rgdkit.errors import RgdError
 from rgdkit.galleries import Gallery, get_gallery, min_gal_s, shift
-from rgdkit.groupforge import (build_Uw, presentation_for_gallery, reflected_positions,
-                               relation_checks, subgroup_closure)
+from rgdkit.groupforge import (PCPres, build_Uw, presentation_for_gallery, relation_checks,
+                               subgroup_closure)
 from rgdkit.reports import Report, Violation
 from rgdkit.roots import Root, act, simple_root
 
 from tests.oracles import prenilpotent
+
+
+def reflected_into(cox: CoxeterSystem, s: int, roots: Sequence[Root],
+                   target: PCPres) -> dict[int, int]:
+    """{i: position in `target` of s.roots[i-1]} for every root but alpha_s:
+    the generator map u_alpha -> u_{s.alpha} from one gallery's group into
+    the group of another."""
+    alpha_s = simple_root(cox, s)
+    return {i: target.position(Root(cox.reflect(s, root.vec)))
+            for i, root in enumerate(roots, start=1) if root != alpha_s}
 
 
 def vws_iso_check(bp: Blueprint, w: Word, s: int) -> Report:
@@ -53,7 +65,7 @@ def vws_iso_check(bp: Blueprint, w: Word, s: int) -> Report:
 
     pres_sw, rep_sw = build_Uw(bp, sw)
     report.merge(rep_sw)
-    image_pos = reflected_positions(cox, s, G.roots, pres_sw)
+    image_pos = reflected_into(cox, s, G.roots, pres_sw)
     report.checks += 1
     if sorted(image_pos.values()) != list(range(1, pres_sw.k + 1)):
         report.add(Violation(axiom="Vws", w=word_label(w),
@@ -130,7 +142,7 @@ def tau_on_truncation(bp: Blueprint, w: Word, s: int) -> Report:
     report.merge(rep_sw)
     if not report.ok:
         return report
-    image_pos = reflected_positions(cox, s, pres_w.basis, pres_sw)
+    image_pos = reflected_into(cox, s, pres_w.gallery.roots, pres_sw)
     s_pos = pres_sw.position(simple_root(cox, s))
     for i, p in image_pos.items():
         report.checks += 1
@@ -181,7 +193,7 @@ def tau_conjugation_check(bp: Blueprint, s: int, beta: Root, radius: int = 6) ->
     if not rep.ok:
         return "failed"
 
-    image = reflected_positions(cox, s, G.roots, pres)
+    image = reflected_into(cox, s, G.roots, pres)
     table = bp.relations(G)
     m_set = table.get((1, G.position(s_beta)), ())
     word: list[int] = []

@@ -4,7 +4,8 @@ Chamber membership, prenilpotency and closed root intervals, each read off
 its definition by scanning the chambers of a ball.  The engine computes
 intervals by the cone and wall-nesting criteria of `roots.interval` and
 never needs the other two; these definitions are the tests' independent
-cross-checks.
+cross-checks.  `residue_roots` lists the walls of a rank-2 residue from its
+gate, against which the residue groups' galleries are checked.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from math import inf
 from weakref import WeakKeyDictionary
 
 from rgdkit.coxeter import CoxeterSystem, Vector, Word
-from rgdkit.errors import RgdError
-from rgdkit.roots import Root, depth, pair_order
+from rgdkit.errors import InternalConsistencyError, RgdError
+from rgdkit.roots import Residue2, Root, depth, pair_order
 
 # system -> radius -> root vector -> membership bitmask over ball(radius)
 MASKS: WeakKeyDictionary[CoxeterSystem, dict[int, dict[Vector, int]]] = WeakKeyDictionary()
@@ -32,7 +33,7 @@ def prenilpotent(cox: CoxeterSystem, alpha: Root, beta: Root,
     Finite pair order settles it immediately; otherwise a bounded chamber
     search over ball(dp(alpha) + dp(beta) + 2) looks for a witness.
     """
-    if not alpha.is_positive(cox) or not beta.is_positive(cox):
+    if cox.vec_sign(alpha.vec) <= 0 or cox.vec_sign(beta.vec) <= 0:
         raise RgdError("prenilpotent is defined for positive roots")
     if alpha == beta:
         return True
@@ -99,3 +100,18 @@ def membership_masks(cox: CoxeterSystem, r: int) -> dict[Vector, int]:
         masks[vec] = mask
     per_radius[r] = masks
     return masks
+
+
+def residue_roots(cox: CoxeterSystem, R: Residue2) -> list[Root]:
+    """Phi(R): the m positive roots whose walls run through the residue."""
+    s, t = R.J
+    m = int(cox.matrix.m(s, t))
+    g = R.base
+    word = tuple(s if i % 2 == 0 else t for i in range(m))
+    out = []
+    for i in range(m):
+        vec = cox.apply(g + word[:i], cox.basis[word[i]])
+        out.append(Root(vec, (cox.normal_form(g + word[:i]), word[i])))
+    if len({r.vec for r in out}) != m:
+        raise InternalConsistencyError("residue walls are not distinct")
+    return out

@@ -293,11 +293,32 @@ def test_ingest_matrix_errors_name_their_line():
         ("rank 2\nm 1 3 3\n", 2),                       # generator out of range
         ("rank 2\nm 1 2 3\nm 2 1 4\n", 3),              # contradicts an earlier label
         ("rank 3\nm 1 2 3\nm 1 3 2\n", 1),              # missing label: the rank line
+        ("rank 2\nm 1 2 3\nrel 1.2.1 1 3 : 2\nrel 1.2.1 1 3 :\n", 4),  # contradicts a rel
+        ("rank 2\nm 1 2 3\ndefault foo\n", 3),          # unknown default mode
     ]
     for text, line_no in cases:
         with pytest.raises(ParseError) as err:
             bpmod.ingest(text)
         assert err.value.line_no == line_no, (text, str(err.value))
+
+
+def test_ingest_names_the_contradicted_rel_line():
+    text = "rank 2\nm 1 2 3\nrel 1.2.1 1 3 : 2\nrel 1.2.1 1 3 : 2\nrel 1.2.1 1 3 :\n"
+    with pytest.raises(ParseError, match=r"^line 5: .* contradicts line 3$"):
+        bpmod.ingest(text)
+    # an identical repeat is no contradiction
+    assert bpmod.ingest(text.rsplit("rel", 1)[0]).entries == {((0, 1, 0), 1, 3): (2,)}
+
+
+def test_ingest_rejects_a_missing_label_before_building_the_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("CoxeterMatrix.from_dict reached with a label missing")
+
+    monkeypatch.setattr(bpmod.CoxeterMatrix, "from_dict", refuse)
+    with pytest.raises(ParseError) as err:
+        bpmod.ingest("rank 1000000\n")
+    assert err.value.line_no == 1
+    assert str(err.value) == "line 1: missing label for pair (0,1)"
 
 
 def test_strict_default_raises():

@@ -250,7 +250,7 @@ def test_delta_ids_match_the_word_oracle(table_system):
 def test_act_tau_matches_the_coset_formula(table_system):
     cs = table_system
     for gen in (cs.s, cs.t):
-        root_map = reflected_positions(cs.cox, gen, cs.pres.basis, cs.pres)
+        root_map = reflected_positions(cs.pres.gallery, gen)
         for c, members in zip(cs.chambers, cs.members):
             assert members == cs.coset_members(c.w, c.rep)
             for r in members:

@@ -2,6 +2,8 @@
 
 import time
 
+import pytest
+
 from rgdkit import cli
 from rgdkit.cli import main
 from rgdkit.coxeter import CoxeterSystem
@@ -122,6 +124,35 @@ def test_appendix_with_unverifiable_instances_exits_incomplete(capsys):
 def test_appendix_on_infinite_pair_exits_2(capsys):
     assert main(["--builtin", "allempty:universal3", "appendix", "-s", "1", "-t", "2"]) == 2
     assert "spherical pair required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["residue", "-s", "5"], ["residue", "-s", "0"], ["residue", "-s", "-1"],
+    ["appendix", "-s", "3", "-t", "1"], ["chambers", "-s", "1", "-t", "1"],
+    ["appendix", "-s", "2", "-t", "2"],
+], ids=lambda argv: " ".join(argv))
+def test_generator_arguments_are_checked(argv, capsys):
+    # each generator is one of 1..rank, and -s differs from -t
+    assert main(["--builtin", "rank2:m3"] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name,witness", [
+    ("g2_weyl_mutated.bp", "gallery=2.1.2.1.2.1 i=2 j=6 "),
+    ("b2_cb2_mutated.bp", "gallery=2.1.2.1 i=1 j=4 "),
+])
+def test_chambers_reports_cb3_failure_of_u(name, witness, capsys, tmp_path):
+    # U on Phi(r_J) failing CB3 is a violation: its report is printed and
+    # written, and the command exits 1
+    report = tmp_path / "report.txt"
+    assert main(["--blueprint", fixture_path(name), "--report", str(report),
+                 "chambers", "-s", "1", "-t", "2"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("[FAIL] build_CJ(") and witness in out
+    lines = report.read_text().splitlines()
+    assert lines[0].startswith("VIOLATION axiom=CB3 ") and witness in lines[0]
+    assert lines[1].startswith("SUMMARY name=build_CJ(") and lines[1].endswith("violations=1")
 
 
 def test_internal_errors_exit_3(capsys, monkeypatch):

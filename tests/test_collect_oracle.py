@@ -15,7 +15,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from rgdkit.errors import CollectionOverflow
 from rgdkit.groupforge import PCPres
-from rgdkit.roots import Root
 
 
 def collect_leftmost(pres, word):
@@ -44,7 +43,7 @@ def collect_leftmost(pres, word):
 
 
 def raw_pres(k, rel):
-    return PCPres([Root((i + 1,)) for i in range(k)], rel)
+    return PCPres(k, rel)
 
 
 @st.composite

@@ -24,15 +24,13 @@ def test_pair_order_refuses_unknown_angles():
 
 
 def test_collection_step_cap():
-    basis = [Root((i + 1,)) for i in range(3)]
-    p = gf.PCPres(basis, {(1, 2): (), (1, 3): (2,), (2, 3): ()}, step_cap=2)
+    p = gf.PCPres(3, {(1, 2): (), (1, 3): (2,), (2, 3): ()}, step_cap=2)
     with pytest.raises(CollectionOverflow):
         p.collect([3, 1, 3, 1])
 
 
 def test_consistency_reports_overflow_as_inconsistent():
-    basis = [Root((i + 1,)) for i in range(3)]
-    p = gf.PCPres(basis, {(1, 2): (), (1, 3): (2,), (2, 3): ()}, step_cap=1)
+    p = gf.PCPres(3, {(1, 2): (), (1, 3): (2,), (2, 3): ()}, step_cap=1)
     assert p.consistency_check() is False
     assert "steps" in (p.inconsistency_witness or "")
 
@@ -44,15 +42,13 @@ def test_ball_cap():
 
 
 def test_subgroup_closure_cap():
-    basis = [Root((i + 1,)) for i in range(4)]
-    p = gf.PCPres(basis, {(i, j): () for i in range(1, 5) for j in range(i + 1, 5)})
+    p = gf.PCPres(4, {(i, j): () for i in range(1, 5) for j in range(i + 1, 5)})
     with pytest.raises(CapExceeded):
         gf.subgroup_closure(p, [p.generator(i) for i in range(1, 5)], cap=4)
 
 
 def test_relation_table_shape_validated():
-    basis = [Root((i + 1,)) for i in range(3)]
     with pytest.raises(Exception):
-        gf.PCPres(basis, {(1, 3): (3,)})  # value outside the open range
+        gf.PCPres(3, {(1, 3): (3,)})  # value outside the open range
     with pytest.raises(Exception):
-        gf.PCPres(basis, {(3, 1): (2,)})  # malformed key
+        gf.PCPres(3, {(3, 1): (2,)})  # malformed key

@@ -8,16 +8,14 @@ from hypothesis import given, settings, strategies as st
 from rgdkit import blueprints as bpmod
 from rgdkit import groupforge as gf
 from rgdkit.errors import RgdError
-from rgdkit.roots import Root
 from tests.coset_enum import group_order, relators
 from tests.lemma_checks import vws_iso_check
 
 
 def raw_pres(k, rel):
-    """Presentation on k abstract generators (distinct dummy root vectors)."""
-    basis = [Root((i + 1,)) for i in range(k)]
+    """Presentation on k generators, with every pair (i, j) in its table."""
     full = {(i, j): rel.get((i, j), ()) for i in range(1, k + 1) for j in range(i + 1, k + 1)}
-    return gf.PCPres(basis, full)
+    return gf.PCPres(k, full)
 
 
 def nilpotency_class(pres):

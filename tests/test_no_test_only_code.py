@@ -1,11 +1,12 @@
-"""Every module-level function and class of the package has a user outside
-the tests.
+"""Every module-level function and class of the package, and every method
+of its classes, has a user outside the tests.
 
 The package ships only what its commands, scripts and benchmark run; a
 reference oracle or a check that only tests call belongs under `tests/`.
 A name counts as used when it is loaded anywhere in `src/`, `scripts/` or
 `perfbench/` other than inside its own definition, or when `perfbench/`
-names it in a string (its tracer patches functions by name).
+names it in a string (its tracer patches functions by name).  Dunder
+methods are exempt: Python calls them.
 """
 
 import ast
@@ -20,16 +21,25 @@ PACKAGE = ROOT / "src" / "rgdkit"
 EXEMPT_MODULES = {"qf24.py"}
 
 
-def _loaded_names(node, skip=None):
-    """Names and attributes loaded in `node`, leaving out `skip`."""
+def _loaded_names(node, skip=()):
+    """Names and attributes loaded in `node`, leaving out those in `skip`."""
     out = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             out.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             out.add(sub.attr)
-    out.discard(skip)
-    return out
+    return out - set(skip)
+
+
+def _definitions(stmt):
+    """A top-level statement's definitions, each with the names its own body
+    may load without counting as a use: a method skips itself and its class."""
+    own = getattr(stmt, "name", None)
+    if not isinstance(stmt, ast.ClassDef):
+        return [(stmt, {own})]
+    return [(item, {own, getattr(item, "name", None)}) for item in stmt.body] + [
+        (node, {own}) for node in stmt.bases + stmt.decorator_list]
 
 
 def _used_names():
@@ -38,8 +48,8 @@ def _used_names():
         for path in sorted((ROOT / folder).rglob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"))
             for stmt in tree.body:
-                own = getattr(stmt, "name", None)
-                used |= _loaded_names(stmt, skip=own)
+                for node, skip in _definitions(stmt):
+                    used |= _loaded_names(node, skip)
             if folder == "perfbench":
                 for sub in ast.walk(tree):
                     if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
@@ -58,5 +68,10 @@ def test_every_package_definition_is_used_outside_the_tests():
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if stmt.name not in used:
                     unused.append(f"{path.name}:{stmt.name}")
+            if isinstance(stmt, ast.ClassDef):
+                for item in stmt.body:
+                    if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not item.name.startswith("__") and item.name not in used):
+                        unused.append(f"{path.name}:{stmt.name}.{item.name}")
     assert unused == []
 

@@ -4,15 +4,17 @@ maps and gallery independence."""
 
 import pytest
 
+from rgdkit import blueprints as bpmod
 from rgdkit import parabolics as pb
 from rgdkit import roots as rt
-from rgdkit.galleries import min_gal_s
+from rgdkit.galleries import get_gallery, min_gal_s
 from tests import lemma_checks as lc
+from tests.conftest import fixture_path
+from tests.oracles import residue_roots
 
 
 def residue_group(bp, s):
-    R = rt.residue_at(bp.cox, (), (0, 1))
-    return pb.build_residue_group(bp, R, s)
+    return pb.build_residue_group(bp, s, 1 - s)
 
 
 def f_of(rg):
@@ -254,25 +256,36 @@ def test_tau_on_residue_reports(bp_name, s, request):
 def test_ustausv_identity(bp_name, s, request):
     bp = request.getfixturevalue(bp_name)
     rg = residue_group(bp, s)
-    for alpha in rg.phi_r[1:]:
+    for alpha in rg.gallery.roots[1:]:
         assert pb.ustausV_identity_check(rg, alpha)
 
 
 def test_residue_groups_on_product_fixture(bp_product_b2):
     # residues of both spherical types sit on the wall of generator 1
-    cox = bp_product_b2.cox
-    for J in ((0, 1), (0, 2)):
-        rg = pb.build_residue_group(bp_product_b2, rt.residue_at(cox, (), J), 0)
+    for t in (1, 2):
+        rg = pb.build_residue_group(bp_product_b2, 0, t)
         assert pb.tau_on_residue(rg).ok
-        for alpha in rg.phi_r[1:]:
+        for alpha in rg.gallery.roots[1:]:
             assert pb.ustausV_identity_check(rg, alpha)
 
 
-def test_residue_group_off_wall_rejected(bp_product_b2):
-    cox = bp_product_b2.cox
-    R = rt.residue_at(cox, (), (1, 2))
-    with pytest.raises(Exception):
-        pb.build_residue_group(bp_product_b2, R, 0)
+RESIDUE_BLUEPRINTS = [f"rank2:{v}" for v in ("m2", "m3", "m4", "m6lr", "m6rl")] + [
+    f"rank3_{v}_product.bp" for v in ("a2", "b2", "g2")]
+
+
+@pytest.mark.parametrize("name", RESIDUE_BLUEPRINTS)
+def test_residue_gallery_crosses_the_residue_walls(name):
+    # the gallery of r_J starting with s crosses exactly Phi(R), alpha_s first
+    bp = (bpmod.ingest_path(fixture_path(name)) if name.endswith(".bp")
+          else bpmod.builtin(name))
+    cox = bp.cox
+    pairs = [(s, t) for s in range(cox.rank) for t in range(cox.rank)
+             if s != t and cox.matrix.m(s, t) != float("inf")]
+    assert pairs
+    for s, t in pairs:
+        rg = pb.build_residue_group(bp, s, t)
+        assert rg.gallery.word[0] == s
+        assert set(rg.gallery.roots) == set(residue_roots(cox, rg.residue))
 
 
 def test_gallery_independence_trivial(bp_m3):
@@ -287,7 +300,9 @@ def test_gallery_independence_untestable_instance_is_skipped(bp_m3, monkeypatch)
     from rgdkit.groupforge import PCPres
     from rgdkit.reports import Report
 
-    monkeypatch.setattr(lc, "build_Uw", lambda bp, w: (PCPres((), {}), Report("empty")))
+    cox = bp_m3.cox
+    monkeypatch.setattr(lc, "build_Uw",
+                        lambda bp, w: (PCPres(0, {}, gallery=get_gallery(cox, ())), Report("empty")))
     w = (0, 1, 0)
     alpha = rt.phi_w(bp_m3.cox, w)[2]  # M^G(1, 3) = (2,) on the gallery 1.2.1
     rep = lc.gallery_independence_check(bp_m3, w, w, 0, alpha)
