@@ -5,7 +5,10 @@ argument for the group U on Phi(r_J): either two generator words that must
 collect to the same normal form ("eq"), or a tau-image step ("tau": apply
 the root involution anchored at one end of the gallery, then collect).
 Indices are crossing positions 1..m on the distinguished gallery of the
-residue (the directed one when m = 6).
+residue (the directed one when m = 6), and U with its two tau maps is the
+`parabolics.ResidueGroup` of that gallery: anchor 1 is tau of its first
+letter, anchor m tau of its second.  A U that fails the consistency test
+is reported with its witness, and the suite does not run.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from .blueprints import Blueprint
 from .coxeter import Word
 from .errors import RgdError
 from .galleries import get_gallery, oriented_gallery
-from .groupforge import PCPres, build_Uw, presentation_for_gallery, reflected_positions
+from .groupforge import PCPres, build_Uw, presentation_for_gallery
+from .parabolics import ResidueGroup
 from .reports import Report, Violation
 from .roots import act, simple_root
 
@@ -193,28 +197,25 @@ _SUITES = {2: (M2_EQ, M2_TAU), 3: (M3_EQ, M3_TAU), 4: (M4_EQ, M4_TAU), 6: (M6_EQ
 
 def verify_identity_chains(bp: Blueprint, s: int, t: int) -> Report:
     """Run the displayed-identity suite for the pair {s, t}."""
-    cox = bp.cox
-    G = oriented_gallery(cox, s, t)
+    G = oriented_gallery(bp.cox, s, t)
     m = len(G)
     if m not in _SUITES:
         raise RgdError(f"no identity suite for m = {m}")
     report = Report(f"identities({bp.name}, m={m})")
-    pres = presentation_for_gallery(bp, G)
+    rg = ResidueGroup(bp, presentation_for_gallery(bp, G))
+    pres = rg.pres
     if not pres.consistency_check():
         report.add(Violation(axiom="CB3", gallery=G.label(),
-                             expected="consistent", found="inconsistent"))
+                             expected="consistent", found=pres.inconsistency_witness))
         return report
     eqs, taus = _SUITES[m]
-    # tau anchored at position 1 (alpha of G.word[0]) or m (alpha of G.word[1])
-    tau_low = reflected_positions(G, G.word[0])
-    tau_high = reflected_positions(G, G.word[1])
     for lhs, rhs in eqs:
         report.checks += 1
         if pres.collect(lhs) != pres.collect(rhs):
             report.add(Violation(axiom="identity", gallery=G.label(),
                                  expected=str(rhs), found=str(lhs)))
     for anchor, win, wout in taus:
-        mp = tau_low if anchor == 1 else tau_high
+        mp = rg.tau_maps[rg.s if anchor == 1 else rg.t]
         report.checks += 1
         if any(x == anchor for x in win):
             report.add(Violation(axiom="identity", gallery=G.label(),

@@ -1,7 +1,11 @@
 """Rank-2 chamber systems of cosets u U_w and the braid-triviality check.
 
 Chambers are cosets u U_w with u in the group U on Phi(r_J) and w in the
-dihedral parabolic <J>.  One table owns chamber identity: `chamber_of[w]`
+dihedral parabolic <J>.  U is built by `build_Uw` on the lex-least gallery
+of r_J, whose cross-gallery CB3 check is the `build_CJ` report, and wrapped
+in a `parabolics.ResidueGroup`, which gives the generators of alpha_s and
+alpha_t, the generator maps of tau_s and tau_t and the bit mask of every
+U_w.  One table owns chamber identity: `chamber_of[w]`
 maps every element of U to the index of its U_w-coset, and each chamber is
 named by the least member of its coset, whose members it keeps.
 s-adjacency is u U_w ~ v U_{w'} iff w' in {w, ws} and u^-1 v in the larger
@@ -29,10 +33,9 @@ from math import inf
 from .blueprints import Blueprint
 from .coxeter import Word, word_label
 from .errors import RgdError, Violated
-from .groupforge import build_Uw, reflected_positions
+from .groupforge import build_Uw
+from .parabolics import ResidueGroup
 from .reports import Report, Violation
-from .roots import simple_root
-from . import roots as rootmod
 
 
 @dataclass(frozen=True)
@@ -56,24 +59,12 @@ class ChamberSystemJ:
         self.s, self.t = s, t
         self.m = int(cox.matrix.m(s, t))
         self.build_report = report
-        w0 = cox.longest_element((s, t))
-        self.pres, rep = build_Uw(bp, w0)
+        self.w_elements = cox.parabolic_elements((s, t))
+        self.pres, rep = build_Uw(bp, self.w_elements[-1])  # r_J, the longest
         report.merge(rep)
         if not rep.ok:
             raise Violated(report, "U on Phi(r_J) fails CB3; cannot build chambers")
-        self.w_elements = cox.parabolic_elements((s, t))
-        self.gen_pos = {s: self.pres.position(simple_root(cox, s)),
-                        t: self.pres.position(simple_root(cox, t))}
-        # subgroup masks: U_w is the bit-range subgroup on the positions of Phi(w)
-        self.masks: dict[Word, int] = {}
-        for w in self.w_elements:
-            positions = sorted(self.pres.position(r) for r in rootmod.phi_w(cox, w))
-            if positions and positions != list(range(positions[0], positions[0] + len(positions))):
-                raise RgdError(f"Phi({word_label(w)}) is not an index range in the base order")
-            mask = 0
-            for p in positions:
-                mask |= 1 << (p - 1)
-            self.masks[w] = mask
+        self.rg = ResidueGroup(bp, self.pres)
         # W_J ids: w_elements[i] is element i, id 0 is the identity;
         # rmul[gen][i] is the id of w_i * gen, lmul[gen][i] that of gen * w_i
         self.w_id = {w: i for i, w in enumerate(self.w_elements)}
@@ -115,8 +106,8 @@ class ChamberSystemJ:
         # tn the image of n under the root map of gen; see `act_tau`
         self.tau_table: dict[int, list[tuple[int, int, int]]] = {}
         for gen in (s, t):
-            root_map = reflected_positions(self.pres.gallery, gen)
-            u = self.pres.generator(self.gen_pos[gen])
+            root_map = self.rg.tau_maps[gen]
+            u = self.pres.generator(self.rg.position[gen])
             rows = self.tau_table[gen] = []
             for g in range(self.pres.order):
                 n, eps = self.decompose(g, gen)
@@ -126,7 +117,7 @@ class ChamberSystemJ:
     # -- coset plumbing ----------------------------------------------------
 
     def coset_members(self, w: Word, g: int) -> list[int]:
-        mask = self.masks[w]
+        mask = self.rg.mask(w)
         out = []
         # iterate all submasks of `mask`, including 0
         x = mask
@@ -155,7 +146,7 @@ class ChamberSystemJ:
         if b.w != a.w and b.w != ws:
             return False
         diff = self.pres.mul(self.pres.inv(a.rep), b.rep)
-        return not diff & ~self.masks[a.w] or not diff & ~self.masks[ws]
+        return not diff & ~self.rg.mask(a.w) or not diff & ~self.rg.mask(ws)
 
     # -- group actions --------------------------------------------------------
 
@@ -164,7 +155,7 @@ class ChamberSystemJ:
 
     def decompose(self, bits: int, gen: int) -> tuple[int, int]:
         """g = n * u_gen^eps with n in the kernel of the u_gen retraction."""
-        p = self.gen_pos[gen]
+        p = self.rg.position[gen]
         eps = bits >> (p - 1) & 1
         n = self.pres.mul(bits, self.pres.generator(p)) if eps else bits
         return n, eps
@@ -310,7 +301,7 @@ def verify_action(cs: ChamberSystemJ, gen: int) -> Report:
                                      expected=expected.label(), found=got.label()))
 
     perm_t = cs.perm_tau(gen)
-    perm_u = cs.perm_group(cs.pres.generator(cs.gen_pos[gen]))
+    perm_u = cs.perm_group(cs.pres.generator(cs.rg.position[gen]))
     n = len(cs.chambers)
     ident = list(range(n))
 
@@ -355,7 +346,7 @@ def verify_action(cs: ChamberSystemJ, gen: int) -> Report:
     # witness chambers from the faithfulness argument
     c0 = cs.chamber(())
     c_s = cs.chamber((gen,))
-    u_c0 = cs.act_group(cs.pres.generator(cs.gen_pos[gen]), c0)
+    u_c0 = cs.act_group(cs.pres.generator(cs.rg.position[gen]), c0)
     checks = [
         (cs.act_tau(gen, c0), c_s, "tau.U_1 = U_s"),
         (u_c0 != c0, True, "u.U_1 != U_1"),

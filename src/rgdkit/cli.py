@@ -118,11 +118,12 @@ def cmd_group(cfg: RunConfig, word_text: str) -> int:
 def cmd_residue(cfg: RunConfig, s: int) -> int:
     bp = cfg.blueprint
     cox = bp.cox
+    partners = [t for t in range(cox.rank) if t != s and cox.matrix.m(s, t) != inf]
+    if not partners:
+        raise RgdError(f"generator {s + 1} is in no spherical pair: no residue to check")
     reports = []
     print(f"residues on the wall of generator {s + 1}:")
-    for t in range(cox.rank):
-        if t == s or cox.matrix.m(s, t) == inf:
-            continue
+    for t in partners:
         rg = parabolics.build_residue_group(bp, s, t)
         rep = parabolics.tau_on_residue(rg)
         ust = all(parabolics.ustausV_identity_check(rg, a) for a in rg.gallery.roots[1:])

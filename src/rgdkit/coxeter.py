@@ -274,16 +274,19 @@ class CoxeterSystem:
         """Normal forms of all elements of length <= r, each exactly once."""
         if r < 0:
             raise RgdError("radius must be >= 0")
+        # refuse once the running count passes the cap: no partial layer is cached
+        total = sum(map(len, self._ball_layers))
         while len(self._ball_layers) <= r:
-            layer = self._ball_layers[-1]
             nxt = set()
-            for w in layer:
+            for w in self._ball_layers[-1]:
                 for t in range(self.rank):
                     if not self.is_right_descent(w, t):
                         nxt.add(self.normal_form(w + (t,)))
+                        if total + len(nxt) > cap:
+                            raise CapExceeded(f"ball cap {cap} exceeded at radius "
+                                              f"{len(self._ball_layers)}")
+            total += len(nxt)
             self._ball_layers.append(sorted(nxt))
-            if sum(len(l) for l in self._ball_layers) > cap:
-                raise CapExceeded(f"ball cap {cap} exceeded at radius {len(self._ball_layers) - 1}")
         out: list[Word] = []
         for layer in self._ball_layers[: r + 1]:
             out.extend(layer)
@@ -292,18 +295,13 @@ class CoxeterSystem:
         return out
 
     def longest_element(self, J: tuple[int, ...]) -> Word:
-        """Reduced word for the longest element of a spherical rank<=2 parabolic."""
+        """Normal form of the longest element of a spherical rank<=2 parabolic."""
         J = tuple(sorted(set(J)))
-        if len(J) == 1:
-            return (J[0],)
-        if len(J) != 2:
+        if not 1 <= len(J) <= 2:
             raise NotSpherical("only rank <= 2 standard parabolics are supported")
-        s, t = J
-        m = self.matrix.m(s, t)
-        if m == inf:
-            raise NotSpherical(f"parabolic {{{s},{t}}} is infinite")
-        word = tuple(s if i % 2 == 0 else t for i in range(int(m)))
-        return self.normal_form(word)
+        if len(J) == 2 and self.matrix.m(*J) == inf:
+            raise NotSpherical(f"parabolic {{{J[0]},{J[1]}}} is infinite")
+        return self.parabolic_elements(J)[-1]
 
     def coset_gate(self, word: Word, J: tuple[int, ...]) -> Word:
         """Lex-least reduced word of the minimal-length element of w<J>."""

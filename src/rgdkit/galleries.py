@@ -68,20 +68,23 @@ def get_gallery(cox: CoxeterSystem, word: Word) -> Gallery:
     return g
 
 
-def oriented_gallery(cox: CoxeterSystem, s: int, t: int) -> Gallery:
-    """The gallery of the longest element of <s, t> that anchors the rank-2
-    Moufang tables: it starts at the smaller generator, or for m = 6 at the
-    target of the directed edge."""
-    m = cox.matrix.m(s, t)
+def rj_gallery(cox: CoxeterSystem, first: int, second: int) -> Gallery:
+    """The gallery of r_J, the longest element of J = {first, second}, that
+    starts with `first`: the alternating word of length m."""
+    m = cox.matrix.m(first, second)
     if m == inf:
         raise RgdError("spherical pair required")
-    first = min(s, t)
-    if m == 6:
-        for (a, b) in cox.matrix.directed6:
-            if {a, b} == {s, t}:
-                first = b
-    second = s + t - first
     return get_gallery(cox, tuple(first if k % 2 == 0 else second for k in range(int(m))))
+
+
+def oriented_gallery(cox: CoxeterSystem, s: int, t: int) -> Gallery:
+    """The gallery of r_J that anchors the rank-2 Moufang tables: it starts at
+    the smaller generator, or for m = 6 at the target of the directed edge."""
+    first = min(s, t)
+    for (a, b) in cox.matrix.directed6:
+        if {a, b} == {s, t}:
+            first = b
+    return rj_gallery(cox, first, s + t - first)
 
 
 def min_gal(cox: CoxeterSystem, w: Word, cap: int = 10_000) -> list[Gallery]:

@@ -225,12 +225,11 @@ def relation_checks(rel: Mapping[tuple[int, int], Sequence[int]], image: Mapping
 # construction from a blueprint
 
 
-def presentation_for_gallery(bp: Blueprint, G: Gallery, step_cap: int = 1_000_000) -> PCPres:
-    return PCPres(len(G), bp.relations(G), gallery=G, step_cap=step_cap)
+def presentation_for_gallery(bp: Blueprint, G: Gallery) -> PCPres:
+    return PCPres(len(G), bp.relations(G), gallery=G)
 
 
-def build_Uw(bp: Blueprint, w: Word, gallery_cap: int = 10_000,
-             step_cap: int = 1_000_000, *,
+def build_Uw(bp: Blueprint, w: Word, gallery_cap: int = 10_000, *,
              certified: Mapping[Word, Mapping] | None = None) -> tuple[PCPres, Report]:
     """Group on Phi(w) from the lex-least gallery, cross-checked against the
     relations of every other gallery of w (the executable content of the
@@ -251,7 +250,7 @@ def build_Uw(bp: Blueprint, w: Word, gallery_cap: int = 10_000,
         report.skip(f"partial: more than {gallery_cap} galleries; "
                     f"cross-checked the base gallery only")
     base = galleries[0]
-    pres = presentation_for_gallery(bp, base, step_cap)
+    pres = presentation_for_gallery(bp, base)
     k = pres.k
     prefix = certified.get(base.word[:-1]) if certified else None
     top = 1

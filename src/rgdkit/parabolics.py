@@ -1,66 +1,65 @@
-"""Rank-1 parabolic machinery at finite scale.
+"""The residue group of a spherical pair J = {s, t} and the involution tau_s.
 
-For a simple generator s, the involution tau_s sends u_alpha to u_{s.alpha}
-on every generator away from alpha_s.  This module realizes tau_s on the
-residue groups U_R of the rank-2 residues at 1 whose type holds s, each
-presented by the gallery of r_J that crosses alpha_s first, and verifies
-its defining identities there: tau_s^2 = 1, (u_s tau_s)^3 = 1 and the
-conjugation identity for v_alpha.  The proof's other lemmas about
-tau_s (the truncation maps U_w -> U_{sw}, independence of the chosen
-gallery, tau_s^2 = 1 beyond the s-wall) follow from Weyl-invariance and
-CB3, which `validate` checks; the tests keep them as oracles.
+`ResidueGroup` is U on Phi(r_J), presented by a gallery G of r_J, with the
+conventions the rank-2 checks share: s and t are G's first two letters, so
+alpha_s is u_1 and alpha_t is u_m; `tau_maps[gen]` sends u_alpha to
+u_{gen.alpha}; and U_w, for w in W_J, is the low or the high l(w) bits.
+The residue check here, the chamber battery and the identity suite read it.
+On N_R, for the residue R of type {s, t} at 1, this module verifies
+tau_s^2 = 1, (u_s tau_s)^3 = 1 and the conjugation identity for v_alpha.
+The proof's other lemmas about tau_s (the truncation maps U_w -> U_{sw},
+independence of the chosen gallery, tau_s^2 = 1 beyond the s-wall) follow
+from Weyl-invariance and CB3, which `validate` checks; the tests keep them
+as oracles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .blueprints import Blueprint
+from .coxeter import Word
 from .errors import RgdError
-from .galleries import Gallery, min_gal_s
+from .galleries import rj_gallery
 from .groupforge import (PCPres, presentation_for_gallery, project_to_first,
                          reflected_positions, relation_checks)
 from .reports import Report, Violation
-from .roots import Residue2, Root, residue_at
+from .roots import Root, residue_at
 
 
-@dataclass
 class ResidueGroup:
-    """U_R for the residue R of type {s, t} at 1, presented by the gallery of
-    r_J that starts with s: its crossed roots are Phi(R), alpha_s is u_1, and
-    N_R is the masks without bit 1."""
+    """U on Phi(r_J) from `pres`, whose gallery G is a gallery of r_J;
+    `residue` is the residue of type {s, t} at 1, whose walls G crosses, and
+    N_R is the masks without bit 1, the bit of alpha_s."""
 
-    bp: Blueprint
-    residue: Residue2
-    s: int
-    gallery: Gallery
-    pres: PCPres
-    tau_map: dict[int, int]        # generator index -> generator index of s.root
+    def __init__(self, bp: Blueprint, pres: PCPres):
+        G = pres.gallery
+        self.bp, self.pres, self.gallery = bp, pres, G
+        self.s, self.t = G.word[0], G.word[1]
+        self.residue = residue_at(bp.cox, (), (self.s, self.t))
+        self.position = {self.s: 1, self.t: len(G)}
+        self.tau_maps = {gen: reflected_positions(G, gen) for gen in (self.s, self.t)}
 
-    def n_r_elements(self) -> range:
-        return range(0, self.pres.order, 2)
+    def mask(self, w: Word) -> int:
+        """U_w for w in W_J, as the bits of Phi(w).  The two galleries of r_J
+        cross Phi(r_J) in opposite orders, so Phi(w) is G's first l(w) roots
+        when G's word starts with w, and its last l(w) otherwise."""
+        low = (1 << len(w)) - 1
+        return low if self.gallery.word[:len(w)] == w else low << (len(self.gallery) - len(w))
 
     def tau(self, x: int) -> int:
         """tau_s on N_R: map each normal-form letter to its s-image."""
         if x & 1:
             raise RgdError("tau_s is defined on N_R only (no u_s component)")
-        return self.pres.map_elem(self.tau_map, x)
-
-    def conj_us(self, x: int) -> int:
-        return self.pres.conj(self.pres.generator(1), x)
+        return self.pres.map_elem(self.tau_maps[self.s], x)
 
     def us_tau(self, x: int) -> int:
         """The composite n -> u_s tau_s(n) u_s on N_R."""
-        return self.conj_us(self.tau(x))
+        return self.pres.conj(self.pres.generator(1), self.tau(x))
 
 
 def build_residue_group(bp: Blueprint, s: int, t: int) -> ResidueGroup:
     """U_R for the residue R of type {s, t} at 1, from the gallery of r_J
     that starts with s."""
-    cox = bp.cox
-    R = residue_at(cox, (), (s, t))
-    G = min_gal_s(cox, cox.longest_element(R.J), s)[0]
-    return ResidueGroup(bp, R, s, G, presentation_for_gallery(bp, G), reflected_positions(G, s))
+    return ResidueGroup(bp, presentation_for_gallery(bp, rj_gallery(bp.cox, s, t)))
 
 
 def tau_on_residue(rg: ResidueGroup) -> Report:
@@ -77,18 +76,19 @@ def tau_on_residue(rg: ResidueGroup) -> Report:
     report.merge(rep)
 
     # images stay in N_R (never touch the u_s bit)
-    for i, img in rg.tau_map.items():
+    tau_s = rg.tau_maps[rg.s]
+    for i, img in tau_s.items():
         report.checks += 1
         if img == 1:
             report.add(Violation(axiom="tau-image", i=i, expected="image != u_s",
                                  found="u_s"))
 
     # homomorphism: every defining relation of N_R maps to a relation
-    relation_checks(pres.rel, rg.tau_map, pres, report,
+    relation_checks(pres.rel, tau_s, pres, report,
                     axiom="Weyl", gallery=rg.gallery.label())
 
     # involution and the braid with u_s, on all of N_R
-    for x in rg.n_r_elements():
+    for x in range(0, pres.order, 2):
         report.checks += 2
         if rg.tau(rg.tau(x)) != x:
             report.add(Violation(axiom="tau^2", expected=str(pres.word_of(x)),
@@ -103,7 +103,7 @@ def tau_on_residue(rg: ResidueGroup) -> Report:
 def ustausV_identity_check(rg: ResidueGroup, alpha: Root) -> bool:
     """The two expansions of tau_s u_s tau_s (alpha) = u_s tau_s u_s (alpha)
     collect to the same normal form in N_R."""
-    pres, tau = rg.pres, rg.tau_map
+    pres, tau = rg.pres, rg.tau_maps[rg.s]
     if not rg.gallery.crosses(alpha) or alpha == rg.gallery.root(1):
         raise RgdError("alpha must be a wall of R other than alpha_s")
     a = pres.position(alpha)

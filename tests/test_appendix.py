@@ -29,6 +29,16 @@ def test_numbered_identities_directly(bp_m6):
     assert p.collect((1, 3, 5)) == p.collect((5, 3, 1))
 
 
+def test_inconsistent_u_reports_its_witness():
+    # one wrong value makes U on Phi(r_J) inconsistent: the suite reports the
+    # collection witness, as `residue` does, and runs (and counts) nothing
+    bp = bpmod.ingest("rank 2\nm 1 2 4\ndefault rank2\nrel 1.2.1.2 1 3 : 2\n", name="b2-bad")
+    report = ap.verify_identity_chains(bp, 0, 1)
+    assert report.checks == 0
+    assert [(v.axiom, v.gallery, v.found) for v in report.violations] == [
+        ("CB3", "1.2.1.2", "(u4 u1) u1 != u4")]
+
+
 def test_oriented_gallery_follows_direction():
     lr = bpmod.builtin("rank2:m6lr")
     rl = bpmod.builtin("rank2:m6rl")

@@ -74,11 +74,11 @@ def test_act_examples(systems):
     # tau_s . U_1 = U_s
     assert cs.act_tau(0, c0) == c_s
     # u_s . U_1 = u_s U_1, a different chamber
-    us = cs.pres.generator(cs.gen_pos[0])
+    us = cs.pres.generator(cs.rg.position[0])
     assert cs.act_group(us, c0) != c0
     # m = 2 concrete case: tau_s . u_s U_t = u_s U_t (ascent, u = u_s)
     cs2 = systems[2]
-    ct = cs2.chamber((1,), cs2.pres.generator(cs2.gen_pos[0]))
+    ct = cs2.chamber((1,), cs2.pres.generator(cs2.rg.position[0]))
     assert cs2.act_tau(0, ct) == ct
 
 
@@ -236,7 +236,7 @@ def _act_tau_formula(cs, gen, root_map, c, rep):
     tn = cs.pres.map_elem(root_map, n)
     if len(sw) < len(c.w) or eps == 0:
         return cs.canonical(sw, tn)
-    return cs.canonical(c.w, cs.pres.mul(tn, cs.pres.generator(cs.gen_pos[gen])))
+    return cs.canonical(c.w, cs.pres.mul(tn, cs.pres.generator(cs.rg.position[gen])))
 
 
 def test_delta_ids_match_the_word_oracle(table_system):

@@ -126,6 +126,17 @@ def test_appendix_on_infinite_pair_exits_2(capsys):
     assert "spherical pair required" in capsys.readouterr().err
 
 
+def test_residue_without_a_spherical_partner_exits_2(capsys, tmp_path):
+    # generator 1 of universal3 lies in no spherical pair: with no residue
+    # to check, nothing is printed or written and the run is refused
+    report = tmp_path / "report.txt"
+    assert main(["--builtin", "allempty:universal3", "--report", str(report),
+                 "residue", "-s", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not report.exists()
+    assert captured.err == "error: generator 1 is in no spherical pair: no residue to check\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["residue", "-s", "5"], ["residue", "-s", "0"], ["residue", "-s", "-1"],
     ["appendix", "-s", "3", "-t", "1"], ["chambers", "-s", "1", "-t", "1"],

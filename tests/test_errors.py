@@ -41,6 +41,27 @@ def test_ball_cap():
         cox.ball(6, cap=10)
 
 
+def test_ball_refuses_before_finishing_the_layer(monkeypatch):
+    # universal3 at radius 40 passes any cap: the count is checked as the
+    # layer grows, so at most `cap` normal forms are built, and the refused
+    # layer is not cached
+    cox = CoxeterSystem(CoxeterMatrix.universal(3))
+    calls = 0
+    normal_form = CoxeterSystem.normal_form
+
+    def counted(self, word):
+        nonlocal calls
+        calls += 1
+        return normal_form(self, word)
+
+    monkeypatch.setattr(CoxeterSystem, "normal_form", counted)
+    with pytest.raises(CapExceeded, match="ball cap 1000 exceeded at radius 9"):
+        cox.ball(40, cap=1000)
+    assert calls <= 1000
+    monkeypatch.undo()
+    assert cox.ball(8) == CoxeterSystem(CoxeterMatrix.universal(3)).ball(8)
+
+
 def test_subgroup_closure_cap():
     p = gf.PCPres(4, {(i, j): () for i in range(1, 5) for j in range(i + 1, 5)})
     with pytest.raises(CapExceeded):

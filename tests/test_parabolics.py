@@ -7,7 +7,8 @@ import pytest
 from rgdkit import blueprints as bpmod
 from rgdkit import parabolics as pb
 from rgdkit import roots as rt
-from rgdkit.galleries import get_gallery, min_gal_s
+from rgdkit.galleries import get_gallery, min_gal_s, rj_gallery
+from rgdkit.groupforge import presentation_for_gallery
 from tests import lemma_checks as lc
 from tests.conftest import fixture_path
 from tests.oracles import residue_roots
@@ -46,7 +47,7 @@ def test_tausv_a2_epsilon_line(bp_m3):
     p = rg.pres
     delta, eps = p.generator(2), p.generator(3)
     f = f_of(rg)
-    assert rg.tau_map[3] == 2  # s.epsilon = delta
+    assert rg.tau_maps[rg.s][3] == 2  # s.epsilon = delta
     assert f(eps) == delta
     assert f(delta) == p.collect([2, 3])  # u_s.u_delta' = u_delta u_eps
     assert f(p.collect([2, 3])) == eps
@@ -70,7 +71,7 @@ def test_tausv_b2_fixed_wall_line(bp_m4):
     rg = residue_group(bp_m4, 0)
     p = rg.pres
     gamma = p.generator(3)
-    assert rg.tau_map[3] == 3
+    assert rg.tau_maps[rg.s][3] == 3
     f = f_of(rg)
     assert f(gamma) == gamma
     assert f(f(f(gamma))) == gamma
@@ -80,7 +81,7 @@ def test_tausv_b2_epsilon_line(bp_m4):
     rg = residue_group(bp_m4, 0)
     p = rg.pres
     delta, eps = p.generator(2), p.generator(4)
-    assert rg.tau_map[4] == 2
+    assert rg.tau_maps[rg.s][4] == 2
     f = f_of(rg)
     assert f(eps) == delta
     # u_s tau_s . delta = u_delta u_gamma u_eps
@@ -117,7 +118,7 @@ def g2_low(bp_m6):
 
 
 def test_tausv_g2_low_root_map(g2_low):
-    assert g2_low.tau_map == {2: 6, 3: 5, 4: 4, 5: 3, 6: 2}
+    assert g2_low.tau_maps[g2_low.s] == {2: 6, 3: 5, 4: 4, 5: 3, 6: 2}
 
 
 def test_tausv_g2_low_u4(g2_low):
@@ -180,11 +181,11 @@ def test_tausv_g2_high_root_map(g2_high):
     # in the gallery starting with t, positions renumber: old u_i sits at
     # position 7-i, so s.beta_1 = beta_5, s.beta_2 = beta_4, s.beta_3 = beta_3
     # becomes the same symmetric position map anchored at the new wall
-    assert g2_high.tau_map == {2: 6, 3: 5, 4: 4, 5: 3, 6: 2}
+    assert g2_high.tau_maps[g2_high.s] == {2: 6, 3: 5, 4: 4, 5: 3, 6: 2}
     old = lambda i: 7 - i
-    assert g2_high.tau_map[old(1)] == old(5)
-    assert g2_high.tau_map[old(2)] == old(4)
-    assert g2_high.tau_map[old(3)] == old(3)
+    assert g2_high.tau_maps[g2_high.s][old(1)] == old(5)
+    assert g2_high.tau_maps[g2_high.s][old(2)] == old(4)
+    assert g2_high.tau_maps[g2_high.s][old(3)] == old(3)
 
 
 def _old(p, indices):
@@ -286,6 +287,37 @@ def test_residue_gallery_crosses_the_residue_walls(name):
         rg = pb.build_residue_group(bp, s, t)
         assert rg.gallery.word[0] == s
         assert set(rg.gallery.roots) == set(residue_roots(cox, rg.residue))
+
+
+ROOT_DEFINITION_BLUEPRINTS = [f"rank2:{v}" for v in ("m2", "m3", "m4", "m6lr", "m6rl")] + [
+    f"{v}.bp" for v in ("b2_full", "g2_full", "rank3_a2_product", "rank3_b2_product",
+                        "rank3_g2_product", "rank3_cycle444", "rightangled3_allempty")]
+
+
+@pytest.mark.parametrize("name", ROOT_DEFINITION_BLUEPRINTS)
+def test_residue_group_matches_the_root_definitions(name):
+    # ResidueGroup reads alpha_s, alpha_t, the tau maps and U_w off gallery
+    # positions; on both galleries of r_J of every spherical pair, each agrees
+    # with its definition through roots
+    bp = (bpmod.ingest_path(fixture_path(name)) if name.endswith(".bp")
+          else bpmod.builtin(name))
+    cox = bp.cox
+    pairs = [(s, t) for s in range(cox.rank) for t in range(cox.rank)
+             if s != t and cox.matrix.m(s, t) != float("inf")]
+    assert pairs
+    for s, t in pairs:
+        G = rj_gallery(cox, s, t)
+        rg = pb.ResidueGroup(bp, presentation_for_gallery(bp, G))
+        assert (rg.s, rg.t) == (s, t)
+        for w in cox.parabolic_elements((s, t)):
+            positions = [rg.pres.position(root) for root in rt.phi_w(cox, w)]
+            assert rg.mask(w) == sum(1 << (p - 1) for p in positions), (s, t, w)
+        for gen in (s, t):
+            alpha = rt.simple_root(cox, gen)
+            assert rg.position[gen] == rg.pres.position(alpha)
+            assert rg.tau_maps[gen] == {i: G.position(rt.act(cox, (gen,), root))
+                                        for i, root in enumerate(G.roots, start=1)
+                                        if root != alpha}
 
 
 def test_gallery_independence_trivial(bp_m3):
