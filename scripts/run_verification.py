@@ -44,9 +44,8 @@ def check_rank2(bp) -> bool:
                 continue
             t0 = time.perf_counter()
             rg = parabolics.build_residue_group(bp, s, t)
-            res_ok = parabolics.tau_on_residue(rg).ok
-            res_ok &= all(parabolics.ustausV_identity_check(rg, a) for a in rg.gallery.roots[1:])
-            ok &= line(f"{bp.name}: residue tau {{{s + 1},{t + 1}}}", res_ok, t0)
+            ok &= line(f"{bp.name}: residue tau {{{s + 1},{t + 1}}}",
+                       parabolics.tau_on_residue(rg).ok, t0)
             t0 = time.perf_counter()
             cs = chambers.build_CJ(bp, s, t)
             ch_ok = (chambers.verify_building(cs).ok

@@ -27,7 +27,8 @@ from math import inf
 
 from .coxeter import ALLOWED_LABELS, CoxeterMatrix, CoxeterSystem, Word, word_label
 from .errors import BlueprintError, CapExceeded, ParseError, RgdError
-from .galleries import Gallery, get_gallery, min_gal, min_gal_s, oriented_gallery, shift
+from .galleries import (Gallery, get_gallery, min_gal, min_gal_s, oriented_gallery,
+                        rj_gallery, shift)
 from .reports import Report, Violation
 from .roots import Root, act, common_residue, open_interval, pair_order
 
@@ -339,15 +340,16 @@ def validate_cb1(bp: Blueprint, r: int, gallery_cap: int = 10_000) -> Report:
     return report
 
 
-def validate_cb2(bp: Blueprint, gallery_cap: int = 10_000) -> Report:
-    """Rank-2 Moufang values on the galleries of each longest dihedral element.
+def validate_cb2(bp: Blueprint) -> Report:
+    """Rank-2 Moufang values on the two galleries of r_J for each spherical
+    pair J = {s, t}, s < t, in that order: `rj_gallery` from s, then from t.
 
     The expected values are `RANK2_M_SETS[m]`: labels 2, 3, 4 force the full
     open interval on the simple pair and the empty set elsewhere, on both
-    galleries.  Label 6 constrains only the gallery starting at the directed
-    edge's target; the mirror gallery is covered by CB1 and Weyl-invariance
-    instead.  A longest element with more than `gallery_cap` galleries is
-    skipped.
+    galleries.  Label 6 constrains only `oriented_gallery`, the gallery
+    starting at the directed edge's target; the mirror gallery is covered by
+    CB1 and Weyl-invariance instead.  Violations name r_J by its normal
+    form, the gallery from s.
     """
     report = Report(f"CB2({bp.name})")
     cox = bp.cox
@@ -357,23 +359,16 @@ def validate_cb2(bp: Blueprint, gallery_cap: int = 10_000) -> Report:
             if m == inf:
                 continue
             m = int(m)
-            w0 = cox.longest_element((s, t))
-            anchor = oriented_gallery(cox, s, t)
-            try:
-                gals = min_gal(cox, w0, gallery_cap)
-            except CapExceeded:
-                report.skip(f"skipped w={word_label(w0)}: more than {gallery_cap} galleries")
-                continue
+            w0 = rj_gallery(cox, s, t)
+            gals = [oriented_gallery(cox, s, t)] if m == 6 else [w0, rj_gallery(cox, t, s)]
             for G in gals:
-                if m == 6 and G.word != anchor.word:
-                    continue
                 for (i, j), got in bp.relations(G).items():
                     report.checks += 1
                     # both tuples are in gallery order, so equality is exact
                     want = RANK2_M_SETS[m].get((i, j), ())
                     if got != want:
                         report.add(Violation(
-                            axiom="CB2", w=word_label(w0), s=str(s + 1),
+                            axiom="CB2", w=w0.label(), s=str(s + 1),
                             gallery=G.label(), i=i, j=j,
                             expected=",".join(map(str, want)) or "-",
                             found=",".join(map(str, got)) or "-"))

@@ -4,10 +4,10 @@ Chambers are cosets u U_w with u in the group U on Phi(r_J) and w in the
 dihedral parabolic <J>.  U is built by `build_Uw` on the lex-least gallery
 of r_J, whose cross-gallery CB3 check is the `build_CJ` report, and wrapped
 in a `parabolics.ResidueGroup`, which gives the generators of alpha_s and
-alpha_t, the generator maps of tau_s and tau_t and the bit mask of every
-U_w.  One table owns chamber identity: `chamber_of[w]`
-maps every element of U to the index of its U_w-coset, and each chamber is
-named by the least member of its coset, whose members it keeps.
+alpha_t, the involutions tau_s and tau_t and the bit mask of every U_w.
+One table owns chamber identity: `chamber_of[w]` maps every element of U
+to the index of its U_w-coset, and each chamber is named by the least
+member of its coset, whose members it keeps.
 s-adjacency is u U_w ~ v U_{w'} iff w' in {w, ws} and u^-1 v in the larger
 of the two subgroups, so the s-panel of u U_w is the coset u U_top, top the
 longer of w and ws; the panels are read off the table and give the
@@ -103,15 +103,14 @@ class ChamberSystemJ:
                 for i in panel:
                     cells[i] = {j for j in panel if j != i}
         # tau_table[gen][g] = (eps, tn, tn * u_gen) for g = n * u_gen^eps and
-        # tn the image of n under the root map of gen; see `act_tau`
+        # tn = tau_gen(n); see `act_tau`
         self.tau_table: dict[int, list[tuple[int, int, int]]] = {}
         for gen in (s, t):
-            root_map = self.rg.tau_maps[gen]
             u = self.pres.generator(self.rg.position[gen])
             rows = self.tau_table[gen] = []
             for g in range(self.pres.order):
                 n, eps = self.decompose(g, gen)
-                tn = self.pres.map_elem(root_map, n)
+                tn = self.rg.tau(gen, n)
                 rows.append((eps, tn, self.pres.mul(tn, u)))
 
     # -- coset plumbing ----------------------------------------------------

@@ -30,10 +30,8 @@ class Gallery:
 
     @cached_property
     def roots(self) -> tuple[Root, ...]:
-        out = tuple(phi_w(self.cox, self.word))
-        if len({r.vec for r in out}) != len(out):
-            raise RgdError("minimal gallery crossed a wall twice")
-        return out
+        # the word is reduced, so no wall is crossed twice
+        return tuple(phi_w(self.cox, self.word))
 
     @cached_property
     def _pos(self) -> dict:

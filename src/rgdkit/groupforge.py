@@ -18,7 +18,7 @@ certified with the restricted table, only the tests involving u_k remain.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .blueprints import Blueprint
 from .coxeter import Word, word_label
@@ -296,7 +296,7 @@ def validate_cb3(bp: Blueprint, radius: int, cap_galleries: int = 10_000,
 
 
 # ---------------------------------------------------------------------------
-# subgroups, series, decompositions
+# subgroups and series
 
 
 def subgroup_closure(pres: PCPres, gens: Iterable[int],
@@ -333,37 +333,22 @@ def normal_closure(pres: PCPres, seed: Iterable[int],
         gens |= new
 
 
-def lower_central_series(pres: PCPres, cap: int = 1 << 24) -> list[set[int]]:
-    """gamma_1 = U, gamma_{i+1} = <[gamma_i, U]>, until it stabilizes at 1.
+def lower_central_series(pres: PCPres, cap: int = 1 << 24) -> list[Collection[int]]:
+    """gamma_1 = U, gamma_{i+1} = [gamma_i, U], until it reaches 1.
 
-    [gamma_i, U] is the normal closure of the commutators of gamma_i with the
-    generators of U."""
+    If N is the normal closure of X and U = <Y>, then [N, U] is the normal
+    closure of [X, Y].  So each term is the normal closure of the
+    commutators of the previous term's generators with u_1 ... u_k, starting
+    from X = Y: k commutators per generator, not per element."""
     if pres.order > cap:
         raise CapExceeded(f"group order {pres.order} exceeds cap {cap}")
-    whole = set(range(pres.order))
     group_gens = [pres.generator(i) for i in range(1, pres.k + 1)]
-    series = [whole]
-    current = whole
-    while len(current) > 1:
-        comms = {pres.comm(x, g) for x in current for g in group_gens}
-        nxt = normal_closure(pres, comms, cap)
-        if nxt == current:
+    series: list[Collection[int]] = [range(pres.order)]
+    gens: Iterable[int] = group_gens
+    while len(series[-1]) > 1:
+        gens = {pres.comm(x, g) for x in gens for g in group_gens}
+        nxt = normal_closure(pres, gens, cap)
+        if len(nxt) == len(series[-1]):
             raise RgdError("lower central series did not terminate; group not nilpotent?")
         series.append(nxt)
-        current = nxt
     return series
-
-
-def project_to_first(pres: PCPres, s_pos: int) -> Report:
-    """Certify the retraction u_{s_pos} -> u_{s_pos}, all other u -> 1.
-
-    It is a homomorphism iff the distinguished generator never occurs in a
-    relation value; that splits the group as <u_s> x| (kernel bits)."""
-    report = Report(f"project(u{s_pos})")
-    for (i, j), word in sorted(pres.rel.items()):
-        report.checks += 1
-        if s_pos in word:
-            report.add(Violation(axiom="semidirect", i=i, j=j,
-                                 expected=f"u{s_pos} absent from relation value",
-                                 found=str(word)))
-    return report

@@ -102,17 +102,41 @@ def test_group_on_the_base_gallery_only_exits_incomplete(capsys):
 
 
 def test_validate_over_gallery_cap_skips_and_exits_incomplete(capsys):
-    # CB1, CB2 and Weyl pass over 1.2.1 (two galleries) as CB3 does: a
-    # coverage gap, not a usage error
+    # CB1 and Weyl pass over 1.2.1 (two galleries) as CB3 does: a coverage
+    # gap, not a usage error
     assert main(["--builtin", "rank2:m3", "--cap-galleries", "1", "--radius", "3",
                  "validate"]) == 4
     out = capsys.readouterr().out
-    for name in ("CB1(rank2:m3, r=3)", "CB2(rank2:m3)", "Weyl(rank2:m3, r=3)"):
+    for name in ("CB1(rank2:m3, r=3)", "Weyl(rank2:m3, r=3)"):
         block = out.split(name, 1)[1].split("\n[", 1)[0]
         assert "note: skipped w=1.2.1: more than 1 galleries" in block, name
     assert "note: partial: more than 1 galleries" in out
     assert main(["--builtin", "rank2:m3", "--cap-galleries", "2", "--radius", "3",
                  "validate"]) == 0
+
+
+def test_cb2_checks_both_galleries_of_r_j_under_any_gallery_cap(capsys, tmp_path):
+    # CB2 reads two fixed galleries per pair, so the gallery cap does not
+    # apply to it and the defect on gallery 1.2.1.2 is found at cap 1
+    report = tmp_path / "report.txt"
+    assert main(["--blueprint", fixture_path("b2_cb2_mutated.bp"), "--radius", "3",
+                 "--cap-galleries", "1", "--report", str(report), "validate"]) == 1
+    lines = [ln for ln in report.read_text().splitlines() if ln.startswith("VIOLATION")]
+    assert lines == ["VIOLATION axiom=CB2 w=1.2.1.2 s=1 gallery=1.2.1.2 i=1 j=4 "
+                     "expected=2,3 found=2"]
+    assert "[FAIL] CB2(" in capsys.readouterr().out
+
+
+def test_residue_on_inconsistent_u_reports_only_cb3(capsys, tmp_path):
+    # U on the gallery 2.1.2.1.2.1 fails CB3; the residue verdict stops
+    # there, so no derived ustausV violation follows
+    report = tmp_path / "report.txt"
+    assert main(["--blueprint", fixture_path("g2_weyl_mutated.bp"), "--report", str(report),
+                 "residue", "-s", "2"]) == 1
+    lines = [ln for ln in report.read_text().splitlines() if ln.startswith("VIOLATION")]
+    assert lines == ["VIOLATION axiom=CB3 w=- s=- gallery=2.1.2.1.2.1 i=0 j=0 "
+                     "expected=consistent found=(u6 u1) u1 != u6"]
+    assert "tau^2/braid/hom: FAIL, ustausV: not run" in capsys.readouterr().out
 
 
 def test_appendix_with_unverifiable_instances_exits_incomplete(capsys):

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from rgdkit import blueprints as bpmod
 from rgdkit import groupforge as gf
 from rgdkit.errors import RgdError
+from rgdkit.parabolics import build_residue_group
+from tests.conftest import fixture_path
 from tests.coset_enum import group_order, relators
 from tests.lemma_checks import vws_iso_check
 
@@ -140,6 +142,41 @@ def test_lower_central_series():
     assert nilpotency_class(p6) == 3  # regression value, computed by this engine
 
 
+def series_by_elements(pres):
+    """The element-wise definition: gamma_{i+1} is the normal closure of
+    [x, u_j] for every element x of gamma_i."""
+    gens = [pres.generator(i) for i in range(1, pres.k + 1)]
+    series = [set(range(pres.order))]
+    while len(series[-1]) > 1:
+        series.append(gf.normal_closure(pres, {pres.comm(x, g) for x in series[-1] for g in gens}))
+    return series
+
+
+def test_lower_central_series_matches_the_element_definition():
+    presentations = [raw_pres(3, A2), raw_pres(4, B2), raw_pres(6, G2)]
+    for name in ("rank2:m3", "rank2:m4", "rank2:m6lr", "rank2:m6rl"):
+        bp = bpmod.builtin(name)
+        presentations += [gf.build_Uw(bp, w)[0] for w in bp.cox.ball(6)]
+    bp = bpmod.ingest_path(fixture_path("rank3_g2_product.bp"))
+    presentations += [gf.build_Uw(bp, w)[0] for w in bp.cox.ball(4)]
+    assert max(len(series_by_elements(p)) for p in presentations) == 4  # class 3 occurs
+    for p in presentations:
+        assert [set(g) for g in gf.lower_central_series(p)] == series_by_elements(p)
+
+
+def test_lower_central_series_commutes_generators_not_elements(monkeypatch):
+    # U_w of the all-empty universal3 table with l(w) = 12 is elementary
+    # abelian of order 2^12; the element-wise definition makes 12 * 2^12
+    # commutators, the generator form at most k^2
+    bp = bpmod.builtin("allempty:universal3")
+    pres, _ = gf.build_Uw(bp, tuple(i % 3 for i in range(12)))
+    calls = []
+    comm = gf.PCPres.comm
+    monkeypatch.setattr(gf.PCPres, "comm", lambda self, x, y: calls.append(1) or comm(self, x, y))
+    assert [len(g) for g in gf.lower_central_series(pres)] == [1 << 12, 1]
+    assert len(calls) <= pres.k ** 2
+
+
 def test_class_one_iff_every_square_trivial():
     # sanity cross-check: exponent 2 is equivalent to being abelian here
     for k, rel in ((3, {}), (3, A2), (4, B2), (6, G2)):
@@ -149,11 +186,19 @@ def test_class_one_iff_every_square_trivial():
         assert abelian == exponent_two
 
 
-def test_project_to_first(bp_m3, bp_m6):
-    for bp in (bp_m3, bp_m6):
-        pres, _ = gf.build_Uw(bp, bp.cox.longest_element((0, 1)))
-        assert gf.project_to_first(pres, 1).ok
-        assert gf.project_to_first(pres, pres.k).ok
+def test_retraction_and_tau_image_checks_cannot_fail():
+    # u_1 = u_s and u_k = u_t lie in no relation value, so U = <u_s> x| N_R,
+    # and tau_s (tau_t) maps no other root to alpha_s (alpha_t): the residue
+    # verdict counts both checks without running them
+    for name in ("rank2:m2", "rank2:m3", "rank2:m4", "rank2:m6lr", "rank2:m6rl"):
+        bp = bpmod.builtin(name)
+        for s, t in ((0, 1), (1, 0)):
+            rg = build_residue_group(bp, s, t)
+            k = rg.pres.k
+            for value in rg.pres.rel.values():
+                assert 1 not in value and k not in value, (name, s)
+            assert 1 not in rg.tau_maps[rg.s].values()
+            assert k not in rg.tau_maps[rg.t].values()
 
 
 def test_vws_iso_rank2(bp_m3, bp_m4, bp_m6, bp_m6_mirror):

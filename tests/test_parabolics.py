@@ -7,6 +7,7 @@ import pytest
 from rgdkit import blueprints as bpmod
 from rgdkit import parabolics as pb
 from rgdkit import roots as rt
+from rgdkit.errors import RgdError
 from rgdkit.galleries import get_gallery, min_gal_s, rj_gallery
 from rgdkit.groupforge import presentation_for_gallery
 from tests import lemma_checks as lc
@@ -31,11 +32,22 @@ def test_tausv_a1xa1_line(bp_m2):
     p = rg.pres
     u_beta = p.generator(2)
     # s fixes the opposite wall and u_s commutes with u_beta
-    assert rg.tau(u_beta) == u_beta
+    assert rg.tau(rg.s, u_beta) == u_beta
     assert p.comm(p.generator(1), u_beta) == 0
     f = f_of(rg)
     assert f(u_beta) == u_beta
     assert f(f(f(u_beta))) == u_beta
+
+
+def test_tau_refuses_elements_with_a_u_gen_component(bp_m4):
+    # tau_gen is defined on the elements without u_gen, for both generators
+    rg = residue_group(bp_m4, 0)
+    p = rg.pres
+    for gen in (rg.s, rg.t):
+        u = p.generator(rg.position[gen])
+        with pytest.raises(RgdError):
+            rg.tau(gen, p.mul(p.generator(2), u))
+        assert rg.tau(gen, p.generator(2)) == p.generator(rg.tau_maps[gen][2])
 
 
 # ---------------------------------------------------------------------------
