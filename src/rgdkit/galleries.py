@@ -86,8 +86,10 @@ def oriented_gallery(cox: CoxeterSystem, s: int, t: int) -> Gallery:
 
 
 def min_gal(cox: CoxeterSystem, w: Word, cap: int = 10_000) -> list[Gallery]:
-    """All minimal galleries for w (one per reduced word), lex order."""
-    words = _reduced_words(cox, cox.normal_form(w), cap)
+    """All minimal galleries for w (one per reduced word), lex order.
+
+    w must be a normal form (`cox.normal_form`); ball words are."""
+    words = _reduced_words(cox, w, cap)
     return [get_gallery(cox, word) for word in words]
 
 
@@ -128,7 +130,8 @@ def _reduced_words(cox: CoxeterSystem, w: Word, cap: int) -> tuple[Word, ...]:
 
 
 def min_gal_s(cox: CoxeterSystem, w: Word, s: int, cap: int = 10_000) -> list[Gallery]:
-    """Min_s(w): galleries starting with s if s is a left descent, else Min(w).
+    """Min_s(w): galleries starting with s if s is a left descent, else Min(w);
+    w a normal form, as for `min_gal`.
 
     s is a left descent of w iff some reduced word of w starts with s."""
     gals = min_gal(cox, w, cap)

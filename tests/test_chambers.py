@@ -256,3 +256,71 @@ def test_act_tau_matches_the_coset_formula(table_system):
             for r in members:
                 want = _act_tau_formula(cs, gen, root_map, c, r)
                 assert cs.act_tau(gen, c, rep=r) == want, (gen, c.label(), r)
+
+
+def test_orbit_battery_matches_the_full_loop(table_system):
+    # the cases include rank2:m6rl and both pairs of rank3_b2_product.bp; the
+    # full loop is `verify_building`'s fallback, the rows of every chamber
+    cs = table_system
+    n = len(cs.chambers)
+    sizes = ch._orbit_sizes(cs)
+    assert sizes is not None and len(sizes) == 2 * cs.m and sum(sizes.values()) == n
+    orbit, full = ch._building(cs, sizes), ch._building(cs, dict.fromkeys(range(n), 1))
+    assert orbit.ok and orbit.checks == full.checks
+    assert orbit.to_text() == full.to_text()
+    report = ch.verify_building(cs)
+    assert report.checks == full.checks and report.to_text() == full.to_text()
+
+
+def test_delta_rows_lift_from_the_base_rows(table_system):
+    # delta(g x, g y) = delta(x, y): the row of g x is the row of x read
+    # through g^-1, so the base rows and the generator permutations give all
+    cs = table_system
+    n = len(cs.chambers)
+    full, full_report = ch._delta(cs)
+    sizes = ch._orbit_sizes(cs)
+    base, report = ch._delta(cs, sizes)
+    assert report.ok and report.checks == full_report.checks
+    perms = [cs.perm_group(cs.pres.generator(i)) for i in range(1, cs.pres.k + 1)]
+    rows = dict(zip(sizes, base))
+    queue = list(rows)
+    for x in queue:
+        for perm in perms:
+            if perm[x] not in rows:
+                row = rows[perm[x]] = [0] * n
+                for y in range(n):
+                    row[perm[y]] = rows[x][y]
+                queue.append(perm[x])
+    assert [rows[x] for x in range(n)] == full
+
+
+@pytest.mark.parametrize("name", ["rank2:m3", "rank2:m4"])
+@pytest.mark.parametrize("gen", [0, 1])
+def test_panel_swap_breaks_the_equivariance_premise(name, gen):
+    cs = ch.build_CJ(blueprints.builtin(name), 0, 1)
+    assert ch._orbit_sizes(cs) is not None
+    _swap_in_panels(cs, gen, 0, len(cs.chambers) - 1)
+    assert ch._orbit_sizes(cs) is None
+
+
+def test_base_orbits_must_cover_the_chambers(monkeypatch, systems):
+    # identity permutations keep every cell, but the orbits are the base
+    # chambers alone
+    cs = systems[3]
+    monkeypatch.setattr(cs, "perm_group", lambda g: list(range(len(cs.chambers))))
+    assert ch._orbit_sizes(cs) is None
+
+
+@pytest.mark.parametrize("case", SWAP_CASES, ids=[case[0] for case in SWAP_CASES])
+def test_building_falls_back_on_a_violating_base_row(monkeypatch, case):
+    # the premise is forced to hold after the swap: the base rows see the
+    # damage, and the full loop then reports it as pinned in SWAP_CASES
+    name, gen, _, checks, _, digest = case
+    cs = ch.build_CJ(blueprints.builtin(name), 0, 1)
+    sizes = ch._orbit_sizes(cs)
+    _swap_in_panels(cs, gen, 0, len(cs.chambers) - 1)
+    assert not ch._building(cs, sizes).ok
+    monkeypatch.setattr(ch, "_orbit_sizes", lambda _: sizes)
+    report = ch.verify_building(cs)
+    assert report.checks == checks
+    assert hashlib.sha256(report.to_text().encode()).hexdigest() == digest

@@ -128,7 +128,7 @@ def test_normal_form_depth_does_not_grow_with_length():
     sys.setrecursionlimit(120)
     try:
         nf = cox.normal_form(word)
-        galleries = min_gal(cox, word)
+        galleries = min_gal(cox, nf)  # min_gal takes normal forms
     finally:
         sys.setrecursionlimit(limit)
     assert nf == word
