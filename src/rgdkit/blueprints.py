@@ -438,8 +438,9 @@ def builtin(name: str) -> Blueprint:
             raise BlueprintError(f"unknown rank2 variant {variant!r}")
         return LocalRank2(CoxeterSystem(matrix), name=name)
     if family == "allempty":
-        if not variant.startswith("universal"):
+        n = variant[len("universal"):]
+        if not variant.startswith("universal") or not n.isdecimal():
             raise BlueprintError(f"unknown allempty variant {variant!r}")
-        n = int(variant[len("universal"):])
+        n = int(n)
         return FileTable(CoxeterSystem(CoxeterMatrix.universal(n)), {}, name=name)
     raise BlueprintError(f"unknown builtin family {family!r}")

@@ -5,17 +5,18 @@ dihedral parabolic <J>.  U is built by `build_Uw` on the lex-least gallery
 of r_J, whose cross-gallery CB3 check is the `build_CJ` report, and wrapped
 in a `parabolics.ResidueGroup`, which gives the generators of alpha_s and
 alpha_t, the involutions tau_s and tau_t and the bit mask of every U_w.
-One table owns chamber identity: `chamber_of[w]` maps every element of U
-to the index of its U_w-coset, and each chamber is named by the least
-member of its coset, whose members it keeps.
+A chamber is an index.  One table owns chamber identity: `chamber_of[w]`
+maps every element of U to the index of its U_w-coset, and each chamber is
+named by the least member of its coset, whose members it keeps.
 s-adjacency is u U_w ~ v U_{w'} iff w' in {w, ws} and u^-1 v in the larger
 of the two subgroups, so the s-panel of u U_w is the coset u U_top, top the
 longer of w and ws; the panels are read off the table and give the
-adjacency (`adjacent` keeps the definition as a test oracle).  The
-generators u_s, u_t and the involutions tau_s, tau_t act by the coset
-formulas.  This module builds the full system, certifies the building
-axioms, verifies the actions and checks that (tau_s tau_t)^m acts
-trivially.
+adjacency (`adjacent` keeps the definition as a test oracle).  The system
+owns the chamber permutations of the generators u_1 ... u_k of U
+(`u_perm`, by left multiplication) and of tau_s, tau_t (`tau_perm`, by the
+coset formula), each built once; every check reads them.  This module
+builds the full system, certifies the building axioms, verifies the
+actions and checks that (tau_s tau_t)^m acts trivially.
 
 U acts on the chambers by left multiplication, g . u U_w = gu U_w, keeping
 types and panels and transitive on the chambers of each type, so
@@ -113,18 +114,26 @@ class ChamberSystemJ:
             for panel in self.panels[gen]:
                 for i in panel:
                     cells[i] = {j for j in panel if j != i}
-        # tau_table[gen][g] = (eps, tn, tn * u_gen) for g = n * u_gen^eps and
-        # tn = tau_gen(n); see `act_tau`
+        # u_perm[i - 1][x]: the chamber u_i x, read off `chamber_of` through
+        # the left multiplication of u_i on U
+        self.u_perm: list[list[int]] = []
+        for i in range(1, self.pres.k + 1):
+            left = [self.pres.mul(self.pres.generator(i), g) for g in range(self.pres.order)]
+            self.u_perm.append([self.chamber_of[c.w][left[c.rep]] for c in self.chambers])
+        # tau_table[gen][g] = (eps, tn, tn * u_gen) for g = n * u_gen^eps with n
+        # free of u_gen and tn = tau_gen(n); tau_perm[gen][x]: the chamber
+        # tau_gen x.  See `act_tau`
         self.tau_table: dict[int, list[tuple[int, int, int]]] = {}
+        self.tau_perm: dict[int, list[int]] = {}
         for gen in (s, t):
-            u = self.pres.generator(self.rg.position[gen])
+            p = self.rg.position[gen]
+            u = self.pres.generator(p)
             rows = self.tau_table[gen] = []
             for g in range(self.pres.order):
-                n, eps = self.decompose(g, gen)
-                tn = self.rg.tau(gen, n)
+                eps = g >> (p - 1) & 1
+                tn = self.rg.tau(gen, self.pres.mul(g, u) if eps else g)
                 rows.append((eps, tn, self.pres.mul(tn, u)))
-
-    # -- coset plumbing ----------------------------------------------------
+            self.tau_perm[gen] = [self.act_tau(gen, x) for x in range(len(self.chambers))]
 
     def coset_members(self, w: Word, g: int) -> list[int]:
         mask = self.rg.mask(w)
@@ -138,53 +147,26 @@ class ChamberSystemJ:
             x = (x - 1) & mask
         return out
 
-    def index(self, c: ChamberJ) -> int:
-        return self.chamber_of[c.w][c.rep]
-
-    def canonical(self, w: Word, g: int) -> ChamberJ:
-        return self.chambers[self.chamber_of[w][g]]
-
-    def chamber(self, w: Word, g: int = 0) -> ChamberJ:
-        return self.canonical(self.cox.normal_form(w), g)
-
-    # -- adjacency -----------------------------------------------------------
-
-    def adjacent(self, a: ChamberJ, b: ChamberJ, gen: int) -> bool:
-        """a ~_gen b:  w' in {w, w*gen} and a^-1 b in U_w union U_{w*gen}."""
-        cox = self.cox
-        ws = cox.nf_append(a.w, gen)
+    def adjacent(self, x: int, y: int, gen: int) -> bool:
+        """x ~_gen y for chambers a U_w and b U_w':  w' in {w, w*gen} and
+        a^-1 b in U_w union U_{w*gen}."""
+        a, b = self.chambers[x], self.chambers[y]
+        ws = self.cox.nf_append(a.w, gen)
         if b.w != a.w and b.w != ws:
             return False
         diff = self.pres.mul(self.pres.inv(a.rep), b.rep)
         return not diff & ~self.rg.mask(a.w) or not diff & ~self.rg.mask(ws)
 
-    # -- group actions --------------------------------------------------------
-
-    def act_group(self, g: int, c: ChamberJ) -> ChamberJ:
-        return self.canonical(c.w, self.pres.mul(g, c.rep))
-
-    def decompose(self, bits: int, gen: int) -> tuple[int, int]:
-        """g = n * u_gen^eps with n in the kernel of the u_gen retraction."""
-        p = self.rg.position[gen]
-        eps = bits >> (p - 1) & 1
-        n = self.pres.mul(bits, self.pres.generator(p)) if eps else bits
-        return n, eps
-
-    def act_tau(self, gen: int, c: ChamberJ, rep: int | None = None) -> ChamberJ:
-        """The coset formula for tau_gen, evaluated on a chosen representative:
-        g U_w with g = n u_gen^eps goes to tn U_{gen w} on a descent or when
-        eps = 0, and to tn u_gen U_w otherwise."""
+    def act_tau(self, gen: int, x: int, rep: int | None = None) -> int:
+        """The coset formula for tau_gen on chamber x, evaluated on a chosen
+        representative: g U_w with g = n u_gen^eps goes to tn U_{gen w} on a
+        descent or when eps = 0, and to tn u_gen U_w otherwise."""
+        c = self.chambers[x]
         eps, tn, tn_u = self.tau_table[gen][c.rep if rep is None else rep]
         sw = self.w_elements[self.lmul[gen][self.w_id[c.w]]]
         if eps == 0 or len(sw) < len(c.w):
-            return self.canonical(sw, tn)
-        return self.canonical(c.w, tn_u)
-
-    def perm_tau(self, gen: int) -> list[int]:
-        return [self.index(self.act_tau(gen, c)) for c in self.chambers]
-
-    def perm_group(self, g: int) -> list[int]:
-        return [self.index(self.act_group(g, c)) for c in self.chambers]
+            return self.chamber_of[sw][tn]
+        return self.chamber_of[c.w][tn_u]
 
 
 def build_CJ(bp: Blueprint, s: int, t: int) -> ChamberSystemJ:
@@ -198,26 +180,23 @@ def build_CJ(bp: Blueprint, s: int, t: int) -> ChamberSystemJ:
 
 def _orbit_sizes(cs: ChamberSystemJ) -> dict[int, int] | None:
     """The U-orbit size of each base chamber 1*U_w, keyed by its index, or
-    None unless the premise of the orbit argument holds: each generator u_i
-    permutes the chambers (c -> u_i c) and carries every s- and t-cell of
-    `cs.adjacency` onto the cell of the image, and the orbits of the base
-    chambers cover all chambers."""
+    None unless the premise of the orbit argument holds: each generator
+    permutation in `cs.u_perm` is a bijection and carries every s- and
+    t-cell of `cs.adjacency` onto the cell of the image, and the orbits of
+    the base chambers cover all chambers."""
     n = len(cs.chambers)
-    perms = []
-    for i in range(1, cs.pres.k + 1):
-        perm = cs.perm_group(cs.pres.generator(i))
+    for perm in cs.u_perm:
         if len(set(perm)) != n or any({perm[j] for j in cell} != adj[perm[x]]
                                       for adj in cs.adjacency.values()
                                       for x, cell in enumerate(adj)):
             return None
-        perms.append(perm)
     seen: set[int] = set()
     sizes = {}
     for w in cs.w_elements:
         orbit = [cs.chamber_of[w][0]]
         seen.add(orbit[0])
         for x in orbit:
-            for perm in perms:
+            for perm in cs.u_perm:
                 if perm[x] not in seen:
                     seen.add(perm[x])
                     orbit.append(perm[x])
@@ -225,16 +204,14 @@ def _orbit_sizes(cs: ChamberSystemJ) -> dict[int, int] | None:
     return sizes if len(seen) == n else None
 
 
-def _delta(cs: ChamberSystemJ, sizes: dict[int, int] | None = None
-           ) -> tuple[list[list[int]], Report]:
-    """Minimal-gallery distances from the chambers keyed in `sizes` (all
-    chambers by default) to every chamber, as ids into `cs.w_elements`,
+def _delta(cs: ChamberSystemJ, sizes: dict[int, int]) -> tuple[list[list[int]], Report]:
+    """Minimal-gallery distances from the chambers keyed in `sizes` to every
+    chamber, as ids into `cs.w_elements`,
     with a well-definedness check (all minimal galleries give one element).
     Each row counts its checks `sizes[x]` times: the orbit it stands for."""
     report = Report("delta")
     words = cs.w_elements
     n = len(cs.chambers)
-    sizes = sizes or dict.fromkeys(range(n), 1)
     # links[y]: the neighbours z of y, each with the right-multiplication
     # table of the generator that joins them
     links = [[(z, cs.rmul[gen]) for gen in (cs.s, cs.t) for z in cs.adjacency[gen][y]]
@@ -342,21 +319,23 @@ def _building(cs: ChamberSystemJ, sizes: dict[int, int]) -> Report:
 
 def verify_action(cs: ChamberSystemJ, gen: int) -> Report:
     """Well-definedness on every coset representative, adjacency preservation,
-    tau^2 = id, (u_gen tau_gen)^3 = id, and the six-element faithfulness table."""
+    tau^2 = id, (u_gen tau_gen)^3 = id, and the six-element faithfulness table,
+    on the owned permutations of tau_gen and u_gen."""
     report = Report(f"action({cs.bp.name}, s={gen + 1})")
+    perm_t = cs.tau_perm[gen]
+    perm_u = cs.u_perm[cs.rg.position[gen] - 1]
+    chambers = cs.chambers
+    n = len(chambers)
 
-    for c, members in zip(cs.chambers, cs.members):
-        expected = cs.act_tau(gen, c)
+    for x, members in enumerate(cs.members):
         for rep_bits in members:
             report.checks += 1
-            got = cs.act_tau(gen, c, rep=rep_bits)
-            if got != expected:
-                report.add(Violation(axiom="well-defined", w=c.label(),
-                                     expected=expected.label(), found=got.label()))
+            got = cs.act_tau(gen, x, rep=rep_bits)
+            if got != perm_t[x]:
+                report.add(Violation(axiom="well-defined", w=chambers[x].label(),
+                                     expected=chambers[perm_t[x]].label(),
+                                     found=chambers[got].label()))
 
-    perm_t = cs.perm_tau(gen)
-    perm_u = cs.perm_group(cs.pres.generator(cs.rg.position[gen]))
-    n = len(cs.chambers)
     ident = list(range(n))
 
     def compose(p, q):  # apply q then p
@@ -379,8 +358,8 @@ def verify_action(cs: ChamberSystemJ, gen: int) -> Report:
                     report.checks += 1
                     if perm[j] not in adj[other][perm[i]]:
                         report.add(Violation(axiom="automorphism", s=str(other + 1),
-                                             w=cs.chambers[i].label(),
-                                             gallery=cs.chambers[j].label(),
+                                             w=chambers[i].label(),
+                                             gallery=chambers[j].label(),
                                              expected="adjacency preserved", found=tag))
 
     # the six elements of <u_s, tau_s> act pairwise distinctly
@@ -397,21 +376,19 @@ def verify_action(cs: ChamberSystemJ, gen: int) -> Report:
                 report.add(Violation(axiom="faithful", expected="distinct",
                                      found=f"{names[a]} = {names[b]}"))
 
-    # witness chambers from the faithfulness argument
-    c0 = cs.chamber(())
-    c_s = cs.chamber((gen,))
-    u_c0 = cs.act_group(cs.pres.generator(cs.rg.position[gen]), c0)
-    checks = [
-        (cs.act_tau(gen, c0), c_s, "tau.U_1 = U_s"),
-        (u_c0 != c0, True, "u.U_1 != U_1"),
-        (cs.chambers[six["u*tau"][cs.index(c0)]], c_s, "u*tau.U_1 = U_s"),
-        (cs.chambers[six["tau*u"][cs.index(c_s)]], c0, "tau*u.U_s = U_1"),
-        (cs.chambers[six["u*tau*u"][cs.index(c_s)]], u_c0, "u*tau*u.U_s = u.U_1"),
-    ]
-    for got, want, tag in checks:
+    # witness chambers from the faithfulness argument, each with the chamber
+    # it reaches
+    c0, c_s = cs.chamber_of[()][0], cs.chamber_of[(gen,)][0]
+    u_c0, tau_c0 = perm_u[c0], perm_t[c0]
+    ut_c0, tu_cs, utu_cs = six["u*tau"][c0], six["tau*u"][c_s], six["u*tau*u"][c_s]
+    for got, holds, tag in ((tau_c0, tau_c0 == c_s, "tau.U_1 = U_s"),
+                            (u_c0, u_c0 != c0, "u.U_1 != U_1"),
+                            (ut_c0, ut_c0 == c_s, "u*tau.U_1 = U_s"),
+                            (tu_cs, tu_cs == c0, "tau*u.U_s = U_1"),
+                            (utu_cs, utu_cs == u_c0, "u*tau*u.U_s = u.U_1")):
         report.checks += 1
-        if got != want:
-            report.add(Violation(axiom="witness", expected=tag, found=str(got)))
+        if not holds:
+            report.add(Violation(axiom="witness", expected=tag, found=chambers[got].label()))
     return report
 
 
@@ -419,7 +396,7 @@ def braid_check(cs: ChamberSystemJ) -> Report:
     """(tau_s tau_t)^m fixes every chamber; movers are listed."""
     report = Report(f"braid({cs.bp.name}, m={cs.m})")
     n = len(cs.chambers)
-    ps, pt = cs.perm_tau(cs.s), cs.perm_tau(cs.t)
+    ps, pt = cs.tau_perm[cs.s], cs.tau_perm[cs.t]
     cur = list(range(n))
     for _ in range(cs.m):
         cur = [ps[pt[i]] for i in cur]

@@ -7,7 +7,7 @@ import pytest
 
 from rgdkit import blueprints
 from rgdkit import chambers as ch
-from rgdkit.groupforge import reflected_positions
+from rgdkit.groupforge import PCPres, reflected_positions
 from tests.conftest import fixture_path
 
 EXPECTED_COUNTS = {2: 9, 3: 21, 4: 45, 6: 189}
@@ -69,26 +69,27 @@ def test_braid_triviality_other_orientation(bp_m6_mirror):
 
 def test_act_examples(systems):
     cs = systems[3]
-    c0 = cs.chamber(())          # U_1
-    c_s = cs.chamber((0,))       # U_s
+    c0 = cs.chamber_of[()][0]        # U_1
+    c_s = cs.chamber_of[(0,)][0]     # U_s
     # tau_s . U_1 = U_s
     assert cs.act_tau(0, c0) == c_s
     # u_s . U_1 = u_s U_1, a different chamber
     us = cs.pres.generator(cs.rg.position[0])
-    assert cs.act_group(us, c0) != c0
+    assert cs.chamber_of[()][us] != c0
+    assert cs.u_perm[cs.rg.position[0] - 1][c0] == cs.chamber_of[()][us]
     # m = 2 concrete case: tau_s . u_s U_t = u_s U_t (ascent, u = u_s)
     cs2 = systems[2]
-    ct = cs2.chamber((1,), cs2.pres.generator(cs2.rg.position[0]))
+    ct = cs2.chamber_of[(1,)][cs2.pres.generator(cs2.rg.position[0])]
     assert cs2.act_tau(0, ct) == ct
 
 
 def test_action_respects_distance(systems):
     # automorphism property through the constructed distance function
     cs = systems[3]
-    delta, rep = ch._delta(cs)
-    assert rep.ok
-    perm = cs.perm_tau(0)
     n = len(cs.chambers)
+    delta, rep = ch._delta(cs, dict.fromkeys(range(n), 1))
+    assert rep.ok
+    perm = cs.tau_perm[0]
     for x in range(n):
         for y in range(n):
             assert delta[x][y] == delta[perm[x]][perm[y]]
@@ -99,7 +100,7 @@ def test_chamber_canonical_coset(systems):
     w = (0,)
     members = cs.coset_members(w, 0)
     assert len(members) == 2  # |U_s| = 2
-    assert all(cs.canonical(w, g) == cs.canonical(w, 0) for g in members)
+    assert all(cs.chamber_of[w][g] == cs.chamber_of[w][0] for g in members)
 
 
 def test_m3_panel_counts_match_small_building(systems):
@@ -137,11 +138,11 @@ def table_system(request):
 def test_adjacency_matches_the_definition(table_system):
     # the panel-built adjacency against `adjacent` on all ordered pairs
     cs = table_system
+    n = len(cs.chambers)
     for gen in (cs.s, cs.t):
-        for i, a in enumerate(cs.chambers):
-            want = {j for j, b in enumerate(cs.chambers)
-                    if j != i and cs.adjacent(a, b, gen)}
-            assert cs.adjacency[gen][i] == want, (gen, a.label())
+        for i in range(n):
+            want = {j for j in range(n) if j != i and cs.adjacent(i, j, gen)}
+            assert cs.adjacency[gen][i] == want, (gen, cs.chambers[i].label())
 
 
 def test_coset_table_partitions_U_into_cosets(table_system):
@@ -230,18 +231,21 @@ def _delta_words(cs):
 
 
 def _act_tau_formula(cs, gen, root_map, c, rep):
-    """Oracle for `act_tau`: the coset formula evaluated on U directly."""
-    n, eps = cs.decompose(rep, gen)
+    """Oracle for `act_tau`: the coset formula evaluated on U directly, with
+    rep = n * u_gen^eps and n free of u_gen."""
+    u = cs.pres.generator(cs.rg.position[gen])
+    eps = rep & u
+    n = cs.pres.mul(rep, u) if eps else rep
     sw = cs.cox.normal_form((gen,) + c.w)
     tn = cs.pres.map_elem(root_map, n)
     if len(sw) < len(c.w) or eps == 0:
-        return cs.canonical(sw, tn)
-    return cs.canonical(c.w, cs.pres.mul(tn, cs.pres.generator(cs.rg.position[gen])))
+        return cs.chamber_of[sw][tn]
+    return cs.chamber_of[c.w][cs.pres.mul(tn, u)]
 
 
 def test_delta_ids_match_the_word_oracle(table_system):
     cs = table_system
-    delta, report = ch._delta(cs)
+    delta, report = ch._delta(cs, dict.fromkeys(range(len(cs.chambers)), 1))
     assert report.ok, report.to_text()
     want = _delta_words(cs)
     assert [[cs.w_elements[w] for w in row] for row in delta] == want
@@ -251,11 +255,21 @@ def test_act_tau_matches_the_coset_formula(table_system):
     cs = table_system
     for gen in (cs.s, cs.t):
         root_map = reflected_positions(cs.pres.gallery, gen)
-        for c, members in zip(cs.chambers, cs.members):
+        for x, (c, members) in enumerate(zip(cs.chambers, cs.members)):
             assert members == cs.coset_members(c.w, c.rep)
             for r in members:
                 want = _act_tau_formula(cs, gen, root_map, c, r)
-                assert cs.act_tau(gen, c, rep=r) == want, (gen, c.label(), r)
+                assert cs.act_tau(gen, x, rep=r) == want, (gen, c.label(), r)
+            assert cs.tau_perm[gen][x] == _act_tau_formula(cs, gen, root_map, c, c.rep)
+
+
+def test_u_perm_is_left_multiplication(table_system):
+    # u_perm[i - 1] against u_i acting on each chamber's representative
+    cs = table_system
+    assert len(cs.u_perm) == cs.pres.k
+    for i, perm in enumerate(cs.u_perm, start=1):
+        u = cs.pres.generator(i)
+        assert perm == [cs.chamber_of[c.w][cs.pres.mul(u, c.rep)] for c in cs.chambers]
 
 
 def test_orbit_battery_matches_the_full_loop(table_system):
@@ -277,15 +291,14 @@ def test_delta_rows_lift_from_the_base_rows(table_system):
     # through g^-1, so the base rows and the generator permutations give all
     cs = table_system
     n = len(cs.chambers)
-    full, full_report = ch._delta(cs)
+    full, full_report = ch._delta(cs, dict.fromkeys(range(n), 1))
     sizes = ch._orbit_sizes(cs)
     base, report = ch._delta(cs, sizes)
     assert report.ok and report.checks == full_report.checks
-    perms = [cs.perm_group(cs.pres.generator(i)) for i in range(1, cs.pres.k + 1)]
     rows = dict(zip(sizes, base))
     queue = list(rows)
     for x in queue:
-        for perm in perms:
+        for perm in cs.u_perm:
             if perm[x] not in rows:
                 row = rows[perm[x]] = [0] * n
                 for y in range(n):
@@ -307,7 +320,7 @@ def test_base_orbits_must_cover_the_chambers(monkeypatch, systems):
     # identity permutations keep every cell, but the orbits are the base
     # chambers alone
     cs = systems[3]
-    monkeypatch.setattr(cs, "perm_group", lambda g: list(range(len(cs.chambers))))
+    monkeypatch.setattr(cs, "u_perm", [list(range(len(cs.chambers)))] * cs.pres.k)
     assert ch._orbit_sizes(cs) is None
 
 
@@ -324,3 +337,35 @@ def test_building_falls_back_on_a_violating_base_row(monkeypatch, case):
     report = ch.verify_building(cs)
     assert report.checks == checks
     assert hashlib.sha256(report.to_text().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("table,line", [
+    ("tau_perm", "expected=tau.U_1 = U_s found=0x0U[e]"),
+    ("u_perm", "expected=u.U_1 != U_1 found=0x0U[e]"),
+])
+def test_failed_witness_names_the_chamber_it_reached(monkeypatch, systems, table, line):
+    # tau_1 or u_1 replaced by the identity: each witness leaves U_1 where it is
+    cs = systems[3]
+    perms = getattr(cs, table).copy()
+    perms[0 if table == "tau_perm" else cs.rg.position[0] - 1] = list(range(len(cs.chambers)))
+    monkeypatch.setattr(cs, table, perms)
+    rendered = ch.verify_action(cs, 0).to_text().splitlines()
+    assert f"  VIOLATION axiom=witness w=- s=- gallery=- i=0 j=0 {line}" in rendered
+
+
+def test_chamber_battery_work_budget(monkeypatch):
+    # the generator permutations are built once per system: collection work
+    # of build_CJ and the whole battery on the m = 6 system stays within it
+    calls = Counter()
+    mul = PCPres.mul
+
+    def counted(self, x, y):
+        calls["mul"] += 1
+        return mul(self, x, y)
+
+    monkeypatch.setattr(PCPres, "mul", counted)
+    cs = ch.build_CJ(blueprints.builtin("rank2:m6lr"), 0, 1)
+    reports = [ch.verify_building(cs), ch.verify_action(cs, 0), ch.verify_action(cs, 1),
+               ch.braid_check(cs)]
+    assert all(r.ok for r in reports)
+    assert calls["mul"] <= 1524

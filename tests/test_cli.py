@@ -38,6 +38,8 @@ def test_usage_errors_exit_2(capsys):
     assert main(["validate"]) == 2                       # no blueprint
     assert main(["--blueprint", "/no/such/file.bp", "validate"]) == 2
     assert main(["--builtin", "rank2:m9", "validate"]) == 2
+    assert main(["--builtin", "allempty:universal", "validate"]) == 2
+    assert main(["--builtin", "allempty:universalx", "validate"]) == 2
 
 
 def test_group_refuses_long_word_before_normalizing(capsys, monkeypatch):

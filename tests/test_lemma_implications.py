@@ -18,9 +18,9 @@ from collections import Counter
 
 from rgdkit import blueprints as bpmod
 from rgdkit.coxeter import CoxeterMatrix, CoxeterSystem
-from rgdkit.galleries import min_gal_s
-from rgdkit.groupforge import validate_cb3
-from rgdkit.roots import phi_w, simple_root
+from rgdkit.galleries import get_gallery, min_gal_s
+from rgdkit.groupforge import build_Uw, validate_cb3
+from rgdkit.roots import act, phi_w, simple_root
 from tests.conftest import fixture_path
 from tests.lemma_checks import (gallery_independence_check, tau_conjugation_check,
                                 tau_on_truncation, vws_iso_check)
@@ -129,3 +129,20 @@ def test_lemma_checks_fail_on_a_table_that_breaks_weyl():
     assert not bpmod.validate_weyl(bp, 4).ok
     failed = {f.split()[0] for f in _lemma_failures(bp, 4, Counter())}
     assert failed == {"vws_iso_check", "tau_on_truncation", "gallery_independence_check"}
+
+
+def test_tau_conjugation_check_fails_on_a_table_that_breaks_weyl():
+    # the failing branch of the fourth check, on universal3 at radius 4 with
+    # beta = s_1 . (root 4 of 1.2.1.2): the check collects in U_{2.1.2}, which
+    # is consistent, and the relation it collects there is not trivial
+    cox = CoxeterSystem(CoxeterMatrix.universal(3))
+    beta = act(cox, (0,), get_gallery(cox, (0, 1, 0, 1)).root(4))
+    assert beta.describe() == "(2.1|2)[2,3,0]"
+    both = bpmod.FileTable(cox, {((0, 1, 0, 1), 1, 4): (3,), ((0, 1, 0, 1), 1, 3): (2,)})
+    assert build_Uw(both, (1, 0, 1))[1].ok
+    assert tau_conjugation_check(both, 0, beta, radius=4) == "failed"
+    # the implication still holds: CB1 and Weyl-invariance reject this table
+    assert not bpmod.validate_cb1(both, 4).ok and not bpmod.validate_weyl(both, 4).ok
+    # without M(1, 3) = {2} the relation collects to 1
+    one = bpmod.FileTable(cox, {((0, 1, 0, 1), 1, 4): (3,)})
+    assert tau_conjugation_check(one, 0, beta, radius=4) == "verified"
