@@ -7,10 +7,15 @@ relations [u_alpha, u_beta] = prod u_gamma of the groups built in
 `groupforge`.  `Blueprint.relations(G)` is the one place a gallery's answer
 lives: the table {(i, j): M^G(i, j)} over every pair of positions i < j,
 built once from `query` (which validates each value) and memoized by the
-blueprint.  Every check reads it: a prefix gallery's table is a restriction
-of its extension's, and Weyl-invariance compares tables shifted by one
-place: s maps the root at position p of G to the root at position
-p + len(sG) - len(G) of sG.
+blueprint.  Galleries with equal answers share one table, and each distinct
+table has a number, `table_no(G)`, given in first-seen order.  Every check
+reads the tables: a prefix gallery's table is a restriction of its
+extension's, and Weyl-invariance compares tables shifted by one place: s
+maps the root at position p of G to the root at position p + len(sG) -
+len(G) of sG.  Each comparison depends on the tables alone, so
+`validate_cb1` and `validate_weyl` keep, for one call, the numbers of the
+tables that agreed and compare them once; a comparison that fails is made
+again at every site, so each violation is still reported.
 
 Backends: built-in rank-2 Moufang tables propagated to every spherical
 residue (`LocalRank2`), and line-oriented files (`FileTable`); the
@@ -44,6 +49,9 @@ RANK2_M_SETS: dict[int, dict[tuple[int, int], tuple[int, ...]]] = {
 # what a file's `default` line may say: how triples without a `rel` line read
 DEFAULT_MODES = ("empty", "strict", "rank2")
 
+# the largest N of `allempty:universalN`, refused before its N x N matrix is built
+MAX_UNIVERSAL_RANK = 64
+
 
 @cache
 def _pairs(n: int) -> tuple[tuple[int, int], ...]:
@@ -58,21 +66,31 @@ class Blueprint:
     def __init__(self, cox: CoxeterSystem, name: str):
         self.cox = cox
         self.name = name
-        self._relations: dict[Word, dict] = {}
-        self._tables: dict[tuple, dict] = {}  # one table per distinct answer
+        # gallery word -> (table number, table), one entry per distinct answer
+        self._relations: dict[Word, tuple[int, dict]] = {}
+        self._tables: dict[tuple, tuple[int, dict]] = {}
 
     def relations(self, G: Gallery) -> dict[tuple[int, int], tuple[int, ...]]:
         """M^G as {(i, j): positions} for every pair 1 <= i < j <= len(G),
         in row order; built once per gallery from `query` and memoized.
         Galleries with equal answers, mostly all-empty ones, share one
         table, so callers must not mutate it."""
-        table = self._relations.get(G.word)
-        if table is None:
-            pairs = _pairs(len(G))
-            values = tuple(self.query(G, *ij) for ij in pairs)
-            table = self._tables.setdefault(values, dict(zip(pairs, values)))
-            self._relations[G.word] = table
-        return table
+        return (self._relations.get(G.word) or self._table(G))[1]
+
+    def table_no(self, G: Gallery) -> int:
+        """The number of `relations(G)`: equal tables, and only they, have
+        equal numbers, counted from 0 in first-seen order.  Galleries of
+        lengths 0 and 1 share the empty table."""
+        return (self._relations.get(G.word) or self._table(G))[0]
+
+    def _table(self, G: Gallery) -> tuple[int, dict]:
+        pairs = _pairs(len(G))
+        values = tuple(self.query(G, *ij) for ij in pairs)
+        entry = self._tables.get(values)
+        if entry is None:
+            entry = self._tables[values] = (len(self._tables), dict(zip(pairs, values)))
+        self._relations[G.word] = entry
+        return entry
 
     # -- core query -------------------------------------------------------
 
@@ -315,9 +333,11 @@ def serialize(bp: Blueprint, r: int, gallery_cap: int = 10_000) -> str:
 def validate_cb1(bp: Blueprint, r: int, gallery_cap: int = 10_000) -> Report:
     """Prefix coherence: each prefix gallery's table is the restriction of
     its extension's; a prefix of length m counts its m(m+1)/2 pairs i <= j.
-    An element with more than `gallery_cap` galleries is skipped."""
+    A (prefix table, full table) pair that agreed once is not compared
+    again.  An element with more than `gallery_cap` galleries is skipped."""
     report = Report(f"CB1({bp.name}, r={r})")
     cox = bp.cox
+    agreed: set[tuple[int, int]] = set()  # (prefix table, full table) numbers
     for w in cox.ball(r):
         try:
             gals = min_gal(cox, w, gallery_cap)
@@ -325,18 +345,25 @@ def validate_cb1(bp: Blueprint, r: int, gallery_cap: int = 10_000) -> Report:
             report.skip(f"skipped w={word_label(w)}: more than {gallery_cap} galleries")
             continue
         for G in gals:
-            full = bp.relations(G)
+            full, full_no = bp.relations(G), bp.table_no(G)
             for m in range(1, len(G)):
                 H = G.prefix(m)
                 report.checks += m * (m + 1) // 2
+                key = (bp.table_no(H), full_no)
+                if key in agreed:
+                    continue
+                ok = True
                 for (i, j), got_h in bp.relations(H).items():
                     got_g = full[(i, j)]
                     if got_h != got_g:
+                        ok = False
                         report.add(Violation(
                             axiom="CB1", w=word_label(w), gallery=H.label(),
                             i=i, j=j,
                             expected=",".join(map(str, got_g)) or "-",
                             found=",".join(map(str, got_h)) or "-"))
+                if ok:
+                    agreed.add(key)
     return report
 
 
@@ -383,9 +410,11 @@ def validate_weyl(bp: Blueprint, r: int, gallery_cap: int = 10_000) -> Report:
     d = len(sG) - len(G): on a descent (d = -1) G starts at alpha_s, which is
     skipped; on an ascent (d = +1) G does not cross alpha_s.  So G's table, shifted
     by d, is compared with sG's, counting the n(n+1)/2 pairs i <= j of the n roots kept.
-    An element with more than `gallery_cap` galleries is skipped."""
+    A (table, shifted table, d) triple that agreed once is not compared
+    again.  An element with more than `gallery_cap` galleries is skipped."""
     report = Report(f"Weyl({bp.name}, r={r})")
     cox = bp.cox
+    agreed: set[tuple[int, int, int]] = set()  # (table, shifted table) numbers and d
     for w in cox.ball(r):
         for s in range(cox.rank):
             try:  # the cap depends on w alone: it fires at s = 0 or never
@@ -398,6 +427,10 @@ def validate_weyl(bp: Blueprint, r: int, gallery_cap: int = 10_000) -> Report:
                 d = len(sG) - len(G)
                 n = len(G) - (d < 0)
                 report.checks += n * (n + 1) // 2
+                key = (bp.table_no(G), bp.table_no(sG), d)
+                if key in agreed:
+                    continue
+                ok = True
                 table, table_s = bp.relations(G), bp.relations(sG)
                 for (i, j), value in table.items():
                     if i + d < 1:  # alpha_s itself
@@ -405,11 +438,14 @@ def validate_weyl(bp: Blueprint, r: int, gallery_cap: int = 10_000) -> Report:
                     image = tuple(p + d for p in value)
                     shifted = table_s[(i + d, j + d)]
                     if image != shifted:
+                        ok = False
                         report.add(Violation(
                             axiom="Weyl", w=word_label(w), s=str(s + 1),
                             gallery=G.label(), i=i, j=j,
                             expected=",".join(map(str, image)) or "-",
                             found=",".join(map(str, shifted)) or "-"))
+                if ok:
+                    agreed.add(key)
     return report
 
 
@@ -418,7 +454,8 @@ def validate_weyl(bp: Blueprint, r: int, gallery_cap: int = 10_000) -> Report:
 
 
 def builtin(name: str) -> Blueprint:
-    """Built-in blueprints: rank2:m2|m3|m4|m6lr|m6rl and allempty:universalN."""
+    """Built-in blueprints: rank2:m2|m3|m4|m6lr|m6rl and allempty:universalN,
+    1 <= N <= MAX_UNIVERSAL_RANK."""
     try:
         family, variant = name.split(":", 1)
     except ValueError as exc:
@@ -442,5 +479,7 @@ def builtin(name: str) -> Blueprint:
         if not variant.startswith("universal") or not n.isdecimal():
             raise BlueprintError(f"unknown allempty variant {variant!r}")
         n = int(n)
+        if n > MAX_UNIVERSAL_RANK:
+            raise BlueprintError(f"allempty:universal{n}: rank above {MAX_UNIVERSAL_RANK}")
         return FileTable(CoxeterSystem(CoxeterMatrix.universal(n)), {}, name=name)
     raise BlueprintError(f"unknown builtin family {family!r}")

@@ -10,9 +10,12 @@ folds the letters of a word into such a mask one at a time, with an explicit
 stack for the letters a reordering leaves behind; `mul`, `inv`, `comm`,
 `conj` and `map_elem` feed it the letters of their masks directly.  The
 consistency (overlap) test certifies that normal forms are unique,
-equivalently that the group has order exactly 2^k.  `validate_cb3` runs it
-along the prefix tree of the ball: when the presentation of w[:-1] was
-certified with the restricted table, only the tests involving u_k remain.
+equivalently that the group has order exactly 2^k.  Its verdict depends on
+k and the table alone, so `validate_cb3` certifies each (k, table number)
+once per call and builds no presentation for an element with one gallery
+whose key is certified.  A new key is certified along the prefix tree of
+the ball: when the presentation of w[:-1] was certified with the
+restricted table, only the tests involving u_k remain.
 """
 
 from __future__ import annotations
@@ -230,18 +233,26 @@ def presentation_for_gallery(bp: Blueprint, G: Gallery) -> PCPres:
 
 
 def build_Uw(bp: Blueprint, w: Word, gallery_cap: int = 10_000, *,
-             certified: Mapping[Word, Mapping] | None = None) -> tuple[PCPres, Report]:
+             certified: Mapping[Word, Mapping] | None = None,
+             consistent: set[tuple[int, int]] | None = None
+             ) -> tuple[PCPres | None, Report]:
     """Group on Phi(w) from the lex-least gallery, cross-checked against the
     relations of every other gallery of w (the executable content of the
-    order-2^l axiom).  If the gallery count exceeds the cap, only the base
-    gallery is certified and the report says so explicitly.
+    order-2^l axiom).  w must be a normal form (`cox.normal_form`); ball
+    words are.  If the gallery count exceeds the cap, only the base gallery
+    is certified and the report says so explicitly.
 
     `certified` maps gallery words to the relation tables of presentations
     already found consistent.  When it holds the base gallery's prefix with
     the restriction of the base table, the presentation on u_1 ... u_{k-1}
-    is that certified one, and only the overlap tests involving u_k run."""
+    is that certified one, and only the overlap tests involving u_k run.
+
+    `consistent` holds the keys (k, table number) of presentations found
+    consistent, and gains the base table's key when its check passes.  On
+    a key it holds, the overlap test is not run again; if w has one
+    gallery, no presentation is built either, and None is returned in its
+    place."""
     cox = bp.cox
-    w = cox.normal_form(w)
     report = Report(f"U_w({bp.name}, w={word_label(w)})")
     try:
         galleries = min_gal(cox, w, gallery_cap)
@@ -250,18 +261,27 @@ def build_Uw(bp: Blueprint, w: Word, gallery_cap: int = 10_000, *,
         report.skip(f"partial: more than {gallery_cap} galleries; "
                     f"cross-checked the base gallery only")
     base = galleries[0]
-    pres = presentation_for_gallery(bp, base)
-    k = pres.k
-    prefix = certified.get(base.word[:-1]) if certified else None
-    top = 1
-    if prefix is not None and prefix == {(i, j): v for (i, j), v in pres.rel.items() if j < k}:
-        top = k
     report.checks += 1
-    if not pres.consistency_check(top):
-        report.add(Violation(axiom="CB3", w=word_label(w), gallery=base.label(),
-                             expected="consistent collection",
-                             found=pres.inconsistency_witness or "inconsistent"))
-        return pres, report
+    key = (len(base), bp.table_no(base))
+    hit = consistent is not None and key in consistent
+    if hit and len(galleries) == 1:
+        return None, report
+    pres = presentation_for_gallery(bp, base)
+    if hit:
+        pres.consistent = True
+    else:
+        k = pres.k
+        prefix = certified.get(base.word[:-1]) if certified else None
+        top = 1
+        if prefix is not None and prefix == {(i, j): v for (i, j), v in pres.rel.items() if j < k}:
+            top = k
+        if not pres.consistency_check(top):
+            report.add(Violation(axiom="CB3", w=word_label(w), gallery=base.label(),
+                                 expected="consistent collection",
+                                 found=pres.inconsistency_witness or "inconsistent"))
+            return pres, report
+        if consistent is not None:
+            consistent.add(key)
     for H in galleries[1:]:
         image = {i: pres.position(root) for i, root in enumerate(H.roots, start=1)}
         relation_checks(bp.relations(H), image, pres, report,
@@ -274,23 +294,29 @@ def validate_cb3(bp: Blueprint, radius: int, cap_galleries: int = 10_000,
     """CB3 on the ball of the given radius: `build_Uw` for every element,
     except those longer than `cap_group_bits`, which are skipped.
 
-    The ball lists normal forms by length, and the base gallery of w[:-1]
-    is the prefix of the base gallery of w.  So the tables certified at the
-    previous length are all `build_Uw` can use to check only the overlap
-    tests that involve the last generator; older layers are dropped."""
+    The consistency verdict of U_w is a function of (l(w), base table), so
+    the keys certified so far are kept for the call and each is checked
+    once; an inconsistent key is checked again at every element, so each
+    violation is still reported.  The ball lists normal forms by length, and
+    the base gallery of w[:-1] is the prefix of the base gallery of w.  So
+    the tables certified at the previous length are all `build_Uw` can use
+    to check only the overlap tests of a new key that involve the last
+    generator; older layers are dropped."""
     report = Report(f"CB3({bp.name}, r={radius})")
+    cox = bp.cox
     previous: dict[Word, Mapping] = {}
     current: dict[Word, Mapping] = {}
+    consistent: set[tuple[int, int]] = set()
     length = 0
-    for w in bp.cox.ball(radius):
+    for w in cox.ball(radius):
         if len(w) > cap_group_bits:
             report.skip(f"skipped w={word_label(w)}: exceeds group bit cap")
             continue
         if len(w) != length:
             previous, current, length = current, {}, len(w)
-        pres, rep = build_Uw(bp, w, cap_galleries, certified=previous)
-        if pres.consistent:  # the blueprint's own table: no copy is kept
-            current[pres.gallery.word] = bp.relations(pres.gallery)
+        pres, rep = build_Uw(bp, w, cap_galleries, certified=previous, consistent=consistent)
+        if pres is None or pres.consistent:  # w is its base word; no copy of the table is kept
+            current[w] = bp.relations(get_gallery(cox, w))
         report.merge(rep)
     return report
 

@@ -6,6 +6,10 @@ intervals by the cone and wall-nesting criteria of `roots.interval` and
 never needs the other two; these definitions are the tests' independent
 cross-checks.  `residue_roots` lists the walls of a rank-2 residue from its
 gate, against which the residue groups' galleries are checked.
+
+`cb1_full` and `weyl_full` are the CB1 and Weyl loops without verdict
+memos: they compare the tables again at every site, where the validators
+compare each pair of table numbers that agreed once.
 """
 
 from __future__ import annotations
@@ -13,8 +17,11 @@ from __future__ import annotations
 from math import inf
 from weakref import WeakKeyDictionary
 
-from rgdkit.coxeter import CoxeterSystem, Vector, Word
-from rgdkit.errors import InternalConsistencyError, RgdError
+from rgdkit.blueprints import Blueprint
+from rgdkit.coxeter import CoxeterSystem, Vector, Word, word_label
+from rgdkit.errors import CapExceeded, InternalConsistencyError, RgdError
+from rgdkit.galleries import min_gal, min_gal_s, shift
+from rgdkit.reports import Report, Violation
 from rgdkit.roots import Residue2, Root, depth, pair_order
 
 # system -> radius -> root vector -> membership bitmask over ball(radius)
@@ -115,3 +122,60 @@ def residue_roots(cox: CoxeterSystem, R: Residue2) -> list[Root]:
     if len({r.vec for r in out}) != m:
         raise InternalConsistencyError("residue walls are not distinct")
     return out
+
+
+def cb1_full(bp: Blueprint, r: int, gallery_cap: int = 10_000) -> Report:
+    """`validate_cb1` comparing every prefix table with its extension's."""
+    report = Report(f"CB1({bp.name}, r={r})")
+    cox = bp.cox
+    for w in cox.ball(r):
+        try:
+            gals = min_gal(cox, w, gallery_cap)
+        except CapExceeded:
+            report.skip(f"skipped w={word_label(w)}: more than {gallery_cap} galleries")
+            continue
+        for G in gals:
+            full = bp.relations(G)
+            for m in range(1, len(G)):
+                H = G.prefix(m)
+                report.checks += m * (m + 1) // 2
+                for (i, j), got_h in bp.relations(H).items():
+                    got_g = full[(i, j)]
+                    if got_h != got_g:
+                        report.add(Violation(
+                            axiom="CB1", w=word_label(w), gallery=H.label(),
+                            i=i, j=j,
+                            expected=",".join(map(str, got_g)) or "-",
+                            found=",".join(map(str, got_h)) or "-"))
+    return report
+
+
+def weyl_full(bp: Blueprint, r: int, gallery_cap: int = 10_000) -> Report:
+    """`validate_weyl` comparing every table with its shifted table."""
+    report = Report(f"Weyl({bp.name}, r={r})")
+    cox = bp.cox
+    for w in cox.ball(r):
+        for s in range(cox.rank):
+            try:
+                gals = min_gal_s(cox, w, s, gallery_cap)
+            except CapExceeded:
+                report.skip(f"skipped w={word_label(w)}: more than {gallery_cap} galleries")
+                break
+            for G in gals:
+                sG = shift(G, s)
+                d = len(sG) - len(G)
+                n = len(G) - (d < 0)
+                report.checks += n * (n + 1) // 2
+                table, table_s = bp.relations(G), bp.relations(sG)
+                for (i, j), value in table.items():
+                    if i + d < 1:
+                        continue
+                    image = tuple(p + d for p in value)
+                    shifted = table_s[(i + d, j + d)]
+                    if image != shifted:
+                        report.add(Violation(
+                            axiom="Weyl", w=word_label(w), s=str(s + 1),
+                            gallery=G.label(), i=i, j=j,
+                            expected=",".join(map(str, image)) or "-",
+                            found=",".join(map(str, shifted)) or "-"))
+    return report

@@ -1,13 +1,15 @@
-"""CB3 along the prefix tree against the full loop.
+"""CB3 with its verdict memo and along the prefix tree, against the full loop.
 
-`validate_cb3` runs only the overlap tests that involve the last generator
-when the base gallery's prefix was certified with the restricted table.
-The full loop, `build_Uw` per element with every overlap test, is the
-oracle: both must give the same report on valid and mutated tables.
+`validate_cb3` certifies each (k, table number) key once, and for a new key
+runs only the overlap tests that involve the last generator when the base
+gallery's prefix was certified with the restricted table.  The full loop,
+`build_Uw` per element with every overlap test, is the oracle: both must
+give the same report on valid and mutated tables.
 """
 
 import os
 import pathlib
+from collections import Counter
 import subprocess
 import sys
 
@@ -16,6 +18,7 @@ import pytest
 from rgdkit import blueprints as bpmod
 from rgdkit import cli
 from rgdkit.coxeter import word_label
+from rgdkit.galleries import get_gallery
 from rgdkit.groupforge import PCPres, build_Uw, validate_cb3
 from rgdkit.reports import Report
 from tests.conftest import fixture_path
@@ -53,6 +56,11 @@ def tops(monkeypatch):
     return seen
 
 
+def keys(bp, words):
+    """The (k, table number) keys of the base galleries of `words`."""
+    return [(len(w), bp.table_no(get_gallery(bp.cox, w))) for w in words]
+
+
 @pytest.mark.parametrize("name,r", [(case[0], case[1]) for case in CASES],
                          ids=[case[0] for case in CASES])
 def test_prefix_tree_matches_full_loop_on_every_mutant(name, r):
@@ -68,26 +76,85 @@ def test_prefix_tree_matches_full_loop_on_every_mutant(name, r):
 
 
 def test_prefix_tree_falls_back_when_the_prefix_table_differs(tops):
-    # universal3 with M(1, 3) = {2} on the gallery 1.2.3.1 only: its prefix
-    # 1.2.3 has the empty value there, and so do its extensions 1.2.3.1.s
+    # universal3 with M(1, 3) = {2} on the gallery 1.2.3.1: its prefix 1.2.3
+    # has the empty value there, and so does its extension 1.2.3.1.2, whose
+    # table M(2, 4) = {3} makes new; the other tables are all-empty
     base = bpmod.builtin("allempty:universal3")
-    bp = bpmod.FileTable(base.cox, {((0, 1, 2, 0), 1, 3): (2,)}, name="broken-cb1")
+    bp = bpmod.FileTable(base.cox, {((0, 1, 2, 0), 1, 3): (2,), ((0, 1, 2, 0, 1), 2, 4): (3,)},
+                         name="broken-cb1")
     assert not bpmod.validate_cb1(bp, 5).ok
     fast = validate_cb3(bp, 5)
     assert fast.ok
-    assert tops[(0, 1, 2, 0)] == 1
-    assert tops[(0, 1, 2, 0, 1)] == tops[(0, 1, 2, 0, 2)] == 1
-    assert tops[(0, 1, 2, 1)] == 4
+    assert tops[(0, 1, 2, 0)] == tops[(0, 1, 2, 0, 1)] == 1
+    # the first all-empty tables of lengths 4 and 5 take the shortcut, and
+    # later elements with those tables are memo hits
+    assert tops[(0, 1, 0, 1)] == 4 and tops[(0, 1, 0, 1, 0)] == 5
+    assert (0, 1, 2, 1) not in tops and (0, 1, 2, 0, 2) not in tops
+    # one check per certified (k, table) key
+    ball = bp.cox.ball(5)
+    assert sorted(keys(bp, tops)) == sorted(set(keys(bp, ball)))
     assert_same(fast, cb3_full(bp, 5))
 
 
 def test_prefix_tree_takes_the_shortcut_on_universal3(tops):
     bp = bpmod.builtin("allempty:universal3")
     report = validate_cb3(bp, 6)
-    assert report.ok and report.checks == sum(1 for _ in bp.cox.ball(6))
-    assert len(tops) == report.checks
+    ball = bp.cox.ball(6)
+    assert report.ok and report.checks == len(ball)
+    # one check per (k, table) key: 6 tables, lengths 0 and 1 share the empty one
+    assert sorted(keys(bp, tops)) == sorted(set(keys(bp, ball)))
+    assert len(tops) == 7
     assert all(top == len(word) for word, top in tops.items() if word)
     assert_same(report, cb3_full(bp, 6))
+
+
+def test_cb3_work_budget(monkeypatch):
+    # a presentation is built and checked once per distinct (k, table) key
+    # on the ball, not once per element (190 of each on universal3)
+    calls = Counter()
+    init, check = PCPres.__init__, PCPres.consistency_check
+
+    def counted_init(self, *args, **kwargs):
+        calls["init"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_check(self, top=1):
+        calls["check"] += 1
+        return check(self, top)
+
+    monkeypatch.setattr(PCPres, "__init__", counted_init)
+    monkeypatch.setattr(PCPres, "consistency_check", counted_check)
+    bp = bpmod.builtin("allempty:universal3")
+    assert validate_cb3(bp, 6).ok
+    budget = len(set(keys(bp, bp.cox.ball(6))))
+    assert calls["init"] <= budget and calls["check"] <= budget
+
+
+def test_memo_hit_with_several_galleries_still_cross_checks(tops):
+    # on the B2 product every element of the ball shares its key with an
+    # earlier one, or is new; the hits with several galleries run the
+    # relation checks of build_Uw without an overlap test
+    bp = bpmod.ingest_path(fixture_path("rank3_b2_product.bp"))
+    report = validate_cb3(bp, 5)
+    ball = bp.cox.ball(5)
+    assert sorted(keys(bp, tops)) == sorted(set(keys(bp, ball)))
+    assert len(tops) < len(ball)
+    assert_same(report, cb3_full(bp, 5))
+
+
+def test_an_inconsistent_key_is_checked_at_every_element(tops):
+    # universal3 with one inconsistent table on the galleries 1.2.3.1 and
+    # 1.2.3.2: their key fails, so it is checked and reported at both
+    base = bpmod.builtin("allempty:universal3")
+    bad = {(1, 3): (2,), (2, 4): (3,)}
+    bp = bpmod.FileTable(base.cox, {(w, i, j): v for w in ((0, 1, 2, 0), (0, 1, 2, 1))
+                                    for (i, j), v in bad.items()}, name="inconsistent")
+    report = validate_cb3(bp, 4)
+    assert [v.w for v in report.violations] == ["1.2.3.1", "1.2.3.2"]
+    assert report.violations[0].found == report.violations[1].found
+    assert len(set(keys(bp, [(0, 1, 2, 0), (0, 1, 2, 1)]))) == 1
+    assert (0, 1, 2, 0) in tops and (0, 1, 2, 1) in tops
+    assert_same(report, cb3_full(bp, 4))
 
 
 def test_full_loop_runs_every_overlap_test(tops):

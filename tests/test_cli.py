@@ -40,6 +40,7 @@ def test_usage_errors_exit_2(capsys):
     assert main(["--builtin", "rank2:m9", "validate"]) == 2
     assert main(["--builtin", "allempty:universal", "validate"]) == 2
     assert main(["--builtin", "allempty:universalx", "validate"]) == 2
+    assert main(["--builtin", "allempty:universal65", "validate"]) == 2  # rank above 64
 
 
 def test_group_refuses_long_word_before_normalizing(capsys, monkeypatch):
