@@ -6,10 +6,20 @@ increasing gallery positions of its roots; these sets prescribe the
 relations [u_alpha, u_beta] = prod u_gamma of the groups built in
 `groupforge`.  `Blueprint.relations(G)` is the one place a gallery's answer
 lives: the table {(i, j): M^G(i, j)} over every pair of positions i < j,
-built once from `query` (which validates each value) and memoized by the
-blueprint.  Galleries with equal answers share one table, and each distinct
-table has a number, `table_no(G)`, given in first-seen order.  Every check
-reads the tables: a prefix gallery's table is a restriction of its
+built once and memoized by the blueprint.  Galleries with equal answers
+share one table, and each distinct table has a number, `table_no(G)`, given
+in first-seen order.
+
+A table is built from shorter ones.  A default answer M(i, j) that lies
+inside (i, j) depends on the first j letters of the gallery only, so the
+default answers are built one column j at a time and each column is cached
+under its prefix word[:j] (`LocalRank2`); the all-empty default needs no
+column.  A file's explicit entries for the exact word are laid over the
+default answers, each read through `query`.  Strict mode, and a table with
+a default value that fails the bounds check, are built from `query` in row
+order, so the error raised names the first bad pair in that order.
+
+Every check reads the tables: a prefix gallery's table is a restriction of its
 extension's, and Weyl-invariance compares tables shifted by one place: s
 maps the root at position p of G to the root at position p + len(sG) -
 len(G) of sG.  Each comparison depends on the tables alone, so
@@ -60,6 +70,16 @@ def _pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
+def _checked(i: int, j: int, value: tuple[int, ...]) -> bool:
+    """True iff `value` is strictly increasing inside the open interval (i, j)."""
+    prev = i
+    for p in value:
+        if not prev < p < j:
+            return False
+        prev = p
+    return True
+
+
 class Blueprint:
     """Base class; subclasses provide `_value` for gallery triples."""
 
@@ -72,9 +92,10 @@ class Blueprint:
 
     def relations(self, G: Gallery) -> dict[tuple[int, int], tuple[int, ...]]:
         """M^G as {(i, j): positions} for every pair 1 <= i < j <= len(G),
-        in row order; built once per gallery from `query` and memoized.
-        Galleries with equal answers, mostly all-empty ones, share one
-        table, so callers must not mutate it."""
+        in row order; built once per gallery, from `_answers` or else from
+        `query` in row order, and memoized.  Galleries with equal answers,
+        mostly all-empty ones, share one table, so callers must not mutate
+        it."""
         return (self._relations.get(G.word) or self._table(G))[1]
 
     def table_no(self, G: Gallery) -> int:
@@ -85,7 +106,9 @@ class Blueprint:
 
     def _table(self, G: Gallery) -> tuple[int, dict]:
         pairs = _pairs(len(G))
-        values = tuple(self.query(G, *ij) for ij in pairs)
+        values = self._answers(G)
+        if values is None:
+            values = tuple(self.query(G, *ij) for ij in pairs)
         entry = self._tables.get(values)
         if entry is None:
             entry = self._tables[values] = (len(self._tables), dict(zip(pairs, values)))
@@ -102,17 +125,19 @@ class Blueprint:
         if i == j:
             return ()
         value = self._value(G, i, j)
-        prev = i
-        for p in value:
-            if not prev < p < j:
-                raise BlueprintError(
-                    f"{self.name}: M^{G.label()}({i},{j}) = {value} is not strictly "
-                    f"increasing inside the open interval")
-            prev = p
+        if not _checked(i, j, value):
+            raise BlueprintError(
+                f"{self.name}: M^{G.label()}({i},{j}) = {value} is not strictly "
+                f"increasing inside the open interval")
         return value
 
     def _value(self, G: Gallery, i: int, j: int) -> tuple[int, ...]:
         raise NotImplementedError
+
+    def _answers(self, G: Gallery) -> tuple | None:
+        """G's answers in the order of `_pairs`, all of them `_checked`, or
+        None to have `_table` query them one by one."""
+        return None
 
 
 class LocalRank2(Blueprint):
@@ -128,6 +153,8 @@ class LocalRank2(Blueprint):
         super().__init__(cox, name)
         self._base_tables: dict[tuple[int, int], dict[frozenset, frozenset]] = {}
         self._pair_cache: dict[frozenset, frozenset] = {}
+        # word[:j] -> (M(1, j), ..., M(j - 1, j)), each value `_checked`
+        self._columns: dict[Word, tuple] = {}
 
     def _base_table(self, J: tuple[int, int]) -> dict[frozenset, frozenset]:
         cached = self._base_tables.get(J)
@@ -143,6 +170,26 @@ class LocalRank2(Blueprint):
 
     def _value(self, G: Gallery, i: int, j: int) -> tuple[int, ...]:
         return tuple(sorted(map(G.position, self.pair_value(G.root(i), G.root(j)))))
+
+    def _answers(self, G: Gallery) -> tuple | None:
+        """Column j holds M(i, j) for i < j.  A value inside (i, j) names
+        roots crossed before position j, so it reads the same on every
+        gallery that starts with word[:j]: each column is computed on G and
+        cached under that prefix.  None if a value raises or leaves (i, j)."""
+        word, columns = G.word, [()]
+        for j in range(1, len(word) + 1):
+            prefix = word[:j]
+            col = self._columns.get(prefix)
+            if col is None:
+                try:
+                    col = tuple(self._value(G, i, j) for i in range(1, j))
+                except RgdError:
+                    return None
+                if not all(_checked(i, j, value) for i, value in enumerate(col, 1)):
+                    return None
+                self._columns[prefix] = col
+            columns.append(col)
+        return tuple(columns[j][i - 1] for i, j in _pairs(len(word)))
 
     def pair_value(self, alpha: Root, beta: Root) -> frozenset:
         if alpha == beta:
@@ -189,6 +236,10 @@ class FileTable(Blueprint):
         self.entries = dict(entries)
         self.default = default
         self._local = LocalRank2(cox, name=name + ":rank2") if default == "rank2" else None
+        # gallery word -> the (i, j) of its explicit entries
+        self._rows: dict[Word, list[tuple[int, int]]] = {}
+        for (word, i, j) in self.entries:
+            self._rows.setdefault(word, []).append((i, j))
 
     def _value(self, G: Gallery, i: int, j: int) -> tuple[int, ...]:
         ks = self.entries.get((G.word, i, j))
@@ -200,6 +251,23 @@ class FileTable(Blueprint):
         if self._local is not None:
             return self._local._value(G, i, j)
         return ()
+
+    def _answers(self, G: Gallery) -> tuple | None:
+        """The default answers, all empty or the rank-2 columns, with the
+        explicit entries for G's word laid over them through `query`, in
+        row order; None in strict mode or if a default value fails."""
+        if self.default == "strict":
+            return None
+        pairs = _pairs(len(G))
+        values = ((),) * len(pairs) if self._local is None else self._local._answers(G)
+        rows = self._rows.get(G.word)
+        if not rows or values is None:
+            return values
+        table = dict(zip(pairs, values))
+        for ij in sorted(rows):
+            if ij in table:
+                table[ij] = self.query(G, *ij)
+        return tuple(table.values())
 
 
 # ---------------------------------------------------------------------------

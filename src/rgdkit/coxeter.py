@@ -15,6 +15,8 @@ s is a left descent of w iff z_s < 0 (Lemma 3.11 and Prop. 3.12 there), so
 crossing the least negative wall until none is left spells the lex-least
 reduced word of w (`normal_form`) or of the minimal element of w<J>
 (`coset_gate`), and folds a fixed point onto its face (`roots.common_residue`).
+Read backwards, the same rule grows the ball one layer at a time with no
+fold at all (`ball`).
 """
 
 from __future__ import annotations
@@ -173,14 +175,7 @@ class CoxeterSystem:
                          for col, a in zip(cols, self.cartan[t]))
             yield length
 
-    # ---- length, descents, reduction ----------------------------------
-
-    def is_right_descent(self, word: Word, t: int) -> bool:
-        return self.vec_sign(self.apply(word, self.basis[t])) < 0
-
-    def is_left_descent(self, s: int, word: Word) -> bool:
-        """True iff l(s*w) = l(w) - 1; `word` must be reduced."""
-        return self.vec_sign(self.apply_inv(word, self.basis[s])) < 0
+    # ---- length and reduction -----------------------------------------
 
     def prefix_root_vectors(self, word: Word) -> list[Vector]:
         """Crossed-root vectors beta_i = s1...s_{i-1} . e_{s_i} of a reduced word."""
@@ -234,6 +229,11 @@ class CoxeterSystem:
                 z = [zj - a * zs for zj, a in zip(z, cartan[s])]
         return z
 
+    def cross(self, s: int, z: list[int]) -> list[int]:
+        """The point s.z: z reflected in the wall of s, so z_s changes sign."""
+        zs = z[s]
+        return [zj - a * zs for zj, a in zip(z, self.cartan[s])]
+
     def fold(self, z: list[int], limit: int) -> tuple[Word, list[int]]:
         """Cross the wall of the least s with z_s < 0 until no z_s is negative.
 
@@ -241,7 +241,10 @@ class CoxeterSystem:
         closed fundamental chamber.  For w.x with x in the face F_J, the
         negative coordinates are the left descents s of the minimal element
         of w<J> (<alpha_s, w.x> < 0 iff w^-1 alpha_s < 0 off <J>), so the
-        recorded word is that element's lex-least reduced word.
+        recorded word is that element's lex-least reduced word.  This is the
+        least-descent rule: the lex-least reduced word of v is
+        (min D_L(v)) followed by the lex-least reduced word of min D_L(v).v,
+        which `ball` runs backwards.
         """
         cartan = self.cartan
         word: list[int] = []
@@ -271,24 +274,42 @@ class CoxeterSystem:
     # ---- enumeration ---------------------------------------------------
 
     def ball(self, r: int, cap: int = 200_000) -> list[Word]:
-        """Normal forms of all elements of length <= r, each exactly once."""
+        """Normal forms of all elements of length <= r, each exactly once,
+        layer by layer in lex order.
+
+        Layer n + 1 comes from layer n by left multiplication.  For w in
+        layer n and s with z_s > 0 on the point w.x of the open chamber,
+        s.w.x = `cross(s, w.x)` is the point of sw, of length n + 1, and
+        (s,) + w is kept exactly when s is the least t with z_t < 0 there:
+        by the least-descent rule of `fold` it is then the lex-least reduced
+        word of sw, and each sw has one least left descent, so each element
+        is met once and nothing is folded.  Taking s in the outer loop keeps
+        the layer sorted.
+        """
         if r < 0:
             raise RgdError("radius must be >= 0")
+        layers = self._ball_layers
         # refuse once the running count passes the cap: no partial layer is cached
-        total = sum(map(len, self._ball_layers))
-        while len(self._ball_layers) <= r:
-            nxt = set()
-            for w in self._ball_layers[-1]:
-                for t in range(self.rank):
-                    if not self.is_right_descent(w, t):
-                        nxt.add(self.normal_form(w + (t,)))
-                        if total + len(nxt) > cap:
-                            raise CapExceeded(f"ball cap {cap} exceeded at radius "
-                                              f"{len(self._ball_layers)}")
-            total += len(nxt)
-            self._ball_layers.append(sorted(nxt))
+        total = sum(map(len, layers))
+        points = [self.point(w) for w in layers[-1]] if len(layers) <= r else []
+        while len(layers) <= r:
+            words, nxt = [], []
+            for s in range(self.rank):
+                for w, z in zip(layers[-1], points):
+                    if z[s] <= 0:
+                        continue
+                    y = self.cross(s, z)
+                    if s and min(y[:s]) < 0:
+                        continue
+                    words.append((s,) + w)
+                    nxt.append(y)
+                    if total + len(words) > cap:
+                        raise CapExceeded(f"ball cap {cap} exceeded at radius {len(layers)}")
+            total += len(words)
+            layers.append(words)
+            points = nxt
         out: list[Word] = []
-        for layer in self._ball_layers[: r + 1]:
+        for layer in layers[: r + 1]:
             out.extend(layer)
         if len(out) > cap:
             raise CapExceeded(f"ball cap {cap} exceeded")

@@ -3,6 +3,13 @@
 A gallery is a reduced word read as a chamber path 1 = c0, c1, ..., ck with
 its crossed-root sequence; the index order on crossed roots is the gallery
 order used by blueprints. Root positions are 1-based throughout.
+
+Each word is built from a shorter one that is already known.  `get_gallery`,
+the one constructor, checks a word against its cached prefix with one
+`apply`: w.t is reduced iff w.e_t > 0.  `min_gal` reads the left descents of
+w off its point w.x, where they are the negative coordinates: the least one
+is w[0], whose reduced words continue with those of w[1:], and only the
+other descents are folded.
 """
 
 from __future__ import annotations
@@ -18,12 +25,11 @@ from .roots import Root, phi_w
 
 @dataclass(frozen=True)
 class Gallery:
+    """A reduced word and its crossed roots, computed on first use.  Build it
+    with `get_gallery`, which checks the word and caches the gallery."""
+
     cox: CoxeterSystem
     word: Word
-
-    def __post_init__(self):
-        if not self.cox.is_reduced(self.word):
-            raise RgdError(f"gallery type {self.word} is not reduced")
 
     def __len__(self) -> int:
         return len(self.word)
@@ -58,11 +64,20 @@ class Gallery:
 
 
 def get_gallery(cox: CoxeterSystem, word: Word) -> Gallery:
-    """Gallery for a reduced word, cached per system."""
-    g = cox._gallery_cache.get(word)
+    """Gallery for a reduced word, cached per system; an unreduced word is
+    refused.  When the gallery of word[:-1] is cached, word is reduced iff
+    word[:-1] . e_t > 0 for its last letter t; otherwise `is_reduced` decides."""
+    cache = cox._gallery_cache
+    g = cache.get(word)
     if g is None:
-        g = Gallery(cox, word)
-        cox._gallery_cache[word] = g
+        prefix = word[:-1]
+        if word and prefix in cache:
+            reduced = cox.vec_sign(cox.apply(prefix, cox.basis[word[-1]])) > 0
+        else:
+            reduced = cox.is_reduced(word)
+        if not reduced:
+            raise RgdError(f"gallery type {word} is not reduced")
+        g = cache[word] = Gallery(cox, word)
     return g
 
 
@@ -95,7 +110,11 @@ def min_gal(cox: CoxeterSystem, w: Word, cap: int = 10_000) -> list[Gallery]:
 
 def _reduced_words(cox: CoxeterSystem, w: Word, cap: int) -> tuple[Word, ...]:
     """Reduced words of w in lex order, memoized for every element met on the
-    way; an explicit stack keeps the Python call depth independent of l(w)."""
+    way; an explicit stack keeps the Python call depth independent of l(w).
+
+    Every element on the stack is a normal form u.  Its left descents are the
+    s with z_s < 0 on the point u.x; the least is u[0], and u[1:] is the
+    normal form of u[0].u, so only the other descents fold their point."""
     cache = cox._min_gal_cache
     below: dict[Word, list[tuple[int, Word]]] = {}
     stack = [w]
@@ -106,8 +125,10 @@ def _reduced_words(cox: CoxeterSystem, w: Word, cap: int) -> tuple[Word, ...]:
             continue
         steps = below.get(u)
         if steps is None:
-            steps = below[u] = [(s, cox.normal_form(cox.left_mult(s, u)))
-                                for s in range(cox.rank) if cox.is_left_descent(s, u)]
+            z = cox.point(u)
+            steps = below[u] = [
+                (s, u[1:] if s == u[0] else cox.fold(cox.cross(s, z), len(u) - 1)[0])
+                for s in range(cox.rank) if z[s] < 0]
             pending = [v for _, v in steps if v not in cache]
             if pending:
                 stack.extend(pending)
@@ -142,7 +163,7 @@ def shift(G: Gallery, s: int) -> Gallery:
     """The gallery sG: drop the leading s (descent) or prepend s (ascent).
 
     A descent gallery that does not start with s has no sG: prepending s
-    gives an unreduced word, which `Gallery` refuses."""
+    gives an unreduced word, which `get_gallery` refuses."""
     if G.word[:1] == (s,):
         return get_gallery(G.cox, G.word[1:])
     return get_gallery(G.cox, (s,) + G.word)

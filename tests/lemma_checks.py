@@ -28,7 +28,7 @@ from rgdkit.groupforge import (PCPres, build_Uw, presentation_for_gallery, relat
 from rgdkit.reports import Report, Violation
 from rgdkit.roots import Root, act, simple_root
 
-from tests.oracles import prenilpotent
+from tests.oracles import is_left_descent, prenilpotent
 
 
 def reflected_into(cox: CoxeterSystem, s: int, roots: Sequence[Root],
@@ -53,7 +53,7 @@ def vws_iso_check(bp: Blueprint, w: Word, s: int) -> Report:
     cox = bp.cox
     w = cox.normal_form(w)
     report = Report(f"Vws({bp.name}, w={word_label(w)}, s={s + 1})")
-    if not (w and cox.is_left_descent(s, w)):
+    if not (w and is_left_descent(cox, s, w)):
         raise RgdError("vws_iso_check needs s to be a left descent of w")
     sw = cox.normal_form(cox.left_mult(s, w))
     G = get_gallery(cox, (s,) + sw)
@@ -83,7 +83,7 @@ def gallery_independence_check(bp: Blueprint, w: Word, w_prime: Word, s: int,
     w, w_prime = cox.normal_form(w), cox.normal_form(w_prime)
     report = Report(f"gallery-independence({bp.name}, s={s + 1})")
     for v in (w, w_prime):
-        if not (v and cox.is_left_descent(s, v)):
+        if not (v and is_left_descent(cox, s, v)):
             raise RgdError("both words need s as a left descent")
     gs = min_gal_s(cox, w, s)
     hs = min_gal_s(cox, w_prime, s)
@@ -133,7 +133,7 @@ def tau_on_truncation(bp: Blueprint, w: Word, s: int) -> Report:
     cox = bp.cox
     w = cox.normal_form(w)
     report = Report(f"tau-trunc({bp.name}, w={word_label(w)}, s={s + 1})")
-    if w and cox.is_left_descent(s, w):
+    if w and is_left_descent(cox, s, w):
         raise RgdError("tau_on_truncation needs l(sw) = l(w) + 1")
     pres_w, rep_w = build_Uw(bp, w)
     report.merge(rep_w)
@@ -179,7 +179,7 @@ def tau_conjugation_check(bp: Blueprint, s: int, beta: Root, radius: int = 6) ->
 
     G = None
     for v in cox.ball(radius):
-        if v and cox.is_left_descent(s, v):
+        if v and is_left_descent(cox, s, v):
             for cand in min_gal_s(cox, v, s):
                 if cand.crosses(s_beta):
                     G = cand

@@ -10,6 +10,12 @@ gate, against which the residue groups' galleries are checked.
 `cb1_full` and `weyl_full` are the CB1 and Weyl loops without verdict
 memos: they compare the tables again at every site, where the validators
 compare each pair of table numbers that agreed once.
+
+`ball_by_right_extension`, `reduced_words_by_descent` and `relations_by_query`
+build words, galleries and tables from scratch: every right extension
+normalized and deduplicated, every left descent tested on vectors and
+normalized again, every pair of a gallery queried.  The engine builds each
+from a shorter one that is known; these are the cross-checks.
 """
 
 from __future__ import annotations
@@ -20,12 +26,47 @@ from weakref import WeakKeyDictionary
 from rgdkit.blueprints import Blueprint
 from rgdkit.coxeter import CoxeterSystem, Vector, Word, word_label
 from rgdkit.errors import CapExceeded, InternalConsistencyError, RgdError
-from rgdkit.galleries import min_gal, min_gal_s, shift
+from rgdkit.galleries import Gallery, min_gal, min_gal_s, shift
 from rgdkit.reports import Report, Violation
 from rgdkit.roots import Residue2, Root, depth, pair_order
 
 # system -> radius -> root vector -> membership bitmask over ball(radius)
 MASKS: WeakKeyDictionary[CoxeterSystem, dict[int, dict[Vector, int]]] = WeakKeyDictionary()
+
+
+def is_left_descent(cox: CoxeterSystem, s: int, word: Word) -> bool:
+    """True iff l(s*w) = l(w) - 1; `word` must be reduced."""
+    return cox.vec_sign(cox.apply_inv(word, cox.basis[s])) < 0
+
+
+def is_right_descent(cox: CoxeterSystem, word: Word, t: int) -> bool:
+    """True iff l(w*t) = l(w) - 1; `word` must be reduced."""
+    return cox.vec_sign(cox.apply(word, cox.basis[t])) < 0
+
+
+def ball_by_right_extension(cox: CoxeterSystem, r: int) -> list[Word]:
+    """Normal forms of length <= r: each layer is the set of normal forms
+    of w.t for t not a right descent of w, sorted."""
+    layers = [[()]]
+    for _ in range(r):
+        layers.append(sorted({cox.normal_form(w + (t,)) for w in layers[-1]
+                              for t in range(cox.rank) if not is_right_descent(cox, w, t)}))
+    return [w for layer in layers for w in layer]
+
+
+def reduced_words_by_descent(cox: CoxeterSystem, w: Word) -> list[Word]:
+    """Reduced words of w in lex order: for each left descent s, s followed
+    by the reduced words of the normal form of s.w."""
+    if not w:
+        return [()]
+    return [(s,) + tail for s in range(cox.rank) if is_left_descent(cox, s, w)
+            for tail in reduced_words_by_descent(cox, cox.normal_form(cox.left_mult(s, w)))]
+
+
+def relations_by_query(bp: Blueprint, G: Gallery) -> dict[tuple[int, int], tuple[int, ...]]:
+    """M^G with every pair i < j queried in row order."""
+    n = len(G)
+    return {(i, j): bp.query(G, i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
 
 
 def member(cox: CoxeterSystem, w: Word, alpha: Root) -> bool:

@@ -79,11 +79,12 @@ def test_validate_queries_each_triple_once(monkeypatch):
         return query(self, G, i, j)
 
     monkeypatch.setattr(bpmod.Blueprint, "query", counting)
-    for argv in (["--builtin", "allempty:universal3"],
-                 ["--blueprint", fixture_path("g2_full.bp")]):
+    # the all-empty default asks no query; g2_full.bp's explicit entries do
+    for argv, asks in ((["--builtin", "allempty:universal3"], False),
+                       (["--blueprint", fixture_path("g2_full.bp")], True)):
         seen.clear()
         assert cli.main(argv + ["--radius", "4", "validate"]) == 0
-        assert seen and len(set(seen)) == len(seen), argv
+        assert bool(seen) == asks and len(set(seen)) == len(seen), argv
 
 
 def test_query_bounds(bp_m3):

@@ -1,5 +1,7 @@
 """Defensive paths: caps, overflow guards, refusal to guess."""
 
+from collections import Counter
+
 import pytest
 
 from rgdkit import groupforge as gf
@@ -43,21 +45,25 @@ def test_ball_cap():
 
 def test_ball_refuses_before_finishing_the_layer(monkeypatch):
     # universal3 at radius 40 passes any cap: the count is checked as the
-    # layer grows, so at most `cap` normal forms are built, and the refused
-    # layer is not cached
+    # layer grows, so at most `cap` elements are built, none by a normal
+    # form or a fold, and the refused layer is not cached
     cox = CoxeterSystem(CoxeterMatrix.universal(3))
-    calls = 0
-    normal_form = CoxeterSystem.normal_form
+    calls = Counter()
+    normal_form, fold = CoxeterSystem.normal_form, CoxeterSystem.fold
 
-    def counted(self, word):
-        nonlocal calls
-        calls += 1
+    def counted_normal_form(self, word):
+        calls["normal_form"] += 1
         return normal_form(self, word)
 
-    monkeypatch.setattr(CoxeterSystem, "normal_form", counted)
+    def counted_fold(self, z, limit):
+        calls["fold"] += 1
+        return fold(self, z, limit)
+
+    monkeypatch.setattr(CoxeterSystem, "normal_form", counted_normal_form)
+    monkeypatch.setattr(CoxeterSystem, "fold", counted_fold)
     with pytest.raises(CapExceeded, match="ball cap 1000 exceeded at radius 9"):
         cox.ball(40, cap=1000)
-    assert calls <= 1000
+    assert calls["normal_form"] <= 1000 and calls["fold"] <= 1000
     monkeypatch.undo()
     assert cox.ball(8) == CoxeterSystem(CoxeterMatrix.universal(3)).ball(8)
 

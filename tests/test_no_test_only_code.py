@@ -24,7 +24,7 @@ EXEMPT_MODULES = {"qf24.py"}
 
 # definitions whose only user is a `perfbench/` string: the tracer patches
 # them although no command calls them any more
-TRACER_ONLY = {"right_mult", "adjacent"}
+TRACER_ONLY = {"right_mult", "left_mult", "adjacent"}
 
 
 def _loaded_names(node, skip=()):
