@@ -317,30 +317,30 @@ class CoxeterSystem:
 
     def longest_element(self, J: tuple[int, ...]) -> Word:
         """Normal form of the longest element of a spherical rank<=2 parabolic."""
-        J = tuple(sorted(set(J)))
-        if not 1 <= len(J) <= 2:
+        if not J:
             raise NotSpherical("only rank <= 2 standard parabolics are supported")
-        if len(J) == 2 and self.matrix.m(*J) == inf:
-            raise NotSpherical(f"parabolic {{{J[0]},{J[1]}}} is infinite")
         return self.parabolic_elements(J)[-1]
 
     def coset_gate(self, word: Word, J: tuple[int, ...]) -> Word:
         """Lex-least reduced word of the minimal-length element of w<J>."""
         return self.fold(self.point(word, J), len(word))[0]
 
-    def parabolic_elements(self, J: tuple[int, ...], cap: int = 4096) -> list[Word]:
-        """All elements of the standard parabolic <J> (must be finite)."""
-        seen = {(): None}
-        frontier = [()]
-        while frontier:
-            new = []
-            for w in frontier:
-                for j in J:
-                    v = self.normal_form(w + (j,))
-                    if v not in seen:
-                        seen[v] = None
-                        new.append(v)
-            frontier = new
-            if len(seen) > cap:
-                raise NotSpherical(f"parabolic {J} exceeds cap {cap}; not finite?")
-        return sorted(seen, key=lambda w: (len(w), w))
+    def parabolic_elements(self, J: tuple[int, ...]) -> list[Word]:
+        """Normal forms of the spherical standard parabolic <J>, |J| <= 2, by
+        length and then lexicographically: for J = {s < t} of order m, the
+        alternating words shorter than m from s and from t, then the longest
+        element, whose lex-least reduced word starts with s."""
+        J = tuple(sorted(set(J)))
+        if len(J) > 2:
+            raise NotSpherical("only rank <= 2 standard parabolics are supported")
+        if len(J) < 2:
+            return [(), J] if J else [()]
+        s, t = J
+        if self.matrix.m(s, t) == inf:
+            raise NotSpherical(f"parabolic {{{s},{t}}} is infinite")
+        m = int(self.matrix.m(s, t))
+
+        def alternating(a: int, b: int, n: int) -> Word:
+            return tuple((a, b)[i % 2] for i in range(n))
+        return [(), *(alternating(a, b, n) for n in range(1, m) for a, b in ((s, t), (t, s))),
+                alternating(s, t, m)]

@@ -11,11 +11,11 @@ stack for the letters a reordering leaves behind; `mul`, `inv`, `comm`,
 `conj` and `map_elem` feed it the letters of their masks directly.  The
 consistency (overlap) test certifies that normal forms are unique,
 equivalently that the group has order exactly 2^k.  Its verdict depends on
-k and the table alone, so `validate_cb3` certifies each (k, table number)
-once per call and builds no presentation for an element with one gallery
-whose key is certified.  A new key is certified along the prefix tree of
-the ball: when the presentation of w[:-1] was certified with the
-restricted table, only the tests involving u_k remain.
+k and the table alone, so `validate_cb3` keeps one memo of the certified
+(k, table number) keys per call, checks each key once, and builds no
+presentation for an element with one gallery whose key is certified.  The
+memo is also the prefix certificate: when it holds the key of w[:-1] and
+that table is the restriction of w's, only the tests involving u_k remain.
 """
 
 from __future__ import annotations
@@ -154,8 +154,9 @@ class PCPres:
         Only the tests whose largest generator is at least `top` run.  A
         relation value lies strictly between its indices, so the tests below
         `top` are those of the presentation on u_1 ... u_{top-1} with the
-        restricted table: a caller that has certified that presentation
-        passes `top` and gets the same outcome and witness as a full check."""
+        restricted table: `build_Uw` passes top = k when its memo certifies
+        that presentation, and gets the same outcome and witness as a full
+        check."""
         try:
             for j in range(top, self.k + 1):
                 uj = self.generator(j)
@@ -233,7 +234,6 @@ def presentation_for_gallery(bp: Blueprint, G: Gallery) -> PCPres:
 
 
 def build_Uw(bp: Blueprint, w: Word, gallery_cap: int = 10_000, *,
-             certified: Mapping[Word, Mapping] | None = None,
              consistent: set[tuple[int, int]] | None = None
              ) -> tuple[PCPres | None, Report]:
     """Group on Phi(w) from the lex-least gallery, cross-checked against the
@@ -242,16 +242,15 @@ def build_Uw(bp: Blueprint, w: Word, gallery_cap: int = 10_000, *,
     words are.  If the gallery count exceeds the cap, only the base gallery
     is certified and the report says so explicitly.
 
-    `certified` maps gallery words to the relation tables of presentations
-    already found consistent.  When it holds the base gallery's prefix with
-    the restriction of the base table, the presentation on u_1 ... u_{k-1}
-    is that certified one, and only the overlap tests involving u_k run.
-
-    `consistent` holds the keys (k, table number) of presentations found
-    consistent, and gains the base table's key when its check passes.  On
-    a key it holds, the overlap test is not run again; if w has one
-    gallery, no presentation is built either, and None is returned in its
-    place."""
+    `consistent` is the memo of the keys (k, table number) of presentations
+    found consistent (a fresh one if not given), and gains the base table's
+    key when its check passes.  On a key it holds, the overlap test is not
+    run again; if w has one gallery, no presentation is built either, and
+    None is returned in its place.  On a new key, when the memo holds the
+    key of the base gallery's prefix and that prefix table is the
+    restriction of the base table, the presentation on u_1 ... u_{k-1} is
+    a certified one, and only the overlap tests involving u_k run."""
+    consistent = set() if consistent is None else consistent
     cox = bp.cox
     report = Report(f"U_w({bp.name}, w={word_label(w)})")
     try:
@@ -262,26 +261,27 @@ def build_Uw(bp: Blueprint, w: Word, gallery_cap: int = 10_000, *,
                     f"cross-checked the base gallery only")
     base = galleries[0]
     report.checks += 1
-    key = (len(base), bp.table_no(base))
-    hit = consistent is not None and key in consistent
+    k = len(base)
+    key = (k, bp.table_no(base))
+    hit = key in consistent
     if hit and len(galleries) == 1:
         return None, report
     pres = presentation_for_gallery(bp, base)
     if hit:
         pres.consistent = True
     else:
-        k = pres.k
-        prefix = certified.get(base.word[:-1]) if certified else None
         top = 1
-        if prefix is not None and prefix == {(i, j): v for (i, j), v in pres.rel.items() if j < k}:
-            top = k
+        if k > 1 and consistent:  # an empty memo certifies no prefix: build no table for it
+            prefix = base.prefix(k - 1)
+            if ((k - 1, bp.table_no(prefix)) in consistent and bp.relations(prefix)
+                    == {(i, j): v for (i, j), v in pres.rel.items() if j < k}):
+                top = k
         if not pres.consistency_check(top):
             report.add(Violation(axiom="CB3", w=word_label(w), gallery=base.label(),
                                  expected="consistent collection",
-                                 found=pres.inconsistency_witness or "inconsistent"))
+                                 found=pres.inconsistency_witness))
             return pres, report
-        if consistent is not None:
-            consistent.add(key)
+        consistent.add(key)
     for H in galleries[1:]:
         image = {i: pres.position(root) for i, root in enumerate(H.roots, start=1)}
         relation_checks(bp.relations(H), image, pres, report,
@@ -295,29 +295,19 @@ def validate_cb3(bp: Blueprint, radius: int, cap_galleries: int = 10_000,
     except those longer than `cap_group_bits`, which are skipped.
 
     The consistency verdict of U_w is a function of (l(w), base table), so
-    the keys certified so far are kept for the call and each is checked
-    once; an inconsistent key is checked again at every element, so each
-    violation is still reported.  The ball lists normal forms by length, and
-    the base gallery of w[:-1] is the prefix of the base gallery of w.  So
-    the tables certified at the previous length are all `build_Uw` can use
-    to check only the overlap tests of a new key that involve the last
-    generator; older layers are dropped."""
+    one memo of the keys certified so far is kept for the call, and each
+    key is checked once; an inconsistent key is checked again at every
+    element, so each violation is still reported.  The ball lists normal
+    forms by length, and the base gallery of w[:-1] is the prefix of the
+    base gallery of w, so the memo already holds the prefix's key when its
+    presentation passed: the new keys are certified along the prefix tree."""
     report = Report(f"CB3({bp.name}, r={radius})")
-    cox = bp.cox
-    previous: dict[Word, Mapping] = {}
-    current: dict[Word, Mapping] = {}
     consistent: set[tuple[int, int]] = set()
-    length = 0
-    for w in cox.ball(radius):
+    for w in bp.cox.ball(radius):
         if len(w) > cap_group_bits:
             report.skip(f"skipped w={word_label(w)}: exceeds group bit cap")
             continue
-        if len(w) != length:
-            previous, current, length = current, {}, len(w)
-        pres, rep = build_Uw(bp, w, cap_galleries, certified=previous, consistent=consistent)
-        if pres is None or pres.consistent:  # w is its base word; no copy of the table is kept
-            current[w] = bp.relations(get_gallery(cox, w))
-        report.merge(rep)
+        report.merge(build_Uw(bp, w, cap_galleries, consistent=consistent)[1])
     return report
 
 

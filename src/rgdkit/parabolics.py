@@ -75,7 +75,7 @@ def tau_on_residue(rg: ResidueGroup) -> Report:
     report.checks += 1
     if not pres.consistency_check():
         report.add(Violation(axiom="CB3", gallery=rg.gallery.label(),
-                             expected="consistent", found=pres.inconsistency_witness or "?"))
+                             expected="consistent", found=pres.inconsistency_witness))
         return report
     # Counted, never failing: u_s = u_1 is in no relation value, since
     # `PCPres` keeps a value inside (i, j), so U = <u_s> x| N_R; and s maps

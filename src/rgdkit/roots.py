@@ -1,10 +1,12 @@
 """Roots as half-spaces of a Coxeter system.
 
 A root is stored as its integer vector in the root lattice of the system's
-generalized Cartan matrix plus an optional provenance expression (w, s) with
+generalized Cartan matrix plus a provenance expression (w, s) with
 alpha = w . alpha_s.  Positivity, reflections, reflection orders, intervals
 and rank-2 residues are all derived from the vector and, through the
-expression, from the coroot alpha^vee = w . alpha_s^vee.
+expression, from the coroot alpha^vee = w . alpha_s^vee.  A root built from
+a vector alone (to look up its position in a gallery) has no expression,
+and asking for one is an internal error.
 """
 
 from __future__ import annotations
@@ -39,32 +41,10 @@ def simple_root(cox: CoxeterSystem, s: int) -> Root:
     return Root(cox.basis[s], ((), s))
 
 
-def _derive_expr(cox: CoxeterSystem, vec: Vector) -> tuple[Word, int]:
-    """Recover some (w, s) with vec = w . e_s by depth descent."""
-    sign = cox.vec_sign(vec)
-    work = vec if sign > 0 else tuple(-c for c in vec)
-    prefix: list[int] = []
-    for _ in range(10_000):
-        for s in range(cox.rank):
-            if work == cox.basis[s]:
-                word = tuple(prefix)
-                if sign < 0:
-                    word = cox.normal_form(word + (s,))
-                return (word, s)
-        for s in range(cox.rank):
-            if cox.pairing(s, work) > 0:
-                prefix.append(s)
-                work = cox.reflect(s, work)
-                break
-        else:
-            raise RgdError("no descent found for root vector; not a root?")
-    raise RgdError("root expression derivation did not terminate")
-
-
 def expression(cox: CoxeterSystem, alpha: Root) -> tuple[Word, int]:
-    if alpha.expr is not None:
-        return alpha.expr
-    return _derive_expr(cox, alpha.vec)
+    if alpha.expr is None:
+        raise InternalConsistencyError(f"root {alpha.describe()} has no provenance expression")
+    return alpha.expr
 
 
 def act(cox: CoxeterSystem, word: Word, alpha: Root) -> Root:
@@ -219,7 +199,11 @@ def common_residue(cox: CoxeterSystem, alpha: Root, beta: Root) -> Residue2:
     reflections.  The stabilizer of a point of the Tits cone is
     gate <J> gate^-1 for the face gate . F_J that holds it (Abramenko-Brown,
     Buildings, GTM 248), so folding z into the fundamental chamber records
-    the gate, and the coordinates that vanish there are the type J.
+    the gate, and the coordinates that vanish there are the type J.  In a
+    finite parabolic of rank >= 3 the sum projects onto the fixed space of
+    both reflections, and for this symmetric point it can vanish or land on
+    a face of larger type; then the less symmetric interior points (3^j)
+    and (3^(n-j)) are tried, and if none gives |J| = 2 the call fails.
     """
     m = pair_order(cox, alpha, beta)
     if m == inf:
@@ -235,15 +219,18 @@ def common_residue(cox: CoxeterSystem, alpha: Root, beta: Root) -> Residue2:
         return reflect
 
     r_a, r_b = reflection(alpha), reflection(beta)
-    z = [0] * cox.rank
-    point = [1] * cox.rank
-    for _ in range(int(m)):  # the group is {(r_b r_a)^k, r_a (r_b r_a)^k : k < m}
-        mirrored = r_a(point)
-        z = [a + b + c for a, b, c in zip(z, point, mirrored)]
-        point = r_b(mirrored)
-    gate, z = cox.fold(z, 10_000)
-    J = tuple(s for s in range(cox.rank) if z[s] == 0)
-    if len(J) != 2:
+    n = cox.rank
+    for point in ([1] * n, [3 ** j for j in range(n)], [3 ** (n - j) for j in range(n)]):
+        z = [0] * n
+        for _ in range(int(m)):  # the group is {(r_b r_a)^k, r_a (r_b r_a)^k : k < m}
+            mirrored = r_a(point)
+            z = [a + b + c for a, b, c in zip(z, point, mirrored)]
+            point = r_b(mirrored)
+        gate, z = cox.fold(z, 10_000)
+        J = tuple(s for s in range(n) if z[s] == 0)
+        if len(J) == 2:
+            break
+    else:
         raise InternalConsistencyError(
             f"fixed point of {alpha.describe()}, {beta.describe()} lies on a face of type {J}")
     R = residue_at(cox, gate, J)

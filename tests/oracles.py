@@ -7,9 +7,11 @@ never needs the other two; these definitions are the tests' independent
 cross-checks.  `residue_roots` lists the walls of a rank-2 residue from its
 gate, against which the residue groups' galleries are checked.
 
-`cb1_full` and `weyl_full` are the CB1 and Weyl loops without verdict
-memos: they compare the tables again at every site, where the validators
-compare each pair of table numbers that agreed once.
+`cb1_full`, `weyl_full` and `cb3_full` are the CB1, Weyl and CB3 loops
+without verdict memos: they compare the tables again at every site, where
+the validators compare each pair of table numbers that agreed once, and
+`cb3_full` runs every overlap test of every element, where `validate_cb3`
+certifies each (l(w), table number) key once along the prefix tree.
 
 `ball_by_right_extension`, `reduced_words_by_descent` and `relations_by_query`
 build words, galleries and tables from scratch: every right extension
@@ -27,6 +29,7 @@ from rgdkit.blueprints import Blueprint
 from rgdkit.coxeter import CoxeterSystem, Vector, Word, word_label
 from rgdkit.errors import CapExceeded, InternalConsistencyError, RgdError
 from rgdkit.galleries import Gallery, min_gal, min_gal_s, shift
+from rgdkit.groupforge import build_Uw
 from rgdkit.reports import Report, Violation
 from rgdkit.roots import Residue2, Root, depth, pair_order
 
@@ -219,4 +222,16 @@ def weyl_full(bp: Blueprint, r: int, gallery_cap: int = 10_000) -> Report:
                             gallery=G.label(), i=i, j=j,
                             expected=",".join(map(str, image)) or "-",
                             found=",".join(map(str, shifted)) or "-"))
+    return report
+
+
+def cb3_full(bp: Blueprint, r: int, cap_galleries: int = 10_000,
+             cap_group_bits: int = 24) -> Report:
+    """`validate_cb3` with a fresh memo, so every overlap test, per element."""
+    report = Report(f"CB3({bp.name}, r={r})")
+    for w in bp.cox.ball(r):
+        if len(w) > cap_group_bits:
+            report.skip(f"skipped w={word_label(w)}: exceeds group bit cap")
+            continue
+        report.merge(build_Uw(bp, w, cap_galleries)[1])
     return report

@@ -2,9 +2,9 @@
 
 `validate_cb3` certifies each (k, table number) key once, and for a new key
 runs only the overlap tests that involve the last generator when the base
-gallery's prefix was certified with the restricted table.  The full loop,
-`build_Uw` per element with every overlap test, is the oracle: both must
-give the same report on valid and mutated tables.
+gallery's prefix key is in the memo with the restricted table.  The full
+loop, `cb3_full` in tests/oracles.py, is the oracle: both must give the
+same report on valid and mutated tables.
 """
 
 import os
@@ -17,24 +17,13 @@ import pytest
 
 from rgdkit import blueprints as bpmod
 from rgdkit import cli
-from rgdkit.coxeter import word_label
 from rgdkit.galleries import get_gallery
-from rgdkit.groupforge import PCPres, build_Uw, validate_cb3
-from rgdkit.reports import Report
+from rgdkit.groupforge import PCPres, validate_cb3
 from tests.conftest import fixture_path
+from tests.oracles import cb3_full
 from tests.test_mutations import CASES, _mutants
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
-
-
-def cb3_full(bp, r, cap_galleries=10_000, cap_group_bits=24):
-    report = Report(f"CB3({bp.name}, r={r})")
-    for w in bp.cox.ball(r):
-        if len(w) > cap_group_bits:
-            report.skip(f"skipped w={word_label(w)}: exceeds group bit cap")
-            continue
-        report.merge(build_Uw(bp, w, cap_galleries)[1])
-    return report
 
 
 def assert_same(a, b):
@@ -155,6 +144,25 @@ def test_an_inconsistent_key_is_checked_at_every_element(tops):
     assert len(set(keys(bp, [(0, 1, 2, 0), (0, 1, 2, 1)]))) == 1
     assert (0, 1, 2, 0) in tops and (0, 1, 2, 1) in tops
     assert_same(report, cb3_full(bp, 4))
+
+
+def test_an_inconsistent_prefix_certifies_nothing(tops):
+    # universal3 with one inconsistent table on 1.2.3.1 and the same values
+    # on its extension 1.2.3.1.2, a new table that restricts to it: the
+    # prefix's key never enters the memo, so the extension runs every test
+    base = bpmod.builtin("allempty:universal3")
+    bad = {(1, 3): (2,), (2, 4): (3,)}
+    prefix, w = (0, 1, 2, 0), (0, 1, 2, 0, 1)
+    bp = bpmod.FileTable(base.cox, {(v, i, j): value for v in (prefix, w)
+                                    for (i, j), value in bad.items()}, name="bad-prefix")
+    G = get_gallery(bp.cox, w)
+    restricted = {(i, j): v for (i, j), v in bp.relations(G).items() if j < len(w)}
+    assert bp.relations(G.prefix(len(prefix))) == restricted
+    assert keys(bp, [w]) != keys(bp, [prefix])
+    report = validate_cb3(bp, 5)
+    assert [v.w for v in report.violations] == ["1.2.3.1", "1.2.3.1.2"]
+    assert tops[prefix] == 1 and tops[w] == 1
+    assert_same(report, cb3_full(bp, 5))
 
 
 def test_full_loop_runs_every_overlap_test(tops):

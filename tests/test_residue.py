@@ -5,18 +5,24 @@ fundamental chamber.  The oracle here is the search it replaced: scan the
 rank-2 residues met by growing balls and keep the one with the shortest
 gate that both reflections stabilize.  Both must name the same residue for
 every pair of order 3, 4 or 6 crossed by one minimal gallery of length at
-most RADIUS.
+most RADIUS.  On types with a finite parabolic of rank >= 3 the fold can
+retry from another point and land on a residue of another type that gives
+the same values, so there the `default rank2` tables are compared instead,
+and `validate` must pass on every small diagram.
 """
 
+import itertools
 from math import inf
 
 import pytest
 
+from rgdkit import blueprints as bpmod
 from rgdkit import roots as rt
-from rgdkit.blueprints import ingest, ingest_path
+from rgdkit.blueprints import LocalRank2, ingest, ingest_path
+from rgdkit.cli import main
 from rgdkit.coxeter import CoxeterMatrix, CoxeterSystem
 from rgdkit.errors import RgdError
-from rgdkit.galleries import get_gallery
+from rgdkit.galleries import get_gallery, min_gal
 from tests.conftest import FIXTURES
 
 RADIUS = 4
@@ -48,6 +54,15 @@ MATRICES = {
     "3_inf_inf": lambda: _labels(3, "3,inf,inf"),
     "6_inf_inf": lambda: _labels(3, "6,inf,inf", [(2, 1)]),
     "rank4_446inf_inf4": lambda: _labels(4, "4,4,6,inf,inf,4", [(4, 1)]),
+}
+
+# types where folding the sum of (1, ..., 1) can miss a rank-2 face
+FINITE_PARABOLICS = {
+    "B3_324": (3, "3,2,4"),
+    "B4": (4, "3,2,2,3,2,4"),
+    "D4": (4, "3,2,2,3,3,2"),
+    "F4": (4, "3,2,2,4,2,3"),
+    "B3_inf": (4, "3,2,2,4,2,inf"),
 }
 
 
@@ -109,3 +124,41 @@ def test_common_residue_refuses_infinite_pairs():
     G = get_gallery(cox, (0, 1))
     with pytest.raises(RgdError):
         rt.common_residue(cox, G.root(1), G.root(2))
+
+
+@pytest.mark.parametrize("name", sorted(FINITE_PARABOLICS))
+def test_rank2_tables_match_ball_search(name, monkeypatch):
+    cox = CoxeterSystem(_labels(*FINITE_PARABOLICS[name]))
+    direct = LocalRank2(cox)
+    tables = {G.word: direct.relations(G) for w in cox.ball(RADIUS + 1) for G in min_gal(cox, w)}
+    assert any(any(table.values()) for table in tables.values())
+    monkeypatch.setattr(bpmod, "common_residue",
+                        lambda cox, alpha, beta: ball_search(cox, alpha, beta, RADIUS + 3))
+    searched = LocalRank2(cox)
+    for word, table in tables.items():
+        assert searched.relations(get_gallery(cox, word)) == table, word
+
+
+def _diagram(rank, labels):
+    """A `default rank2` file with one `dir6` line per 6-edge."""
+    pairs = [(i, j) for i in range(1, rank + 1) for j in range(i + 1, rank + 1)]
+    lines = [f"rank {rank}", *(f"m {i} {j} {m}" for (i, j), m in zip(pairs, labels)),
+             *(f"dir6 {j} {i}" for (i, j), m in zip(pairs, labels) if m == "6"), "default rank2"]
+    return "\n".join(lines) + "\n"
+
+
+def test_default_rank2_validates_every_small_diagram(tmp_path, capsys):
+    # every rank-3 diagram at radius 3 and the rank-4 types above at radius
+    # 4; on (3,2,4), (3,4,2) and (4,3,2) the point (1, 1, 1) folds onto a
+    # face of type {1,2,3} for some root pairs
+    cases = [(3, labels, 3) for labels in itertools.product(["2", "3", "4", "6", "inf"], repeat=3)]
+    cases += [(4, labels.split(","), 4) for rank, labels in FINITE_PARABOLICS.values()
+              if rank == 4]
+    path = tmp_path / "diagram.bp"
+    failed = []
+    for rank, labels, radius in cases:
+        path.write_text(_diagram(rank, labels))
+        if main(["--blueprint", str(path), "--radius", str(radius), "validate"]) != 0:
+            failed.append((labels, capsys.readouterr().err))
+    capsys.readouterr()
+    assert len(cases) == 129 and not failed
