@@ -45,7 +45,7 @@ from .errors import BlueprintError, CapExceeded, ParseError, RgdError
 from .galleries import (Gallery, get_gallery, min_gal, min_gal_s, oriented_gallery,
                         rj_gallery, shift)
 from .reports import Report, Violation
-from .roots import Root, act, common_residue, open_interval, pair_order
+from .roots import Root, common_residue, local_root, open_interval, pair_order
 
 # Non-trivial commutation sets of the rank-2 Moufang tables over GF(2),
 # keyed by crossing positions (i, j) on the distinguished length-m gallery.
@@ -151,20 +151,21 @@ class LocalRank2(Blueprint):
 
     def __init__(self, cox: CoxeterSystem, name: str = "rank2"):
         super().__init__(cox, name)
-        self._base_tables: dict[tuple[int, int], dict[frozenset, frozenset]] = {}
+        # type J -> {root vectors of a pair: root vectors of its value}
+        self._base_tables: dict[tuple[int, int], dict[frozenset, tuple]] = {}
         self._pair_cache: dict[frozenset, frozenset] = {}
         # word[:j] -> (M(1, j), ..., M(j - 1, j)), each value `_checked`
         self._columns: dict[Word, tuple] = {}
 
-    def _base_table(self, J: tuple[int, int]) -> dict[frozenset, frozenset]:
+    def _base_table(self, J: tuple[int, int]) -> dict[frozenset, tuple]:
         cached = self._base_tables.get(J)
         if cached is not None:
             return cached
         G = oriented_gallery(self.cox, *J)
-        table: dict[frozenset, frozenset] = {}
+        table: dict[frozenset, tuple] = {}
         for (i, j), ks in RANK2_M_SETS[len(G)].items():
-            key = frozenset({G.root(i), G.root(j)})
-            table[key] = frozenset(G.root(k) for k in ks)
+            key = frozenset({G.root(i).vec, G.root(j).vec})
+            table[key] = tuple(G.root(k).vec for k in ks)
         self._base_tables[J] = table
         return table
 
@@ -207,15 +208,14 @@ class LocalRank2(Blueprint):
         return value
 
     def _residue_value(self, alpha: Root, beta: Root) -> frozenset:
+        """The base table's value at gate^-1 . alpha, gate^-1 . beta, carried
+        back by the gate; only vectors are read, as table keys and positions."""
         cox = self.cox
         R = common_residue(cox, alpha, beta)
-        g = R.base
-        g_inv = tuple(reversed(g))
-        a0 = act(cox, g_inv, alpha)
-        b0 = act(cox, g_inv, beta)
-        table = self._base_table(R.J)
-        value = table.get(frozenset({a0, b0}), frozenset())
-        return frozenset(act(cox, g, gamma) for gamma in value)
+        # a residue named otherwise than by `common_residue` has no images
+        images = R.images or (local_root(cox, R, alpha), local_root(cox, R, beta))
+        value = self._base_table(R.J).get(frozenset(images), ())
+        return frozenset(Root(cox.apply(R.base, v)) for v in value)
 
 
 class FileTable(Blueprint):

@@ -119,12 +119,10 @@ class CoxeterSystem:
         self._ball_layers: list[list[Word]] = [[()]]
         self._min_gal_cache: dict[Word, tuple[Word, ...]] = {}
         self._gallery_cache: dict[Word, object] = {}
+        # real root vector -> its coroot row, filled by `roots.coroot_row`
+        self._coroot_rows: dict[Vector, Vector] = {}
 
     # ---- root lattice representation ----------------------------------
-
-    def pairing(self, s: int, v: Vector) -> int:
-        """Coroot pairing <v, alpha_s^vee>."""
-        return sum(map(mul, self.cartan[s], v))
 
     def reflect(self, s: int, v: Vector) -> Vector:
         """Simple reflection sigma_s(v) = v - <v, alpha_s^vee> alpha_s."""
@@ -221,7 +219,11 @@ class CoxeterSystem:
     def point(self, word: Word, face: tuple[int, ...] = ()) -> list[int]:
         """Coordinates z_j = <alpha_j, w.x> of the point w.x, where x has
         z_j = 0 on `face` and 1 elsewhere (rightmost letter first)."""
-        z = [0 if j in face else 1 for j in range(self.rank)]
+        return self.dual_apply(word, [0 if j in face else 1 for j in range(self.rank)])
+
+    def dual_apply(self, word: Word, z: Vector | list[int]) -> Vector | list[int]:
+        """Coordinates z_j = <alpha_j, w.x> of w.x from those of x, the
+        dual action (rightmost letter first)."""
         cartan = self.cartan
         for s in reversed(word):
             zs = z[s]

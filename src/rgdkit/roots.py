@@ -3,10 +3,13 @@
 A root is stored as its integer vector in the root lattice of the system's
 generalized Cartan matrix plus a provenance expression (w, s) with
 alpha = w . alpha_s.  Positivity, reflections, reflection orders, intervals
-and rank-2 residues are all derived from the vector and, through the
-expression, from the coroot alpha^vee = w . alpha_s^vee.  A root built from
-a vector alone (to look up its position in a gallery) has no expression,
-and asking for one is an internal error.
+and rank-2 residues are all derived from the vector and from the coroot row
+(<alpha_j, alpha^vee>)_j.  The expression gives the row once per root, as
+the coroot alpha^vee = w . alpha_s^vee in one pass of the dual action, and
+the system caches it under the vector, which fixes the coroot of a real
+root; every coroot pairing is then a dot product.  A root built from a
+vector alone (to look up its position in a gallery) has no expression, and
+asking for one is an internal error.
 """
 
 from __future__ import annotations
@@ -70,10 +73,22 @@ def phi_w(cox: CoxeterSystem, w: Word) -> list[Root]:
     return [Root(vec, (w[:i], w[i])) for i, vec in enumerate(cox.prefix_root_vectors(w))]
 
 
+def coroot_row(cox: CoxeterSystem, beta: Root) -> Vector:
+    """(<alpha_j, beta^vee>)_j: for beta = w . alpha_t, the coroot
+    w . alpha_t^vee in the coordinates of `CoxeterSystem.point`, starting
+    from <alpha_j, alpha_t^vee> = cartan[t][j].  Computed once per root
+    vector and cached on the system."""
+    rows = cox._coroot_rows
+    row = rows.get(beta.vec)
+    if row is None:
+        w, t = expression(cox, beta)
+        row = rows[beta.vec] = tuple(cox.dual_apply(w, cox.cartan[t]))
+    return row
+
+
 def coroot_pairing(cox: CoxeterSystem, alpha: Root, beta: Root) -> int:
-    """<alpha, beta^vee> = <w^-1 . alpha, alpha_t^vee> for beta = w . alpha_t."""
-    w, t = expression(cox, beta)
-    return cox.pairing(t, cox.apply_inv(w, alpha.vec))
+    """<alpha, beta^vee>, a dot product with beta's coroot row."""
+    return sum(map(mul, alpha.vec, coroot_row(cox, beta)))
 
 
 def _pairing_product(cox: CoxeterSystem, alpha: Root, beta: Root) -> int:
@@ -168,10 +183,14 @@ def open_interval(cox: CoxeterSystem, alpha: Root, beta: Root, gallery) -> list[
 
 @dataclass(frozen=True)
 class Residue2:
-    """Spherical rank-2 residue, named by its gate (minimal chamber) and type."""
+    """Spherical rank-2 residue, named by its gate (minimal chamber) and type.
+
+    A residue found by `common_residue` also keeps `images`, the roots
+    gate^-1 . alpha and gate^-1 . beta of the pair it was found for."""
 
     base: Word
     J: tuple[int, int]
+    images: tuple[Vector, Vector] | None = field(default=None, compare=False, hash=False)
 
     def label(self) -> str:
         return f"R{{{self.J[0] + 1},{self.J[1] + 1}}}({word_label(self.base)})"
@@ -185,10 +204,23 @@ def residue_at(cox: CoxeterSystem, w: Word, J: tuple[int, int]) -> Residue2:
 
 
 def stabilizes_residue(cox: CoxeterSystem, refl: Word, R: Residue2) -> bool:
-    """r . R = R iff gate^-1 r gate lies in the parabolic <J>."""
+    """r . R = R iff gate^-1 r gate lies in the parabolic <J>; `local_root`
+    decides the same for a reflection given by its root."""
     g = R.base
     conj = cox.normal_form(tuple(reversed(g)) + refl + g)
     return set(conj) <= set(R.J)
+
+
+def local_root(cox: CoxeterSystem, R: Residue2, gamma: Root) -> Vector | None:
+    """gate^-1 . gamma if r_gamma stabilizes R, else None.
+
+    gate^-1 r_gamma gate is the reflection of gate^-1 . gamma, and a
+    reflection lies in the standard parabolic <J> iff its root lies in
+    Phi_J, that is, iff the root is supported on J (Humphreys, Reflection
+    Groups and Coxeter Groups, ch. 5; Abramenko-Brown, Buildings, ch. 2)."""
+    v = cox.apply_inv(R.base, gamma.vec)
+    J = R.J
+    return None if any(c for s, c in enumerate(v) if s not in J) else v
 
 
 def common_residue(cox: CoxeterSystem, alpha: Root, beta: Root) -> Residue2:
@@ -199,11 +231,16 @@ def common_residue(cox: CoxeterSystem, alpha: Root, beta: Root) -> Residue2:
     reflections.  The stabilizer of a point of the Tits cone is
     gate <J> gate^-1 for the face gate . F_J that holds it (Abramenko-Brown,
     Buildings, GTM 248), so folding z into the fundamental chamber records
-    the gate, and the coordinates that vanish there are the type J.  In a
-    finite parabolic of rank >= 3 the sum projects onto the fixed space of
-    both reflections, and for this symmetric point it can vanish or land on
-    a face of larger type; then the less symmetric interior points (3^j)
-    and (3^(n-j)) are tried, and if none gives |J| = 2 the call fails.
+    the gate, the minimal element of its coset, and the coordinates that
+    vanish there are the type J.  In a finite parabolic of rank >= 3 the sum
+    projects onto the fixed space of both reflections, and for this
+    symmetric point it can vanish or land on a face of larger type; then
+    the less symmetric interior points (3^j) and (3^(n-j)) are tried, and
+    if none gives |J| = 2 the call fails.
+
+    The fold is checked, not trusted: both gate^-1 . alpha and
+    gate^-1 . beta must be supported on J (`local_root`), or the call fails.
+    The residue keeps them as its `images`.
     """
     m = pair_order(cox, alpha, beta)
     if m == inf:
@@ -211,7 +248,7 @@ def common_residue(cox: CoxeterSystem, alpha: Root, beta: Root) -> Residue2:
 
     def reflection(gamma: Root):
         # r_gamma z = z - <gamma, z> gamma^vee, in coordinates z_j = <alpha_j, z>
-        co = [coroot_pairing(cox, simple_root(cox, j), gamma) for j in range(cox.rank)]
+        co = coroot_row(cox, gamma)
 
         def reflect(z: list[int]) -> list[int]:
             c = sum(map(mul, gamma.vec, z))
@@ -233,9 +270,12 @@ def common_residue(cox: CoxeterSystem, alpha: Root, beta: Root) -> Residue2:
     else:
         raise InternalConsistencyError(
             f"fixed point of {alpha.describe()}, {beta.describe()} lies on a face of type {J}")
-    R = residue_at(cox, gate, J)
+    R = Residue2(gate, J)
+    images = []
     for gamma in (alpha, beta):
-        if not stabilizes_residue(cox, reflection_word(cox, gamma), R):
+        v = local_root(cox, R, gamma)
+        if v is None:
             raise InternalConsistencyError(
                 f"{R.label()} is not stabilized by the reflection of {gamma.describe()}")
-    return R
+        images.append(v)
+    return Residue2(gate, J, tuple(images))

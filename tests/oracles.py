@@ -7,6 +7,10 @@ never needs the other two; these definitions are the tests' independent
 cross-checks.  `residue_roots` lists the walls of a rank-2 residue from its
 gate, against which the residue groups' galleries are checked.
 
+`coroot_pairing_by_expression` pairs with a coroot read off the root's
+expression, one `apply_inv` per pairing; the engine reads every pairing of
+a root off one cached coroot row (`roots.coroot_row`).
+
 `cb1_full`, `weyl_full` and `cb3_full` are the CB1, Weyl and CB3 loops
 without verdict memos: they compare the tables again at every site, where
 the validators compare each pair of table numbers that agreed once, and
@@ -23,6 +27,7 @@ from a shorter one that is known; these are the cross-checks.
 from __future__ import annotations
 
 from math import inf
+from operator import mul
 from weakref import WeakKeyDictionary
 
 from rgdkit.blueprints import Blueprint
@@ -31,7 +36,7 @@ from rgdkit.errors import CapExceeded, InternalConsistencyError, RgdError
 from rgdkit.galleries import Gallery, min_gal, min_gal_s, shift
 from rgdkit.groupforge import build_Uw
 from rgdkit.reports import Report, Violation
-from rgdkit.roots import Residue2, Root, depth, pair_order
+from rgdkit.roots import Residue2, Root, depth, expression, pair_order
 
 # system -> radius -> root vector -> membership bitmask over ball(radius)
 MASKS: WeakKeyDictionary[CoxeterSystem, dict[int, dict[Vector, int]]] = WeakKeyDictionary()
@@ -70,6 +75,12 @@ def relations_by_query(bp: Blueprint, G: Gallery) -> dict[tuple[int, int], tuple
     """M^G with every pair i < j queried in row order."""
     n = len(G)
     return {(i, j): bp.query(G, i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+
+
+def coroot_pairing_by_expression(cox: CoxeterSystem, alpha: Root, beta: Root) -> int:
+    """<alpha, beta^vee> = <w^-1 . alpha, alpha_t^vee> for beta = w . alpha_t."""
+    w, t = expression(cox, beta)
+    return sum(map(mul, cox.cartan[t], cox.apply_inv(w, alpha.vec)))
 
 
 def member(cox: CoxeterSystem, w: Word, alpha: Root) -> bool:

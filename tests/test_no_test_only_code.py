@@ -23,8 +23,9 @@ PACKAGE = ROOT / "src" / "rgdkit"
 EXEMPT_MODULES = {"qf24.py"}
 
 # definitions whose only user is a `perfbench/` string: the tracer patches
-# them although no command calls them any more
-TRACER_ONLY = {"right_mult", "left_mult", "adjacent"}
+# them although no command calls them any more (`stabilizes_residue` is
+# also the oracle of `roots.local_root`'s support test)
+TRACER_ONLY = {"right_mult", "left_mult", "adjacent", "stabilizes_residue"}
 
 
 def _loaded_names(node, skip=()):

@@ -164,3 +164,28 @@ def test_validate_work_budget(monkeypatch):
     calls.clear()
     CoxeterSystem(CoxeterMatrix.universal(3)).ball(8)
     assert calls["fold"] == 0
+
+
+def test_default_rank2_work_budget(monkeypatch):
+    # rank3_cycle444 at radius 8: common_residue checks its fold by the
+    # support of two root images and keeps the gate it folded, and the
+    # residue values are vectors, so nearly nothing is normalized (the
+    # reflection-word postcondition, the re-fold and `act` made 4 132
+    # normal forms and 5 500 folds)
+    calls = Counter()
+    fold, normal_form = CoxeterSystem.fold, CoxeterSystem.normal_form
+
+    def counted_fold(self, z, limit):
+        calls["fold"] += 1
+        return fold(self, z, limit)
+
+    def counted_normal_form(self, word):
+        calls["normal_form"] += 1
+        return normal_form(self, word)
+
+    monkeypatch.setattr(CoxeterSystem, "fold", counted_fold)
+    monkeypatch.setattr(CoxeterSystem, "normal_form", counted_normal_form)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["--blueprint", fixture_path("rank3_cycle444.bp"), "--radius", "8",
+                         "validate"]) == 0
+    assert calls["normal_form"] <= 8 and calls["fold"] <= 1_000

@@ -9,6 +9,12 @@ most RADIUS.  On types with a finite parabolic of rank >= 3 the fold can
 retry from another point and land on a residue of another type that gives
 the same values, so there the `default rank2` tables are compared instead,
 and `validate` must pass on every small diagram.
+
+The fold is checked by a support test (`roots.local_root`): r_gamma
+stabilizes gate<J> iff gate^-1 . gamma is supported on J.  Its oracle is
+`stabilizes_residue`, the normal form of the conjugated reflection word,
+on residues that the reflections stabilize and on residues that they do
+not.  A fold that returns a wrong gate must make `validate` fail closed.
 """
 
 import itertools
@@ -21,7 +27,7 @@ from rgdkit import roots as rt
 from rgdkit.blueprints import LocalRank2, ingest, ingest_path
 from rgdkit.cli import main
 from rgdkit.coxeter import CoxeterMatrix, CoxeterSystem
-from rgdkit.errors import RgdError
+from rgdkit.errors import InternalConsistencyError, RgdError
 from rgdkit.galleries import get_gallery, min_gal
 from tests.conftest import FIXTURES
 
@@ -65,6 +71,21 @@ FINITE_PARABOLICS = {
     "B3_inf": (4, "3,2,2,4,2,inf"),
 }
 
+# the systems of the support-test and coroot-row oracles: B2, G2 in both
+# `dir6` orientations, the B2 x A1 product of the far-walls test in
+# tests/test_roots.py, (3, inf, inf), the (4, 4, 4) triangle and the types
+# with a finite parabolic of rank >= 3
+ORACLE_SYSTEMS = {
+    "B2": MATRICES["dihedral4"],
+    "G2_dir21": MATRICES["dihedral6"],
+    "G2_dir12": lambda: CoxeterMatrix.dihedral(6, direction=(0, 1)),
+    "B2xA1": MATRICES["fixture:rank3_b2_product.bp"],
+    "3_inf_inf": MATRICES["3_inf_inf"],
+    "cycle444": MATRICES["fixture:rank3_cycle444.bp"],
+    "B3": MATRICES["B3"],
+    **{name: (lambda args=args: _labels(*args)) for name, args in FINITE_PARABOLICS.items()},
+}
+
 
 def ball_search(cox, alpha, beta, limit):
     """The shortest-gate rank-2 residue stabilized by both reflections,
@@ -85,14 +106,14 @@ def ball_search(cox, alpha, beta, limit):
     raise AssertionError(f"no common residue within ball({limit})")
 
 
-def finite_pairs(cox):
-    """Root pairs of order 3, 4 or 6 crossed by one gallery in ball(RADIUS)."""
+def finite_pairs(cox, orders=(3, 4, 6)):
+    """Root pairs of the given orders crossed by one gallery in ball(RADIUS)."""
     pairs = {}
     for w in cox.ball(RADIUS):
         crossed = rt.phi_w(cox, w)
         for i, alpha in enumerate(crossed):
             for beta in crossed[i + 1:]:
-                if rt.pair_order(cox, alpha, beta) in (3, 4, 6):
+                if rt.pair_order(cox, alpha, beta) in orders:
                     pairs.setdefault(frozenset((alpha.vec, beta.vec)), (alpha, beta))
     return list(pairs.values())
 
@@ -117,6 +138,60 @@ def test_far_residue_on_3_inf_inf():
     R = rt.common_residue(cox, G.root(10), G.root(12))
     assert R.label() == "R{1,2}(3.1.2.1.3.1.2.1.3)"
     assert bp.query(G, 10, 12) == (11,)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
+def test_support_test_matches_stabilizes_residue(name):
+    cox = CoxeterSystem(ORACLE_SYSTEMS[name]())
+    pairs = finite_pairs(cox, orders=(2, 3, 4, 6))
+    assert pairs
+    # the residue of each pair: both reflections stabilize it
+    for alpha, beta in pairs:
+        R = rt.common_residue(cox, alpha, beta)
+        for gamma, image in zip((alpha, beta), R.images):
+            assert rt.stabilizes_residue(cox, rt.reflection_word(cox, gamma), R)
+            assert rt.local_root(cox, R, gamma) == image == cox.apply_inv(R.base, gamma.vec)
+    # each root of those pairs against every spherical residue with a gate
+    # in ball(2): above rank 2, most of them it does not stabilize (on B2 x A1
+    # these include the far walls of tests/test_roots.py, alpha_1 and R{2,3}(e))
+    residues = [rt.residue_at(cox, w, (s, t)) for w in cox.ball(2)
+                for s in range(cox.rank) for t in range(s + 1, cox.rank)
+                if cox.matrix.m(s, t) != inf]
+    roots = {gamma.vec: gamma for pair in pairs for gamma in pair}
+    verdicts = set()
+    for gamma in roots.values():
+        refl = rt.reflection_word(cox, gamma)
+        for R in residues:
+            stabilized = rt.stabilizes_residue(cox, refl, R)
+            assert (rt.local_root(cox, R, gamma) is not None) == stabilized, (
+                gamma.describe(), R.label())
+            verdicts.add(stabilized)
+    assert verdicts == ({True, False} if cox.rank > 2 else {True})
+
+
+def test_wrong_gate_fails_closed(monkeypatch, capsys):
+    # a fold inside common_residue that ends one wall too far: the gate
+    # gains a generator outside J, and the support test must refuse it
+    fold, common = CoxeterSystem.fold, rt.common_residue
+
+    def wrong_fold(self, z, limit):
+        gate, z = fold(self, z, limit)
+        return gate + (next(s for s, zs in enumerate(z) if zs),), z
+
+    def wrong_common(cox, alpha, beta):
+        with monkeypatch.context() as patch:
+            patch.setattr(CoxeterSystem, "fold", wrong_fold)
+            return common(cox, alpha, beta)
+
+    cox = CoxeterSystem(MATRICES["fixture:rank3_cycle444.bp"]())
+    G = get_gallery(cox, (0, 1, 0, 1))
+    with pytest.raises(InternalConsistencyError, match="is not stabilized by the reflection"):
+        wrong_common(cox, G.root(1), G.root(4))
+    monkeypatch.setattr(bpmod, "common_residue", wrong_common)
+    code = main(["--blueprint", str(FIXTURES / "rank3_cycle444.bp"), "--radius", "3", "validate"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("internal error: R{") and "is not stabilized by the reflection" in err
 
 
 def test_common_residue_refuses_infinite_pairs():

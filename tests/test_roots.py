@@ -9,7 +9,9 @@ from rgdkit import roots as rt
 from rgdkit.coxeter import CoxeterMatrix, CoxeterSystem
 from rgdkit.errors import RgdError
 from rgdkit.galleries import get_gallery, min_gal
-from tests.oracles import MASKS, interval_oracle, member, prenilpotent, residue_roots
+from tests.oracles import (MASKS, coroot_pairing_by_expression, interval_oracle, member,
+                           prenilpotent, residue_roots)
+from tests.test_residue import ORACLE_SYSTEMS
 
 
 def cox_dihedral(m):
@@ -99,6 +101,35 @@ def test_pair_order():
     assert rt.pair_order(cox3, a, b) == 3
     with pytest.raises(RgdError):
         rt.pair_order(cox3, a, a)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
+def test_coroot_rows_match_expression_pairing(name):
+    cox = CoxeterSystem(ORACLE_SYSTEMS[name]())
+    # every expression (word[:i], word[i]) of every root crossed in ball(4)
+    expressions = {}
+    for w in cox.ball(4):
+        for G in min_gal(cox, w):
+            for root in G.roots:
+                expressions.setdefault(root.vec, set()).add(root.expr)
+    roots = [rt.Root(vec, min(exprs)) for vec, exprs in expressions.items()]
+    simple = [rt.simple_root(cox, j) for j in range(cox.rank)]
+    for a, b in itertools.product(roots, repeat=2):
+        want = coroot_pairing_by_expression(cox, a, b)
+        assert rt.coroot_pairing(cox, a, b) == want
+        if a != b:
+            p = want * coroot_pairing_by_expression(cox, b, a)
+            assert rt.pair_order(cox, a, b) == (inf if p >= 4 else {0: 2, 1: 3, 2: 4, 3: 6}[p])
+    # each expression of a root gives the same row, on a fresh cache
+    assert any(len(exprs) > 1 for exprs in expressions.values())
+    for vec, exprs in expressions.items():
+        rows = set()
+        for expr in exprs:
+            root = rt.Root(vec, expr)
+            rows.add(tuple(coroot_pairing_by_expression(cox, e, root) for e in simple))
+            cox._coroot_rows.clear()
+            rows.add(rt.coroot_row(cox, root))
+        assert len(rows) == 1, vec
 
 
 def test_prenilpotent():
