@@ -65,8 +65,8 @@ def main() -> int:
     args = parser.parse_args()
 
     ok = True
-    for name in ("rank2:m2", "rank2:m3", "rank2:m4", "rank2:m6lr", "rank2:m6rl"):
-        bp = blueprints.builtin(name)
+    for variant in blueprints.RANK2_BUILTINS:
+        bp = blueprints.builtin(f"rank2:{variant}")
         ok &= check_blueprint(bp, args.radius)
         ok &= check_rank2(bp)
     for fixture in ("universal3_allempty.bp", "rightangled3_allempty.bp",

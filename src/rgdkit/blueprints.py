@@ -12,12 +12,13 @@ in first-seen order.
 
 A table is built from shorter ones.  A default answer M(i, j) that lies
 inside (i, j) depends on the first j letters of the gallery only, so the
-default answers are built one column j at a time and each column is cached
-under its prefix word[:j] (`LocalRank2`); the all-empty default needs no
-column.  A file's explicit entries for the exact word are laid over the
-default answers, each read through `query`.  Strict mode, and a table with
-a default value that fails the bounds check, are built from `query` in row
-order, so the error raised names the first bad pair in that order.
+`rank2` default answers are built one column j at a time and each column is
+cached under its prefix word[:j] by the blueprint's `LocalRank2`; the
+all-empty default needs no column.  The explicit entries for the exact word
+are laid over the default answers, each read through `query`.  Strict mode,
+and a table with a default value that fails the bounds check, are built
+from `query` in row order, so the error raised names the first bad pair in
+that order.
 
 Every check reads the tables: a prefix gallery's table is a restriction of its
 extension's, and Weyl-invariance compares tables shifted by one place: s
@@ -27,9 +28,11 @@ len(G) of sG.  Each comparison depends on the tables alone, so
 tables that agreed and compare them once; a comparison that fails is made
 again at every site, so each violation is still reported.
 
-Backends: built-in rank-2 Moufang tables propagated to every spherical
-residue (`LocalRank2`), and line-oriented files (`FileTable`); the
-`allempty` builtin is a file table without entries.  Validators check the
+One class, `Blueprint`, holds explicit entries over a default mode, `empty`,
+`strict` or `rank2`.  A line-oriented file is read into one; a builtin is
+one without entries: `rank2:*` answers from the rank-2 Moufang tables
+propagated to every spherical residue (`LocalRank2`), and
+`allempty:universalN` makes every commutator trivial.  Validators check the
 three blueprint axioms (CB1 prefix coherence, CB2 rank-2 Moufang values,
 CB3 via group construction elsewhere) and Weyl-invariance.
 """
@@ -45,7 +48,7 @@ from .errors import BlueprintError, CapExceeded, ParseError, RgdError
 from .galleries import (Gallery, get_gallery, min_gal, min_gal_s, oriented_gallery,
                         rj_gallery, shift)
 from .reports import Report, Violation
-from .roots import Root, common_residue, local_root, open_interval, pair_order
+from .roots import Root, common_residue, open_interval, pair_order
 
 # Non-trivial commutation sets of the rank-2 Moufang tables over GF(2),
 # keyed by crossing positions (i, j) on the distinguished length-m gallery.
@@ -54,6 +57,12 @@ RANK2_M_SETS: dict[int, dict[tuple[int, int], tuple[int, ...]]] = {
     3: {(1, 3): (2,)},
     4: {(1, 4): (2, 3)},
     6: {(1, 3): (2,), (3, 5): (4,), (1, 5): (2, 4), (2, 6): (4,), (1, 6): (2, 3, 4, 5)},
+}
+
+# `rank2:<variant>` -> the arguments of `CoxeterMatrix.dihedral`: the label
+# and, for a hexagon, the direction of its 6-edge
+RANK2_BUILTINS: dict[str, tuple] = {
+    "m2": (2,), "m3": (3,), "m4": (4,), "m6lr": (6, (1, 0)), "m6rl": (6, (0, 1)),
 }
 
 # what a file's `default` line may say: how triples without a `rel` line read
@@ -81,11 +90,29 @@ def _checked(i: int, j: int, value: tuple[int, ...]) -> bool:
 
 
 class Blueprint:
-    """Base class; subclasses provide `_value` for gallery triples."""
+    """Explicit entries over a default mode, read from a file or built in.
 
-    def __init__(self, cox: CoxeterSystem, name: str):
+    Explicit entries are keyed by (gallery type word, i, j); unspecified
+    triples follow the default mode: `empty` (trivial), `strict` (error) or
+    `rank2` (the Moufang residue values of `LocalRank2`, empty outside
+    spherical pairs).  A builtin has no entries: `rank2:*` defaults to
+    `rank2`, and `allempty:universalN` to `empty`, every commutator trivial,
+    which is valid for right-angled and universal types.
+    """
+
+    def __init__(self, cox: CoxeterSystem, entries: dict[tuple[Word, int, int], tuple[int, ...]],
+                 default: str = "empty", name: str = "file"):
+        if default not in DEFAULT_MODES:
+            raise BlueprintError(f"unknown default mode {default!r}")
         self.cox = cox
         self.name = name
+        self.entries = dict(entries)
+        self.default = default
+        self._local = LocalRank2(cox) if default == "rank2" else None
+        # gallery word -> the (i, j) of its explicit entries
+        self._rows: dict[Word, list[tuple[int, int]]] = {}
+        for (word, i, j) in self.entries:
+            self._rows.setdefault(word, []).append((i, j))
         # gallery word -> (table number, table), one entry per distinct answer
         self._relations: dict[Word, tuple[int, dict]] = {}
         self._tables: dict[tuple, tuple[int, dict]] = {}
@@ -132,16 +159,38 @@ class Blueprint:
         return value
 
     def _value(self, G: Gallery, i: int, j: int) -> tuple[int, ...]:
-        raise NotImplementedError
+        ks = self.entries.get((G.word, i, j))
+        if ks is not None:
+            return ks
+        if self.default == "strict":
+            raise BlueprintError(
+                f"{self.name}: no entry for gallery {G.label()} pair ({i},{j}) (strict mode)")
+        if self._local is not None:
+            return self._local.value(G, i, j)
+        return ()
 
     def _answers(self, G: Gallery) -> tuple | None:
-        """G's answers in the order of `_pairs`, all of them `_checked`, or
-        None to have `_table` query them one by one."""
-        return None
+        """The default answers, all empty or the rank-2 columns, with the
+        explicit entries for G's word laid over them through `query`, in row
+        order; None, to have `_table` query them one by one, in strict mode
+        or if a default value fails."""
+        if self.default == "strict":
+            return None
+        pairs = _pairs(len(G))
+        values = ((),) * len(pairs) if self._local is None else self._local.answers(G)
+        rows = self._rows.get(G.word)
+        if not rows or values is None:
+            return values
+        table = dict(zip(pairs, values))
+        for ij in sorted(rows):
+            if ij in table:
+                table[ij] = self.query(G, *ij)
+        return tuple(table.values())
 
 
-class LocalRank2(Blueprint):
-    """Moufang rank-2 values propagated to every spherical residue.
+class LocalRank2:
+    """The `default rank2` answers: Moufang rank-2 values propagated to
+    every spherical residue.
 
     For a pair of roots whose reflections have finite product order, the
     value is the Moufang table entry of the base residue of that type,
@@ -149,8 +198,8 @@ class LocalRank2(Blueprint):
     empty set.  On a rank-2 system this is exactly the built-in table.
     """
 
-    def __init__(self, cox: CoxeterSystem, name: str = "rank2"):
-        super().__init__(cox, name)
+    def __init__(self, cox: CoxeterSystem):
+        self.cox = cox
         # type J -> {root vectors of a pair: root vectors of its value}
         self._base_tables: dict[tuple[int, int], dict[frozenset, tuple]] = {}
         self._pair_cache: dict[frozenset, frozenset] = {}
@@ -169,21 +218,23 @@ class LocalRank2(Blueprint):
         self._base_tables[J] = table
         return table
 
-    def _value(self, G: Gallery, i: int, j: int) -> tuple[int, ...]:
+    def value(self, G: Gallery, i: int, j: int) -> tuple[int, ...]:
+        """M(i, j) on G as gallery positions, not yet checked against (i, j)."""
         return tuple(sorted(map(G.position, self.pair_value(G.root(i), G.root(j)))))
 
-    def _answers(self, G: Gallery) -> tuple | None:
-        """Column j holds M(i, j) for i < j.  A value inside (i, j) names
-        roots crossed before position j, so it reads the same on every
-        gallery that starts with word[:j]: each column is computed on G and
-        cached under that prefix.  None if a value raises or leaves (i, j)."""
+    def answers(self, G: Gallery) -> tuple | None:
+        """G's answers in the order of `_pairs`; column j holds M(i, j) for
+        i < j.  A value inside (i, j) names roots crossed before position j,
+        so it reads the same on every gallery that starts with word[:j]: each
+        column is computed on G and cached under that prefix.  None if a
+        value raises or leaves (i, j)."""
         word, columns = G.word, [()]
         for j in range(1, len(word) + 1):
             prefix = word[:j]
             col = self._columns.get(prefix)
             if col is None:
                 try:
-                    col = tuple(self._value(G, i, j) for i in range(1, j))
+                    col = tuple(self.value(G, i, j) for i in range(1, j))
                 except RgdError:
                     return None
                 if not all(_checked(i, j, value) for i, value in enumerate(col, 1)):
@@ -210,77 +261,22 @@ class LocalRank2(Blueprint):
     def _residue_value(self, alpha: Root, beta: Root) -> frozenset:
         """The base table's value at gate^-1 . alpha, gate^-1 . beta, carried
         back by the gate; only vectors are read, as table keys and positions."""
-        cox = self.cox
-        R = common_residue(cox, alpha, beta)
-        # a residue named otherwise than by `common_residue` has no images
-        images = R.images or (local_root(cox, R, alpha), local_root(cox, R, beta))
-        value = self._base_table(R.J).get(frozenset(images), ())
-        return frozenset(Root(cox.apply(R.base, v)) for v in value)
-
-
-class FileTable(Blueprint):
-    """Blueprint read from a line-oriented file.
-
-    Explicit entries are keyed by (gallery type word, i, j); unspecified
-    triples follow the default mode: `empty` (trivial), `strict` (error) or
-    `rank2` (Moufang residue values, empty outside spherical pairs).  With
-    no entries and `empty`, every commutator is trivial, which is valid for
-    right-angled and universal types (the `allempty` builtin).
-    """
-
-    def __init__(self, cox: CoxeterSystem, entries: dict[tuple[Word, int, int], tuple[int, ...]],
-                 default: str = "empty", name: str = "file"):
-        super().__init__(cox, name)
-        if default not in DEFAULT_MODES:
-            raise BlueprintError(f"unknown default mode {default!r}")
-        self.entries = dict(entries)
-        self.default = default
-        self._local = LocalRank2(cox, name=name + ":rank2") if default == "rank2" else None
-        # gallery word -> the (i, j) of its explicit entries
-        self._rows: dict[Word, list[tuple[int, int]]] = {}
-        for (word, i, j) in self.entries:
-            self._rows.setdefault(word, []).append((i, j))
-
-    def _value(self, G: Gallery, i: int, j: int) -> tuple[int, ...]:
-        ks = self.entries.get((G.word, i, j))
-        if ks is not None:
-            return ks
-        if self.default == "strict":
-            raise BlueprintError(
-                f"{self.name}: no entry for gallery {G.label()} pair ({i},{j}) (strict mode)")
-        if self._local is not None:
-            return self._local._value(G, i, j)
-        return ()
-
-    def _answers(self, G: Gallery) -> tuple | None:
-        """The default answers, all empty or the rank-2 columns, with the
-        explicit entries for G's word laid over them through `query`, in
-        row order; None in strict mode or if a default value fails."""
-        if self.default == "strict":
-            return None
-        pairs = _pairs(len(G))
-        values = ((),) * len(pairs) if self._local is None else self._local._answers(G)
-        rows = self._rows.get(G.word)
-        if not rows or values is None:
-            return values
-        table = dict(zip(pairs, values))
-        for ij in sorted(rows):
-            if ij in table:
-                table[ij] = self.query(G, *ij)
-        return tuple(table.values())
+        R = common_residue(self.cox, alpha, beta)
+        value = self._base_table(R.J).get(frozenset(R.images), ())
+        return frozenset(Root(self.cox.apply(R.base, v)) for v in value)
 
 
 # ---------------------------------------------------------------------------
 # file ingestion / serialization
 
 
-def ingest(text: str, name: str = "file") -> FileTable:
+def ingest(text: str, name: str = "file") -> Blueprint:
     """Parse a blueprint file; raises ParseError with the offending line."""
     rank = None
     labels: dict[tuple[int, int], float] = {}
     directed: set[tuple[int, int]] = set()
-    # line of the last `rank`, of each `m` edge and of each `dir6` direction
-    rank_line = 0
+    # line of the last `rank`, `default`, each `m` edge and each `dir6` direction
+    rank_line = default_line = 0
     label_lines: dict[tuple[int, int], int] = {}
     dir_lines: dict[tuple[int, int], int] = {}
     default = "empty"
@@ -293,7 +289,10 @@ def ingest(text: str, name: str = "file") -> FileTable:
         kind = parts[0]
         try:
             if kind == "rank":
-                rank, rank_line = int(parts[1]), ln
+                n = int(parts[1])
+                if rank_line and n != rank:
+                    raise ValueError(f"rank {n} contradicts line {rank_line}")
+                rank, rank_line = n, ln
             elif kind == "m":
                 i, j = sorted((int(parts[1]) - 1, int(parts[2]) - 1))
                 v = inf if parts[3] == "inf" else int(parts[3])
@@ -307,9 +306,11 @@ def ingest(text: str, name: str = "file") -> FileTable:
                 directed.add(edge)
                 dir_lines[edge] = ln
             elif kind == "default":
-                default = parts[1]
-                if default not in DEFAULT_MODES:
-                    raise ValueError(f"unknown default mode {default!r}")
+                if parts[1] not in DEFAULT_MODES:
+                    raise ValueError(f"unknown default mode {parts[1]!r}")
+                if default_line and parts[1] != default:
+                    raise ValueError(f"default {parts[1]} contradicts line {default_line}")
+                default, default_line = parts[1], ln
             elif kind == "rel":
                 word = tuple(int(x) - 1 for x in parts[1].split("."))
                 i, j = int(parts[2]), int(parts[3])
@@ -365,10 +366,10 @@ def ingest(text: str, name: str = "file") -> FileTable:
             raise ParseError(ln, f"relation value {ks} contradicts line {entry_lines[key]}")
         entries[key] = ks
         entry_lines.setdefault(key, ln)
-    return FileTable(cox, entries, default=default, name=name)
+    return Blueprint(cox, entries, default=default, name=name)
 
 
-def ingest_path(path: str) -> FileTable:
+def ingest_path(path: str) -> Blueprint:
     with open(path, "r", encoding="utf-8") as fh:
         return ingest(fh.read(), name=path)
 
@@ -522,26 +523,18 @@ def validate_weyl(bp: Blueprint, r: int, gallery_cap: int = 10_000) -> Report:
 
 
 def builtin(name: str) -> Blueprint:
-    """Built-in blueprints: rank2:m2|m3|m4|m6lr|m6rl and allempty:universalN,
-    1 <= N <= MAX_UNIVERSAL_RANK."""
+    """Built-in blueprints, each without entries: `rank2:<variant>` for the
+    variants of RANK2_BUILTINS and allempty:universalN, 1 <= N <=
+    MAX_UNIVERSAL_RANK."""
     try:
         family, variant = name.split(":", 1)
     except ValueError as exc:
         raise BlueprintError(f"bad builtin name {name!r}") from exc
     if family == "rank2":
-        if variant == "m2":
-            matrix = CoxeterMatrix.dihedral(2)
-        elif variant == "m3":
-            matrix = CoxeterMatrix.dihedral(3)
-        elif variant == "m4":
-            matrix = CoxeterMatrix.dihedral(4)
-        elif variant == "m6lr":
-            matrix = CoxeterMatrix.dihedral(6, direction=(1, 0))
-        elif variant == "m6rl":
-            matrix = CoxeterMatrix.dihedral(6, direction=(0, 1))
-        else:
+        if variant not in RANK2_BUILTINS:
             raise BlueprintError(f"unknown rank2 variant {variant!r}")
-        return LocalRank2(CoxeterSystem(matrix), name=name)
+        matrix = CoxeterMatrix.dihedral(*RANK2_BUILTINS[variant])
+        return Blueprint(CoxeterSystem(matrix), {}, default="rank2", name=name)
     if family == "allempty":
         n = variant[len("universal"):]
         if not variant.startswith("universal") or not n.isdecimal():
@@ -549,5 +542,5 @@ def builtin(name: str) -> Blueprint:
         n = int(n)
         if n > MAX_UNIVERSAL_RANK:
             raise BlueprintError(f"allempty:universal{n}: rank above {MAX_UNIVERSAL_RANK}")
-        return FileTable(CoxeterSystem(CoxeterMatrix.universal(n)), {}, name=name)
+        return Blueprint(CoxeterSystem(CoxeterMatrix.universal(n)), {}, name=name)
     raise BlueprintError(f"unknown builtin family {family!r}")

@@ -101,7 +101,7 @@ def test_query_fails_closed_on_bad_table_values(bp_m4):
     word = (0, 1, 0, 1)
     G = get_gallery(bp_m4.cox, word)
     for bad in ((3, 2), (2, 2), (1, 2), (2, 4)):
-        bp = bpmod.FileTable(bp_m4.cox, {(word, 1, 4): bad})
+        bp = bpmod.Blueprint(bp_m4.cox, {(word, 1, 4): bad})
         with pytest.raises(BlueprintError):
             bp.query(G, 1, 4)
 
@@ -296,11 +296,19 @@ def test_ingest_matrix_errors_name_their_line():
         ("rank 3\nm 1 2 3\nm 1 3 2\n", 1),              # missing label: the rank line
         ("rank 2\nm 1 2 3\nrel 1.2.1 1 3 : 2\nrel 1.2.1 1 3 :\n", 4),  # contradicts a rel
         ("rank 2\nm 1 2 3\ndefault foo\n", 3),          # unknown default mode
+        ("rank 3\nrank 2\nm 1 2 3\n", 2),               # contradicts an earlier rank
+        ("rank 2\nm 1 2 3\ndefault strict\ndefault empty\n", 4),  # ... an earlier default
+        ("rank 3\nrank 2\nm 1 2 3\ndefault strict\ndefault empty\n", 2),  # the first of both
     ]
     for text, line_no in cases:
         with pytest.raises(ParseError) as err:
             bpmod.ingest(text)
         assert err.value.line_no == line_no, (text, str(err.value))
+    with pytest.raises(ParseError, match=r"^line 4: default empty contradicts line 3$"):
+        bpmod.ingest("rank 2\nm 1 2 3\ndefault strict\ndefault empty\n")
+    # identical repeats are no contradiction
+    bp = bpmod.ingest("rank 2\nrank 2\nm 1 2 3\ndefault rank2\ndefault rank2\n")
+    assert (bp.cox.rank, bp.default) == (2, "rank2")
 
 
 def test_ingest_names_the_contradicted_rel_line():
@@ -345,10 +353,35 @@ def test_builtin_names():
     assert bpmod.builtin("allempty:universal2").cox.rank == 2
 
 
+def _assert_same_tables(bp, other, r):
+    """Equal tables and table numbers on every gallery of ball(r)."""
+    for w in bp.cox.ball(r):
+        for G in min_gal(bp.cox, w):
+            H = get_gallery(other.cox, G.word)
+            assert other.relations(H) == bp.relations(G), G.label()
+            assert other.table_no(H) == bp.table_no(G), G.label()
+
+
+@pytest.mark.parametrize("name, lines", [
+    ("rank2:m2", "m 1 2 2\n"), ("rank2:m3", "m 1 2 3\n"), ("rank2:m4", "m 1 2 4\n"),
+    ("rank2:m6lr", "m 1 2 6\ndir6 2 1\n"), ("rank2:m6rl", "m 1 2 6\ndir6 1 2\n")])
+def test_rank2_builtin_is_a_file_without_entries(name, lines):
+    bp = bpmod.builtin(name)
+    assert (type(bp), bp.entries, bp.default) == (bpmod.Blueprint, {}, "rank2")
+    file = bpmod.ingest(f"rank 2\n{lines}default rank2\n")
+    _assert_same_tables(bp, file, int(bp.cox.matrix.m(0, 1)) + 1)
+
+
+def test_allempty_builtin_is_the_allempty_file():
+    bp = bpmod.builtin("allempty:universal3")
+    assert (type(bp), bp.entries, bp.default) == (bpmod.Blueprint, {}, "empty")
+    _assert_same_tables(bp, bpmod.ingest_path(fixture_path("universal3_allempty.bp")), 5)
+
+
 def test_allempty_fails_cb2_on_spherical_edge():
     # trivializing a triangle's commutators contradicts the forced value
     from rgdkit.coxeter import CoxeterMatrix, CoxeterSystem
-    bp = bpmod.FileTable(CoxeterSystem(CoxeterMatrix.dihedral(3)), {})
+    bp = bpmod.Blueprint(CoxeterSystem(CoxeterMatrix.dihedral(3)), {})
     report = bpmod.validate_cb2(bp)
     assert not report.ok
 

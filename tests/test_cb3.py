@@ -69,7 +69,7 @@ def test_prefix_tree_falls_back_when_the_prefix_table_differs(tops):
     # has the empty value there, and so does its extension 1.2.3.1.2, whose
     # table M(2, 4) = {3} makes new; the other tables are all-empty
     base = bpmod.builtin("allempty:universal3")
-    bp = bpmod.FileTable(base.cox, {((0, 1, 2, 0), 1, 3): (2,), ((0, 1, 2, 0, 1), 2, 4): (3,)},
+    bp = bpmod.Blueprint(base.cox, {((0, 1, 2, 0), 1, 3): (2,), ((0, 1, 2, 0, 1), 2, 4): (3,)},
                          name="broken-cb1")
     assert not bpmod.validate_cb1(bp, 5).ok
     fast = validate_cb3(bp, 5)
@@ -136,7 +136,7 @@ def test_an_inconsistent_key_is_checked_at_every_element(tops):
     # 1.2.3.2: their key fails, so it is checked and reported at both
     base = bpmod.builtin("allempty:universal3")
     bad = {(1, 3): (2,), (2, 4): (3,)}
-    bp = bpmod.FileTable(base.cox, {(w, i, j): v for w in ((0, 1, 2, 0), (0, 1, 2, 1))
+    bp = bpmod.Blueprint(base.cox, {(w, i, j): v for w in ((0, 1, 2, 0), (0, 1, 2, 1))
                                     for (i, j), v in bad.items()}, name="inconsistent")
     report = validate_cb3(bp, 4)
     assert [v.w for v in report.violations] == ["1.2.3.1", "1.2.3.2"]
@@ -153,7 +153,7 @@ def test_an_inconsistent_prefix_certifies_nothing(tops):
     base = bpmod.builtin("allempty:universal3")
     bad = {(1, 3): (2,), (2, 4): (3,)}
     prefix, w = (0, 1, 2, 0), (0, 1, 2, 0, 1)
-    bp = bpmod.FileTable(base.cox, {(v, i, j): value for v in (prefix, w)
+    bp = bpmod.Blueprint(base.cox, {(v, i, j): value for v in (prefix, w)
                                     for (i, j), value in bad.items()}, name="bad-prefix")
     G = get_gallery(bp.cox, w)
     restricted = {(i, j): v for (i, j), v in bp.relations(G).items() if j < len(w)}

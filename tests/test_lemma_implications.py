@@ -53,7 +53,7 @@ def _corpus():
     for name, r in FIXTURES:
         yield name, bpmod.ingest_path(fixture_path(name)), r
     for name, matrix, r in ALL_EMPTY:
-        yield f"allempty:{name}", bpmod.FileTable(CoxeterSystem(matrix), {}, name=name), r
+        yield f"allempty:{name}", bpmod.Blueprint(CoxeterSystem(matrix), {}, name=name), r
     for name, r, _ in CASES:
         for label, mutant in _mutants(bpmod.ingest_path(fixture_path(name)), r):
             yield f"{name} {label}", mutant, r
@@ -138,11 +138,11 @@ def test_tau_conjugation_check_fails_on_a_table_that_breaks_weyl():
     cox = CoxeterSystem(CoxeterMatrix.universal(3))
     beta = act(cox, (0,), get_gallery(cox, (0, 1, 0, 1)).root(4))
     assert beta.describe() == "(2.1|2)[2,3,0]"
-    both = bpmod.FileTable(cox, {((0, 1, 0, 1), 1, 4): (3,), ((0, 1, 0, 1), 1, 3): (2,)})
+    both = bpmod.Blueprint(cox, {((0, 1, 0, 1), 1, 4): (3,), ((0, 1, 0, 1), 1, 3): (2,)})
     assert build_Uw(both, (1, 0, 1))[1].ok
     assert tau_conjugation_check(both, 0, beta, radius=4) == "failed"
     # the implication still holds: CB1 and Weyl-invariance reject this table
     assert not bpmod.validate_cb1(both, 4).ok and not bpmod.validate_weyl(both, 4).ok
     # without M(1, 3) = {2} the relation collects to 1
-    one = bpmod.FileTable(cox, {((0, 1, 0, 1), 1, 4): (3,)})
+    one = bpmod.Blueprint(cox, {((0, 1, 0, 1), 1, 4): (3,)})
     assert tau_conjugation_check(one, 0, beta, radius=4) == "verified"

@@ -2,7 +2,7 @@
 
 For every triple (G, i, j) of a valid table within the serializing radius,
 each subset of the open interval (i, j) other than the table's own value is
-tried as a `FileTable` that differs in that one entry.  Some validator (CB1,
+tried as a `Blueprint` that differs in that one entry.  Some validator (CB1,
 CB2, Weyl-invariance or CB3, the group construction) must report a
 violation: a table with one wrong value must never pass.
 """
@@ -41,7 +41,7 @@ def _mutants(bp, r):
                             if ks != own:
                                 entries = {**bp.entries, (G.word, i, j): ks}
                                 yield (f"{G.label()} ({i},{j}) : {ks}",
-                                       bpmod.FileTable(cox, entries, default=bp.default,
+                                       bpmod.Blueprint(cox, entries, default=bp.default,
                                                        name=bp.name))
 
 

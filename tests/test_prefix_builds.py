@@ -134,7 +134,7 @@ def test_relations_raise_the_first_bad_query(default):
     word = (0, 1, 0, 1)
     G = get_gallery(cox, word)
     entries = {(word, 2, 4): (3,), (word, 1, 4): (2, 4), (word, 1, 3): (3,)}
-    bp = bpmod.FileTable(cox, entries, default=default, name="bad")
+    bp = bpmod.Blueprint(cox, entries, default=default, name="bad")
     want = _outcome(relations_by_query, bp, G)
     assert want[0] is BlueprintError
     assert _outcome(bp.relations, G) == want

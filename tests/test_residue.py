@@ -24,7 +24,7 @@ import pytest
 
 from rgdkit import blueprints as bpmod
 from rgdkit import roots as rt
-from rgdkit.blueprints import LocalRank2, ingest, ingest_path
+from rgdkit.blueprints import Blueprint, ingest, ingest_path
 from rgdkit.cli import main
 from rgdkit.coxeter import CoxeterMatrix, CoxeterSystem
 from rgdkit.errors import InternalConsistencyError, RgdError
@@ -204,12 +204,17 @@ def test_common_residue_refuses_infinite_pairs():
 @pytest.mark.parametrize("name", sorted(FINITE_PARABOLICS))
 def test_rank2_tables_match_ball_search(name, monkeypatch):
     cox = CoxeterSystem(_labels(*FINITE_PARABOLICS[name]))
-    direct = LocalRank2(cox)
+    direct = Blueprint(cox, {}, default="rank2")
     tables = {G.word: direct.relations(G) for w in cox.ball(RADIUS + 1) for G in min_gal(cox, w)}
     assert any(any(table.values()) for table in tables.values())
-    monkeypatch.setattr(bpmod, "common_residue",
-                        lambda cox, alpha, beta: ball_search(cox, alpha, beta, RADIUS + 3))
-    searched = LocalRank2(cox)
+
+    def searched_residue(cox, alpha, beta):
+        R = ball_search(cox, alpha, beta, RADIUS + 3)
+        images = (rt.local_root(cox, R, alpha), rt.local_root(cox, R, beta))
+        return rt.Residue2(R.base, R.J, images)
+
+    monkeypatch.setattr(bpmod, "common_residue", searched_residue)
+    searched = Blueprint(cox, {}, default="rank2")
     for word, table in tables.items():
         assert searched.relations(get_gallery(cox, word)) == table, word
 

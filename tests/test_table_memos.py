@@ -54,7 +54,7 @@ def test_a_failing_pair_is_reported_at_every_site():
     # extensions 1.2.3.1.2 and 1.2.3.1.3 have the all-empty table of length
     # 5, so CB1 meets the same failing (prefix table, full table) pair twice
     cox = bpmod.builtin("allempty:universal3").cox
-    bp = bpmod.FileTable(cox, {((0, 1, 2, 0), 1, 3): (2,)}, name="broken-cb1")
+    bp = bpmod.Blueprint(cox, {((0, 1, 2, 0), 1, 3): (2,)}, name="broken-cb1")
     sites = [(0, 1, 2, 0, 1), (0, 1, 2, 0, 2)]
     keys = {(bp.table_no(get_gallery(cox, w[:4])), bp.table_no(get_gallery(cox, w)))
             for w in sites}
