@@ -22,6 +22,7 @@ fold at all (`ball`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import inf
 from operator import mul
 from typing import Iterator
@@ -117,7 +118,8 @@ class CoxeterSystem:
         )
         self._append_cache: dict[tuple[Word, int], Word] = {}
         self._ball_layers: list[list[Word]] = [[()]]
-        self._min_gal_cache: dict[Word, tuple[Word, ...]] = {}
+        self._ball_descents: set[Word] = set()  # see `ball`
+        self._min_gal_cache: dict[Word, tuple] = {}
         self._gallery_cache: dict[Word, object] = {}
         # real root vector -> its coroot row, filled by `roots.coroot_row`
         self._coroot_rows: dict[Vector, Vector] = {}
@@ -160,27 +162,23 @@ class CoxeterSystem:
         return 1 if pos else -1
 
     def prefix_lengths(self, word: Word) -> Iterator[int]:
-        """l(w[:k]) for k = 1 .. len(word), one rank x rank update per letter.
+        """l(w[:k]) for k = 1 .. len(word): l(wt) = l(w) + 1 iff w.e_t > 0."""
+        return accumulate(map(self.vec_sign, self._columns(word)))
 
-        Keeps cols[j] = w.e_j for the prefix w read so far: l(wt) = l(w) + 1
-        iff w.e_t > 0, and wt.e_j = w.e_j - <alpha_j, alpha_t^vee> w.e_t."""
-        cols = self.basis
-        length = 0
+    def _columns(self, word: Word) -> Iterator[Vector]:
+        """w.e_t for each prefix w of `word` and the letter t after it, keeping
+        cols[j] = w.e_j: wt.e_j = w.e_j - <alpha_j, alpha_t^vee> w.e_t."""
+        cols = list(self.basis)
         for t in word:
-            ct = cols[t]
-            length += self.vec_sign(ct)
-            cols = tuple(tuple(x - a * y for x, y in zip(col, ct)) if a else col
-                         for col, a in zip(cols, self.cartan[t]))
-            yield length
+            yield (ct := cols[t])
+            for j, a in enumerate(self.cartan[t]):
+                cols[j] = tuple([x - a * y for x, y in zip(cols[j], ct)])
 
     # ---- length and reduction -----------------------------------------
 
     def prefix_root_vectors(self, word: Word) -> list[Vector]:
         """Crossed-root vectors beta_i = s1...s_{i-1} . e_{s_i} of a reduced word."""
-        out = []
-        for i, s in enumerate(word):
-            out.append(self.apply(word[:i], self.basis[s]))
-        return out
+        return list(self._columns(word))
 
     def right_mult(self, word: Word, t: int) -> Word:
         """Reduced word for w*t given a reduced word for w (exchange condition)."""
@@ -286,13 +284,16 @@ class CoxeterSystem:
         by the least-descent rule of `fold` it is then the lex-least reduced
         word of sw, and each sw has one least left descent, so each element
         is met once and nothing is folded.  Taking s in the outer loop keeps
-        the layer sorted.
+        the layer sorted.  A complete layer puts its words u with another
+        left descent, some t > u[0] with z_t < 0, into `_ball_descents`; two
+        left descents generate a finite parabolic, so m(u[0], t) is finite.
         """
         if r < 0:
             raise RgdError("radius must be >= 0")
         layers = self._ball_layers
         # refuse once the running count passes the cap: no partial layer is cached
         total = sum(map(len, layers))
+        finite = [any(m != inf for m in row[s + 1:]) for s, row in enumerate(self.matrix.entries)]
         points = [self.point(w) for w in layers[-1]] if len(layers) <= r else []
         while len(layers) <= r:
             words, nxt = [], []
@@ -309,6 +310,8 @@ class CoxeterSystem:
                         raise CapExceeded(f"ball cap {cap} exceeded at radius {len(layers)}")
             total += len(words)
             layers.append(words)
+            self._ball_descents.update(
+                u for u, y in zip(words, nxt) if finite[u[0]] and min(y[u[0] + 1:]) < 0)
             points = nxt
         out: list[Word] = []
         for layer in layers[: r + 1]:

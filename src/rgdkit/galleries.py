@@ -4,12 +4,11 @@ A gallery is a reduced word read as a chamber path 1 = c0, c1, ..., ck with
 its crossed-root sequence; the index order on crossed roots is the gallery
 order used by blueprints. Root positions are 1-based throughout.
 
-Each word is built from a shorter one that is already known.  `get_gallery`,
-the one constructor, checks a word against its cached prefix with one
-`apply`: w.t is reduced iff w.e_t > 0.  `min_gal` reads the left descents of
-w off its point w.x, where they are the negative coordinates: the least one
-is w[0], whose reduced words continue with those of w[1:], and only the
-other descents are folded.
+Each gallery fact comes from the step that makes it.  `get_gallery`, the one
+constructor, checks a word against its cached prefix with one `apply`: w.t
+is reduced iff w.e_t > 0, and `Gallery.roots` appends that root w.e_t to the
+prefix's.  `min_gal` builds an element's galleries once, from those of the
+elements below its left descents, which `ball` has recorded.
 """
 
 from __future__ import annotations
@@ -36,8 +35,12 @@ class Gallery:
 
     @cached_property
     def roots(self) -> tuple[Root, ...]:
-        # the word is reduced, so no wall is crossed twice
-        return tuple(phi_w(self.cox, self.word))
+        # reduced, so no wall is crossed twice; the prefix's roots come first
+        cox, word, head = self.cox, self.word, self.word[:-1]
+        prefix = cox._gallery_cache.get(head)
+        if not word or prefix is None or "roots" not in prefix.__dict__:
+            return tuple(phi_w(cox, word))
+        return prefix.roots + (Root(cox.apply(head, cox.basis[word[-1]]), (head, word[-1])),)
 
     @cached_property
     def _pos(self) -> dict:
@@ -100,21 +103,17 @@ def oriented_gallery(cox: CoxeterSystem, s: int, t: int) -> Gallery:
     return rj_gallery(cox, first, s + t - first)
 
 
-def min_gal(cox: CoxeterSystem, w: Word, cap: int = 10_000) -> list[Gallery]:
-    """All minimal galleries for w (one per reduced word), lex order.
+def min_gal(cox: CoxeterSystem, w: Word, cap: int = 10_000) -> tuple[Gallery, ...]:
+    """All minimal galleries for w (one per reduced word), lex order, built
+    once and memoized for every element met on the way; an explicit stack
+    keeps the Python call depth independent of l(w).
 
-    w must be a normal form (`cox.normal_form`); ball words are."""
-    words = _reduced_words(cox, w, cap)
-    return [get_gallery(cox, word) for word in words]
-
-
-def _reduced_words(cox: CoxeterSystem, w: Word, cap: int) -> tuple[Word, ...]:
-    """Reduced words of w in lex order, memoized for every element met on the
-    way; an explicit stack keeps the Python call depth independent of l(w).
-
-    Every element on the stack is a normal form u.  Its left descents are the
-    s with z_s < 0 on the point u.x; the least is u[0], and u[1:] is the
-    normal form of u[0].u, so only the other descents fold their point."""
+    w must be a normal form (`cox.normal_form`); ball words are, and so is
+    every u on the stack.  For each left descent s of u, s followed by the
+    reduced words of su gives reduced words of u.  The descents are the s
+    with z_s < 0 on the point u.x; the least is u[0], and u[1:] is the normal
+    form of u[0].u.  Only a ball word in `_ball_descents`, or one past the
+    ball, computes its point, and only its other descents fold it."""
     cache = cox._min_gal_cache
     below: dict[Word, list[tuple[int, Word]]] = {}
     stack = [w]
@@ -125,32 +124,33 @@ def _reduced_words(cox: CoxeterSystem, w: Word, cap: int) -> tuple[Word, ...]:
             continue
         steps = below.get(u)
         if steps is None:
-            z = cox.point(u)
-            steps = below[u] = [
-                (s, u[1:] if s == u[0] else cox.fold(cox.cross(s, z), len(u) - 1)[0])
-                for s in range(cox.rank) if z[s] < 0]
+            if len(u) < len(cox._ball_layers) and u not in cox._ball_descents:
+                steps = below[u] = [(s, u[1:]) for s in u[:1]]
+            else:
+                z = cox.point(u)
+                steps = below[u] = [
+                    (s, u[1:] if s == u[0] else cox.fold(cox.cross(s, z), len(u) - 1)[0])
+                    for s in range(cox.rank) if z[s] < 0]
             pending = [v for _, v in steps if v not in cache]
             if pending:
                 stack.extend(pending)
                 continue
         stack.pop()
-        if not u:
-            cache[u] = ((),)
-            continue
-        acc: list[Word] = []
+        acc: list[Gallery] = []
         for s, v in steps:
-            for tail in cache[v]:
-                acc.append((s,) + tail)
+            for G in cache[v]:
+                acc.append(get_gallery(cox, (s,) + G.word))
                 if len(acc) > cap:
                     raise CapExceeded(f"gallery cap {cap} exceeded for {word_label(u)}")
-        cache[u] = tuple(acc)
+        cache[u] = tuple(acc) if u else (get_gallery(cox, u),)
     out = cache[w]
     if len(out) > cap:
         raise CapExceeded(f"gallery cap {cap} exceeded for {word_label(w)}")
     return out
 
 
-def min_gal_s(cox: CoxeterSystem, w: Word, s: int, cap: int = 10_000) -> list[Gallery]:
+def min_gal_s(cox: CoxeterSystem, w: Word, s: int,
+              cap: int = 10_000) -> list[Gallery] | tuple[Gallery, ...]:
     """Min_s(w): galleries starting with s if s is a left descent, else Min(w);
     w a normal form, as for `min_gal`.
 

@@ -22,6 +22,9 @@ build words, galleries and tables from scratch: every right extension
 normalized and deduplicated, every left descent tested on vectors and
 normalized again, every pair of a gallery queried.  The engine builds each
 from a shorter one that is known; these are the cross-checks.
+`root_vectors_by_apply` computes each crossed root of a word with its own
+`apply`, where the engine carries the columns of the prefix along or
+extends the prefix gallery's roots by one.
 """
 
 from __future__ import annotations
@@ -69,6 +72,12 @@ def reduced_words_by_descent(cox: CoxeterSystem, w: Word) -> list[Word]:
         return [()]
     return [(s,) + tail for s in range(cox.rank) if is_left_descent(cox, s, w)
             for tail in reduced_words_by_descent(cox, cox.normal_form(cox.left_mult(s, w)))]
+
+
+def root_vectors_by_apply(cox: CoxeterSystem, w: Word) -> list[Vector]:
+    """Crossed-root vectors w[:i] . e_{w[i]} of a reduced word, each by one
+    `apply`: O(l^2) reflections."""
+    return [cox.apply(w[:i], cox.basis[s]) for i, s in enumerate(w)]
 
 
 def relations_by_query(bp: Blueprint, G: Gallery) -> dict[tuple[int, int], tuple[int, ...]]:

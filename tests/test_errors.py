@@ -1,9 +1,11 @@
 """Defensive paths: caps, overflow guards, refusal to guess."""
 
 from collections import Counter
+from math import inf
 
 import pytest
 
+from rgdkit import cli
 from rgdkit import groupforge as gf
 from rgdkit import roots as rt
 from rgdkit.coxeter import CoxeterMatrix, CoxeterSystem
@@ -66,6 +68,35 @@ def test_ball_refuses_before_finishing_the_layer(monkeypatch):
     assert calls["normal_form"] <= 1000 and calls["fold"] <= 1000
     monkeypatch.undo()
     assert cox.ball(8) == CoxeterSystem(CoxeterMatrix.universal(3)).ball(8)
+
+
+@pytest.mark.parametrize("labels", [(inf, inf, inf), (3, 3, 3)], ids=["universal3", "affine_A2"])
+def test_refused_layer_records_no_descents(labels):
+    # a layer's words with a second left descent are recorded only once the
+    # layer is complete: a refusal leaves the record and the layers as they
+    # were, and the record is read off the points of the complete layers
+    cox = CoxeterSystem(CoxeterMatrix.from_dict(3, dict(zip([(0, 1), (0, 2), (1, 2)], labels))))
+    ball = cox.ball(6)
+    layers, descents = [list(layer) for layer in cox._ball_layers], set(cox._ball_descents)
+    with pytest.raises(CapExceeded, match="ball cap .* exceeded at radius 7"):
+        cox.ball(40, cap=len(ball) + 1)
+    assert cox._ball_layers == layers and cox._ball_descents == descents
+    assert descents == {u for u in ball if sum(z < 0 for z in cox.point(u)) > 1}
+    assert bool(descents) == (labels[0] == 3)
+
+
+@pytest.mark.parametrize("lines,line_no", [
+    (["rel 1.2.1.2 1 2 :"], 4),
+    (["rel 1.2.1 1 3 : 2", "", "rel 1.2.1.2 1 2 :"], 6),
+], ids=["cold_prefix", "cached_prefix"])
+def test_unreduced_rel_word_is_a_parse_error(tmp_path, capsys, lines, line_no):
+    # the gallery constructor decides reducedness, by `is_reduced` or against
+    # the cached prefix 1.2.1, and the error names the word and its line
+    path = tmp_path / "unreduced.bp"
+    path.write_text("\n".join(["rank 2", "m 1 2 3", "default empty", *lines]) + "\n")
+    assert cli.main(["--blueprint", str(path), "validate"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: line {line_no}: gallery word 1.2.1.2 is not reduced\n"
 
 
 def test_subgroup_closure_cap():

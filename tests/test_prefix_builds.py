@@ -1,15 +1,19 @@
 """Words, galleries and tables built from shorter ones, against the oracles.
 
-The ball grows by left multiplication under the least-descent rule,
-`min_gal` reads left descents off a point, `get_gallery` checks a word
-against its cached prefix, and `Blueprint.relations` builds tables from
-cached prefix columns.  Each must agree with its from-scratch oracle in
-`tests/oracles.py`, and `validate` must stay within the work budget this
-buys.
+The ball grows by left multiplication under the least-descent rule and
+records which words have a second left descent, `min_gal` builds each
+element's galleries from those below its left descents, `get_gallery`
+checks a word against its cached prefix, `Gallery.roots` extends the prefix
+gallery's roots, `validate_cb1` compares each gallery with its immediate
+prefix, and `Blueprint.relations` builds tables from cached prefix columns.
+Each must agree with its from-scratch oracle in `tests/oracles.py`, and
+`validate` must stay within the work budget this buys.
 """
 
 import contextlib
+import inspect
 import io
+import sys
 from collections import Counter
 from itertools import product
 from math import inf
@@ -20,9 +24,11 @@ from rgdkit import blueprints as bpmod
 from rgdkit import cli
 from rgdkit.coxeter import CoxeterMatrix, CoxeterSystem
 from rgdkit.errors import BlueprintError, RgdError
-from rgdkit.galleries import get_gallery, min_gal
+from rgdkit.galleries import Gallery, get_gallery, min_gal
+from rgdkit.roots import phi_w
 from tests.conftest import fixture_path
-from tests.oracles import ball_by_right_extension, reduced_words_by_descent, relations_by_query
+from tests.oracles import (ball_by_right_extension, cb1_full, reduced_words_by_descent,
+                           relations_by_query, root_vectors_by_apply)
 from tests.test_coxeter import _rank3
 from tests.test_mutations import CASES, _mutants
 from tests.test_table_memos import BUILTINS, FIXTURE_NAMES
@@ -106,6 +112,10 @@ def _outcome(f, *args):
         return type(exc), str(exc)
 
 
+def _blueprint(name):
+    return bpmod.builtin(name) if ":" in name else bpmod.ingest_path(fixture_path(name))
+
+
 def assert_relations_match_queries(bp, r=6):
     cox = bp.cox
     for w in cox.ball(r):
@@ -115,8 +125,7 @@ def assert_relations_match_queries(bp, r=6):
 
 @pytest.mark.parametrize("name", BUILTINS + FIXTURE_NAMES)
 def test_relations_match_queries_on_fixtures_and_builtins(name):
-    bp = bpmod.builtin(name) if ":" in name else bpmod.ingest_path(fixture_path(name))
-    assert_relations_match_queries(bp)
+    assert_relations_match_queries(_blueprint(name))
 
 
 @pytest.mark.parametrize("name,r", [(case[0], case[1]) for case in CASES],
@@ -189,3 +198,148 @@ def test_default_rank2_work_budget(monkeypatch):
         assert cli.main(["--blueprint", fixture_path("rank3_cycle444.bp"), "--radius", "8",
                          "validate"]) == 0
     assert calls["normal_form"] <= 8 and calls["fold"] <= 1_000
+
+
+def assert_descent_record_matches_points(cox, r):
+    # the least negative coordinate of u.x is u[0]; the record holds exactly
+    # the words with another one
+    cox.ball(3)
+    ball = cox.ball(r)
+    for u in ball[1:]:
+        negative = [s for s, z in enumerate(cox.point(u)) if z < 0]
+        assert negative[0] == u[0] and (u in cox._ball_descents) == (len(negative) > 1), u
+    assert cox._ball_descents <= set(ball)
+
+
+@pytest.mark.parametrize("name", BUILTINS + FIXTURE_NAMES)
+def test_descent_record_on_fixtures_and_builtins(name):
+    assert_descent_record_matches_points(_blueprint(name).cox, 6)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "affine_A2"])
+def test_descent_record_to_radius_8(name):
+    assert_descent_record_matches_points(RANK3[name](), 8)
+
+
+def _roots(G):
+    return [(root.vec, root.expr) for root in G.roots]
+
+
+@pytest.mark.parametrize("name", sorted(RANK3))
+def test_gallery_roots_match_phi_w_warm_and_cold(name):
+    # ball order meets every prefix gallery first, so each gallery extends
+    # its prefix's roots; the reverse order never finds them
+    for order in (1, -1):
+        cox = RANK3[name]()
+        gals = [G for w in cox.ball(6) for G in min_gal(cox, w)][::order]
+        for G in gals:
+            assert _roots(G) == [(root.vec, root.expr) for root in phi_w(cox, G.word)], G.word
+            assert [root.vec for root in G.roots] == root_vectors_by_apply(cox, G.word)
+
+
+def test_long_gallery_roots_need_no_recursion():
+    # a gallery extends its prefix's roots only when they are known and
+    # computes them from scratch otherwise, so no call depth grows with l
+    cox = CoxeterSystem(CoxeterMatrix.universal(3))
+    word = (0, 1, 2) * 1000
+    chain = [get_gallery(cox, word[:k]) for k in range(301)]
+    G, H = get_gallery(cox, word[:-1]), get_gallery(cox, word)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        for gallery in [*chain[::-1], G, H]:
+            gallery.roots
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [root.vec for root in chain[-1].roots] == root_vectors_by_apply(cox, word[:300])
+    assert H.roots[:-1] == G.roots
+    assert _roots(H)[-1] == (cox.apply(word[:-1], (0, 0, 1)), (word[:-1], 2))
+    assert [root.vec for root in H.roots] == cox.prefix_root_vectors(word)
+
+
+def test_cb1_falls_back_to_every_prefix_on_a_disagreement(monkeypatch):
+    # the immediate-prefix pass decides a clean blueprint alone; on a
+    # mutant it stops at the first disagreement, and the every-prefix pass
+    # reports what the memo-free loop reports
+    calls = Counter()
+    report, prefix = bpmod.Report, Gallery.prefix
+
+    def counted_report(name):
+        calls["pass"] += 1
+        return report(name)
+
+    def counted_prefix(self, m):
+        calls["prefix"] += 1
+        return prefix(self, m)
+
+    monkeypatch.setattr(bpmod, "Report", counted_report)
+    monkeypatch.setattr(Gallery, "prefix", counted_prefix)
+    product = _blueprint("rank3_b2_product.bp")
+    mutant = bpmod.Blueprint(product.cox, {**product.entries, ((0, 1, 0), 1, 3): (2,)},
+                             default=product.default, name=product.name)
+    for name, bp, passes in (("b2_full.bp", _blueprint("b2_full.bp"), 1),
+                             ("b2_cb1_mutated.bp", _blueprint("b2_cb1_mutated.bp"), 2),
+                             ("mutant", mutant, 2)):
+        calls.clear()
+        got = bpmod.validate_cb1(bp, 6)
+        assert calls["pass"] == passes, name
+        lookups = calls["prefix"]
+        calls.clear()
+        want = cb1_full(bp, 6)
+        assert got.to_text() == want.to_text() and got.ok == (passes == 1), name
+        if name == "mutant":
+            # the first pass stopped before looking up a prefix of each gallery
+            cox = bp.cox
+            assert lookups - calls["prefix"] < sum(
+                len(G) >= 2 for w in cox.ball(6) for G in min_gal(cox, w))
+
+
+def test_gallery_work_budget(monkeypatch):
+    # universal3 at radius 8: `min_gal` reads each element's one left
+    # descent off the ball's record and computes no point, and CB1 looks up
+    # one prefix per gallery of length >= 2 (reading every element's
+    # descents off its point took 765 points, and the every-prefix loop
+    # 4 614 lookups)
+    bp = bpmod.builtin("allempty:universal3")
+    cox = bp.cox
+    ball = cox.ball(8)
+    calls = Counter()
+    point, prefix = CoxeterSystem.point, Gallery.prefix
+
+    def counted_point(self, word, face=()):
+        calls["point"] += 1
+        return point(self, word, face)
+
+    def counted_prefix(self, m):
+        calls["prefix"] += 1
+        return prefix(self, m)
+
+    min_gal(cox, ())  # `get_gallery` checks the identity by `is_reduced`
+    monkeypatch.setattr(CoxeterSystem, "point", counted_point)
+    monkeypatch.setattr(Gallery, "prefix", counted_prefix)
+    gals = [G for w in ball for G in min_gal(cox, w)]
+    assert calls["point"] == 0 and calls["prefix"] == 0
+    report = bpmod.validate_cb1(bp, 8)
+    assert report.ok and calls["point"] == 0
+    assert calls["prefix"] == sum(len(G) >= 2 for G in gals)
+    assert report.checks == cb1_full(bpmod.builtin("allempty:universal3"), 8).checks
+
+
+def test_warm_roots_work_budget(monkeypatch):
+    # rank3_cycle444 at radius 6: once the galleries of ball(5) have their
+    # roots, each longer gallery extends its prefix's by one `apply`
+    cox = bpmod.ingest_path(fixture_path("rank3_cycle444.bp")).cox
+    gals = [G for w in cox.ball(6) for G in min_gal(cox, w)]
+    for G in gals:
+        if len(G) < 6:
+            G.roots
+    calls = Counter()
+    prefix_root_vectors = CoxeterSystem.prefix_root_vectors
+
+    def counted(self, word):
+        calls[len(word)] += 1
+        return prefix_root_vectors(self, word)
+
+    monkeypatch.setattr(CoxeterSystem, "prefix_root_vectors", counted)
+    assert all(len(G.roots) == 6 for G in gals if len(G) == 6)
+    assert not calls
