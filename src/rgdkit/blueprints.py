@@ -20,13 +20,12 @@ and a table with a default value that fails the bounds check, are built
 from `query` in row order, so the error raised names the first bad pair in
 that order.
 
-Every check reads the tables: a prefix gallery's table is a restriction of its
-extension's, and Weyl-invariance compares tables shifted by one place: s
-maps the root at position p of G to the root at position p + len(sG) -
-len(G) of sG.  Each comparison depends on the tables alone, so
-`validate_cb1` and `validate_weyl` keep, for one call, the numbers of the
-tables that agreed and compare them once; a comparison that fails is made
-again at every site, so each violation is still reported.
+Every check compares two tables, `Blueprint.mismatches(G, H, d)`: a prefix
+gallery's table is the restriction of its extension's (d = 0), and
+Weyl-invariance compares tables shifted by d = len(sG) - len(G), as s maps the
+root at position p of G to the root at position p + d of sG.  The blueprint
+memoizes each comparison, failures included, under the two table numbers and
+d, so a failing pair is compared once and still reported at every site.
 
 One class, `Blueprint`, holds explicit entries over a default mode, `empty`,
 `strict` or `rank2`.  A line-oriented file is read into one; a builtin is
@@ -116,6 +115,8 @@ class Blueprint:
         # gallery word -> (table number, table), one entry per distinct answer
         self._relations: dict[Word, tuple[int, dict]] = {}
         self._tables: dict[tuple, tuple[int, dict]] = {}
+        # (table_no(G), table_no(H), d) -> mismatches(G, H, d)
+        self._mismatches: dict[tuple[int, int, int], tuple] = {}
 
     def relations(self, G: Gallery) -> dict[tuple[int, int], tuple[int, ...]]:
         """M^G as {(i, j): positions} for every pair 1 <= i < j <= len(G),
@@ -130,6 +131,24 @@ class Blueprint:
         equal numbers, counted from 0 in first-seen order.  Galleries of
         lengths 0 and 1 share the empty table."""
         return (self._relations.get(G.word) or self._table(G))[0]
+
+    def mismatches(self, G: Gallery, H: Gallery, d: int) -> tuple[tuple[int, int, str, str], ...]:
+        """(i, j, expected, found), rendered as in a `Violation`, for each
+        pair (i, j) of G, in row order, whose value shifted by d differs from
+        H's value at (i + d, j + d); pairs that H lacks are passed over.
+        Memoized under (table_no(G), table_no(H), d): a table fixes its
+        gallery's length, but for lengths 0 and 1, which share the empty
+        table; with no pairs on one side the answer is empty either way."""
+        key = (self.table_no(G), self.table_no(H), d)
+        found = self._mismatches.get(key)
+        if found is None:
+            other, render = self.relations(H), lambda ks: ",".join(map(str, ks)) or "-"
+            found = self._mismatches[key] = tuple(
+                (i, j, render(image), render(value_h))
+                for (i, j), value in self.relations(G).items()
+                if (value_h := other.get((i + d, j + d))) is not None
+                and (image := tuple(p + d for p in value)) != value_h)
+        return found
 
     def _table(self, G: Gallery) -> tuple[int, dict]:
         pairs = _pairs(len(G))
@@ -373,8 +392,17 @@ def ingest(text: str, name: str = "file") -> Blueprint:
 
 
 def ingest_path(path: str) -> Blueprint:
-    with open(path, "r", encoding="utf-8") as fh:
-        return ingest(fh.read(), name=path)
+    """Read and parse a blueprint file; bytes that are not UTF-8 are a
+    ParseError on the line, numbered as `ingest` numbers it, of the first."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the decoded text before the bad byte, plus one character of its line
+        line = len((data[:exc.start].decode("utf-8") + "?").splitlines())
+        raise ParseError(line, f"byte {data[exc.start]:#04x} is not UTF-8") from exc
+    return ingest(text, name=path)
 
 
 def serialize(bp: Blueprint, r: int, gallery_cap: int = 10_000) -> str:
@@ -404,9 +432,9 @@ def serialize(bp: Blueprint, r: int, gallery_cap: int = 10_000) -> str:
 
 def validate_cb1(bp: Blueprint, r: int, gallery_cap: int = 10_000) -> Report:
     """Prefix coherence: each prefix gallery's table is the restriction of
-    its extension's; a prefix of length m counts its m(m+1)/2 pairs i <= j.
-    A (prefix table, full table) pair that agreed once is not compared
-    again.  An element with more than `gallery_cap` galleries is skipped.
+    its extension's, `bp.mismatches(G, prefix, 0)`; a prefix of length m
+    counts its m(m+1)/2 pairs i <= j.  An element with more than
+    `gallery_cap` galleries is skipped.
 
     A first pass compares each gallery with its immediate prefix only, which
     decides the axiom: restriction is transitive, and |Red(v)| <= |Red(vt)|
@@ -415,7 +443,6 @@ def validate_cb1(bp: Blueprint, r: int, gallery_cap: int = 10_000) -> Report:
     cox = bp.cox
     for immediate in (True, False):
         report = Report(f"CB1({bp.name}, r={r})")
-        agreed: set[tuple[int, int]] = set()  # (prefix table, full table) numbers
         for w in cox.ball(r):
             if immediate and not report.ok:
                 break
@@ -425,23 +452,12 @@ def validate_cb1(bp: Blueprint, r: int, gallery_cap: int = 10_000) -> Report:
                 report.skip(f"skipped w={word_label(w)}: more than {gallery_cap} galleries")
                 continue
             for G in gals:
-                full, full_no = bp.relations(G), bp.table_no(G)
                 for m in range(max(len(G) - 1, 1) if immediate else 1, len(G)):
                     H = G.prefix(m)
                     report.checks += m * (m + 1) * (m + 2) // 6 if immediate else m * (m + 1) // 2
-                    key = (bp.table_no(H), full_no)
-                    if key in agreed:
-                        continue
-                    ok = True
-                    for (i, j), got_h in bp.relations(H).items():
-                        if got_h != (got_g := full[(i, j)]):
-                            ok = False
-                            report.add(Violation(
-                                axiom="CB1", w=word_label(w), gallery=H.label(), i=i, j=j,
-                                expected=",".join(map(str, got_g)) or "-",
-                                found=",".join(map(str, got_h)) or "-"))
-                    if ok:
-                        agreed.add(key)
+                    for i, j, expected, found in bp.mismatches(G, H, 0):
+                        report.add(Violation(axiom="CB1", w=word_label(w), gallery=H.label(),
+                                             i=i, j=j, expected=expected, found=found))
         if report.ok:
             break
     return report
@@ -487,14 +503,13 @@ def validate_weyl(bp: Blueprint, r: int, gallery_cap: int = 10_000) -> Report:
     for every gallery G in Min_s(w) and alpha <=_G beta away from alpha_s.
 
     s maps the root at position p of G to the root at position p + d of sG,
-    d = len(sG) - len(G): on a descent (d = -1) G starts at alpha_s, which is
-    skipped; on an ascent (d = +1) G does not cross alpha_s.  So G's table, shifted
-    by d, is compared with sG's, counting the n(n+1)/2 pairs i <= j of the n roots kept.
-    A (table, shifted table, d) triple that agreed once is not compared
-    again.  An element with more than `gallery_cap` galleries is skipped."""
+    d = len(sG) - len(G): on a descent (d = -1) G starts at alpha_s, which
+    sG lacks; on an ascent (d = +1) G does not cross alpha_s.  So the check
+    is `bp.mismatches(G, sG, d)`, counting the n(n+1)/2 pairs i <= j of the
+    n roots kept.  An element with more than `gallery_cap` galleries is
+    skipped."""
     report = Report(f"Weyl({bp.name}, r={r})")
     cox = bp.cox
-    agreed: set[tuple[int, int, int]] = set()  # (table, shifted table) numbers and d
     for w in cox.ball(r):
         for s in range(cox.rank):
             try:  # the cap depends on w alone: it fires at s = 0 or never
@@ -507,25 +522,10 @@ def validate_weyl(bp: Blueprint, r: int, gallery_cap: int = 10_000) -> Report:
                 d = len(sG) - len(G)
                 n = len(G) - (d < 0)
                 report.checks += n * (n + 1) // 2
-                key = (bp.table_no(G), bp.table_no(sG), d)
-                if key in agreed:
-                    continue
-                ok = True
-                table, table_s = bp.relations(G), bp.relations(sG)
-                for (i, j), value in table.items():
-                    if i + d < 1:  # alpha_s itself
-                        continue
-                    image = tuple(p + d for p in value)
-                    shifted = table_s[(i + d, j + d)]
-                    if image != shifted:
-                        ok = False
-                        report.add(Violation(
-                            axiom="Weyl", w=word_label(w), s=str(s + 1),
-                            gallery=G.label(), i=i, j=j,
-                            expected=",".join(map(str, image)) or "-",
-                            found=",".join(map(str, shifted)) or "-"))
-                if ok:
-                    agreed.add(key)
+                for i, j, expected, found in bp.mismatches(G, sG, d):
+                    report.add(Violation(axiom="Weyl", w=word_label(w), s=str(s + 1),
+                                         gallery=G.label(), i=i, j=j,
+                                         expected=expected, found=found))
     return report
 
 

@@ -295,7 +295,7 @@ class CoxeterSystem:
         total = sum(map(len, layers))
         finite = [any(m != inf for m in row[s + 1:]) for s, row in enumerate(self.matrix.entries)]
         points = [self.point(w) for w in layers[-1]] if len(layers) <= r else []
-        while len(layers) <= r:
+        while len(layers) <= r and layers[-1]:  # a finite W ends at its first empty layer
             words, nxt = [], []
             for s in range(self.rank):
                 for w, z in zip(layers[-1], points):

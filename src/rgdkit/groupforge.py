@@ -166,10 +166,7 @@ class PCPres:
                     if self.mul(ji, ui) != uj:
                         self._set_witness(f"(u{j} u{i}) u{i} != u{j}")
                         return False
-                    if self.mul(uj, self.mul(ui, ui)) != uj:
-                        self._set_witness(f"u{j} (u{i} u{i}) != u{j}")
-                        return False
-                    if self.mul(self.mul(uj, uj), ui) != self.mul(uj, ji):
+                    if ui != self.mul(uj, ji):  # u_j u_j is collected to 1 in one step
                         self._set_witness(f"(u{j} u{j}) u{i} != u{j} (u{j} u{i})")
                         return False
             for kk in range(top, self.k + 1):
@@ -247,9 +244,9 @@ def build_Uw(bp: Blueprint, w: Word, gallery_cap: int = 10_000, *,
     key when its check passes.  On a key it holds, the overlap test is not
     run again; if w has one gallery, no presentation is built either, and
     None is returned in its place.  On a new key, when the memo holds the
-    key of the base gallery's prefix and that prefix table is the
-    restriction of the base table, the presentation on u_1 ... u_{k-1} is
-    a certified one, and only the overlap tests involving u_k run."""
+    key of the base gallery's prefix and `bp.mismatches(base, prefix, 0)`
+    is empty (in `validate`, CB1 has made that comparison), u_1 ... u_{k-1}
+    is certified, and only the overlap tests involving u_k run."""
     consistent = set() if consistent is None else consistent
     cox = bp.cox
     report = Report(f"U_w({bp.name}, w={word_label(w)})")
@@ -273,8 +270,7 @@ def build_Uw(bp: Blueprint, w: Word, gallery_cap: int = 10_000, *,
         top = 1
         if k > 1 and consistent:  # an empty memo certifies no prefix: build no table for it
             prefix = base.prefix(k - 1)
-            if ((k - 1, bp.table_no(prefix)) in consistent and bp.relations(prefix)
-                    == {(i, j): v for (i, j), v in pres.rel.items() if j < k}):
+            if (k - 1, bp.table_no(prefix)) in consistent and not bp.mismatches(base, prefix, 0):
                 top = k
         if not pres.consistency_check(top):
             report.add(Violation(axiom="CB3", w=word_label(w), gallery=base.label(),

@@ -1,7 +1,8 @@
-"""Byte pins for the rank-2 battery.
+"""Byte pins for the rank-2 battery and for `validate`.
 
-For `residue`, `chambers` and `appendix` on every builtin and fixture,
-`battery_bytes.json` holds the exit code and the SHA-256 of stdout and of
+For `residue`, `chambers` and `appendix`, and for `validate --radius 5`
+plain, with `--cap-galleries 1` and with `--cap-group-bits 3`, on every
+builtin and fixture, `battery_bytes.json` holds the exit code and the SHA-256 of stdout and of
 the `--report` file (null when none is written).  Fixtures are passed by
 their path relative to the repository root, which the reports embed as the
 blueprint name.  Regenerate the table with
@@ -35,11 +36,14 @@ RANK3_FIXTURES = [f for f in FIXTURES if pathlib.Path(f).name.startswith(("rank3
 PER_BLUEPRINT = [["residue", "-s", "1"], ["residue", "-s", "2"],
                  ["chambers", "-s", "1", "-t", "2", "--dump-adjacency"],
                  ["appendix", "-s", "1", "-t", "2"]]
+VALIDATE = [["--radius", "5", "validate"],
+            ["--radius", "5", "--cap-galleries", "1", "validate"],
+            ["--radius", "5", "--cap-group-bits", "3", "validate"]]
 
 
 def jobs() -> list[list[str]]:
     sources = [["--builtin", b] for b in BUILTINS] + [["--blueprint", f] for f in FIXTURES]
-    out = [src + cmd for src in sources for cmd in PER_BLUEPRINT]
+    out = [src + cmd for src in sources for cmd in PER_BLUEPRINT + VALIDATE]
     out += [["--blueprint", f, "--radius", "3", "appendix", "-s", "1", "-t", "3"]
             for f in RANK3_FIXTURES]
     return out

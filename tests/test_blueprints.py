@@ -9,6 +9,7 @@ from rgdkit import blueprints as bpmod
 from rgdkit.coxeter import word_label
 from rgdkit.errors import BlueprintError, ParseError
 from rgdkit.galleries import get_gallery, min_gal, min_gal_s, shift
+from rgdkit.groupforge import validate_cb3
 from rgdkit.reports import Report, Violation
 from rgdkit.roots import Root, open_interval, simple_root
 from tests.conftest import FIXTURES, fixture_path
@@ -412,3 +413,44 @@ def test_weyl_stable_under_prefix_restriction(bp_m6):
     # implied by the larger radius on every fixture that passes
     for r in (2, 4, 6):
         assert bpmod.validate_weyl(bp_m6, r).ok
+
+
+class RecordingDict(dict):
+    """A dict that records the keys stored in it and counts its `get` calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored = []
+        self.reads = 0
+
+    def __setitem__(self, key, value):
+        self.stored.append(key)
+        super().__setitem__(key, value)
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+
+def test_cb3_prefix_certificates_reuse_the_comparisons_of_cb1():
+    # on universal3 each new CB3 key asks whether its prefix table is a
+    # restriction: CB1 has answered each such question already
+    bp = bpmod.builtin("allempty:universal3")
+    bp._mismatches = memo = RecordingDict()
+    assert bpmod.validate_cb1(bp, 6).ok
+    after_cb1, reads = len(memo), memo.reads
+    assert validate_cb3(bp, 6).ok
+    assert memo.reads > reads  # the prefix certificate reads the memo
+    assert len(memo) == after_cb1
+    assert len(memo.stored) == len(set(memo.stored))  # no key is computed twice
+
+
+def test_mismatches_name_the_pairs_that_disagree():
+    # the mutant sets M(1, 3) = {2} on 1.2.1 but not on its extension 1.2.1.2
+    bp = bpmod.ingest_path(fixture_path("b2_cb1_mutated.bp"))
+    G = G_of(bp, (0, 1, 0, 1))
+    assert bp.mismatches(G, G.prefix(3), 0) == ((1, 3, "-", "2"),)
+    assert bp.mismatches(G, G.prefix(3), 0) is bp.mismatches(G, G.prefix(3), 0)
+    assert bp.mismatches(G, G.prefix(2), 0) == ()
+    # s = 1 maps position p + 1 of 1.2.1.2 to position p of 2.1.2
+    assert bp.mismatches(G, shift(G, 0), -1) == ()

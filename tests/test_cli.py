@@ -34,9 +34,14 @@ def test_report_is_deterministic(tmp_path):
     assert a.read_text() == b.read_text()
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(capsys, tmp_path):
     assert main(["validate"]) == 2                       # no blueprint
     assert main(["--blueprint", "/no/such/file.bp", "validate"]) == 2
+    binary = tmp_path / "binary.bp"
+    binary.write_bytes(b"rank 2\r\nm 1 2 3\n\xff\xfe\n")  # not UTF-8, on line 3
+    capsys.readouterr()
+    assert main(["--blueprint", str(binary), "validate"]) == 2
+    assert capsys.readouterr().err == "error: line 3: byte 0xff is not UTF-8\n"
     assert main(["--builtin", "rank2:m9", "validate"]) == 2
     assert main(["--builtin", "allempty:universal", "validate"]) == 2
     assert main(["--builtin", "allempty:universalx", "validate"]) == 2
@@ -63,6 +68,14 @@ def test_group_cancelling_word_is_linear(capsys):
     elapsed = time.perf_counter() - start
     assert "order: 1" in capsys.readouterr().out
     assert elapsed < 1.0, f"3000-letter group word took {elapsed:.2f}s (budget 1.0s)"
+
+
+def test_validate_a_finite_group_at_a_huge_radius_is_fast(capsys):
+    # the ball stops at the first empty layer: the run does not grow with r
+    start = time.perf_counter()
+    assert main(["--builtin", "rank2:m3", "--radius", "3000000", "validate"]) == 0
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"radius 3000000 on a group of 6 elements took {elapsed:.2f}s"
 
 
 def test_group_over_gallery_cap_ends_on_partial_report(capsys):

@@ -113,6 +113,20 @@ def test_ball_unique_normal_forms():
     assert all(cox.normal_form(w) == w for w in ball)
 
 
+@pytest.mark.parametrize("cox,order,longest", [
+    (cox_dihedral(3), 6, 3),
+    (CoxeterSystem(CoxeterMatrix.from_dict(3, {(0, 1): 3, (0, 2): 2, (1, 2): 3})), 24, 6),
+], ids=["m3", "A3"])
+def test_ball_of_a_finite_group_stops_at_its_first_empty_layer(cox, order, longest):
+    # the layer past the longest element is empty and the ball stops there,
+    # so a radius of 10**9 costs no more than one of N + 1
+    ball = cox.ball(10**5)
+    assert len(ball) == len(set(ball)) == order
+    assert max(map(len, ball)) == longest
+    assert len(cox._ball_layers) <= longest + 2
+    assert cox.ball(10**9) == ball
+
+
 def test_longest_element():
     cox = cox_dihedral(3)
     assert cox.longest_element((0,)) == (0,)

@@ -12,6 +12,7 @@ from rgdkit.parabolics import build_residue_group
 from tests.conftest import fixture_path
 from tests.coset_enum import group_order, relators
 from tests.lemma_checks import vws_iso_check
+from tests.test_collect_oracle import cases
 
 
 def raw_pres(k, rel):
@@ -80,6 +81,17 @@ def test_consistency_matches_enumeration_oracle_exhaustive():
     for r13 in [(), (2,)]:
         p = raw_pres(3, {(1, 3): r13})
         assert p.consistency_check() == (group_order(3, relators(p)) == 8)
+
+
+@given(cases())
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_squares_collect_to_one_and_consistency_matches_enumeration(case):
+    # u_i u_i collects to 1, so the overlap tests through a square reduce
+    # to the two that `consistency_check` runs
+    k, rel = case[:2]
+    p = raw_pres(k, rel)
+    assert all(p.mul(g, g) == 0 for g in map(p.generator, range(1, k + 1)))
+    assert p.consistency_check() == (group_order(k, relators(p)) == 1 << k), rel
 
 
 def test_inconsistent_table_has_witness():

@@ -1,11 +1,11 @@
-"""CB1 and Weyl-invariance with verdict memos against the full loops.
+"""CB1 and Weyl-invariance on the memoized table comparison, against the full loops.
 
-`validate_cb1` and `validate_weyl` compare each (prefix table, full table)
-pair and each (table, shifted table, d) triple of table numbers once when it
-agrees, and again at every site when it does not.  `cb1_full` and
-`weyl_full` in `tests/oracles.py` compare at every site: both must give the
-same report on valid tables, on their single-entry mutants and on tables
-where one failing pair recurs.
+`validate_cb1` and `validate_weyl` read `Blueprint.mismatches`, which
+compares each (table, table, d) triple of table numbers once and remembers
+the answer, failures included, on the blueprint, so a failing pair is still
+reported at every site.  `cb1_full` and `weyl_full` in `tests/oracles.py`
+compare at every site: both must give the same report on valid tables, on
+their single-entry mutants and on tables where one failing pair recurs.
 """
 
 import pytest
