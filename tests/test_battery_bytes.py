@@ -1,9 +1,11 @@
-"""Byte pins for the rank-2 battery and for `validate`.
+"""Byte pins for the rank-2 battery, `validate`, `group` and `roots`.
 
-For `residue`, `chambers` and `appendix`, and for `validate --radius 5`
-plain, with `--cap-galleries 1` and with `--cap-group-bits 3`, on every
-builtin and fixture, `battery_bytes.json` holds the exit code and the SHA-256 of stdout and of
-the `--report` file (null when none is written).  Fixtures are passed by
+For `residue`, `chambers` and `appendix`, for `validate --radius 5` plain,
+with `--cap-galleries 1` and with `--cap-group-bits 3`, for `--radius 6
+roots` and for `group` on words whose galleries reach past the default ball
+(one job with `--cap-galleries 1`), on every builtin and fixture,
+`battery_bytes.json` holds the exit code and the SHA-256 of stdout, of
+stderr and of the `--report` file (null when none is written).  Fixtures are passed by
 their path relative to the repository root, which the reports embed as the
 blueprint name.  Regenerate the table with
 
@@ -39,11 +41,16 @@ PER_BLUEPRINT = [["residue", "-s", "1"], ["residue", "-s", "2"],
 VALIDATE = [["--radius", "5", "validate"],
             ["--radius", "5", "--cap-galleries", "1", "validate"],
             ["--radius", "5", "--cap-group-bits", "3", "validate"]]
+OFF_BALL = [["--radius", "6", "roots"], ["group", "1.2.1.2.1.2"], ["group", "2.1.2.1"],
+            ["--cap-galleries", "1", "group", "1.2.1.2"]]
+RANK3_GROUP = [["group", "3.1.2.3.1.2.3"], ["group", "1.2.3.2.1"]]
 
 
 def jobs() -> list[list[str]]:
     sources = [["--builtin", b] for b in BUILTINS] + [["--blueprint", f] for f in FIXTURES]
-    out = [src + cmd for src in sources for cmd in PER_BLUEPRINT + VALIDATE]
+    out = [src + cmd for src in sources for cmd in PER_BLUEPRINT + VALIDATE + OFF_BALL]
+    out += [["--builtin", "allempty:universal3"] + cmd for cmd in RANK3_GROUP]
+    out += [["--blueprint", f] + cmd for f in RANK3_FIXTURES for cmd in RANK3_GROUP]
     out += [["--blueprint", f, "--radius", "3", "appendix", "-s", "1", "-t", "3"]
             for f in RANK3_FIXTURES]
     return out
@@ -51,11 +58,11 @@ def jobs() -> list[list[str]]:
 
 def run_job(argv: list[str], report: pathlib.Path) -> dict:
     """Run one job from the repository root; report digests of its output."""
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(["--report", str(report)] + argv)
     digest = lambda text: hashlib.sha256(text.encode()).hexdigest()
-    return {"exit": code, "stdout": digest(stdout.getvalue()),
+    return {"exit": code, "stdout": digest(stdout.getvalue()), "stderr": digest(stderr.getvalue()),
             "report": digest(report.read_text()) if report.exists() else None}
 
 
