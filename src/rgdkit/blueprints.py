@@ -43,7 +43,7 @@ from functools import cache
 from math import inf
 
 from .coxeter import ALLOWED_LABELS, CoxeterMatrix, CoxeterSystem, Word, word_label
-from .errors import BlueprintError, CapExceeded, InternalConsistencyError, ParseError, RgdError
+from .errors import BlueprintError, CapExceeded, ParseError, RgdError
 from .galleries import (Gallery, get_gallery, min_gal, min_gal_s, oriented_gallery,
                         rj_gallery, shift)
 from .reports import Report, Violation
@@ -66,6 +66,8 @@ RANK2_BUILTINS: dict[str, tuple] = {
 
 # what a file's `default` line may say: how triples without a `rel` line read
 DEFAULT_MODES = ("empty", "strict", "rank2")
+# the fields of each directive, named when a line lacks some of them
+FIELDS = {"rank": "N", "m": "I J LABEL", "dir6": "T S", "default": "MODE", "rel": "WORD I J : K ..."}
 
 # the largest N of `allempty:universalN`, refused before its N x N matrix is built
 MAX_UNIVERSAL_RANK = 64
@@ -339,7 +341,9 @@ def ingest(text: str, name: str = "file") -> Blueprint:
                 rels.append((ln, word, i, j, ks))
             else:
                 raise ValueError(f"unknown directive {kind!r}")
-        except (IndexError, ValueError) as exc:
+        except IndexError as exc:  # every field a directive reads is indexed
+            raise ParseError(ln, f"{kind}: missing fields ({kind} {FIELDS[kind]})") from exc
+        except ValueError as exc:
             raise ParseError(ln, str(exc)) from exc
     if rank is None:
         raise ParseError(0, "missing 'rank' directive")
@@ -369,8 +373,6 @@ def ingest(text: str, name: str = "file") -> Blueprint:
             raise ParseError(ln, f"generator out of range in gallery {word_label(word)}")
         try:  # one reduction check, by the constructor
             G = get_gallery(cox, word)
-        except InternalConsistencyError:
-            raise
         except RgdError as exc:
             raise ParseError(ln, f"gallery word {word_label(word)} is not reduced") from exc
         if not (1 <= i < j <= len(word)):

@@ -209,9 +209,6 @@ class CoxeterSystem:
         """Deterministic reduced word for the same element."""
         return self.normal_form(word)
 
-    def is_reduced(self, word: Word) -> bool:
-        return len(self.reduce_word(word)) == len(word)
-
     # ---- the Tits cone: canonical words by folding -------------------
 
     def point(self, word: Word, face: tuple[int, ...] = ()) -> list[int]:

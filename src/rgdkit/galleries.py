@@ -4,43 +4,45 @@ A gallery is a reduced word read as a chamber path 1 = c0, c1, ..., ck with
 its crossed-root sequence; the index order on crossed roots is the gallery
 order used by blueprints. Root positions are 1-based throughout.
 
-Each gallery fact comes from the step that makes it.  `get_gallery`, the one
-constructor, checks a word against its cached prefix with one `apply`: w.t
-is reduced iff w.e_t > 0, and `Gallery.roots` appends that root w.e_t to the
-prefix's.  `min_gal` builds an element's galleries once, from those of the
-elements below its left descents, which `ball` has recorded.
+A gallery is its prefix gallery plus one root.  The word v.t crosses the
+root v.e_t last, and v.t is reduced iff v is and v.e_t > 0, so one vector
+is both the reducedness test and the last crossed root.  `get_gallery`, the
+one constructor, keeps that vector on the gallery with a link to the prefix
+gallery, and `Gallery.roots` reads the crossed roots off those links.
+`min_gal` builds an element's galleries once, from those of the elements
+below its left descents, which `ball` has recorded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import inf
 
-from .coxeter import CoxeterSystem, Word, word_label
+from .coxeter import CoxeterSystem, Vector, Word, word_label
 from .errors import CapExceeded, RgdError
-from .roots import Root, phi_w
+from .roots import Root
 
 
-@dataclass(frozen=True)
 class Gallery:
-    """A reduced word and its crossed roots, computed on first use.  Build it
-    with `get_gallery`, which checks the word and caches the gallery."""
+    """A reduced word, its prefix gallery `head` (None for the identity) and
+    `last`, the root vector its last letter crosses.  `get_gallery` makes one
+    gallery per word, so galleries compare by identity."""
 
-    cox: CoxeterSystem
-    word: Word
+    def __init__(self, cox: CoxeterSystem, word: Word, head: Gallery | None, last: Vector | None):
+        self.cox, self.word, self.head, self.last = cox, word, head, last
 
     def __len__(self) -> int:
         return len(self.word)
 
     @cached_property
     def roots(self) -> tuple[Root, ...]:
-        # reduced, so no wall is crossed twice; the prefix's roots come first
-        cox, word, head = self.cox, self.word, self.word[:-1]
-        prefix = cox._gallery_cache.get(head)
-        if not word or prefix is None or "roots" not in prefix.__dict__:
-            return tuple(phi_w(cox, word))
-        return prefix.roots + (Root(cox.apply(head, cox.basis[word[-1]]), (head, word[-1])),)
+        # the roots of the nearest linked gallery that knows them, then one per link
+        chain, g = [], self
+        while g.head is not None and "roots" not in g.__dict__:
+            chain.append(g)
+            g = g.head
+        return g.__dict__.get("roots", ()) + tuple(
+            Root(h.last, (h.head.word, h.word[-1])) for h in reversed(chain))
 
     @cached_property
     def _pos(self) -> dict:
@@ -67,20 +69,27 @@ class Gallery:
 
 
 def get_gallery(cox: CoxeterSystem, word: Word) -> Gallery:
-    """Gallery for a reduced word, cached per system; an unreduced word is
-    refused.  When the gallery of word[:-1] is cached, word is reduced iff
-    word[:-1] . e_t > 0 for its last letter t; otherwise `is_reduced` decides."""
+    """Gallery for a reduced word, cached per system: its prefix gallery v
+    plus the root v.e_t its last letter t crosses; the word is refused iff
+    that root is negative.  With v cached that is one `apply`; otherwise one
+    pass from the identity checks every prefix, and only then are the missing
+    prefix galleries cached, each under the tuple that is its word."""
     cache = cox._gallery_cache
     g = cache.get(word)
     if g is None:
-        prefix = word[:-1]
-        if word and prefix in cache:
-            reduced = cox.vec_sign(cox.apply(prefix, cox.basis[word[-1]])) > 0
-        else:
-            reduced = cox.is_reduced(word)
-        if not reduced:
+        head = cache.get(word[:-1]) if word else None
+        lasts = ([cox.apply(head.word, cox.basis[word[-1]])] if head is not None
+                 else cox.prefix_root_vectors(word))
+        if -1 in map(cox.vec_sign, lasts):
             raise RgdError(f"gallery type {word} is not reduced")
-        g = cache[word] = Gallery(cox, word)
+        if head is not None:  # one new gallery on the cached prefix gallery
+            return cache.setdefault(word, Gallery(cox, word, head, lasts[0]))
+        for k in range(len(word) + 1):
+            prefix = word if k == len(word) else word[:k]
+            g = cache.get(prefix)
+            if g is None:
+                g = cache[prefix] = Gallery(cox, prefix, head, lasts[k - 1] if k else None)
+            head = g
     return g
 
 

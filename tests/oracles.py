@@ -24,7 +24,9 @@ normalized again, every pair of a gallery queried.  The engine builds each
 from a shorter one that is known; these are the cross-checks.
 `root_vectors_by_apply` computes each crossed root of a word with its own
 `apply`, where the engine carries the columns of the prefix along or
-extends the prefix gallery's roots by one.
+reads them off the prefix galleries.  `is_reduced` compares a word with its
+normal form, where `get_gallery` refuses a word by the sign of the root its
+last letter crosses.
 """
 
 from __future__ import annotations
@@ -43,6 +45,11 @@ from rgdkit.roots import Residue2, Root, depth, expression, pair_order
 
 # system -> radius -> root vector -> membership bitmask over ball(radius)
 MASKS: WeakKeyDictionary[CoxeterSystem, dict[int, dict[Vector, int]]] = WeakKeyDictionary()
+
+
+def is_reduced(cox: CoxeterSystem, w: Word) -> bool:
+    """True iff the normal form of w is as long as w."""
+    return len(cox.normal_form(w)) == len(w)
 
 
 def is_left_descent(cox: CoxeterSystem, s: int, word: Word) -> bool:

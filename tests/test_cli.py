@@ -42,6 +42,15 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     capsys.readouterr()
     assert main(["--blueprint", str(binary), "validate"]) == 2
     assert capsys.readouterr().err == "error: line 3: byte 0xff is not UTF-8\n"
+    short = tmp_path / "short.bp"
+    for lines, form in [(["rank"], "rank N"), (["rank 2", "m 1 2"], "m I J LABEL"),
+                        (["rank 2", "m 1 2 6", "dir6 1"], "dir6 T S"),
+                        (["rank 2", "m 1 2 3", "default"], "default MODE"),
+                        (["rank 2", "m 1 2 3", "rel 1.2 1 2"], "rel WORD I J : K ...")]:
+        short.write_text("\n".join(lines) + "\n")  # a directive with a field missing
+        assert main(["--blueprint", str(short), "validate"]) == 2
+        kind = form.split()[0]
+        assert capsys.readouterr().err == f"error: line {len(lines)}: {kind}: missing fields ({form})\n"
     assert main(["--builtin", "rank2:m9", "validate"]) == 2
     assert main(["--builtin", "allempty:universal", "validate"]) == 2
     assert main(["--builtin", "allempty:universalx", "validate"]) == 2

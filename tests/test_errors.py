@@ -90,8 +90,9 @@ def test_refused_layer_records_no_descents(labels):
     (["rel 1.2.1 1 3 : 2", "", "rel 1.2.1.2 1 2 :"], 6),
 ], ids=["cold_prefix", "cached_prefix"])
 def test_unreduced_rel_word_is_a_parse_error(tmp_path, capsys, lines, line_no):
-    # the gallery constructor decides reducedness, by `is_reduced` or against
-    # the cached prefix 1.2.1, and the error names the word and its line
+    # the gallery constructor decides reducedness, by one pass from the
+    # identity or against the cached prefix 1.2.1, and the error names the
+    # word and its line
     path = tmp_path / "unreduced.bp"
     path.write_text("\n".join(["rank 2", "m 1 2 3", "default empty", *lines]) + "\n")
     assert cli.main(["--blueprint", str(path), "validate"]) == 2

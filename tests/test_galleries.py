@@ -104,8 +104,8 @@ def test_shift_moves_every_crossed_root_by_one_place(name):
 
 
 def test_gallery_requires_reduced_word():
-    # refused by `is_reduced` while the prefix (0,) is not cached, and by the
-    # sign of (0,) . e_0 once it is
+    # refused by the pass from the identity while the prefix (0,) is not
+    # cached, and by the sign of (0,) . e_0 once it is
     cox = cox_dihedral(3)
     with pytest.raises(RgdError, match="not reduced"):
         get_gallery(cox, (0, 0))

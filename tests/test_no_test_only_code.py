@@ -24,8 +24,9 @@ EXEMPT_MODULES = {"qf24.py"}
 
 # definitions whose only user is a `perfbench/` string: the tracer patches
 # them although no command calls them any more (`stabilizes_residue` is
-# also the oracle of `roots.local_root`'s support test)
-TRACER_ONLY = {"right_mult", "left_mult", "adjacent", "stabilizes_residue"}
+# also the oracle of `roots.local_root`'s support test; `reduce_word` lost
+# its last caller when `get_gallery` stopped testing words by normal form)
+TRACER_ONLY = {"right_mult", "left_mult", "adjacent", "stabilizes_residue", "reduce_word"}
 
 
 def _loaded_names(node, skip=()):

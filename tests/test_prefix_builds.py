@@ -3,9 +3,10 @@
 The ball grows by left multiplication under the least-descent rule and
 records which words have a second left descent, `min_gal` builds each
 element's galleries from those below its left descents, `get_gallery`
-checks a word against its cached prefix, `Gallery.roots` extends the prefix
-gallery's roots, `validate_cb1` compares each gallery with its immediate
-prefix, and `Blueprint.relations` builds tables from cached prefix columns.
+builds a gallery as its prefix gallery plus the root its last letter
+crosses, `Gallery.roots` reads the roots off those links, `validate_cb1`
+compares each gallery with its immediate prefix, and `Blueprint.relations`
+builds tables from cached prefix columns.
 Each must agree with its from-scratch oracle in `tests/oracles.py`, and
 `validate` must stay within the work budget this buys.
 """
@@ -27,8 +28,8 @@ from rgdkit.errors import BlueprintError, RgdError
 from rgdkit.galleries import Gallery, get_gallery, min_gal
 from rgdkit.roots import phi_w
 from tests.conftest import fixture_path
-from tests.oracles import (ball_by_right_extension, cb1_full, reduced_words_by_descent,
-                           relations_by_query, root_vectors_by_apply)
+from tests.oracles import (ball_by_right_extension, cb1_full, is_reduced,
+                           reduced_words_by_descent, relations_by_query, root_vectors_by_apply)
 from tests.test_coxeter import _rank3
 from tests.test_mutations import CASES, _mutants
 from tests.test_table_memos import BUILTINS, FIXTURE_NAMES
@@ -94,15 +95,50 @@ def _accepts(cox, word):
 @pytest.mark.parametrize("name", sorted(RANK3))
 def test_get_gallery_refuses_exactly_the_unreduced_words(name):
     # `cached` meets the words by length, so the prefix of a word is cached
-    # iff it is reduced; `fresh` never has the prefix and asks `is_reduced`
+    # iff it is reduced; `fresh` never has the prefix and checks every prefix
+    # from the identity.  A refused word caches no gallery on either
     cached, fresh = RANK3[name](), RANK3[name]()
     for n in range(7):
         for word in product(range(3), repeat=n):
-            reduced = cached.is_reduced(word)
+            reduced = is_reduced(cached, word)
             if word and reduced:
                 assert word[:-1] in cached._gallery_cache
             fresh._gallery_cache.clear()
+            before = None if reduced else dict(cached._gallery_cache)
             assert _accepts(cached, word) == _accepts(fresh, word) == reduced, word
+            if not reduced:
+                assert cached._gallery_cache == before and not fresh._gallery_cache, word
+
+
+def _assert_links(cox):
+    """Every cached gallery but the identity is its cached prefix gallery
+    plus the root its last letter crosses, expressed on the prefix's word."""
+    cache = cox._gallery_cache
+    assert cache[()].head is None and cache[()].last is None and cache[()].roots == ()
+    for G in cache.values():
+        if G.word:
+            assert G.head is cache[G.word[:-1]], G.label()
+            assert G.last == cox.apply(G.word[:-1], cox.basis[G.word[-1]]), G.label()
+            assert G.roots[-1].expr[0] is G.head.word, G.label()
+            assert G.roots[-1].expr[1] == G.word[-1] and G.roots[-1].vec == G.last
+
+
+@pytest.mark.parametrize("name", sorted(RANK3))
+def test_a_gallery_is_its_prefix_plus_one_root(name):
+    # `warm` builds the galleries of ball(6) by length, each against its
+    # cached prefix; `cold` starts every gallery from an empty cache, so one
+    # pass from the identity builds all its prefix galleries.  Both keep the
+    # links, and their roots agree with each other and with the oracle
+    warm, cold = RANK3[name](), RANK3[name]()
+    gals = [G for w in warm.ball(6) for G in min_gal(warm, w)]
+    _assert_links(warm)
+    for G in gals:
+        cold._gallery_cache.clear()
+        C = get_gallery(cold, G.word)
+        assert [r.vec for r in C.roots] == root_vectors_by_apply(warm, G.word), G.label()
+        assert [(r.vec, r.expr) for r in C.roots] == [(r.vec, r.expr) for r in G.roots]
+        assert len(cold._gallery_cache) == len(G) + 1
+        _assert_links(cold)
 
 
 def _outcome(f, *args):
@@ -227,8 +263,8 @@ def _roots(G):
 
 @pytest.mark.parametrize("name", sorted(RANK3))
 def test_gallery_roots_match_phi_w_warm_and_cold(name):
-    # ball order meets every prefix gallery first, so each gallery extends
-    # its prefix's roots; the reverse order never finds them
+    # in ball order each gallery's prefix gallery already knows its roots;
+    # in reverse order each gallery walks its links down to the identity
     for order in (1, -1):
         cox = RANK3[name]()
         gals = [G for w in cox.ball(6) for G in min_gal(cox, w)][::order]
@@ -238,8 +274,8 @@ def test_gallery_roots_match_phi_w_warm_and_cold(name):
 
 
 def test_long_gallery_roots_need_no_recursion():
-    # a gallery extends its prefix's roots only when they are known and
-    # computes them from scratch otherwise, so no call depth grows with l
+    # a gallery walks its prefix links in a loop to the first gallery whose
+    # roots are known, so no call depth grows with l
     cox = CoxeterSystem(CoxeterMatrix.universal(3))
     word = (0, 1, 2) * 1000
     chain = [get_gallery(cox, word[:k]) for k in range(301)]
@@ -314,7 +350,6 @@ def test_gallery_work_budget(monkeypatch):
         calls["prefix"] += 1
         return prefix(self, m)
 
-    min_gal(cox, ())  # `get_gallery` checks the identity by `is_reduced`
     monkeypatch.setattr(CoxeterSystem, "point", counted_point)
     monkeypatch.setattr(Gallery, "prefix", counted_prefix)
     gals = [G for w in ball for G in min_gal(cox, w)]
@@ -327,19 +362,25 @@ def test_gallery_work_budget(monkeypatch):
 
 def test_warm_roots_work_budget(monkeypatch):
     # rank3_cycle444 at radius 6: once the galleries of ball(5) have their
-    # roots, each longer gallery extends its prefix's by one `apply`
+    # roots, each longer gallery extends its prefix's by the root its link
+    # keeps, with no `apply` and no pass from the identity
     cox = bpmod.ingest_path(fixture_path("rank3_cycle444.bp")).cox
     gals = [G for w in cox.ball(6) for G in min_gal(cox, w)]
     for G in gals:
         if len(G) < 6:
             G.roots
     calls = Counter()
-    prefix_root_vectors = CoxeterSystem.prefix_root_vectors
+    prefix_root_vectors, apply = CoxeterSystem.prefix_root_vectors, CoxeterSystem.apply
 
     def counted(self, word):
         calls[len(word)] += 1
         return prefix_root_vectors(self, word)
 
+    def counted_apply(self, word, v):
+        calls["apply"] += 1
+        return apply(self, word, v)
+
     monkeypatch.setattr(CoxeterSystem, "prefix_root_vectors", counted)
+    monkeypatch.setattr(CoxeterSystem, "apply", counted_apply)
     assert all(len(G.roots) == 6 for G in gals if len(G) == 6)
     assert not calls
