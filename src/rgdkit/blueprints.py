@@ -71,6 +71,19 @@ FIELDS = {"rank": "N", "m": "I J LABEL", "dir6": "T S", "default": "MODE", "rel"
 
 # the largest N of `allempty:universalN`, refused before its N x N matrix is built
 MAX_UNIVERSAL_RANK = 64
+# the most digits a number in the input may have, checked before it is converted
+MAX_DIGITS = 18
+
+
+def natural(kind: str, token: str) -> int:
+    """A number field of a `kind` line: ASCII digits only, at most
+    MAX_DIGITS of them (bare `int` reads any Unicode digit, and refuses
+    thousands of digits in its own words)."""
+    if len(token) > MAX_DIGITS or not (token.isascii() and token.isdigit()):
+        shown = token if len(token) <= MAX_DIGITS else token[:MAX_DIGITS] + "..."
+        raise ValueError(f"{kind}: bad number {shown!r}, expected at most {MAX_DIGITS} "
+                         f"ASCII digits ({kind} {FIELDS[kind]})")
+    return int(token)
 
 
 @cache
@@ -310,20 +323,20 @@ def ingest(text: str, name: str = "file") -> Blueprint:
         kind = parts[0]
         try:
             if kind == "rank":
-                n = int(parts[1])
+                n = natural(kind, parts[1])
                 if rank_line and n != rank:
                     raise ValueError(f"rank {n} contradicts line {rank_line}")
                 rank, rank_line = n, ln
             elif kind == "m":
-                i, j = sorted((int(parts[1]) - 1, int(parts[2]) - 1))
-                v = inf if parts[3] == "inf" else int(parts[3])
+                i, j = sorted((natural(kind, parts[1]) - 1, natural(kind, parts[2]) - 1))
+                v = inf if parts[3] == "inf" else natural(kind, parts[3])
                 if v not in ALLOWED_LABELS:
                     raise ValueError(f"label {parts[3]} not in {{2,3,4,6,inf}}")
                 if labels.get((i, j), v) != v:
                     raise ValueError(f"label {parts[3]} contradicts line {label_lines[(i, j)]}")
                 labels[(i, j)], label_lines[(i, j)] = v, ln
             elif kind == "dir6":
-                edge = (int(parts[1]) - 1, int(parts[2]) - 1)
+                edge = (natural(kind, parts[1]) - 1, natural(kind, parts[2]) - 1)
                 directed.add(edge)
                 dir_lines[edge] = ln
             elif kind == "default":
@@ -333,11 +346,11 @@ def ingest(text: str, name: str = "file") -> Blueprint:
                     raise ValueError(f"default {parts[1]} contradicts line {default_line}")
                 default, default_line = parts[1], ln
             elif kind == "rel":
-                word = tuple(int(x) - 1 for x in parts[1].split("."))
-                i, j = int(parts[2]), int(parts[3])
+                word = tuple(natural(kind, x) - 1 for x in parts[1].split("."))
+                i, j = natural(kind, parts[2]), natural(kind, parts[3])
                 if parts[4] != ":":
                     raise ValueError("expected ':' after positions")
-                ks = tuple(int(x) for x in parts[5:])
+                ks = tuple(natural(kind, x) for x in parts[5:])
                 rels.append((ln, word, i, j, ks))
             else:
                 raise ValueError(f"unknown directive {kind!r}")
@@ -550,7 +563,8 @@ def builtin(name: str) -> Blueprint:
         return Blueprint(CoxeterSystem(matrix), {}, default="rank2", name=name)
     if family == "allempty":
         n = variant[len("universal"):]
-        if not variant.startswith("universal") or not n.isdecimal():
+        if (not variant.startswith("universal") or len(n) > MAX_DIGITS
+                or not (n.isascii() and n.isdigit())):
             raise BlueprintError(f"unknown allempty variant {variant!r}")
         n = int(n)
         if n > MAX_UNIVERSAL_RANK:

@@ -54,8 +54,8 @@ def _load_blueprint(args) -> blueprints.Blueprint:
 def _parse_word(text: str, rank: int) -> Word:
     if text in ("e", ""):
         return ()
-    try:
-        word = tuple(int(x) - 1 for x in text.split("."))
+    try:  # a word reads as the WORD of a `rel` line
+        word = tuple(blueprints.natural("rel", x) - 1 for x in text.split("."))
     except ValueError as exc:
         raise RgdError(f"bad word {text!r}; expected dot-separated generators") from exc
     if any(not 0 <= x < rank for x in word):

@@ -6,11 +6,13 @@ order used by blueprints. Root positions are 1-based throughout.
 
 A gallery is its prefix gallery plus one root.  The word v.t crosses the
 root v.e_t last, and v.t is reduced iff v is and v.e_t > 0, so one vector
-is both the reducedness test and the last crossed root.  `get_gallery`, the
-one constructor, keeps that vector on the gallery with a link to the prefix
-gallery, and `Gallery.roots` reads the crossed roots off those links.
-`min_gal` builds an element's galleries once, from those of the elements
-below its left descents, which `ball` has recorded.
+is both the reducedness test and the last crossed root.  Galleries grow on
+the left: if s.v and v.t are reduced, s.v.t is reduced iff s.(v.e_t) > 0,
+and that vector is one reflection of the root the gallery of v.t crosses
+last.  `get_gallery`, the one constructor, keeps that vector on the gallery
+with a link to the prefix gallery, and `Gallery.roots` reads the crossed
+roots off those links.  `min_gal` builds an element's galleries once, from
+those of the elements below its left descents, which `ball` has recorded.
 """
 
 from __future__ import annotations
@@ -69,27 +71,37 @@ class Gallery:
 
 
 def get_gallery(cox: CoxeterSystem, word: Word) -> Gallery:
-    """Gallery for a reduced word, cached per system: its prefix gallery v
-    plus the root v.e_t its last letter t crosses; the word is refused iff
-    that root is negative.  With v cached that is one `apply`; otherwise one
-    pass from the identity checks every prefix, and only then are the missing
-    prefix galleries cached, each under the tuple that is its word."""
+    """Gallery for a reduced word, cached per system: its prefix gallery
+    plus the root its last letter crosses; the word is refused iff that
+    root is negative.
+
+    Warm step: with the galleries of s.v and v.t cached, s.v.t crosses
+    (s.v).e_t = s.(v.e_t) last, one reflection of the tail's last root (e_t
+    for a one-letter word); since s.v is reduced, s.v.t is iff that root is
+    positive.  Otherwise one pass from the identity checks every prefix, and
+    only then are the missing prefix galleries cached, each under the tuple
+    that is its word."""
     cache = cox._gallery_cache
     g = cache.get(word)
-    if g is None:
-        head = cache.get(word[:-1]) if word else None
-        lasts = ([cox.apply(head.word, cox.basis[word[-1]])] if head is not None
-                 else cox.prefix_root_vectors(word))
-        if -1 in map(cox.vec_sign, lasts):
+    if g is not None:
+        return g
+    head, tail = cache.get(word[:-1]), cache.get(word[1:])
+    if word and head is not None and tail is not None:
+        last = cox.reflect(word[0], tail.last) if tail.word else cox.basis[word[0]]
+        if cox.vec_sign(last) < 0:
             raise RgdError(f"gallery type {word} is not reduced")
-        if head is not None:  # one new gallery on the cached prefix gallery
-            return cache.setdefault(word, Gallery(cox, word, head, lasts[0]))
-        for k in range(len(word) + 1):
-            prefix = word if k == len(word) else word[:k]
-            g = cache.get(prefix)
-            if g is None:
-                g = cache[prefix] = Gallery(cox, prefix, head, lasts[k - 1] if k else None)
-            head = g
+        g = cache[word] = Gallery(cox, word, head, last)
+        return g
+    lasts = cox.prefix_root_vectors(word)
+    if -1 in map(cox.vec_sign, lasts):
+        raise RgdError(f"gallery type {word} is not reduced")
+    head = None
+    for k in range(len(word) + 1):
+        prefix = word if k == len(word) else word[:k]
+        g = cache.get(prefix)
+        if g is None:
+            g = cache[prefix] = Gallery(cox, prefix, head, lasts[k - 1] if k else None)
+        head = g
     return g
 
 

@@ -312,6 +312,36 @@ def test_ingest_matrix_errors_name_their_line():
     assert (bp.cox.rank, bp.default) == (2, "rank2")
 
 
+@pytest.mark.parametrize("text, line_no, kind, token", [
+    ("rank 2\nm 1 2 \uff14\n", 2, "m", "'\uff14'"),        # a fullwidth digit is not 4
+    ("rank 2\nm 1 2 3.0\n", 2, "m", "'3.0'"),
+    ("rank 2\nm 1 2 INF\n", 2, "m", "'INF'"),               # only `inf` is infinite
+    ("rank 2\nm \u0661 2 3\n", 2, "m", "'\u0661'"),
+    ("rank abc\n", 1, "rank", "'abc'"),
+    ("rank " + "1" * 5000 + "\n", 1, "rank", "'" + "1" * 18 + "...'"),  # bounded before int
+    ("rank 2\nm 1 2 6\ndir6 \uff12 1\n", 3, "dir6", "'\uff12'"),
+    ("rank 2\nm 1 2 3\nrel 1..2 1 2 :\n", 3, "rel", "''"),
+    ("rank 2\nm 1 2 3\nrel  1 2 :\n", 3, "rel", "':'"),
+    ("rank 2\nm 1 2 3\nrel 1.2.1 +1 3 :\n", 3, "rel", "'+1'"),
+    ("rank 2\nm 1 2 3\nrel 1.2.1 1 3 : \uff12\n", 3, "rel", "'\uff12'"),
+    ("rank 2\nm 1 2 3\nrel 1.2.1 1 " + "9" * 19 + " :\n", 3, "rel", "'" + "9" * 18 + "...'"),
+], ids=["fullwidth-label", "decimal-label", "INF-label", "arabic-indic-generator", "rank-abc",
+        "rank-5000-digits", "fullwidth-dir6", "empty-letter", "missing-word", "signed-position",
+        "fullwidth-value", "19-digit-position"])
+def test_ingest_reads_numbers_as_ascii_digits(text, line_no, kind, token):
+    # every number field is [0-9]+ of at most 18 digits, and `inf` only as a label
+    with pytest.raises(ParseError) as err:
+        bpmod.ingest(text)
+    assert str(err.value) == (f"line {line_no}: {kind}: bad number {token}, expected at most "
+                              f"18 ASCII digits ({kind} {bpmod.FIELDS[kind]})")
+
+
+@pytest.mark.parametrize("text", [
+    "rank 02\nm 1 2 inf\n", "rank 2\nm 01 2 004\n", "rank " + "0" * 17 + "2\nm 1 2 3\n"])
+def test_ingest_reads_leading_zeros_as_before(text):
+    assert bpmod.ingest(text).cox.rank == 2
+
+
 def test_ingest_names_the_contradicted_rel_line():
     text = "rank 2\nm 1 2 3\nrel 1.2.1 1 3 : 2\nrel 1.2.1 1 3 : 2\nrel 1.2.1 1 3 :\n"
     with pytest.raises(ParseError, match=r"^line 5: .* contradicts line 3$"):
@@ -352,6 +382,11 @@ def test_builtin_names():
     with pytest.raises(BlueprintError):
         bpmod.builtin("nonsense")
     assert bpmod.builtin("allempty:universal2").cox.rank == 2
+    # N is ASCII digits, and a long one is refused before `int` reads it
+    for name in ("allempty:universal\uff13", "allempty:universal\u0663",
+                 "allempty:universal" + "1" * 5000):
+        with pytest.raises(BlueprintError):
+            bpmod.builtin(name)
 
 
 def _assert_same_tables(bp, other, r):

@@ -55,6 +55,17 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert main(["--builtin", "allempty:universal", "validate"]) == 2
     assert main(["--builtin", "allempty:universalx", "validate"]) == 2
     assert main(["--builtin", "allempty:universal65", "validate"]) == 2  # rank above 64
+    capsys.readouterr()
+    assert main(["--builtin", "allempty:universal" + "1" * 5000, "validate"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("word", ["\uff12.1", "1.x", "1..2", "1.+2", "1." + "9" * 30, "1." + "1" * 5000],
+                         ids=["fullwidth", "letter", "empty", "signed", "30-digits", "5000-digits"])
+def test_group_word_is_ascii_digits(word, capsys):
+    # a fullwidth digit is no generator, and a long letter is refused before `int` reads it
+    assert main(["--builtin", "rank2:m3", "group", word]) == 2
+    assert capsys.readouterr().err == f"error: bad word {word!r}; expected dot-separated generators\n"
 
 
 def test_group_refuses_long_word_before_normalizing(capsys, monkeypatch):

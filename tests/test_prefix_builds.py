@@ -4,9 +4,10 @@ The ball grows by left multiplication under the least-descent rule and
 records which words have a second left descent, `min_gal` builds each
 element's galleries from those below its left descents, `get_gallery`
 builds a gallery as its prefix gallery plus the root its last letter
-crosses, `Gallery.roots` reads the roots off those links, `validate_cb1`
-compares each gallery with its immediate prefix, and `Blueprint.relations`
-builds tables from cached prefix columns.
+crosses, one reflection of the last root of its tail gallery,
+`Gallery.roots` reads the roots off those links, `validate_cb1` compares
+each gallery with its immediate prefix, and `Blueprint.relations` builds
+tables from cached prefix columns.
 Each must agree with its from-scratch oracle in `tests/oracles.py`, and
 `validate` must stay within the work budget this buys.
 """
@@ -92,14 +93,16 @@ def _accepts(cox, word):
     return True
 
 
-@pytest.mark.parametrize("name", sorted(RANK3))
+@pytest.mark.parametrize("name", sorted(RANK3) + ["A2"])
 def test_get_gallery_refuses_exactly_the_unreduced_words(name):
-    # `cached` meets the words by length, so the prefix of a word is cached
-    # iff it is reduced; `fresh` never has the prefix and checks every prefix
-    # from the identity.  A refused word caches no gallery on either
-    cached, fresh = RANK3[name](), RANK3[name]()
+    # `cached` meets the words by length, so the prefix and the tail of a
+    # word are cached iff they are reduced; `fresh` never has them and checks
+    # every prefix from the identity.  A refused word caches no gallery on
+    # either.  On A2, 1.2.1.2 is refused with both its links cached
+    systems = {**RANK3, "A2": lambda: _system(2, {(0, 1): 3})}
+    cached, fresh = systems[name](), systems[name]()
     for n in range(7):
-        for word in product(range(3), repeat=n):
+        for word in product(range(cached.rank), repeat=n):
             reduced = is_reduced(cached, word)
             if word and reduced:
                 assert word[:-1] in cached._gallery_cache
@@ -139,6 +142,60 @@ def test_a_gallery_is_its_prefix_plus_one_root(name):
         assert [(r.vec, r.expr) for r in C.roots] == [(r.vec, r.expr) for r in G.roots]
         assert len(cold._gallery_cache) == len(G) + 1
         _assert_links(cold)
+
+
+def _record(monkeypatch, *names):
+    """The arguments of every call of the named `CoxeterSystem` methods."""
+    seen = {name: [] for name in names}
+    for name in names:
+        def recorded(self, *args, _method=getattr(CoxeterSystem, name), _calls=seen[name]):
+            _calls.append(args)
+            return _method(self, *args)
+        monkeypatch.setattr(CoxeterSystem, name, recorded)
+    return seen
+
+
+@pytest.mark.parametrize("name, r", [("allempty:universal3", 8), ("rank3_cycle444.bp", 6)])
+def test_warm_step_work_budget(monkeypatch, name, r):
+    # swept over a built ball in order, every new gallery has its prefix and
+    # tail galleries cached, so a gallery of length >= 2 costs one reflection
+    # of its tail's last root, one of length 1 none, and only the identity
+    # takes the pass from the identity
+    cox = CoxeterSystem(_blueprint(name).cox.matrix)
+    ball = cox.ball(r)
+    seen = _record(monkeypatch, "apply", "reflect", "prefix_root_vectors")
+    gals = [G for w in ball for G in min_gal(cox, w)]
+    assert len(cox._gallery_cache) == len(gals)
+    assert not seen["apply"] and seen["prefix_root_vectors"] == [((),)]
+    assert len(seen["reflect"]) == sum(len(G) >= 2 for G in gals)
+
+
+def test_a_word_without_its_tail_gallery_takes_the_cold_pass(monkeypatch):
+    # the prefix gallery of 1.2.1.2 is cached but its tail 2.1.2 is not:
+    # the pass from the identity builds the one missing gallery, as a fresh
+    # system does.  On A2 both links of 1.2.1.2 are cached and the word is
+    # refused by one reflection, with nothing cached
+    cox = bpmod.builtin("rank2:m6lr").cox
+    a2 = bpmod.builtin("rank2:m3").cox
+    for system, word in ((cox, (0, 1, 0)), (a2, (0, 1, 0)), (a2, (1, 0, 1))):
+        get_gallery(system, word)
+    cache = cox._gallery_cache
+    assert (0, 1, 0) in cache and (1, 0, 1) not in cache
+    seen = _record(monkeypatch, "reflect", "prefix_root_vectors")
+    before = set(cache)
+    G = get_gallery(cox, (0, 1, 0, 1))
+    assert seen["prefix_root_vectors"] == [((0, 1, 0, 1),)]
+    assert set(cache) - before == {(0, 1, 0, 1)} and G.head is cache[(0, 1, 0)]
+    F = get_gallery(CoxeterSystem(cox.matrix), (0, 1, 0, 1))
+    assert G.last == F.last and _roots(G) == _roots(F)
+
+    seen["reflect"].clear()
+    seen["prefix_root_vectors"].clear()
+    before = dict(a2._gallery_cache)
+    with pytest.raises(RgdError, match="not reduced"):
+        get_gallery(a2, (0, 1, 0, 1))
+    assert a2._gallery_cache == before and not seen["prefix_root_vectors"]
+    assert len(seen["reflect"]) == 1
 
 
 def _outcome(f, *args):
