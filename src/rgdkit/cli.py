@@ -63,6 +63,19 @@ def _parse_word(text: str, rank: int) -> Word:
     return word
 
 
+def _integer(option: str, text: str) -> int:
+    """An integer option: at most MAX_DIGITS ASCII digits after an optional
+    '-', as a blueprint's number fields are read (argparse's `int` also
+    takes '+', '_', spaces and any Unicode digit)."""
+    digits = text[1:] if text[:1] == "-" else text
+    most = blueprints.MAX_DIGITS
+    if len(digits) > most or not (digits.isascii() and digits.isdigit()):
+        shown = text if len(text) <= most else text[:most] + "..."
+        raise RgdError(f"{option}: bad number {shown!r}, expected at most {most} "
+                       f"ASCII digits after an optional '-'")
+    return int(text)
+
+
 def _emit(reports: list[Report], path: str | None) -> int:
     for rep in reports:
         print(rep.to_text())
@@ -185,27 +198,32 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="rgdkit", description=__doc__)
     parser.add_argument("--blueprint", help="blueprint file path")
     parser.add_argument("--builtin", help="built-in blueprint name, e.g. rank2:m6lr")
-    parser.add_argument("--radius", type=int, default=4)
-    parser.add_argument("--cap-galleries", type=int, default=10_000)
-    parser.add_argument("--cap-group-bits", type=int, default=24)
+    # the numbers are read by `_integer`, in rgdkit's words, not by argparse
+    parser.add_argument("--radius", default="4")
+    parser.add_argument("--cap-galleries", default="10000")
+    parser.add_argument("--cap-group-bits", default="24")
     parser.add_argument("--report", dest="report_path")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("validate")
     p_group = sub.add_parser("group")
     p_group.add_argument("word", help="dot-separated generators, e.g. 1.2.1")
     p_res = sub.add_parser("residue")
-    p_res.add_argument("-s", type=int, required=True, help="generator (1-based)")
+    p_res.add_argument("-s", required=True, help="generator (1-based)")
     p_ch = sub.add_parser("chambers")
-    p_ch.add_argument("-s", type=int, required=True)
-    p_ch.add_argument("-t", type=int, required=True)
+    p_ch.add_argument("-s", required=True)
+    p_ch.add_argument("-t", required=True)
     p_ch.add_argument("--dump-adjacency", action="store_true")
     p_ap = sub.add_parser("appendix")
-    p_ap.add_argument("-s", type=int, required=True)
-    p_ap.add_argument("-t", type=int, required=True)
+    p_ap.add_argument("-s", required=True)
+    p_ap.add_argument("-t", required=True)
     sub.add_parser("roots")
 
     args = parser.parse_args(argv)
     try:
+        for option in ("--radius", "--cap-galleries", "--cap-group-bits", "-s", "-t"):
+            dest = option.lstrip("-").replace("-", "_")
+            if getattr(args, dest, None) is not None:
+                setattr(args, dest, _integer(option, getattr(args, dest)))
         bp = _load_blueprint(args)
         cfg = RunConfig(bp, args.radius, args.cap_galleries, args.cap_group_bits,
                         args.report_path)

@@ -58,6 +58,28 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     capsys.readouterr()
     assert main(["--builtin", "allempty:universal" + "1" * 5000, "validate"]) == 2
     assert "Traceback" not in capsys.readouterr().err
+    # numbers are ASCII digits after an optional '-', at most 18 of them
+    # (argparse's `int` read a fullwidth digit, '_', '+' and spaces)
+    for option, text, argv in [
+            ("--radius", "３", ["validate"]), ("--radius", "1_0", ["validate"]),
+            ("--radius", "+3", ["validate"]), ("--radius", " 3", ["validate"]),
+            ("--radius", "x", ["validate"]), ("--radius", "", ["validate"]),
+            ("--cap-galleries", "1e3", ["validate"]), ("--cap-group-bits", "3-", ["validate"]),
+            ("-s", "１", ["residue", "-s", "１"]),
+            ("-t", "2.0", ["chambers", "-s", "1", "-t", "2.0"]),
+            ("-t", "0x2", ["appendix", "-s", "1", "-t", "0x2"])]:
+        if option.startswith("--"):
+            argv = [option, text] + argv
+        assert main(["--builtin", "rank2:m3"] + argv) == 2, argv
+        assert capsys.readouterr().err == (f"error: {option}: bad number {text!r}, expected "
+                                           "at most 18 ASCII digits after an optional '-'\n")
+    assert main(["--builtin", "rank2:m3", "--radius", "9" * 19, "validate"]) == 2
+    assert capsys.readouterr().err == ("error: --radius: bad number '999999999999999999...', "
+                                       "expected at most 18 ASCII digits after an optional '-'\n")
+    assert main(["--builtin", "rank2:m3", "--radius", "-1", "validate"]) == 2
+    assert capsys.readouterr().err == "error: radius must be >= 0\n"
+    assert main(["--builtin", "rank2:m3", "residue", "-s", "-1"]) == 2
+    assert capsys.readouterr().err == "error: -s and -t must be distinct generators in 1..2\n"
 
 
 @pytest.mark.parametrize("word", ["\uff12.1", "1.x", "1..2", "1.+2", "1." + "9" * 30, "1." + "1" * 5000],

@@ -6,8 +6,9 @@ element's galleries from those below its left descents, `get_gallery`
 builds a gallery as its prefix gallery plus the root its last letter
 crosses, one reflection of the last root of its tail gallery,
 `Gallery.roots` reads the roots off those links, `validate_cb1` compares
-each gallery with its immediate prefix, and `Blueprint.relations` builds
-tables from cached prefix columns.
+each gallery with its immediate prefix, `validate_weyl` compares each
+gallery with the gallery of its word less the first letter, and
+`Blueprint.relations` builds tables from cached prefix columns.
 Each must agree with its from-scratch oracle in `tests/oracles.py`, and
 `validate` must stay within the work budget this buys.
 """
@@ -144,14 +145,16 @@ def test_a_gallery_is_its_prefix_plus_one_root(name):
         _assert_links(cold)
 
 
-def _record(monkeypatch, *names):
-    """The arguments of every call of the named `CoxeterSystem` methods."""
+def _record(monkeypatch, *names, owner=CoxeterSystem):
+    """The arguments of every call of the named attributes of `owner`: the
+    methods of a class, recorded without `self`, or a module's functions."""
     seen = {name: [] for name in names}
+    first = 1 if isinstance(owner, type) else 0
     for name in names:
-        def recorded(self, *args, _method=getattr(CoxeterSystem, name), _calls=seen[name]):
-            _calls.append(args)
-            return _method(self, *args)
-        monkeypatch.setattr(CoxeterSystem, name, recorded)
+        def recorded(*args, _function=getattr(owner, name), _calls=seen[name]):
+            _calls.append(args[first:])
+            return _function(*args)
+        monkeypatch.setattr(owner, name, recorded)
     return seen
 
 
@@ -168,6 +171,31 @@ def test_warm_step_work_budget(monkeypatch, name, r):
     assert len(cox._gallery_cache) == len(gals)
     assert not seen["apply"] and seen["prefix_root_vectors"] == [((),)]
     assert len(seen["reflect"]) == sum(len(G) >= 2 for G in gals)
+
+
+@pytest.mark.parametrize("name", ["allempty:universal3", "rank3_cycle444.bp"])
+def test_weyl_work_budget(monkeypatch, name):
+    # on a clean blueprint Weyl walks each element's galleries once: a
+    # gallery G of w != e is compared with the gallery of G.word[1:], which
+    # checks the descent site at w and the ascent site below it, and only the
+    # last layer compares its ascents, whose partner lies past the ball.  The
+    # descents are counted here from the ball by reducedness; universal3 has
+    # 189 descent galleries and 96 x 2 ascent ones (the loop over every
+    # (w, s) site made 570 calls of `min_gal_s` and of `mismatches`)
+    bp, r = _blueprint(name), 6
+    cox = bp.cox
+    ball = cox.ball(r)
+    descent = sum(len(min_gal(cox, w)) for w in ball[1:])
+    ascent = sum(len(min_gal(cox, w)) for w in ball if len(w) == r
+                 for s in range(cox.rank) if is_reduced(cox, (s,) + w))
+    seen = _record(monkeypatch, "min_gal_s", owner=bpmod)
+    seen.update(_record(monkeypatch, "mismatches", owner=bpmod.Blueprint))
+    report = bpmod.validate_weyl(bp, r)
+    assert report.ok and not seen["min_gal_s"]
+    assert len(seen["mismatches"]) == descent + ascent
+    assert [d for _, _, d in seen["mismatches"]].count(-1) == descent
+    if name == "allempty:universal3":
+        assert (descent, ascent) == (189, 192)
 
 
 def test_a_word_without_its_tail_gallery_takes_the_cold_pass(monkeypatch):

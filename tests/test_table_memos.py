@@ -6,6 +6,10 @@ the answer, failures included, on the blueprint, so a failing pair is still
 reported at every site.  `cb1_full` and `weyl_full` in `tests/oracles.py`
 compare at every site: both must give the same report on valid tables, on
 their single-entry mutants and on tables where one failing pair recurs.
+`validate_weyl` first compares each edge inside the ball once, for both of
+its sites, and reruns the loop over every site on a mismatch or a cap: it
+must also match `weyl_full` on an edge that fails inside the ball and at
+gallery caps that skip elements.
 """
 
 import pytest
@@ -63,6 +67,59 @@ def test_a_failing_pair_is_reported_at_every_site():
     found = [(v.w, v.gallery, v.i, v.j) for v in report.violations]
     assert ("1.2.3.1.2", "1.2.3.1", 1, 3) in found and ("1.2.3.1.3", "1.2.3.1", 1, 3) in found
     assert_memos_match_full_loops(bp, 5)
+
+
+def test_an_interior_weyl_violation_is_reported_at_both_sites():
+    # I2(4) x A1 is finite, its longest element w0 has length 5 and no
+    # ascent, so a new value at (2, 5) on one gallery G of w0 breaks one
+    # Weyl edge, {G, G.word[1:]}, inside the ball, and no prefix table.  The
+    # first pass stops at the descent site; the loop over every site reports
+    # the edge there and at the ascent site below it, in its order
+    bp = bpmod.ingest_path(fixture_path("rank3_b2_product.bp"))
+    cox = bp.cox
+    w0 = cox.ball(6)[-1]
+    G = min_gal(cox, w0)[0]
+    H = get_gallery(cox, G.word[1:])  # the normal forms of w0 and of G.word[0].w0
+    assert G.word == w0 and cox.normal_form(H.word) == H.word
+    assert len(G) == 5 and all(len(cox.normal_form((s,) + w0)) < 5 for s in range(3))
+    value = () if bp.relations(G)[(2, 5)] else (3,)
+    mutant = bpmod.Blueprint(cox, {**bp.entries, (G.word, 2, 5): value},
+                             default=bp.default, name="interior-weyl")
+    assert bpmod.validate_cb1(mutant, 6).ok
+    report = bpmod.validate_weyl(mutant, 6)
+    s = str(G.word[0] + 1)
+    assert [(v.w, v.s, v.gallery, v.i, v.j) for v in report.violations] == [
+        (H.label(), s, H.label(), 1, 4), (G.label(), s, G.label(), 2, 5)]
+    assert_same(report, weyl_full(mutant, 6))
+
+
+@pytest.mark.parametrize("name", ["rank3_b2_product.bp", "rank3_cycle444.bp", "rank2:m6lr"])
+def test_weyl_at_a_gallery_cap_matches_the_full_loop(name):
+    # an element past the cap ends the first pass: the loop over every site
+    # notes each skipped element in ball order and still checks the ascent
+    # sites below it, so checks, violations and notes are the full loop's
+    skipped = 0
+    for cap in (1, 2, 3):
+        bp = bpmod.builtin(name) if ":" in name else bpmod.ingest_path(fixture_path(name))
+        got, want = bpmod.validate_weyl(bp, 6, cap), weyl_full(bp, 6, cap)
+        assert_same(got, want)  # the notes, in order, are part of `to_text()`
+        assert got.skipped == want.skipped
+        skipped += got.skipped
+    assert skipped
+
+
+def test_a_table_that_fails_to_build_raises_as_in_the_full_loop():
+    # strict universal3 with entries up to length 2: at radius 3 the first
+    # pass meets a missing length-3 table at the descents of 1.2.1, the
+    # loop over every site at the ascent 2 of 1.2; the error is the loop's
+    cox = bpmod.builtin("allempty:universal3").cox
+    entries = {((a, b), 1, 2): () for a in range(3) for b in range(3) if a != b}
+    errors = []
+    for validate in (bpmod.validate_weyl, weyl_full):
+        with pytest.raises(BlueprintError) as caught:
+            validate(bpmod.Blueprint(cox, entries, default="strict", name="strict2"), 3)
+        errors.append(str(caught.value))
+    assert errors == ["strict2: no entry for gallery 2.1.2 pair (1,2) (strict mode)"] * 2
 
 
 def test_table_numbers_name_distinct_tables():
