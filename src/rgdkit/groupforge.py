@@ -5,15 +5,23 @@ A presentation has involutive generators u_1 < ... < u_k and relations
 generators by index only: for U_w, the gallery the table came from names
 the root of u_i, its i-th crossed root.  An element is a plain `int` bit
 mask: bit i-1 is the exponent of u_i in the normal form u_1^e1 ... u_k^ek,
-and 0 is the identity, so `range(pres.order)` lists the group.  Collection from the left
-folds the letters of a word into such a mask one at a time, with an explicit
-stack for the letters a reordering leaves behind; `mul`, `inv`, `comm`,
-`conj` and `map_elem` feed it the letters of their masks directly.  The
-consistency (overlap) test certifies that normal forms are unique,
+and 0 is the identity, so `range(pres.order)` lists the group.  Collection
+from the left folds the letters of a word into such a mask one at a time,
+with an explicit stack for the letters a reordering leaves behind; `mul`,
+`inv`, `comm`, `conj` and `map_elem` feed it the letters of their masks
+directly.  The stack is empty again after each input letter, so the product
+of a mask x and a letter u_j, and the number of steps it takes, depend on
+(x, j) alone.  Each presentation memoizes them in `_memo`: every (x, j) is
+collected from scratch at most once, and a hit credits its recorded steps
+against `step_cap`, so the cap trips exactly where the step-by-step loop
+would (Leedham-Green & Soicher, "Collection from the left and other
+strategies", J. Symbolic Comput. 9, 1990).
+
+The consistency (overlap) test certifies that normal forms are unique,
 equivalently that the group has order exactly 2^k.  Its verdict depends on
 k and the table alone, so `validate_cb3` keeps one memo of the certified
 (k, table number) keys per call, checks each key once, and builds no
-presentation for an element with one gallery whose key is certified.  The
+presentation for an element with one gallery whose key is certified.  That
 memo is also the prefix certificate: when it holds the key of w[:-1] and
 that table is the restriction of w's, only the tests involving u_k remain.
 """
@@ -47,6 +55,10 @@ def _descending(x: int) -> Iterator[int]:
         x ^= 1 << (top - 1)
 
 
+def _overflow(cap: int) -> CollectionOverflow:
+    return CollectionOverflow(f"collection exceeded {cap} steps; malformed table?")
+
+
 class PCPres:
     """Power-commutator presentation on k generators; the gallery, when
     there is one, names their roots."""
@@ -72,6 +84,9 @@ class PCPres:
         k, get = self.k, self.rel.get
         self._moves = [[()] * (j + 1) + [(*get((j, a), ()), a) for a in range(j + 1, k + 1)]
                        for j in range(k + 1)]
+        # _memo[j]: {x: (x * u_j, steps)} for the masks x with a bit above j
+        # that have met u_j between two input letters; see `_fold`
+        self._memo: list[dict[int, tuple[int, int]]] = [{} for _ in range(k + 1)]
 
     @property
     def order(self) -> int:
@@ -88,36 +103,65 @@ class PCPres:
 
     def _fold(self, x: int, letters: Iterable[int]) -> int:
         """Normal form of x * letters, collected one letter at a time into
-        the mask x.  When u_j meets x, each u_a of x with a > j moves right
-        past it, by u_a u_j = u_j u_a m^-1 with m the relation value of
-        (j, a).  So u_j toggles its bit, the bits above it leave x, and each
-        such a, ascending and followed by m^-1, goes in front of the rest of
-        the input: onto the `todo` stack, top last.  This is leftmost
-        collection of a word buffer whose ascending prefix is kept as a
-        mask.  One step is one letter taken from the input or the stack."""
-        k, moves, cap = self.k, self._moves, self.step_cap
+        the mask x.  A letter u_j above every bit of x toggles its bit in one
+        step.  Otherwise x * u_j is read from `_memo[j]`, or collected by
+        `_letter` and recorded there.  Every letter on the collection stack
+        was pushed while collecting the current input letter, and the next
+        input letter is taken only once the stack is empty; so x * u_j and
+        the steps it takes depend on (x, j) alone, and an entry holds for
+        every later call on the presentation.  The step count grows by one
+        at a time, so collecting u_j step by step would pass `step_cap`
+        exactly when the count before it plus its recorded steps does: a
+        hit adds those steps and checks the cap, and a miss gets the rest of
+        the cap as its budget.  So `CollectionOverflow` is raised, with the
+        same message, exactly when the step-by-step loop would raise it."""
+        k, memo, cap = self.k, self._memo, self.step_cap
         steps = 0
-        todo: list[int] = []
         for j in letters:
             if not 0 < j <= k:
                 raise RgdError(f"generator index {j} out of range")
-            while True:
+            if x >> j:
+                seen = memo[j]
+                hit = seen.get(x)
+                if hit is None:
+                    hit = seen[x] = self._letter(x, j, cap - steps)
+                x, n = hit
+                steps += n
+            else:
+                x ^= 1 << (j - 1)
                 steps += 1
-                if steps > cap:
-                    raise CollectionOverflow(
-                        f"collection exceeded {cap} steps; malformed table?")
-                hi = x >> j << j
-                x ^= hi ^ (1 << (j - 1))
-                if hi:
-                    row = moves[j]
-                    while hi:
-                        a = hi.bit_length()
-                        hi ^= 1 << (a - 1)
-                        todo += row[a]
-                if not todo:
-                    break
-                j = todo.pop()
+            if steps > cap:
+                raise _overflow(cap)
         return x
+
+    def _letter(self, x: int, j: int, budget: int) -> tuple[int, int]:
+        """(x * u_j, steps) for a mask x with a bit above j, by collection
+        from the left; `CollectionOverflow` once the steps pass `budget`.
+        When u_j meets x, each u_a of x with a > j moves right past it, by
+        u_a u_j = u_j u_a m^-1 with m the relation value of (j, a).  So u_j
+        toggles its bit, the bits above it leave x, and each such a,
+        ascending and followed by m^-1, goes onto the `todo` stack, top
+        last.  This is leftmost collection of a word buffer whose ascending
+        prefix is kept as a mask.  One step is one letter taken from the
+        input or the stack."""
+        moves = self._moves
+        steps = 0
+        todo: list[int] = []
+        while True:
+            steps += 1
+            if steps > budget:
+                raise _overflow(self.step_cap)
+            hi = x >> j << j
+            x ^= hi ^ (1 << (j - 1))
+            if hi:
+                row = moves[j]
+                while hi:
+                    a = hi.bit_length()
+                    hi ^= 1 << (a - 1)
+                    todo += row[a]
+            if not todo:
+                return x, steps
+            j = todo.pop()
 
     def word_of(self, x: int) -> tuple[int, ...]:
         return tuple(_ascending(x))

@@ -369,3 +369,27 @@ def test_chamber_battery_work_budget(monkeypatch):
                ch.braid_check(cs)]
     assert all(r.ok for r in reports)
     assert calls["mul"] <= 1524
+
+
+def test_chamber_battery_collects_each_product_once(monkeypatch):
+    # collection from the left only multiplies a normal form by one
+    # generator, and each presentation memoizes those products: over build_CJ
+    # and the whole battery on the m = 6 system, no (x, j) is collected from
+    # scratch twice, so the misses are the memo's entries, at most k 2^k
+    misses = []
+    letter = PCPres._letter
+
+    def recorded(self, x, j, budget):
+        misses.append((self, x, j))
+        return letter(self, x, j, budget)
+
+    monkeypatch.setattr(PCPres, "_letter", recorded)
+    cs = ch.build_CJ(blueprints.builtin("rank2:m6lr"), 0, 1)
+    reports = [ch.verify_building(cs), ch.verify_action(cs, 0), ch.verify_action(cs, 1),
+               ch.braid_check(cs)]
+    assert all(r.ok for r in reports)
+    assert {pres for pres, _, _ in misses} == {cs.pres}
+    keys = {(x, j) for _, x, j in misses}
+    entries = {(x, j) for j, seen in enumerate(cs.pres._memo) for x in seen}
+    assert len(misses) == len(keys) and keys == entries
+    assert len(entries) <= cs.pres.k << cs.pres.k

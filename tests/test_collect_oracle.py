@@ -72,16 +72,32 @@ def cases(draw):
           {1: 4, 2: 4, 3: 1, 4: 2}))
 @settings(max_examples=300, derandomize=True, deadline=2000)
 def test_mask_collection_matches_the_word_buffer(case):
+    # twice on one presentation, the second time from its warm memo, then
+    # once on a fresh one
     k, rel, word, x, y, mp = case
-    p = raw_pres(k, rel)
-    wx, wy = p.word_of(x), p.word_of(y)
+    warm = raw_pres(k, rel)
+    wx, wy = warm.word_of(x), warm.word_of(y)
     rx, ry = tuple(reversed(wx)), tuple(reversed(wy))
-    assert p.collect(word) == collect_leftmost(p, word)
-    assert p.mul(x, y) == collect_leftmost(p, wx + wy)
-    assert p.inv(x) == collect_leftmost(p, rx)
-    assert p.comm(x, y) == collect_leftmost(p, wx + wy + rx + ry)
-    assert p.conj(x, y) == collect_leftmost(p, wx + wy + rx)
-    assert p.map_elem(mp, x) == collect_leftmost(p, [mp[i] for i in wx])
+    expected = [collect_leftmost(warm, w) for w in
+                (word, wx + wy, rx, wx + wy + rx + ry, wx + wy + rx, [mp[i] for i in wx])]
+    for p in (warm, warm, raw_pres(k, rel)):
+        assert [p.collect(word), p.mul(x, y), p.inv(x), p.comm(x, y), p.conj(x, y),
+                p.map_elem(mp, x)] == expected
+
+
+@given(cases())
+@settings(max_examples=300, derandomize=True, deadline=2000)
+def test_a_warm_memo_keeps_the_consistency_verdict(case):
+    # most random tables are inconsistent, and the witness prints collected
+    # words: a presentation whose memo holds products of other elements
+    # must give the verdict and witness of a fresh one
+    k, rel, _, x, y, _ = case
+    fresh, warm = raw_pres(k, rel), raw_pres(k, rel)
+    gens = [warm.generator(i) for i in range(1, k + 1)]
+    for a, b in [(x, y), (y, x), *((g, h) for g in gens for h in gens)]:
+        warm.mul(warm.mul(a, b), a)
+    assert warm.consistency_check() == fresh.consistency_check()
+    assert warm.inconsistency_witness == fresh.inconsistency_witness
 
 
 def test_examples_cover_consistent_and_inconsistent_tables():

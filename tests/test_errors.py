@@ -33,6 +33,28 @@ def test_collection_step_cap():
         p.collect([3, 1, 3, 1])
 
 
+@pytest.mark.parametrize("warm", [False, True])
+def test_step_cap_is_exact_with_or_without_the_memo(warm):
+    # u3 u1 u3 u1 takes 8 steps from the identity: u3 toggles (1); u1 meets
+    # u3 and stacks u2, u3; u3 comes back, u2 passes it and u3 comes back
+    # again (4); u3 toggles (1); u1 meets u2, which comes back (2).  Warmed,
+    # both products with u1 are read from the memo, which must credit their
+    # 4 + 2 steps
+    table = {(1, 2): (), (1, 3): (2,), (2, 3): ()}
+    for cap in (8, 7):
+        p = gf.PCPres(3, table, step_cap=cap)
+        if warm:
+            assert p.mul(0b100, 0b001) == 0b111 and p.mul(0b011, 0b001) == 0b010
+            assert p._memo[1] == {0b100: (0b111, 4), 0b011: (0b010, 2)}
+        if cap == 8:
+            assert p.collect([3, 1, 3, 1]) == 0b010
+        else:
+            with pytest.raises(CollectionOverflow, match="^collection exceeded 7 steps;"):
+                p.collect([3, 1, 3, 1])
+        # a product that overflows is not recorded
+        assert len(p._memo[1]) == (1 if cap == 7 and not warm else 2)
+
+
 def test_consistency_reports_overflow_as_inconsistent():
     p = gf.PCPres(3, {(1, 2): (), (1, 3): (2,), (2, 3): ()}, step_cap=1)
     assert p.consistency_check() is False
