@@ -18,16 +18,24 @@ coset formula), each built once; every check reads them.  This module
 builds the full system, certifies the building axioms, verifies the
 actions and checks that (tau_s tau_t)^m acts trivially.
 
-U acts on the chambers by left multiplication, g . u U_w = gu U_w, keeping
-types and panels and transitive on the chambers of each type, so
-delta(g x, g y) = delta(x, y) and the building checks from the 2m base
-chambers 1 U_w imply those from every chamber: this is U_+ acting on its
-building (Abramenko & Brown, *Buildings*, GTM 248, ch. 7-8).  The premise
-is certified on every run, not assumed: each generator of U permutes the
-chambers and carries every cell of the adjacency onto the cell of the
-image, and the orbits of the base chambers cover all chambers.  If it
-fails, or a base row shows any violation, the checks run from every
-chamber (the full loop), so violations and counts are exactly its own.
+U acts on the chambers by left multiplication, g . u U_w = gu U_w, and
+tau_s, tau_t by the coset formula.  In rank 2 the tau_gen are the n_gen of
+the RGD-system, so <U, tau_s, tau_t> acts on the building keeping types and
+is transitive on its chambers (Abramenko & Brown, *Buildings*, GTM 248,
+ch. 7-8).  An automorphism g that keeps each gen-adjacency maps minimal
+galleries to minimal galleries of the same type, so delta(g x, g y) =
+delta(x, y): the row of g x is the row of x read through g, and every
+delta-uniqueness, Bu1, Bu2 and Bu3 outcome at (x, y) is the one at
+(g x, g y).  So the building checks from one chamber per orbit imply those
+from every chamber.  The premise is certified on every run, not assumed:
+`_orbit_sizes` takes the orbits of the permutations among `u_perm` and
+`tau_perm` that are bijections carrying every typed edge to an edge of its
+type (the tau perms need no well-definedness for this; `verify_action`
+checks it).  On every rank-2 builtin one orbit holds all chambers, and one
+delta row is computed.  With no certified permutation every orbit is one
+chamber; if a row shows any violation while some orbit has more, the
+checks run from every chamber (the full loop), so violations and counts
+are exactly its own.
 
 The battery runs on small integer tables built once per system: the 2m
 elements of <J> are numbered (`w_elements`, id 0 the identity) with their
@@ -178,30 +186,36 @@ def build_CJ(bp: Blueprint, s: int, t: int) -> ChamberSystemJ:
 # building verification
 
 
-def _orbit_sizes(cs: ChamberSystemJ) -> dict[int, int] | None:
-    """The U-orbit size of each base chamber 1*U_w, keyed by its index, or
-    None unless the premise of the orbit argument holds: each generator
-    permutation in `cs.u_perm` is a bijection and carries every s- and
-    t-cell of `cs.adjacency` onto the cell of the image, and the orbits of
-    the base chambers cover all chambers."""
+def _orbit_sizes(cs: ChamberSystemJ) -> dict[int, int]:
+    """The orbits of the chambers under the certified automorphisms, each
+    keyed by its least chamber with its size, in chamber order.  The
+    candidates are the generator permutations `cs.u_perm` and the
+    involutions `cs.tau_perm`; one is certified when it is a bijection and
+    sends every directed edge (x, j) of each typed adjacency to an edge of
+    the same type.  On a finite graph a bijection that maps edges into
+    edges, injectively, maps them onto the edges, so it is an automorphism
+    keeping each type.  Without a certified candidate every orbit is a
+    single chamber: the full loop."""
     n = len(cs.chambers)
-    for perm in cs.u_perm:
-        if len(set(perm)) != n or any({perm[j] for j in cell} != adj[perm[x]]
-                                      for adj in cs.adjacency.values()
-                                      for x, cell in enumerate(adj)):
-            return None
-    seen: set[int] = set()
+    adjacency = list(cs.adjacency.values())
+    certified = [perm for perm in (*cs.u_perm, cs.tau_perm[cs.s], cs.tau_perm[cs.t])
+                 if len(set(perm)) == n
+                 and all(perm[j] in adj[perm[x]]
+                         for adj in adjacency for x, cell in enumerate(adj) for j in cell)]
+    seen = [False] * n
     sizes = {}
-    for w in cs.w_elements:
-        orbit = [cs.chamber_of[w][0]]
-        seen.add(orbit[0])
+    for first in range(n):
+        if seen[first]:
+            continue
+        seen[first] = True
+        orbit = [first]
         for x in orbit:
-            for perm in cs.u_perm:
-                if perm[x] not in seen:
-                    seen.add(perm[x])
+            for perm in certified:
+                if not seen[perm[x]]:
+                    seen[perm[x]] = True
                     orbit.append(perm[x])
-        sizes[orbit[0]] = len(orbit)
-    return sizes if len(seen) == n else None
+        sizes[first] = len(orbit)
+    return sizes
 
 
 def _delta(cs: ChamberSystemJ, sizes: dict[int, int]) -> tuple[list[list[int]], Report]:
@@ -250,15 +264,18 @@ def _delta(cs: ChamberSystemJ, sizes: dict[int, int]) -> tuple[list[list[int]], 
 
 
 def verify_building(cs: ChamberSystemJ) -> Report:
-    """Distance function well-defined, building axioms, thickness 3: from the
-    2m base chambers once `_orbit_sizes` certifies U-equivariance, else, or
-    on any violation, from every chamber."""
+    """Distance function well-defined, building axioms, thickness 3.  A
+    certified automorphism carries the delta row of x, and every outcome
+    from x, to those of its image (see the module docstring), so the checks
+    run from the least chamber of each orbit of `_orbit_sizes`, counted for
+    the whole orbit; on any violation while some orbit has more than one
+    chamber, they run again from every chamber."""
+    n = len(cs.chambers)
     sizes = _orbit_sizes(cs)
-    if sizes is not None:
-        report = _building(cs, sizes)
-        if report.ok:
-            return report
-    return _building(cs, dict.fromkeys(range(len(cs.chambers)), 1))
+    report = _building(cs, sizes)
+    if report.ok or len(sizes) == n:
+        return report
+    return _building(cs, dict.fromkeys(range(n), 1))
 
 
 def _building(cs: ChamberSystemJ, sizes: dict[int, int]) -> Report:

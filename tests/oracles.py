@@ -22,6 +22,10 @@ build words, galleries and tables from scratch: every right extension
 normalized and deduplicated, every left descent tested on vectors and
 normalized again, every pair of a gallery queried.  The engine builds each
 from a shorter one that is known; these are the cross-checks.
+
+`tau_on_residue_full` tests tau_s^2 = 1 and (u_s tau_s)^3 = 1 on every
+element of N_R, where `tau_on_residue` tests them on the generators once
+the relation checks have made tau_s a homomorphism.
 `root_vectors_by_apply` computes each crossed root of a word with its own
 `apply`, where the engine carries the columns of the prefix along or
 reads them off the prefix galleries.  `is_reduced` compares a word with its
@@ -39,7 +43,8 @@ from rgdkit.blueprints import Blueprint
 from rgdkit.coxeter import CoxeterSystem, Vector, Word, word_label
 from rgdkit.errors import CapExceeded, InternalConsistencyError, RgdError
 from rgdkit.galleries import Gallery, min_gal, min_gal_s, shift
-from rgdkit.groupforge import build_Uw
+from rgdkit.groupforge import build_Uw, relation_checks
+from rgdkit.parabolics import ResidueGroup, ustausV_identity_check
 from rgdkit.reports import Report, Violation
 from rgdkit.roots import Residue2, Root, depth, expression, pair_order
 
@@ -261,4 +266,34 @@ def cb3_full(bp: Blueprint, r: int, cap_galleries: int = 10_000,
             report.skip(f"skipped w={word_label(w)}: exceeds group bit cap")
             continue
         report.merge(build_Uw(bp, w, cap_galleries)[1])
+    return report
+
+
+def tau_on_residue_full(rg: ResidueGroup) -> Report:
+    """`tau_on_residue` with tau_s^2 = 1 and (u_s tau_s)^3 = 1 tested on
+    every element of N_R, whatever the relation checks found."""
+    report = Report(f"tau({rg.bp.name}, R={rg.residue.label()}, s={rg.s + 1})")
+    pres = rg.pres
+    report.checks += 1
+    if not pres.consistency_check():
+        report.add(Violation(axiom="CB3", gallery=rg.gallery.label(),
+                             expected="consistent", found=pres.inconsistency_witness))
+        return report
+    tau_s = rg.tau_maps[rg.s]
+    report.checks += len(pres.rel) + len(tau_s)
+    relation_checks(pres.rel, tau_s, pres, report,
+                    axiom="Weyl", gallery=rg.gallery.label())
+    for x in range(0, pres.order, 2):
+        report.checks += 2
+        xx = rg.tau(rg.s, rg.tau(rg.s, x))
+        if xx != x:
+            report.add(Violation(axiom="tau^2", expected=str(pres.word_of(x)),
+                                 found=str(pres.word_of(xx))))
+        y = rg.us_tau(rg.us_tau(rg.us_tau(x)))
+        if y != x:
+            report.add(Violation(axiom="(us*tau)^3", expected=str(pres.word_of(x)),
+                                 found=str(pres.word_of(y))))
+    if not all(ustausV_identity_check(rg, a) for a in rg.gallery.roots[1:]):
+        report.add(Violation(axiom="ustausV", gallery=rg.gallery.label(),
+                             expected="equal", found="differs"))
     return report

@@ -272,14 +272,20 @@ def test_u_perm_is_left_multiplication(table_system):
         assert perm == [cs.chamber_of[c.w][cs.pres.mul(u, c.rep)] for c in cs.chambers]
 
 
+def _full_loop(cs):
+    """`_building` from every chamber: `verify_building`'s fallback."""
+    return ch._building(cs, dict.fromkeys(range(len(cs.chambers)), 1))
+
+
 def test_orbit_battery_matches_the_full_loop(table_system):
-    # the cases include rank2:m6rl and both pairs of rank3_b2_product.bp; the
-    # full loop is `verify_building`'s fallback, the rows of every chamber
+    # the cases include rank2:m6rl and both pairs of rank3_b2_product.bp; U
+    # with tau_s and tau_t is transitive on the chambers, so one orbit, keyed
+    # by the base chamber 1*U_1, stands for all of them
     cs = table_system
     n = len(cs.chambers)
     sizes = ch._orbit_sizes(cs)
-    assert sizes is not None and len(sizes) == 2 * cs.m and sum(sizes.values()) == n
-    orbit, full = ch._building(cs, sizes), ch._building(cs, dict.fromkeys(range(n), 1))
+    assert sizes == {0: n}
+    orbit, full = ch._building(cs, sizes), _full_loop(cs)
     assert orbit.ok and orbit.checks == full.checks
     assert orbit.to_text() == full.to_text()
     report = ch.verify_building(cs)
@@ -288,7 +294,8 @@ def test_orbit_battery_matches_the_full_loop(table_system):
 
 def test_delta_rows_lift_from_the_base_rows(table_system):
     # delta(g x, g y) = delta(x, y): the row of g x is the row of x read
-    # through g^-1, so the base rows and the generator permutations give all
+    # through g^-1, so the row of each orbit's least chamber and the certified
+    # permutations, the generators of U and both tau perms, give all rows
     cs = table_system
     n = len(cs.chambers)
     full, full_report = ch._delta(cs, dict.fromkeys(range(n), 1))
@@ -298,7 +305,7 @@ def test_delta_rows_lift_from_the_base_rows(table_system):
     rows = dict(zip(sizes, base))
     queue = list(rows)
     for x in queue:
-        for perm in cs.u_perm:
+        for perm in (*cs.u_perm, cs.tau_perm[cs.s], cs.tau_perm[cs.t]):
             if perm[x] not in rows:
                 row = rows[perm[x]] = [0] * n
                 for y in range(n):
@@ -310,18 +317,63 @@ def test_delta_rows_lift_from_the_base_rows(table_system):
 @pytest.mark.parametrize("name", ["rank2:m3", "rank2:m4"])
 @pytest.mark.parametrize("gen", [0, 1])
 def test_panel_swap_breaks_the_equivariance_premise(name, gen):
+    # no permutation of the undamaged system keeps the swapped panels, so
+    # none is certified: every orbit is one chamber, and the verdict is the
+    # full loop's
     cs = ch.build_CJ(blueprints.builtin(name), 0, 1)
-    assert ch._orbit_sizes(cs) is not None
-    _swap_in_panels(cs, gen, 0, len(cs.chambers) - 1)
-    assert ch._orbit_sizes(cs) is None
+    n = len(cs.chambers)
+    assert ch._orbit_sizes(cs) == {0: n}
+    _swap_in_panels(cs, gen, 0, n - 1)
+    assert ch._orbit_sizes(cs) == dict.fromkeys(range(n), 1)
+    report, full = ch.verify_building(cs), _full_loop(cs)
+    assert not report.ok
+    assert report.checks == full.checks and report.to_text() == full.to_text()
 
 
 def test_base_orbits_must_cover_the_chambers(monkeypatch, systems):
-    # identity permutations keep every cell, but the orbits are the base
-    # chambers alone
+    # identity permutations for the generators of U keep every cell, so the
+    # orbits are those of tau_s and tau_t alone: several, each keyed by its
+    # least chamber, together covering every chamber once, and their rows
+    # give the full loop's verdict
     cs = systems[3]
-    monkeypatch.setattr(cs, "u_perm", [list(range(len(cs.chambers)))] * cs.pres.k)
-    assert ch._orbit_sizes(cs) is None
+    n = len(cs.chambers)
+    monkeypatch.setattr(cs, "u_perm", [list(range(n))] * cs.pres.k)
+    sizes = ch._orbit_sizes(cs)
+    assert 1 < len(sizes) < n and sum(sizes.values()) == n
+    taus = (cs.tau_perm[cs.s], cs.tau_perm[cs.t])
+    owner = {}
+    for first in sizes:
+        orbit = [first]
+        for x in orbit:
+            for perm in taus:
+                if perm[x] not in orbit:
+                    orbit.append(perm[x])
+        assert min(orbit) == first and len(orbit) == sizes[first]
+        owner.update(dict.fromkeys(orbit, first))
+    assert sorted(owner) == list(range(n))
+    orbit, full = ch._building(cs, sizes), _full_loop(cs)
+    assert orbit.ok and orbit.checks == full.checks and orbit.to_text() == full.to_text()
+
+
+def test_building_delta_rows_budget(monkeypatch):
+    # rows computed by `_delta` across `verify_building`: one for the one
+    # orbit of rank2:m6lr, and all n after a panel swap, which certifies no
+    # permutation
+    rows = []
+    delta = ch._delta
+
+    def counted(cs, sizes):
+        rows.append(len(sizes))
+        return delta(cs, sizes)
+
+    monkeypatch.setattr(ch, "_delta", counted)
+    cs = ch.build_CJ(blueprints.builtin("rank2:m6lr"), 0, 1)
+    assert ch.verify_building(cs).ok
+    assert rows == [1]
+    rows.clear()
+    _swap_in_panels(cs, 0, 0, len(cs.chambers) - 1)
+    assert not ch.verify_building(cs).ok
+    assert rows == [len(cs.chambers)]
 
 
 @pytest.mark.parametrize("case", SWAP_CASES, ids=[case[0] for case in SWAP_CASES])

@@ -2,6 +2,8 @@
 rank-2 case analysis is reproduced as a named check, then the truncation
 maps and gallery independence."""
 
+from collections import Counter
+
 import pytest
 
 from rgdkit import blueprints as bpmod
@@ -9,10 +11,10 @@ from rgdkit import parabolics as pb
 from rgdkit import roots as rt
 from rgdkit.errors import RgdError
 from rgdkit.galleries import get_gallery, min_gal_s, rj_gallery
-from rgdkit.groupforge import presentation_for_gallery
+from rgdkit.groupforge import PCPres, presentation_for_gallery
 from tests import lemma_checks as lc
 from tests.conftest import fixture_path
-from tests.oracles import residue_roots
+from tests.oracles import residue_roots, tau_on_residue_full
 
 
 def residue_group(bp, s):
@@ -299,6 +301,89 @@ def test_residue_gallery_crosses_the_residue_walls(name):
         rg = pb.build_residue_group(bp, s, t)
         assert rg.gallery.word[0] == s
         assert set(rg.gallery.roots) == set(residue_roots(cox, rg.residue))
+
+
+def _residue_groups(name):
+    """The residue group of every spherical pair (s, t) of a blueprint."""
+    bp = (bpmod.ingest_path(fixture_path(name)) if name.endswith(".bp")
+          else bpmod.builtin(name))
+    cox = bp.cox
+    return [pb.build_residue_group(bp, s, t) for s in range(cox.rank) for t in range(cox.rank)
+            if s != t and cox.matrix.m(s, t) != float("inf")]
+
+
+def _assert_matches_the_oracle(rg):
+    got, want = pb.tau_on_residue(rg), tau_on_residue_full(rg)
+    assert got.checks == want.checks
+    assert got.to_text() == want.to_text()
+    return got
+
+
+@pytest.mark.parametrize("name", RESIDUE_BLUEPRINTS)
+def test_tau_on_residue_matches_the_elementwise_oracle(name):
+    # the generator shortcut against tau^2 and (us*tau)^3 on every element
+    for rg in _residue_groups(name):
+        assert _assert_matches_the_oracle(rg).ok
+
+
+@pytest.mark.parametrize("name", ["rank2:m3", "rank2:m4", "rank2:m6lr", "rank2:m6rl"])
+def test_identity_tau_fails_the_braid_with_u_s(name):
+    # the identity map is a homomorphism, so the relation checks pass, but
+    # (u_s tau_s)^3 is conjugation by u_s, which moves some generator
+    for rg in _residue_groups(name):
+        rg.tau_maps[rg.s] = {i: i for i in rg.tau_maps[rg.s]}
+        axioms = Counter(v.axiom for v in _assert_matches_the_oracle(rg).violations)
+        assert axioms["(us*tau)^3"] and not axioms["Weyl"] and not axioms["tau^2"]
+
+
+@pytest.mark.parametrize("name", ["rank2:m6lr", "rank2:m6rl"])
+def test_transposed_tau_breaks_the_homomorphism(name):
+    # tau_s with the images of u_2 and u_3 exchanged
+    for rg in _residue_groups(name):
+        tau = rg.tau_maps[rg.s] = dict(rg.tau_maps[rg.s])
+        tau[2], tau[3] = tau[3], tau[2]
+        axioms = Counter(v.axiom for v in _assert_matches_the_oracle(rg).violations)
+        assert axioms["Weyl"] and axioms["tau^2"] and axioms["(us*tau)^3"]
+
+
+@pytest.fixture
+def map_elem_calls(monkeypatch):
+    """`PCPres.map_elem` calls, counted per presentation."""
+    calls = Counter()
+    map_elem = PCPres.map_elem
+
+    def counted(self, mp, x):
+        calls[self] += 1
+        return map_elem(self, mp, x)
+
+    monkeypatch.setattr(PCPres, "map_elem", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", RESIDUE_BLUEPRINTS)
+def test_sparse_relations_take_the_elementwise_loop(name, map_elem_calls):
+    # the same group with only its non-empty relations: a trivial commutator
+    # is then no relation check, so once N_R has a pair (k > 2) the
+    # identities run on every element of N_R
+    for rg in _residue_groups(name):
+        pres = rg.pres
+        sparse = PCPres(pres.k, {key: word for key, word in pres.rel.items() if word},
+                        gallery=pres.gallery)
+        srg = pb.ResidueGroup(rg.bp, sparse)
+        report = pb.tau_on_residue(srg)
+        if pres.k > 2:
+            assert map_elem_calls[sparse] == 5 * sparse.order // 2
+        want = tau_on_residue_full(srg)
+        assert report.ok and report.checks == want.checks
+        assert report.to_text() == want.to_text()
+
+
+def test_tau_on_residue_work_budget(map_elem_calls):
+    # tau_s^2 and (u_s tau_s)^3 on u_2 ... u_k: five map_elem calls each
+    for name in ("rank2:m2", "rank2:m3", "rank2:m4", "rank2:m6lr", "rank2:m6rl"):
+        for rg in _residue_groups(name):
+            assert pb.tau_on_residue(rg).ok
+            assert map_elem_calls[rg.pres] <= 5 * (rg.pres.k - 1)
 
 
 ROOT_DEFINITION_BLUEPRINTS = [f"rank2:{v}" for v in ("m2", "m3", "m4", "m6lr", "m6rl")] + [
