@@ -46,13 +46,14 @@ from __future__ import annotations
 import io
 from functools import cache
 from math import inf
+from operator import mul
 
 from .coxeter import ALLOWED_LABELS, CoxeterMatrix, CoxeterSystem, Word, word_label
 from .errors import BlueprintError, CapExceeded, ParseError, RgdError
 from .galleries import (Gallery, get_gallery, min_gal, min_gal_s, oriented_gallery,
                         rj_gallery, shift)
 from .reports import Report, Violation
-from .roots import Root, common_residue, open_interval, pair_order
+from .roots import Root, common_residue, coroot_row, open_interval, pair_order
 
 # Non-trivial commutation sets of the rank-2 Moufang tables over GF(2),
 # keyed by crossing positions (i, j) on the distinguished length-m gallery.
@@ -235,6 +236,12 @@ class LocalRank2:
     value is the Moufang table entry of the base residue of that type,
     translated by the gate of their common residue; infinite pairs get the
     empty set.  On a rank-2 system this is exactly the built-in table.
+
+    The order is read off the pairing product p = <alpha, beta^vee><beta,
+    alpha^vee> = 4 cos^2(pi/m): p = 0 for commuting reflections, whose value
+    is empty too, and p >= 4 for an infinite pair.  So `answers` screens
+    each column by p, with two dot products against cached coroot rows, and
+    only the pairs with 0 < p < 4 reach `pair_value`.
     """
 
     def __init__(self, cox: CoxeterSystem):
@@ -265,15 +272,25 @@ class LocalRank2:
         """G's answers in the order of `_pairs`; column j holds M(i, j) for
         i < j.  A value inside (i, j) names roots crossed before position j,
         so it reads the same on every gallery that starts with word[:j]: each
-        column is computed on G and cached under that prefix.  None if a
-        value raises or leaves (i, j)."""
+        column is computed on G by `_column` and cached under that prefix.
+        None if a value raises or leaves (i, j).
+
+        The screen in `_column` answers () for p == 0 or p >= 4 without
+        `pair_value`, and that is its value: `pair_order` reads order 2 from
+        p == 0 and order inf from p >= 4, and for both `pair_value` returns
+        the empty set.  The roots of a gallery are positive and pairwise
+        distinct, so alpha != +-beta and `pair_order`'s guard never fires on
+        a gallery pair.  Every other p, an impossible negative one included,
+        still goes through `pair_value`, which raises there as before, so
+        the table falls back to `query` exactly as it did.  A screened pair
+        never touches `_pair_cache`, which is only a memo."""
         word, columns = G.word, [()]
         for j in range(1, len(word) + 1):
             prefix = word[:j]
             col = self._columns.get(prefix)
             if col is None:
                 try:
-                    col = tuple(self.value(G, i, j) for i in range(1, j))
+                    col = self._column(G, j)
                 except RgdError:
                     return None
                 if not all(_checked(i, j, value) for i, value in enumerate(col, 1)):
@@ -281,6 +298,22 @@ class LocalRank2:
                 self._columns[prefix] = col
             columns.append(col)
         return tuple(columns[j][i - 1] for i, j in _pairs(len(word)))
+
+    def _column(self, G: Gallery, j: int) -> tuple:
+        """(M(1, j), ..., M(j - 1, j)) on G as gallery positions, not yet
+        checked: p = x <beta, alpha^vee> with x = <alpha, beta^vee>, the
+        second pairing taken only if x != 0, and `pair_value` only for
+        0 < p < 4 (or an impossible p < 0); see `answers`."""
+        cox, roots = self.cox, G.roots
+        beta = roots[j - 1]
+        b, b_row = beta.vec, coroot_row(cox, beta)
+        col = []
+        for alpha in roots[:j - 1]:
+            x = sum(map(mul, alpha.vec, b_row))
+            p = x and x * sum(map(mul, b, coroot_row(cox, alpha)))
+            col.append(tuple(sorted(map(G.position, self.pair_value(alpha, beta))))
+                       if p and p < 4 else ())
+        return tuple(col)
 
     def pair_value(self, alpha: Root, beta: Root) -> frozenset:
         if alpha == beta:

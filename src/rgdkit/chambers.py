@@ -31,7 +31,8 @@ from every chamber.  The premise is certified on every run, not assumed:
 `_orbit_sizes` takes the orbits of the permutations among `u_perm` and
 `tau_perm` that are bijections carrying every typed edge to an edge of its
 type (the tau perms need no well-definedness for this; `verify_action`
-checks it).  On every rank-2 builtin one orbit holds all chambers, and one
+checks it), and certifies no more of them once one orbit holds every
+chamber.  On every rank-2 builtin one orbit holds all chambers, and one
 delta row is computed.  With no certified permutation every orbit is one
 chamber; if a row shows any violation while some orbit has more, the
 checks run from every chamber (the full loop), so violations and counts
@@ -186,36 +187,48 @@ def build_CJ(bp: Blueprint, s: int, t: int) -> ChamberSystemJ:
 # building verification
 
 
+def _keeps_types(perm: list[int], adjacency: list[list[list[int]]]) -> bool:
+    """True iff `perm` is a bijection that sends every directed edge (x, j)
+    of each typed adjacency to an edge of the same type.  On a finite graph
+    a bijection that maps edges into edges, injectively, maps them onto the
+    edges, so it is an automorphism keeping each type."""
+    return len(set(perm)) == len(perm) and all(
+        perm[j] in adj[perm[x]] for adj in adjacency for x, cell in enumerate(adj) for j in cell)
+
+
 def _orbit_sizes(cs: ChamberSystemJ) -> dict[int, int]:
     """The orbits of the chambers under the certified automorphisms, each
     keyed by its least chamber with its size, in chamber order.  The
-    candidates are the generator permutations `cs.u_perm` and the
-    involutions `cs.tau_perm`; one is certified when it is a bijection and
-    sends every directed edge (x, j) of each typed adjacency to an edge of
-    the same type.  On a finite graph a bijection that maps edges into
-    edges, injectively, maps them onto the edges, so it is an automorphism
-    keeping each type.  Without a certified candidate every orbit is a
-    single chamber: the full loop."""
+    candidates are the involutions `cs.tau_perm` and then the generator
+    permutations `cs.u_perm`, each certified by `_keeps_types` and merged
+    into the orbits at once.  Once one orbit holds every chamber no later
+    candidate can change it, so none is read: on `rank2:m6lr` the two tau
+    perms and u_1 make one orbit.  Without a certified candidate every
+    orbit is a single chamber: the full loop."""
     n = len(cs.chambers)
     adjacency = list(cs.adjacency.values())
-    certified = [perm for perm in (*cs.u_perm, cs.tau_perm[cs.s], cs.tau_perm[cs.t])
-                 if len(set(perm)) == n
-                 and all(perm[j] in adj[perm[x]]
-                         for adj in adjacency for x, cell in enumerate(adj) for j in cell)]
-    seen = [False] * n
-    sizes = {}
-    for first in range(n):
-        if seen[first]:
+    # orbit[x]: the id of x's orbit, whose chambers are members[orbit[x]]
+    orbit, members = list(range(n)), [[x] for x in range(n)]
+    orbits = n
+    for perm in (cs.tau_perm[cs.s], cs.tau_perm[cs.t], *cs.u_perm):
+        if orbits == 1:
+            break
+        if not _keeps_types(perm, adjacency):
             continue
-        seen[first] = True
-        orbit = [first]
-        for x in orbit:
-            for perm in certified:
-                if not seen[perm[x]]:
-                    seen[perm[x]] = True
-                    orbit.append(perm[x])
-        sizes[first] = len(orbit)
-    return sizes
+        for x, y in enumerate(perm):
+            a, b = orbit[x], orbit[y]
+            if a != b:
+                if len(members[a]) < len(members[b]):
+                    a, b = b, a
+                for z in members[b]:
+                    orbit[z] = a
+                members[a] += members[b]
+                orbits -= 1
+    # each orbit id with its least chamber, in chamber order
+    first: dict[int, int] = {}
+    for x, a in enumerate(orbit):
+        first.setdefault(a, x)
+    return {x: len(members[a]) for a, x in first.items()}
 
 
 def _delta(cs: ChamberSystemJ, sizes: dict[int, int]) -> tuple[list[list[int]], Report]:

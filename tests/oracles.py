@@ -23,6 +23,10 @@ normalized and deduplicated, every left descent tested on vectors and
 normalized again, every pair of a gallery queried.  The engine builds each
 from a shorter one that is known; these are the cross-checks.
 
+`local_answers_full` sends every pair of every column through
+`LocalRank2.value`, where `LocalRank2.answers` screens a column by pairing
+products and sends only the pairs with 0 < p < 4 on to `pair_value`.
+
 `tau_on_residue_full` tests tau_s^2 = 1 and (u_s tau_s)^3 = 1 on every
 element of N_R, where `tau_on_residue` tests them on the generators once
 the relation checks have made tau_s a homomorphism.
@@ -39,7 +43,7 @@ from math import inf
 from operator import mul
 from weakref import WeakKeyDictionary
 
-from rgdkit.blueprints import Blueprint
+from rgdkit.blueprints import Blueprint, LocalRank2, _checked, _pairs
 from rgdkit.coxeter import CoxeterSystem, Vector, Word, word_label
 from rgdkit.errors import CapExceeded, InternalConsistencyError, RgdError
 from rgdkit.galleries import Gallery, min_gal, min_gal_s, shift
@@ -96,6 +100,22 @@ def relations_by_query(bp: Blueprint, G: Gallery) -> dict[tuple[int, int], tuple
     """M^G with every pair i < j queried in row order."""
     n = len(G)
     return {(i, j): bp.query(G, i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+
+
+def local_answers_full(local: LocalRank2, G: Gallery) -> tuple | None:
+    """`LocalRank2.answers` with no screen and no column cache: every value
+    M(i, j) by `value`, column by column; None if one raises or leaves
+    (i, j)."""
+    columns = [()]
+    for j in range(1, len(G) + 1):
+        try:
+            col = tuple(local.value(G, i, j) for i in range(1, j))
+        except RgdError:
+            return None
+        if not all(_checked(i, j, value) for i, value in enumerate(col, 1)):
+            return None
+        columns.append(col)
+    return tuple(columns[j][i - 1] for i, j in _pairs(len(G)))
 
 
 def coroot_pairing_by_expression(cox: CoxeterSystem, alpha: Root, beta: Root) -> int:

@@ -376,6 +376,23 @@ def test_building_delta_rows_budget(monkeypatch):
     assert rows == [len(cs.chambers)]
 
 
+def test_orbit_certification_budget(monkeypatch):
+    # rank2:m6lr: tau_s, tau_t and u_1 are certified first and already make
+    # one orbit, so u_2 ... u_k are never read (all k + 2 were certified)
+    cs = ch.build_CJ(blueprints.builtin("rank2:m6lr"), 0, 1)
+    certified = []
+    keeps_types = ch._keeps_types
+
+    def counted(perm, adjacency):
+        certified.append(perm)
+        return keeps_types(perm, adjacency)
+
+    monkeypatch.setattr(ch, "_keeps_types", counted)
+    assert ch._orbit_sizes(cs) == {0: len(cs.chambers)}
+    assert certified == [cs.tau_perm[cs.s], cs.tau_perm[cs.t], cs.u_perm[0]]
+    assert len(certified) < cs.pres.k + 2
+
+
 @pytest.mark.parametrize("case", SWAP_CASES, ids=[case[0] for case in SWAP_CASES])
 def test_building_falls_back_on_a_violating_base_row(monkeypatch, case):
     # the premise is forced to hold after the swap: the base rows see the

@@ -30,8 +30,9 @@ from rgdkit.errors import BlueprintError, RgdError
 from rgdkit.galleries import Gallery, get_gallery, min_gal
 from rgdkit.roots import phi_w
 from tests.conftest import fixture_path
-from tests.oracles import (ball_by_right_extension, cb1_full, is_reduced,
-                           reduced_words_by_descent, relations_by_query, root_vectors_by_apply)
+from tests.oracles import (ball_by_right_extension, cb1_full, coroot_pairing_by_expression,
+                           is_reduced, local_answers_full, reduced_words_by_descent,
+                           relations_by_query, root_vectors_by_apply)
 from tests.test_coxeter import _rank3
 from tests.test_mutations import CASES, _mutants
 from tests.test_table_memos import BUILTINS, FIXTURE_NAMES
@@ -233,7 +234,19 @@ def _outcome(f, *args):
         return type(exc), str(exc)
 
 
+# `default rank2` on the shapes of the moufang benchmark, which no fixture
+# has: a 3- or 6-edge with both other edges infinite, the hexagon directed
+# either way
+MOUFANG = {
+    "3_inf_inf": lambda: _rank3(3, inf, inf),
+    "6_inf_inf_lr": lambda: _rank3(6, inf, inf, {(1, 0)}),
+    "6_inf_inf_rl": lambda: _rank3(6, inf, inf, {(0, 1)}),
+}
+
+
 def _blueprint(name):
+    if name in MOUFANG:
+        return bpmod.Blueprint(MOUFANG[name](), {}, default="rank2", name=name)
     return bpmod.builtin(name) if ":" in name else bpmod.ingest_path(fixture_path(name))
 
 
@@ -247,6 +260,51 @@ def assert_relations_match_queries(bp, r=6):
 @pytest.mark.parametrize("name", BUILTINS + FIXTURE_NAMES)
 def test_relations_match_queries_on_fixtures_and_builtins(name):
     assert_relations_match_queries(_blueprint(name))
+
+
+@pytest.mark.parametrize("name", sorted(MOUFANG))
+def test_relations_match_queries_on_moufang_shapes(name):
+    assert_relations_match_queries(_blueprint(name))
+
+
+@pytest.mark.parametrize("name", BUILTINS + FIXTURE_NAMES + sorted(MOUFANG))
+def test_screened_columns_match_the_full_loop(name):
+    # `answers` screens each column by pairing products, and the oracle
+    # sends every pair through `value`.  The default answers are a function
+    # of the system, so every system gets them, whatever its blueprint's
+    # default.  In ball order each gallery's prefix columns are cached
+    cox = _blueprint(name).cox
+    local, full = bpmod.LocalRank2(cox), bpmod.LocalRank2(cox)
+    nonempty = 0
+    for w in cox.ball(6):
+        for G in min_gal(cox, w):
+            answers = local.answers(G)
+            assert answers == local_answers_full(full, G), G.label()
+            nonempty += sum(map(bool, answers or ()))
+    if name in MOUFANG or (name.startswith("rank2:") and name != "rank2:m2"):
+        assert nonempty
+
+
+def test_screen_pair_value_budget(monkeypatch):
+    # (3, inf, inf) at radius 4: each new column, one per gallery, sends
+    # only its pairs with 0 < p < 4 to `pair_value`, p = <alpha, beta^vee>
+    # <beta, alpha^vee> read here off the expressions (every pair was sent)
+    bp = _blueprint("3_inf_inf")
+    cox = bp.cox
+    gals = [G for w in cox.ball(4) for G in min_gal(cox, w)]
+    finite = pairs = 0
+    for G in gals[1:]:
+        beta = G.roots[-1]
+        for alpha in G.roots[:-1]:
+            p = (coroot_pairing_by_expression(cox, alpha, beta)
+                 * coroot_pairing_by_expression(cox, beta, alpha))
+            finite += 0 < p < 4
+            pairs += 1
+    seen = _record(monkeypatch, "pair_value", owner=bpmod.LocalRank2)
+    for G in gals:
+        bp.relations(G)
+    assert len(seen["pair_value"]) == finite
+    assert 0 < finite < pairs
 
 
 @pytest.mark.parametrize("name,r", [(case[0], case[1]) for case in CASES],

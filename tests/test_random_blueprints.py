@@ -8,6 +8,9 @@ the roots of `roots.open_interval`.  On it, `validate_cb1`, `validate_weyl`
 and `validate_cb3`, with their memos, must give the same report text and
 check count as `cb1_full`, `weyl_full` and `cb3_full` on a twin blueprint
 over a fresh system, and none may raise `InternalConsistencyError`.
+`serialize` at RADIUS followed by `ingest` must reproduce `relations` on
+every gallery of the ball, which also runs the column screen of
+`LocalRank2` on every drawn matrix with the `rank2` default.
 """
 
 from math import inf
@@ -72,3 +75,18 @@ def test_memoized_validators_match_the_full_loops(case):
     assert_same(bpmod.validate_cb1(bp, RADIUS), cb1_full(twin, RADIUS))
     assert_same(bpmod.validate_weyl(bp, RADIUS), weyl_full(twin, RADIUS))
     assert_same(groupforge.validate_cb3(bp, RADIUS), cb3_full(twin, RADIUS))
+
+
+def _relations(bp):
+    cox = bp.cox
+    return {G.word: bp.relations(G) for w in cox.ball(RADIUS) for G in min_gal(cox, w)}
+
+
+@given(blueprints())
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_serialize_then_ingest_reproduces_relations(case):
+    matrix, entries, default = case
+    bp = bpmod.Blueprint(CoxeterSystem(matrix), entries, default=default, name="random")
+    back = bpmod.ingest(bpmod.serialize(bp, RADIUS))
+    assert back.cox.matrix == matrix and back.default == "empty"
+    assert _relations(back) == _relations(bp)
