@@ -72,7 +72,7 @@ RANK2_BUILTINS: dict[str, tuple] = {
 
 # what a file's `default` line may say: how triples without a `rel` line read
 DEFAULT_MODES = ("empty", "strict", "rank2")
-# the fields of each directive, named when a line lacks some of them
+# the fields of each directive, named when a line has too few or too many
 FIELDS = {"rank": "N", "m": "I J LABEL", "dir6": "T S", "default": "MODE", "rel": "WORD I J : K ..."}
 
 # the largest N of `allempty:universalN`, refused before its N x N matrix is built
@@ -360,6 +360,11 @@ def ingest(text: str, name: str = "file") -> Blueprint:
         parts = line.split()
         kind = parts[0]
         try:
+            # every directive but `rel` has exactly the fields FIELDS names
+            arity = len(FIELDS[kind].split()) if kind in FIELDS and kind != "rel" else len(parts)
+            if len(parts) > arity + 1:
+                raise ValueError(f"{kind}: unexpected field {parts[arity + 1]!r} "
+                                 f"({kind} {FIELDS[kind]})")
             if kind == "rank":
                 n = natural(kind, parts[1])
                 if rank_line and n != rank:

@@ -26,17 +26,17 @@ ch. 7-8).  An automorphism g that keeps each gen-adjacency maps minimal
 galleries to minimal galleries of the same type, so delta(g x, g y) =
 delta(x, y): the row of g x is the row of x read through g, and every
 delta-uniqueness, Bu1, Bu2 and Bu3 outcome at (x, y) is the one at
-(g x, g y).  So the building checks from one chamber per orbit imply those
-from every chamber.  The premise is certified on every run, not assumed:
-`_orbit_sizes` takes the orbits of the permutations among `u_perm` and
-`tau_perm` that are bijections carrying every typed edge to an edge of its
-type (the tau perms need no well-definedness for this; `verify_action`
-checks it), and certifies no more of them once one orbit holds every
-chamber.  On every rank-2 builtin one orbit holds all chambers, and one
-delta row is computed.  With no certified permutation every orbit is one
-chamber; if a row shows any violation while some orbit has more, the
-checks run from every chamber (the full loop), so violations and counts
-are exactly its own.
+(g x, g y).  So if such automorphisms carry chamber 0 to every chamber, the
+building checks from chamber 0 imply those from every chamber.  The premise
+is certified on every run, not assumed: `_orbit_sizes` grows the orbit of
+chamber 0 under the permutations among `tau_perm` and `u_perm` that are
+bijections with no broken typed edge (`_broken_edges`; the tau perms need
+no well-definedness for this, `verify_action` checks it), and certifies no
+more of them once the orbit holds every chamber.  It answers one orbit or
+the full loop: one delta row on every rank-2 builtin, one per chamber when
+the orbit stays short.  If the row of chamber 0 shows any violation, the
+checks run from every chamber, so violations and counts are exactly the
+full loop's.
 
 The battery runs on small integer tables built once per system: the 2m
 elements of <J> are numbered (`w_elements`, id 0 the identity) with their
@@ -187,48 +187,39 @@ def build_CJ(bp: Blueprint, s: int, t: int) -> ChamberSystemJ:
 # building verification
 
 
-def _keeps_types(perm: list[int], adjacency: list[list[list[int]]]) -> bool:
-    """True iff `perm` is a bijection that sends every directed edge (x, j)
-    of each typed adjacency to an edge of the same type.  On a finite graph
-    a bijection that maps edges into edges, injectively, maps them onto the
-    edges, so it is an automorphism keeping each type."""
-    return len(set(perm)) == len(perm) and all(
-        perm[j] in adj[perm[x]] for adj in adjacency for x, cell in enumerate(adj) for j in cell)
+def _broken_edges(cs: ChamberSystemJ, perm: list[int]) -> list[tuple[int, int, int]]:
+    """The directed typed edges (gen, x, y) of `cs.adjacency`, in its order,
+    that `perm` does not send to a gen-edge.  On a finite graph a bijection
+    with none maps the edges of each type injectively into, so onto, those
+    edges: it is an automorphism keeping each type."""
+    return [(gen, x, y) for gen, adj in cs.adjacency.items()
+            for x, cell in enumerate(adj) for y in cell if perm[y] not in adj[perm[x]]]
 
 
 def _orbit_sizes(cs: ChamberSystemJ) -> dict[int, int]:
-    """The orbits of the chambers under the certified automorphisms, each
-    keyed by its least chamber with its size, in chamber order.  The
-    candidates are the involutions `cs.tau_perm` and then the generator
-    permutations `cs.u_perm`, each certified by `_keeps_types` and merged
-    into the orbits at once.  Once one orbit holds every chamber no later
-    candidate can change it, so none is read: on `rank2:m6lr` the two tau
-    perms and u_1 make one orbit.  Without a certified candidate every
-    orbit is a single chamber: the full loop."""
+    """One orbit or the full loop: `{0: n}` when the certified automorphisms
+    carry chamber 0 to every chamber, and every chamber keyed with size 1
+    otherwise.  The candidates are the involutions `cs.tau_perm` and then
+    the generator permutations `cs.u_perm`; each is certified as a bijection
+    with no `_broken_edges`, and the orbit of chamber 0 is closed under the
+    ones certified so far (a permutation's inverse is one of its powers, so
+    this is the orbit under the group they generate).  Once the orbit holds
+    every chamber no later candidate is read: on `rank2:m6lr` the two tau
+    perms and u_1 suffice."""
     n = len(cs.chambers)
-    adjacency = list(cs.adjacency.values())
-    # orbit[x]: the id of x's orbit, whose chambers are members[orbit[x]]
-    orbit, members = list(range(n)), [[x] for x in range(n)]
-    orbits = n
+    orbit, seen, certified = [0], {0}, []
     for perm in (cs.tau_perm[cs.s], cs.tau_perm[cs.t], *cs.u_perm):
-        if orbits == 1:
-            break
-        if not _keeps_types(perm, adjacency):
+        if len(set(perm)) < n or _broken_edges(cs, perm):
             continue
-        for x, y in enumerate(perm):
-            a, b = orbit[x], orbit[y]
-            if a != b:
-                if len(members[a]) < len(members[b]):
-                    a, b = b, a
-                for z in members[b]:
-                    orbit[z] = a
-                members[a] += members[b]
-                orbits -= 1
-    # each orbit id with its least chamber, in chamber order
-    first: dict[int, int] = {}
-    for x, a in enumerate(orbit):
-        first.setdefault(a, x)
-    return {x: len(members[a]) for a, x in first.items()}
+        certified.append(perm)
+        for x in orbit:
+            for p in certified:
+                if p[x] not in seen:
+                    seen.add(p[x])
+                    orbit.append(p[x])
+        if len(orbit) == n:
+            return {0: n}
+    return dict.fromkeys(range(n), 1)
 
 
 def _delta(cs: ChamberSystemJ, sizes: dict[int, int]) -> tuple[list[list[int]], Report]:
@@ -279,10 +270,10 @@ def _delta(cs: ChamberSystemJ, sizes: dict[int, int]) -> tuple[list[list[int]], 
 def verify_building(cs: ChamberSystemJ) -> Report:
     """Distance function well-defined, building axioms, thickness 3.  A
     certified automorphism carries the delta row of x, and every outcome
-    from x, to those of its image (see the module docstring), so the checks
-    run from the least chamber of each orbit of `_orbit_sizes`, counted for
-    the whole orbit; on any violation while some orbit has more than one
-    chamber, they run again from every chamber."""
+    from x, to those of its image (see the module docstring), so when
+    `_orbit_sizes` answers one orbit the checks run from chamber 0, counted
+    for every chamber; on any violation there, they run again from every
+    chamber."""
     n = len(cs.chambers)
     sizes = _orbit_sizes(cs)
     report = _building(cs, sizes)
@@ -379,18 +370,13 @@ def verify_action(cs: ChamberSystemJ, gen: int) -> Report:
     if compose(ut, compose(ut, ut)) != ident:
         report.add(Violation(axiom="(us*tau)^3", expected="id", found="nontrivial"))
 
-    # adjacency preservation for both tau and u
-    adj = cs.adjacency
-    for other in (cs.s, cs.t):
-        for i in range(n):
-            for j in adj[other][i]:
-                for perm, tag in ((perm_t, "tau"), (perm_u, "u")):
-                    report.checks += 1
-                    if perm[j] not in adj[other][perm[i]]:
-                        report.add(Violation(axiom="automorphism", s=str(other + 1),
-                                             w=chambers[i].label(),
-                                             gallery=chambers[j].label(),
-                                             expected="adjacency preserved", found=tag))
+    # adjacency preservation for both tau and u, one check per directed edge
+    report.checks += 2 * sum(len(cell) for adj in cs.adjacency.values() for cell in adj)
+    for perm, tag in ((perm_t, "tau"), (perm_u, "u")):
+        for other, i, j in _broken_edges(cs, perm):
+            report.add(Violation(axiom="automorphism", s=str(other + 1), w=chambers[i].label(),
+                                 gallery=chambers[j].label(), expected="adjacency preserved",
+                                 found=tag))
 
     # the six elements of <u_s, tau_s> act pairwise distinctly
     six = {

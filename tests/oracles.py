@@ -30,6 +30,9 @@ products and sends only the pairs with 0 < p < 4 on to `pair_value`.
 `tau_on_residue_full` tests tau_s^2 = 1 and (u_s tau_s)^3 = 1 on every
 element of N_R, where `tau_on_residue` tests them on the generators once
 the relation checks have made tau_s a homomorphism.
+`automorphism_edges_full` walks the typed edges of a chamber system one by
+one and tests tau_gen and u_gen on each in turn, where `verify_action`
+reads each permutation's broken edges off `chambers._broken_edges`.
 `root_vectors_by_apply` computes each crossed root of a word with its own
 `apply`, where the engine carries the columns of the prefix along or
 reads them off the prefix galleries.  `is_reduced` compares a word with its
@@ -317,3 +320,19 @@ def tau_on_residue_full(rg: ResidueGroup) -> Report:
         report.add(Violation(axiom="ustausV", gallery=rg.gallery.label(),
                              expected="equal", found="differs"))
     return report
+
+
+def automorphism_edges_full(cs, gen: int) -> list[tuple[int, int, int, str]]:
+    """The directed typed edges (other, i, j) that tau_gen or u_gen does not
+    send to an other-edge, each with "tau" or "u", walked edge by edge with
+    both permutations tested on each edge."""
+    perm_t, perm_u = cs.tau_perm[gen], cs.u_perm[cs.rg.position[gen] - 1]
+    adj = cs.adjacency
+    out = []
+    for other in (cs.s, cs.t):
+        for i in range(len(cs.chambers)):
+            for j in adj[other][i]:
+                for perm, tag in ((perm_t, "tau"), (perm_u, "u")):
+                    if perm[j] not in adj[other][perm[i]]:
+                        out.append((other, i, j, tag))
+    return out

@@ -336,6 +336,25 @@ def test_ingest_reads_numbers_as_ascii_digits(text, line_no, kind, token):
                               f"18 ASCII digits ({kind} {bpmod.FIELDS[kind]})")
 
 
+TRAILING_FIELDS = [
+    ("rank 3 4\nm 1 2 3\nm 1 3 3\nm 2 3 3\n", 1, "rank", "4"),
+    ("rank 2\nm 1 2 3 9\n", 2, "m", "9"),
+    ("rank 2\nm 1 2 6\ndir6 1 2 7\n", 3, "dir6", "7"),
+    ("rank 2\nm 1 2 3\ndefault empty empty\n", 3, "default", "empty"),
+    ("rank 2\nm 1 2 3\ndefault rank2 extra\n", 3, "default", "extra"),
+]
+TRAILING_IDS = ["rank", "m", "dir6", "default-empty", "default-rank2"]
+
+
+@pytest.mark.parametrize("text, line_no, kind, token", TRAILING_FIELDS, ids=TRAILING_IDS)
+def test_ingest_refuses_trailing_fields(text, line_no, kind, token):
+    # each fixed-arity directive has exactly its FIELDS; only `rel` has a tail
+    with pytest.raises(ParseError) as err:
+        bpmod.ingest(text)
+    assert str(err.value) == (f"line {line_no}: {kind}: unexpected field {token!r} "
+                              f"({kind} {bpmod.FIELDS[kind]})")
+
+
 @pytest.mark.parametrize("text", [
     "rank 02\nm 1 2 inf\n", "rank 2\nm 01 2 004\n", "rank " + "0" * 17 + "2\nm 1 2 3\n"])
 def test_ingest_reads_leading_zeros_as_before(text):

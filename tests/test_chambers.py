@@ -2,13 +2,17 @@
 
 import hashlib
 from collections import Counter
+from itertools import combinations
+from math import inf
 
 import pytest
 
 from rgdkit import blueprints
 from rgdkit import chambers as ch
+from rgdkit.errors import Violated
 from rgdkit.groupforge import PCPres, reflected_positions
-from tests.conftest import fixture_path
+from tests.conftest import FIXTURES, fixture_path
+from tests.oracles import automorphism_edges_full
 
 EXPECTED_COUNTS = {2: 9, 3: 21, 4: 45, 6: 189}
 
@@ -203,6 +207,55 @@ def test_building_violations_after_a_panel_swap(name, gen, counts, checks, lines
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# (builtin, swapped gen, acting gen, checks, automorphism violations by
+# permutation, to_text digest): `verify_action` after the panel swap of
+# SWAP_CASES, and on rank2:m6lr
+ACTION_SWAP_CASES = [
+    ("rank2:m3", 0, 0, 238, {"tau": 14, "u": 8},
+     "2b2c70490c80ae4bff1023a3008cf7c0b557c1d60e4077b3a69917cf651aff7d"),
+    ("rank2:m3", 0, 1, 238, {"tau": 14, "u": 12},
+     "2969c0344d6568bec72a22294706ac7d731ec49f73a0b7d71d16fa851d81c931"),
+    ("rank2:m4", 1, 0, 510, {"tau": 16, "u": 12},
+     "1244f33a65ba7007c58ce9153ed4f1ff637172e1e12fde9aef7e8e8d06d477cd"),
+    ("rank2:m4", 1, 1, 510, {"tau": 8, "u": 8},
+     "214de25f55a0852e63bd5829ed86adefa31f60e8de2a13100d55a1a42c3d8676"),
+    ("rank2:m6lr", 0, 0, 2302, {"tau": 8, "u": 8},
+     "3e6394b1e2db2a66a044fa3188081b2bb7a1ef1663e272aa94f968b0a732e04f"),
+    ("rank2:m6lr", 0, 1, 2302, {"tau": 16, "u": 12},
+     "d12286d5172693e3b470de4e5e49f41fa1edd394d7b41aa8bb8a77773b87220c"),
+]
+ACTION_IDS = [f"{name}-swap{swapped + 1}-s{gen + 1}"
+              for name, swapped, gen, *_ in ACTION_SWAP_CASES]
+
+
+@pytest.mark.parametrize("name,swapped,gen,checks,counts,digest", ACTION_SWAP_CASES,
+                         ids=ACTION_IDS)
+def test_action_violations_after_a_panel_swap(name, swapped, gen, checks, counts, digest):
+    # the swap breaks typed edges for tau_gen and u_gen alike; every other
+    # check of `verify_action` still holds
+    cs = ch.build_CJ(blueprints.builtin(name), 0, 1)
+    _swap_in_panels(cs, swapped, 0, len(cs.chambers) - 1)
+    report = ch.verify_action(cs, gen)
+    assert report.checks == checks
+    assert {v.axiom for v in report.violations} == {"automorphism"}
+    assert Counter(v.found for v in report.violations) == counts
+    assert hashlib.sha256(report.to_text().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name,swapped,gen", [case[:3] for case in ACTION_SWAP_CASES],
+                         ids=ACTION_IDS)
+def test_broken_edges_match_the_per_edge_walk(name, swapped, gen):
+    cs = ch.build_CJ(blueprints.builtin(name), 0, 1)
+    perms = {"tau": cs.tau_perm[gen], "u": cs.u_perm[cs.rg.position[gen] - 1]}
+    for damaged in (False, True):
+        if damaged:
+            _swap_in_panels(cs, swapped, 0, len(cs.chambers) - 1)
+        walk = automorphism_edges_full(cs, gen)
+        assert bool(walk) == damaged
+        for tag, perm in perms.items():
+            assert ch._broken_edges(cs, perm) == [edge[:3] for edge in walk if edge[3] == tag]
+
+
 def _delta_words(cs):
     """Word-level oracle for `_delta`: the same BFS on normal-form tuples."""
     cox = cs.cox
@@ -331,28 +384,21 @@ def test_panel_swap_breaks_the_equivariance_premise(name, gen):
 
 
 def test_base_orbits_must_cover_the_chambers(monkeypatch, systems):
-    # identity permutations for the generators of U keep every cell, so the
-    # orbits are those of tau_s and tau_t alone: several, each keyed by its
-    # least chamber, together covering every chamber once, and their rows
-    # give the full loop's verdict
+    # identity permutations for the generators of U keep every cell, so only
+    # tau_s and tau_t move chamber 0, and their orbit of it is short: the
+    # answer is the full loop, and so is the report
     cs = systems[3]
     n = len(cs.chambers)
     monkeypatch.setattr(cs, "u_perm", [list(range(n))] * cs.pres.k)
-    sizes = ch._orbit_sizes(cs)
-    assert 1 < len(sizes) < n and sum(sizes.values()) == n
-    taus = (cs.tau_perm[cs.s], cs.tau_perm[cs.t])
-    owner = {}
-    for first in sizes:
-        orbit = [first]
-        for x in orbit:
-            for perm in taus:
-                if perm[x] not in orbit:
-                    orbit.append(perm[x])
-        assert min(orbit) == first and len(orbit) == sizes[first]
-        owner.update(dict.fromkeys(orbit, first))
-    assert sorted(owner) == list(range(n))
-    orbit, full = ch._building(cs, sizes), _full_loop(cs)
-    assert orbit.ok and orbit.checks == full.checks and orbit.to_text() == full.to_text()
+    orbit = [0]
+    for x in orbit:
+        for perm in (cs.tau_perm[cs.s], cs.tau_perm[cs.t]):
+            if perm[x] not in orbit:
+                orbit.append(perm[x])
+    assert 1 < len(orbit) < n
+    assert ch._orbit_sizes(cs) == dict.fromkeys(range(n), 1)
+    report, full = ch.verify_building(cs), _full_loop(cs)
+    assert report.ok and report.checks == full.checks and report.to_text() == full.to_text()
 
 
 def test_building_delta_rows_budget(monkeypatch):
@@ -377,20 +423,45 @@ def test_building_delta_rows_budget(monkeypatch):
 
 
 def test_orbit_certification_budget(monkeypatch):
-    # rank2:m6lr: tau_s, tau_t and u_1 are certified first and already make
-    # one orbit, so u_2 ... u_k are never read (all k + 2 were certified)
-    cs = ch.build_CJ(blueprints.builtin("rank2:m6lr"), 0, 1)
+    # the tau perms come first, then u_1 ... u_k, each certified once, and none
+    # after the orbit of chamber 0 holds every chamber: tau_s, tau_t and u_1
+    # suffice on rank2:m6lr; on rank2:m6rl u_2 is needed as well
     certified = []
-    keeps_types = ch._keeps_types
+    broken_edges = ch._broken_edges
 
-    def counted(perm, adjacency):
+    def counted(cs, perm):
         certified.append(perm)
-        return keeps_types(perm, adjacency)
+        return broken_edges(cs, perm)
 
-    monkeypatch.setattr(ch, "_keeps_types", counted)
-    assert ch._orbit_sizes(cs) == {0: len(cs.chambers)}
-    assert certified == [cs.tau_perm[cs.s], cs.tau_perm[cs.t], cs.u_perm[0]]
-    assert len(certified) < cs.pres.k + 2
+    monkeypatch.setattr(ch, "_broken_edges", counted)
+    for name, read in (("rank2:m6lr", 3), ("rank2:m6rl", 4)):
+        cs = ch.build_CJ(blueprints.builtin(name), 0, 1)
+        certified.clear()
+        assert ch._orbit_sizes(cs) == {0: len(cs.chambers)}
+        candidates = [cs.tau_perm[cs.s], cs.tau_perm[cs.t], *cs.u_perm]
+        assert certified == candidates[:read], name
+        assert read < cs.pres.k + 2
+
+
+def test_one_orbit_on_every_builtin_and_fixture_pair():
+    # <U, tau_s, tau_t> is transitive on the chambers of every system that
+    # builds, on every spherical pair; the two fixtures that fail CB3 build none
+    names = [f"rank2:{v}" for v in blueprints.RANK2_BUILTINS]
+    names += sorted(path.name for path in FIXTURES.glob("*.bp"))
+    refused = []
+    for name in names:
+        bp = (blueprints.ingest_path(fixture_path(name)) if name.endswith(".bp")
+              else blueprints.builtin(name))
+        for s, t in combinations(range(bp.cox.rank), 2):
+            if bp.cox.matrix.m(s, t) == inf:
+                continue
+            try:
+                cs = ch.build_CJ(bp, s, t)
+            except Violated:
+                refused.append(name)
+                continue
+            assert ch._orbit_sizes(cs) == {0: len(cs.chambers)}, (name, s, t)
+    assert refused == ["b2_cb2_mutated.bp", "g2_weyl_mutated.bp"]
 
 
 @pytest.mark.parametrize("case", SWAP_CASES, ids=[case[0] for case in SWAP_CASES])

@@ -5,10 +5,12 @@ import time
 import pytest
 
 from rgdkit import cli
+from rgdkit.blueprints import FIELDS
 from rgdkit.cli import main
 from rgdkit.coxeter import CoxeterSystem
 from rgdkit.errors import InternalConsistencyError
 from tests.conftest import fixture_path
+from tests.test_blueprints import TRAILING_FIELDS, TRAILING_IDS
 
 
 def test_validate_builtin_ok(capsys):
@@ -80,6 +82,15 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert capsys.readouterr().err == "error: radius must be >= 0\n"
     assert main(["--builtin", "rank2:m3", "residue", "-s", "-1"]) == 2
     assert capsys.readouterr().err == "error: -s and -t must be distinct generators in 1..2\n"
+
+
+@pytest.mark.parametrize("text, line_no, kind, token", TRAILING_FIELDS, ids=TRAILING_IDS)
+def test_trailing_fields_exit_2(text, line_no, kind, token, capsys, tmp_path):
+    path = tmp_path / "trailing.bp"
+    path.write_text(text)
+    assert main(["--blueprint", str(path), "validate"]) == 2
+    assert capsys.readouterr().err == (f"error: line {line_no}: {kind}: unexpected field "
+                                       f"{token!r} ({kind} {FIELDS[kind]})\n")
 
 
 @pytest.mark.parametrize("word", ["\uff12.1", "1.x", "1..2", "1.+2", "1." + "9" * 30, "1." + "1" * 5000],
