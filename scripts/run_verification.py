@@ -14,6 +14,8 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from rgdkit import appendix, blueprints, chambers, groupforge, parabolics  # noqa: E402
+from rgdkit.cli import read_integer  # noqa: E402
+from rgdkit.errors import RgdError  # noqa: E402
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "tests" / "fixtures"
 
@@ -61,20 +63,26 @@ def check_rank2(bp) -> bool:
 
 def main() -> int:
     parser = argparse.ArgumentParser()
-    parser.add_argument("--radius", type=int, default=6)
+    parser.add_argument("--radius", default="6")
     args = parser.parse_args()
+    try:  # read as `rgdkit --radius` is, not by argparse's `int`
+        radius = read_integer("--radius", args.radius)
+        if radius < 0:
+            raise RgdError("radius must be >= 0")
+    except RgdError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     ok = True
     for variant in blueprints.RANK2_BUILTINS:
         bp = blueprints.builtin(f"rank2:{variant}")
-        ok &= check_blueprint(bp, args.radius)
+        ok &= check_blueprint(bp, radius)
         ok &= check_rank2(bp)
     for fixture in ("universal3_allempty.bp", "rightangled3_allempty.bp",
                     "rank3_b2_product.bp", "rank3_a2_product.bp", "rank3_g2_product.bp",
                     "rank3_cycle444.bp"):
         bp = blueprints.ingest_path(str(FIXTURES / fixture))
-        radius = min(args.radius, 5)
-        ok &= check_blueprint(bp, radius)
+        ok &= check_blueprint(bp, min(radius, 5))
     # each mutant must fail the validator it is named for
     for fixture, validate in (("g2_weyl_mutated.bp", lambda bp: blueprints.validate_weyl(bp, 6)),
                               ("b2_cb1_mutated.bp", lambda bp: blueprints.validate_cb1(bp, 6)),

@@ -81,13 +81,23 @@ MAX_UNIVERSAL_RANK = 64
 MAX_DIGITS = 18
 
 
-def natural(kind: str, token: str) -> int:
-    """A number field of a `kind` line: ASCII digits only, at most
-    MAX_DIGITS of them (bare `int` reads any Unicode digit, and refuses
+def is_digits(text: str) -> bool:
+    """True iff `text` is one to MAX_DIGITS ASCII digits, the test of every
+    number in the input (bare `int` reads any Unicode digit, and refuses
     thousands of digits in its own words)."""
-    if len(token) > MAX_DIGITS or not (token.isascii() and token.isdigit()):
-        shown = token if len(token) <= MAX_DIGITS else token[:MAX_DIGITS] + "..."
-        raise ValueError(f"{kind}: bad number {shown!r}, expected at most {MAX_DIGITS} "
+    return len(text) <= MAX_DIGITS and text.isascii() and text.isdigit()
+
+
+def cut(text: str) -> str:
+    """Input text as an error message echoes it: cut after MAX_DIGITS
+    characters, so no message grows with the input."""
+    return text if len(text) <= MAX_DIGITS else text[:MAX_DIGITS] + "..."
+
+
+def natural(kind: str, token: str) -> int:
+    """A number field of a `kind` line, read if `is_digits` holds."""
+    if not is_digits(token):
+        raise ValueError(f"{kind}: bad number {cut(token)!r}, expected at most {MAX_DIGITS} "
                          f"ASCII digits ({kind} {FIELDS[kind]})")
     return int(token)
 
@@ -363,7 +373,7 @@ def ingest(text: str, name: str = "file") -> Blueprint:
             # every directive but `rel` has exactly the fields FIELDS names
             arity = len(FIELDS[kind].split()) if kind in FIELDS and kind != "rel" else len(parts)
             if len(parts) > arity + 1:
-                raise ValueError(f"{kind}: unexpected field {parts[arity + 1]!r} "
+                raise ValueError(f"{kind}: unexpected field {cut(parts[arity + 1])!r} "
                                  f"({kind} {FIELDS[kind]})")
             if kind == "rank":
                 n = natural(kind, parts[1])
@@ -384,7 +394,7 @@ def ingest(text: str, name: str = "file") -> Blueprint:
                 dir_lines[edge] = ln
             elif kind == "default":
                 if parts[1] not in DEFAULT_MODES:
-                    raise ValueError(f"unknown default mode {parts[1]!r}")
+                    raise ValueError(f"unknown default mode {cut(parts[1])!r}")
                 if default_line and parts[1] != default:
                     raise ValueError(f"default {parts[1]} contradicts line {default_line}")
                 default, default_line = parts[1], ln
@@ -396,7 +406,7 @@ def ingest(text: str, name: str = "file") -> Blueprint:
                 ks = tuple(natural(kind, x) for x in parts[5:])
                 rels.append((ln, word, i, j, ks))
             else:
-                raise ValueError(f"unknown directive {kind!r}")
+                raise ValueError(f"unknown directive {cut(kind)!r}")
         except IndexError as exc:  # every field a directive reads is indexed
             raise ParseError(ln, f"{kind}: missing fields ({kind} {FIELDS[kind]})") from exc
         except ValueError as exc:
@@ -426,11 +436,11 @@ def ingest(text: str, name: str = "file") -> Blueprint:
     entry_lines: dict[tuple[Word, int, int], int] = {}
     for ln, word, i, j, ks in rels:
         if any(not 0 <= x < rank for x in word):
-            raise ParseError(ln, f"generator out of range in gallery {word_label(word)}")
+            raise ParseError(ln, f"generator out of range in gallery {cut(word_label(word))}")
         try:  # one reduction check, by the constructor
             G = get_gallery(cox, word)
         except RgdError as exc:
-            raise ParseError(ln, f"gallery word {word_label(word)} is not reduced") from exc
+            raise ParseError(ln, f"gallery word {cut(word_label(word))} is not reduced") from exc
         if not (1 <= i < j <= len(word)):
             raise ParseError(ln, f"positions ({i},{j}) out of range")
         if any(not i < k < j for k in ks):
@@ -653,19 +663,18 @@ def builtin(name: str) -> Blueprint:
     try:
         family, variant = name.split(":", 1)
     except ValueError as exc:
-        raise BlueprintError(f"bad builtin name {name!r}") from exc
+        raise BlueprintError(f"bad builtin name {cut(name)!r}") from exc
     if family == "rank2":
         if variant not in RANK2_BUILTINS:
-            raise BlueprintError(f"unknown rank2 variant {variant!r}")
+            raise BlueprintError(f"unknown rank2 variant {cut(variant)!r}")
         matrix = CoxeterMatrix.dihedral(*RANK2_BUILTINS[variant])
         return Blueprint(CoxeterSystem(matrix), {}, default="rank2", name=name)
     if family == "allempty":
         n = variant[len("universal"):]
-        if (not variant.startswith("universal") or len(n) > MAX_DIGITS
-                or not (n.isascii() and n.isdigit())):
-            raise BlueprintError(f"unknown allempty variant {variant!r}")
+        if not (variant.startswith("universal") and is_digits(n)):
+            raise BlueprintError(f"unknown allempty variant {cut(variant)!r}")
         n = int(n)
         if n > MAX_UNIVERSAL_RANK:
             raise BlueprintError(f"allempty:universal{n}: rank above {MAX_UNIVERSAL_RANK}")
         return Blueprint(CoxeterSystem(CoxeterMatrix.universal(n)), {}, name=name)
-    raise BlueprintError(f"unknown builtin family {family!r}")
+    raise BlueprintError(f"unknown builtin family {cut(family)!r}")

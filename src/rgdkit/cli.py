@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from math import inf
 
 from . import appendix, blueprints, chambers, groupforge, parabolics
@@ -24,21 +23,6 @@ from .errors import CapExceeded, InternalConsistencyError, RgdError, Violated
 from .galleries import min_gal
 from .reports import Report
 from .roots import depth, phi_w
-
-
-@dataclass
-class RunConfig:
-    blueprint: blueprints.Blueprint
-    radius: int
-    cap_galleries: int
-    cap_group_bits: int
-    report_path: str | None
-
-    def __post_init__(self):
-        if self.radius < 0:
-            raise RgdError("radius must be >= 0")
-        if self.cap_galleries <= 0 or self.cap_group_bits <= 0:
-            raise RgdError("caps must be positive")
 
 
 def _load_blueprint(args) -> blueprints.Blueprint:
@@ -59,20 +43,17 @@ def _parse_word(text: str, rank: int) -> Word:
     except ValueError as exc:
         raise RgdError(f"bad word {text!r}; expected dot-separated generators") from exc
     if any(not 0 <= x < rank for x in word):
-        raise RgdError(f"generator out of range in {text!r}")
+        raise RgdError(f"generator out of range in {blueprints.cut(text)!r}")
     return word
 
 
-def _integer(option: str, text: str) -> int:
-    """An integer option: at most MAX_DIGITS ASCII digits after an optional
-    '-', as a blueprint's number fields are read (argparse's `int` also
-    takes '+', '_', spaces and any Unicode digit)."""
-    digits = text[1:] if text[:1] == "-" else text
-    most = blueprints.MAX_DIGITS
-    if len(digits) > most or not (digits.isascii() and digits.isdigit()):
-        shown = text if len(text) <= most else text[:most] + "..."
-        raise RgdError(f"{option}: bad number {shown!r}, expected at most {most} "
-                       f"ASCII digits after an optional '-'")
+def read_integer(option: str, text: str) -> int:
+    """An integer option: digits after an optional '-', tested as a
+    blueprint's number fields are (argparse's `int` also takes '+', '_',
+    spaces and any Unicode digit)."""
+    if not blueprints.is_digits(text[1:] if text[:1] == "-" else text):
+        raise RgdError(f"{option}: bad number {blueprints.cut(text)!r}, expected at most "
+                       f"{blueprints.MAX_DIGITS} ASCII digits after an optional '-'")
     return int(text)
 
 
@@ -89,34 +70,32 @@ def _emit(reports: list[Report], path: str | None) -> int:
     return 4 if any(r.skipped for r in reports) else 0
 
 
-def cmd_validate(cfg: RunConfig) -> int:
-    bp = cfg.blueprint
+def cmd_validate(bp: blueprints.Blueprint, args: argparse.Namespace) -> int:
     reports = [
-        blueprints.validate_cb1(bp, cfg.radius, cfg.cap_galleries),
+        blueprints.validate_cb1(bp, args.radius, args.cap_galleries),
         blueprints.validate_cb2(bp),
-        blueprints.validate_weyl(bp, cfg.radius, cfg.cap_galleries),
-        groupforge.validate_cb3(bp, cfg.radius, cfg.cap_galleries, cfg.cap_group_bits),
+        blueprints.validate_weyl(bp, args.radius, args.cap_galleries),
+        groupforge.validate_cb3(bp, args.radius, args.cap_galleries, args.cap_group_bits),
     ]
-    return _emit(reports, cfg.report_path)
+    return _emit(reports, args.report_path)
 
 
-def cmd_group(cfg: RunConfig, word_text: str) -> int:
-    bp = cfg.blueprint
+def cmd_group(bp: blueprints.Blueprint, args: argparse.Namespace) -> int:
     cox = bp.cox
-    word = _parse_word(word_text, cox.rank)
+    word = _parse_word(args.word, cox.rank)
     # each letter still to come shortens the prefix by at most one, so
     # `bound` <= l(w): refuse once it passes the cap, before any normal form
     for done, length in enumerate(cox.prefix_lengths(word), start=1):
         bound = length - (len(word) - done)
-        if bound > cfg.cap_group_bits:
-            raise RgdError(f"l(w) >= {bound} exceeds group bit cap {cfg.cap_group_bits}")
+        if bound > args.cap_group_bits:
+            raise RgdError(f"l(w) >= {bound} exceeds group bit cap {args.cap_group_bits}")
     w = cox.normal_form(word)
-    pres, rep = groupforge.build_Uw(bp, w, cfg.cap_galleries)
+    pres, rep = groupforge.build_Uw(bp, w, args.cap_galleries)
     try:  # build_Uw has already noted a cap overflow as partial coverage
-        count = str(len(min_gal(cox, w, cfg.cap_galleries)))
+        count = str(len(min_gal(cox, w, args.cap_galleries)))
     except CapExceeded:
-        count = f"more than {cfg.cap_galleries}"
-    print(f"word: {word_text}  base gallery: {pres.gallery.label()}")
+        count = f"more than {args.cap_galleries}"
+    print(f"word: {args.word}  base gallery: {pres.gallery.label()}")
     print(f"order: {pres.order}")
     print(f"consistent: {pres.consistent}")
     print(f"cross-gallery: {'PASS' if rep.ok else 'FAIL'} ({count} galleries)")
@@ -125,12 +104,11 @@ def cmd_group(cfg: RunConfig, word_text: str) -> int:
         dims = [len(g).bit_length() - 1 for g in series]
         print(f"nilpotency class: {len(series) - 1}")
         print(f"lower central series dims: {dims}")
-    return _emit([rep], cfg.report_path)
+    return _emit([rep], args.report_path)
 
 
-def cmd_residue(cfg: RunConfig, s: int) -> int:
-    bp = cfg.blueprint
-    cox = bp.cox
+def cmd_residue(bp: blueprints.Blueprint, args: argparse.Namespace) -> int:
+    cox, s = bp.cox, args.s - 1
     partners = [t for t in range(cox.rank) if t != s and cox.matrix.m(s, t) != inf]
     if not partners:
         raise RgdError(f"generator {s + 1} is in no spherical pair: no residue to check")
@@ -145,15 +123,15 @@ def cmd_residue(cfg: RunConfig, s: int) -> int:
               f"tau^2/braid/hom: {'PASS' if len(rep.violations) == ust else 'FAIL'}, "
               f"ustausV: {ust_status}")
         reports.append(rep)
-    return _emit(reports, cfg.report_path)
+    return _emit(reports, args.report_path)
 
 
-def cmd_chambers(cfg: RunConfig, s: int, t: int, dump_adjacency: bool = False) -> int:
-    bp = cfg.blueprint
+def cmd_chambers(bp: blueprints.Blueprint, args: argparse.Namespace) -> int:
+    s, t = args.s - 1, args.t - 1
     try:
         cs = chambers.build_CJ(bp, s, t)
     except Violated as exc:  # U failed CB3: its report is the verdict
-        return _emit([exc.report], cfg.report_path)
+        return _emit([exc.report], args.report_path)
     reports = [cs.build_report, chambers.verify_building(cs),
                chambers.verify_action(cs, s), chambers.verify_action(cs, t),
                chambers.braid_check(cs)]
@@ -161,34 +139,33 @@ def cmd_chambers(cfg: RunConfig, s: int, t: int, dump_adjacency: bool = False) -
     print(f"building: {'PASS' if reports[1].ok else 'FAIL'}")
     print(f"actions:  {'PASS' if reports[2].ok and reports[3].ok else 'FAIL'}")
     print(f"braid:    {'PASS' if reports[4].ok else 'FAIL'}")
-    if dump_adjacency:
+    if args.dump_adjacency:
         for gen in (s, t):
             for a_idx, cell in enumerate(cs.adjacency[gen]):
                 for b_idx in sorted(cell):
                     if a_idx < b_idx:
                         print(f"edge {gen + 1} {cs.chambers[a_idx].label()} "
                               f"{cs.chambers[b_idx].label()}")
-    return _emit(reports, cfg.report_path)
+    return _emit(reports, args.report_path)
 
 
-def cmd_appendix(cfg: RunConfig, s: int, t: int) -> int:
-    bp = cfg.blueprint
+def cmd_appendix(bp: blueprints.Blueprint, args: argparse.Namespace) -> int:
+    s, t = args.s - 1, args.t - 1
     reports = [appendix.verify_identity_chains(bp, s, t)]
     if bp.cox.rank >= 3:
-        reports.append(appendix.appendix_conjugation_check(bp, s, t, cfg.radius))
-    return _emit(reports, cfg.report_path)
+        reports.append(appendix.appendix_conjugation_check(bp, s, t, args.radius))
+    return _emit(reports, args.report_path)
 
 
-def cmd_roots(cfg: RunConfig) -> int:
-    bp = cfg.blueprint
+def cmd_roots(bp: blueprints.Blueprint, args: argparse.Namespace) -> int:
     cox = bp.cox
     seen = {}
-    for w in cox.ball(cfg.radius):
+    for w in cox.ball(args.radius):
         for rt in phi_w(cox, w):
             if rt.vec not in seen:
                 seen[rt.vec] = rt
     roots = sorted(seen.values(), key=lambda r: (depth(cox, r), r.describe()))
-    print(f"{len(roots)} positive roots within radius {cfg.radius}")
+    print(f"{len(roots)} positive roots within radius {args.radius}")
     for rt in roots:
         print(f"  depth {depth(cox, rt)}: {rt.describe()}")
     return 0
@@ -198,51 +175,47 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="rgdkit", description=__doc__)
     parser.add_argument("--blueprint", help="blueprint file path")
     parser.add_argument("--builtin", help="built-in blueprint name, e.g. rank2:m6lr")
-    # the numbers are read by `_integer`, in rgdkit's words, not by argparse
+    # the numbers are read by `read_integer`, in rgdkit's words, not by argparse
     parser.add_argument("--radius", default="4")
     parser.add_argument("--cap-galleries", default="10000")
     parser.add_argument("--cap-group-bits", default="24")
     parser.add_argument("--report", dest="report_path")
+    # each command's function is looked up here, on every call, so a
+    # rebinding of a `cmd_*` name (as by `perfbench/tracing.py`) is the one run
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("validate")
+    sub.add_parser("validate").set_defaults(run=cmd_validate)
     p_group = sub.add_parser("group")
+    p_group.set_defaults(run=cmd_group)
     p_group.add_argument("word", help="dot-separated generators, e.g. 1.2.1")
     p_res = sub.add_parser("residue")
+    p_res.set_defaults(run=cmd_residue)
     p_res.add_argument("-s", required=True, help="generator (1-based)")
     p_ch = sub.add_parser("chambers")
+    p_ch.set_defaults(run=cmd_chambers)
     p_ch.add_argument("-s", required=True)
     p_ch.add_argument("-t", required=True)
     p_ch.add_argument("--dump-adjacency", action="store_true")
     p_ap = sub.add_parser("appendix")
+    p_ap.set_defaults(run=cmd_appendix)
     p_ap.add_argument("-s", required=True)
     p_ap.add_argument("-t", required=True)
-    sub.add_parser("roots")
+    sub.add_parser("roots").set_defaults(run=cmd_roots)
 
     args = parser.parse_args(argv)
     try:
         for option in ("--radius", "--cap-galleries", "--cap-group-bits", "-s", "-t"):
             dest = option.lstrip("-").replace("-", "_")
             if getattr(args, dest, None) is not None:
-                setattr(args, dest, _integer(option, getattr(args, dest)))
+                setattr(args, dest, read_integer(option, getattr(args, dest)))
         bp = _load_blueprint(args)
-        cfg = RunConfig(bp, args.radius, args.cap_galleries, args.cap_group_bits,
-                        args.report_path)
+        if args.radius < 0:
+            raise RgdError("radius must be >= 0")
+        if args.cap_galleries <= 0 or args.cap_group_bits <= 0:
+            raise RgdError("caps must be positive")
         gens = [g for g in (getattr(args, "s", None), getattr(args, "t", None)) if g is not None]
         if not all(1 <= g <= bp.cox.rank for g in gens) or len(set(gens)) < len(gens):
             raise RgdError(f"-s and -t must be distinct generators in 1..{bp.cox.rank}")
-        if args.command == "validate":
-            return cmd_validate(cfg)
-        if args.command == "group":
-            return cmd_group(cfg, args.word)
-        if args.command == "residue":
-            return cmd_residue(cfg, args.s - 1)
-        if args.command == "chambers":
-            return cmd_chambers(cfg, args.s - 1, args.t - 1, args.dump_adjacency)
-        if args.command == "appendix":
-            return cmd_appendix(cfg, args.s - 1, args.t - 1)
-        if args.command == "roots":
-            return cmd_roots(cfg)
-        raise RgdError(f"unknown command {args.command}")
+        return args.run(bp, args)
     except InternalConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

@@ -43,3 +43,33 @@ def test_traced_command_reaches_every_probe(capsys):
     for key in (("coxeter", "nf_append"), ("galleries", "get_gallery"),
                 ("blueprints", "pair_value")):
         assert tracer.spans[key][0] > 0, key
+
+
+COMMAND_ARGV = {
+    "validate": ["--radius", "2", "validate"],
+    "group": ["group", "1.2"],
+    "residue": ["residue", "-s", "1"],
+    "chambers": ["chambers", "-s", "1", "-t", "2"],
+    "appendix": ["appendix", "-s", "1", "-t", "2"],
+}
+
+
+def test_each_traced_command_runs_through_its_span(capsys):
+    # `main` reaches each command through the name the tracer rebinds, so a
+    # dispatch that captured the functions before `install` counts 0 calls
+    from rgdkit import cli
+
+    tracing = _load_tracing()
+    assert set(tracing.COMMANDS) == set(COMMAND_ARGV)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        codes = [cli.main(["--builtin", "rank2:m3", *COMMAND_ARGV[name]])
+                 for name in tracing.COMMANDS]
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert codes == [0] * len(tracing.COMMANDS)
+    assert tracer.spans[("cli", "main")][0] == len(tracing.COMMANDS)
+    for name in tracing.COMMANDS:
+        assert tracer.spans[("cli", f"cmd_{name}")][0] == 1, name

@@ -312,22 +312,26 @@ def test_ingest_matrix_errors_name_their_line():
     assert (bp.cox.rank, bp.default) == (2, "rank2")
 
 
-@pytest.mark.parametrize("text, line_no, kind, token", [
-    ("rank 2\nm 1 2 \uff14\n", 2, "m", "'\uff14'"),        # a fullwidth digit is not 4
-    ("rank 2\nm 1 2 3.0\n", 2, "m", "'3.0'"),
-    ("rank 2\nm 1 2 INF\n", 2, "m", "'INF'"),               # only `inf` is infinite
-    ("rank 2\nm \u0661 2 3\n", 2, "m", "'\u0661'"),
-    ("rank abc\n", 1, "rank", "'abc'"),
-    ("rank " + "1" * 5000 + "\n", 1, "rank", "'" + "1" * 18 + "...'"),  # bounded before int
-    ("rank 2\nm 1 2 6\ndir6 \uff12 1\n", 3, "dir6", "'\uff12'"),
-    ("rank 2\nm 1 2 3\nrel 1..2 1 2 :\n", 3, "rel", "''"),
-    ("rank 2\nm 1 2 3\nrel  1 2 :\n", 3, "rel", "':'"),
-    ("rank 2\nm 1 2 3\nrel 1.2.1 +1 3 :\n", 3, "rel", "'+1'"),
-    ("rank 2\nm 1 2 3\nrel 1.2.1 1 3 : \uff12\n", 3, "rel", "'\uff12'"),
-    ("rank 2\nm 1 2 3\nrel 1.2.1 1 " + "9" * 19 + " :\n", 3, "rel", "'" + "9" * 18 + "...'"),
-], ids=["fullwidth-label", "decimal-label", "INF-label", "arabic-indic-generator", "rank-abc",
-        "rank-5000-digits", "fullwidth-dir6", "empty-letter", "missing-word", "signed-position",
-        "fullwidth-value", "19-digit-position"])
+# id -> (file, line number, directive, the bad number as the message shows it)
+BAD_NUMBERS = {
+    "fullwidth-label": ("rank 2\nm 1 2 \uff14\n", 2, "m", "'\uff14'"),  # a fullwidth digit is not 4
+    "decimal-label": ("rank 2\nm 1 2 3.0\n", 2, "m", "'3.0'"),
+    "INF-label": ("rank 2\nm 1 2 INF\n", 2, "m", "'INF'"),  # only `inf` is infinite
+    "arabic-indic-generator": ("rank 2\nm \u0661 2 3\n", 2, "m", "'\u0661'"),
+    "rank-abc": ("rank abc\n", 1, "rank", "'abc'"),
+    "rank-5000-digits": ("rank " + "1" * 5000 + "\n", 1, "rank",
+                         "'" + "1" * 18 + "...'"),  # bounded before int
+    "fullwidth-dir6": ("rank 2\nm 1 2 6\ndir6 \uff12 1\n", 3, "dir6", "'\uff12'"),
+    "empty-letter": ("rank 2\nm 1 2 3\nrel 1..2 1 2 :\n", 3, "rel", "''"),
+    "missing-word": ("rank 2\nm 1 2 3\nrel  1 2 :\n", 3, "rel", "':'"),
+    "signed-position": ("rank 2\nm 1 2 3\nrel 1.2.1 +1 3 :\n", 3, "rel", "'+1'"),
+    "fullwidth-value": ("rank 2\nm 1 2 3\nrel 1.2.1 1 3 : \uff12\n", 3, "rel", "'\uff12'"),
+    "19-digit-position": ("rank 2\nm 1 2 3\nrel 1.2.1 1 " + "9" * 19 + " :\n", 3, "rel",
+                          "'" + "9" * 18 + "...'"),
+}
+
+
+@pytest.mark.parametrize("text, line_no, kind, token", BAD_NUMBERS.values(), ids=BAD_NUMBERS)
 def test_ingest_reads_numbers_as_ascii_digits(text, line_no, kind, token):
     # every number field is [0-9]+ of at most 18 digits, and `inf` only as a label
     with pytest.raises(ParseError) as err:

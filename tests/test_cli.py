@@ -93,6 +93,40 @@ def test_trailing_fields_exit_2(text, line_no, kind, token, capsys, tmp_path):
                                        f"{token!r} ({kind} {FIELDS[kind]})\n")
 
 
+LONG = "x" * 5000
+CUT = "'" + "x" * 18 + "...'"  # how an error message shows LONG
+
+
+@pytest.mark.parametrize("file, argv, err", [
+    (f"rank 2 {LONG}\n", ["validate"], f"line 1: rank: unexpected field {CUT} (rank N)"),
+    (f"{LONG} 2\n", ["validate"], f"line 1: unknown directive {CUT}"),
+    (f"rank 2\nm 1 2 3\ndefault {LONG}\n", ["validate"], f"line 3: unknown default mode {CUT}"),
+    (None, ["--builtin", LONG, "validate"], f"bad builtin name {CUT}"),
+    (None, ["--builtin", f"rank2:{LONG}", "validate"], f"unknown rank2 variant {CUT}"),
+    (None, ["--builtin", f"allempty:universal{'1' * 4991}", "validate"],
+     "unknown allempty variant 'universal111111111...'"),
+    (None, ["--builtin", f"{LONG}:m3", "validate"], f"unknown builtin family {CUT}"),
+    ("rank 2\nm 1 2 3\nrel " + ".".join("1" * 2500) + " 1 2 :\n", ["validate"],
+     "line 3: gallery word 1.1.1.1.1.1.1.1.1.... is not reduced"),
+    ("rank 2\nm 1 2 3\nrel " + ".".join("3" * 2500) + " 1 2 :\n", ["validate"],
+     "line 3: generator out of range in gallery 3.3.3.3.3.3.3.3.3...."),
+    (None, ["--builtin", "rank2:m3", "group", ".".join("3" * 2500)],
+     "generator out of range in '3.3.3.3.3.3.3.3.3....'"),
+], ids=["unexpected-field", "unknown-directive", "unknown-default-mode", "bad-builtin-name",
+        "unknown-rank2-variant", "unknown-allempty-variant", "unknown-builtin-family",
+        "unreduced-gallery-word", "gallery-generator-out-of-range", "group-generator-out-of-range"])
+def test_a_long_token_is_echoed_cut(file, argv, err, capsys, tmp_path):
+    # a 5 000-character token shows as its first 18 characters and '...'
+    if file is not None:
+        path = tmp_path / "long.bp"
+        path.write_text(file)
+        argv = ["--blueprint", str(path), *argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {err}\n"
+    assert len(captured.err.encode()) < 120
+
+
 @pytest.mark.parametrize("word", ["\uff12.1", "1.x", "1..2", "1.+2", "1." + "9" * 30, "1." + "1" * 5000],
                          ids=["fullwidth", "letter", "empty", "signed", "30-digits", "5000-digits"])
 def test_group_word_is_ascii_digits(word, capsys):
@@ -260,14 +294,14 @@ def test_chambers_reports_cb3_failure_of_u(name, witness, capsys, tmp_path):
 
 
 def test_internal_errors_exit_3(capsys, monkeypatch):
-    def crash(cfg):
+    def crash(bp, args):
         raise RecursionError("maximum recursion depth exceeded")
 
     monkeypatch.setattr(cli, "cmd_validate", crash)
     assert main(["--builtin", "rank2:m3", "validate"]) == 3
     assert "internal error: RecursionError" in capsys.readouterr().err
 
-    def disagree(cfg):
+    def disagree(bp, args):
         raise InternalConsistencyError("two routes disagree")
 
     monkeypatch.setattr(cli, "cmd_validate", disagree)

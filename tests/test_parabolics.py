@@ -346,8 +346,7 @@ def test_transposed_tau_breaks_the_homomorphism(name):
         assert axioms["Weyl"] and axioms["tau^2"] and axioms["(us*tau)^3"]
 
 
-@pytest.fixture
-def map_elem_calls(monkeypatch):
+def count_map_elem(monkeypatch):
     """`PCPres.map_elem` calls, counted per presentation."""
     calls = Counter()
     map_elem = PCPres.map_elem
@@ -358,6 +357,11 @@ def map_elem_calls(monkeypatch):
 
     monkeypatch.setattr(PCPres, "map_elem", counted)
     return calls
+
+
+@pytest.fixture
+def map_elem_calls(monkeypatch):
+    return count_map_elem(monkeypatch)
 
 
 @pytest.mark.parametrize("name", RESIDUE_BLUEPRINTS)

@@ -28,7 +28,8 @@ import pytest
 
 from rgdkit import blueprints
 from rgdkit import chambers as ch
-from tests import test_chambers, test_errors, test_prefix_builds
+from tests import (test_blueprints, test_chambers, test_collect_oracle, test_errors,
+                   test_parabolics, test_prefix_builds)
 
 # what a catcher raises when it fails: an assert, or a `pytest.raises`
 # that saw nothing raised
@@ -82,6 +83,45 @@ ROWS = [
         "                steps += hit[1]\n"
         "            x = hit[0]\n",
         lambda mp: test_errors.test_step_cap_is_exact_with_or_without_the_memo(True)),
+    Row("digits-any-unicode-digit", "rgdkit.blueprints", "is_digits",
+        "text.isascii() and ",
+        "",
+        lambda mp: test_blueprints.test_ingest_reads_numbers_as_ascii_digits(
+            *test_blueprints.BAD_NUMBERS["fullwidth-label"])),
+    Row("digits-unbounded", "rgdkit.blueprints", "is_digits",
+        "len(text) <= MAX_DIGITS and ",
+        "",
+        lambda mp: test_blueprints.test_ingest_reads_numbers_as_ascii_digits(
+            *test_blueprints.BAD_NUMBERS["19-digit-position"])),
+    Row("fold-memo-never-stores", "rgdkit.groupforge", "PCPres._fold",
+        "hit = seen[x] = self._letter(",
+        "hit = self._letter(",
+        test_chambers.test_chamber_battery_collects_each_product_once),
+    Row("letter-one-moves-row", "rgdkit.groupforge", "PCPres._letter",
+        "row = moves[j]",
+        "row = moves[0]",
+        lambda mp: test_collect_oracle.test_mask_collection_matches_the_word_buffer()),
+    Row("fold-miss-gets-the-whole-cap", "rgdkit.groupforge", "PCPres._fold",
+        "self._letter(x, j, cap - steps)",
+        "self._letter(x, j, cap)",
+        lambda mp: test_errors.test_step_cap_is_exact_with_or_without_the_memo(False)),
+    Row("tau-no-coverage-gate", "rgdkit.parabolics", "tau_on_residue",
+        "all((i, j) in pres.rel for i in gens for j in gens if i < j) and ",
+        "",
+        lambda mp: test_parabolics.test_sparse_relations_take_the_elementwise_loop(
+            "rank2:m6lr", test_parabolics.count_map_elem(mp))),
+    Row("tau-no-braid-on-generators", "rgdkit.parabolics", "tau_on_residue",
+        " and rg.us_tau(rg.us_tau(rg.us_tau(u))) == u",
+        "",
+        lambda mp: test_parabolics.test_identity_tau_fails_the_braid_with_u_s("rank2:m3")),
+    Row("column-screens-p0-only", "rgdkit.blueprints", "LocalRank2._column",
+        "if p and p < 4 else ()",
+        "if p else ()",
+        test_prefix_builds.test_screen_pair_value_budget),
+    Row("column-screens-p1", "rgdkit.blueprints", "LocalRank2._column",
+        "if p and p < 4 else ()",
+        "if 1 < p < 4 else ()",
+        lambda mp: test_prefix_builds.test_screened_columns_match_the_full_loop("rank2:m3")),
 ]
 IDS = [row.name for row in ROWS]
 
