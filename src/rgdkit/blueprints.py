@@ -444,16 +444,17 @@ def ingest(text: str, name: str = "file") -> Blueprint:
         if not (1 <= i < j <= len(word)):
             raise ParseError(ln, f"positions ({i},{j}) out of range")
         if any(not i < k < j for k in ks):
-            raise ParseError(ln, f"relation value {ks} not strictly between {i} and {j}")
+            raise ParseError(ln, f"relation value {cut(str(ks))} not strictly between {i} and {j}")
         if tuple(sorted(ks)) != ks or len(set(ks)) != len(ks):
-            raise ParseError(ln, f"relation value {ks} not strictly increasing")
+            raise ParseError(ln, f"relation value {cut(str(ks))} not strictly increasing")
         allowed = {G.position(r) for r in open_interval(cox, G.root(i), G.root(j), G)}
         if not set(ks) <= allowed:
-            raise ParseError(ln, f"relation value {ks} leaves the open interval "
-                                 f"({i},{j}) = {sorted(allowed)}")
+            raise ParseError(ln, f"relation value {cut(str(ks))} leaves the open interval "
+                                 f"({i},{j}) = {cut(str(sorted(allowed)))}")
         key = (word, i, j)
         if entries.get(key, ks) != ks:
-            raise ParseError(ln, f"relation value {ks} contradicts line {entry_lines[key]}")
+            raise ParseError(ln, f"relation value {cut(str(ks))} contradicts line "
+                                 f"{entry_lines[key]}")
         entries[key] = ks
         entry_lines.setdefault(key, ln)
     return Blueprint(cox, entries, default=default, name=name)

@@ -41,7 +41,8 @@ def _parse_word(text: str, rank: int) -> Word:
     try:  # a word reads as the WORD of a `rel` line
         word = tuple(blueprints.natural("rel", x) - 1 for x in text.split("."))
     except ValueError as exc:
-        raise RgdError(f"bad word {text!r}; expected dot-separated generators") from exc
+        raise RgdError(f"bad word {blueprints.cut(text)!r}; "
+                       "expected dot-separated generators") from exc
     if any(not 0 <= x < rank for x in word):
         raise RgdError(f"generator out of range in {blueprints.cut(text)!r}")
     return word
@@ -101,9 +102,8 @@ def cmd_group(bp: blueprints.Blueprint, args: argparse.Namespace) -> int:
     print(f"cross-gallery: {'PASS' if rep.ok else 'FAIL'} ({count} galleries)")
     if pres.consistent:
         series = groupforge.lower_central_series(pres)
-        dims = [len(g).bit_length() - 1 for g in series]
         print(f"nilpotency class: {len(series) - 1}")
-        print(f"lower central series dims: {dims}")
+        print(f"lower central series dims: {[len(term) for term in series]}")
     return _emit([rep], args.report_path)
 
 

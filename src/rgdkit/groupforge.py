@@ -24,12 +24,17 @@ k and the table alone, so `validate_cb3` keeps one memo of the certified
 presentation for an element with one gallery whose key is certified.  That
 memo is also the prefix certificate: when it holds the key of w[:-1] and
 that table is the restriction of w's, only the tests involving u_k remain.
+
+A subgroup is held as an induced pc sequence, at most one element per depth
+(the index of its lowest letter), never as a set of elements: the lower
+central series of U_w takes a number of group operations polynomial in k,
+whatever its order 2^k.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .blueprints import Blueprint
 from .coxeter import Word, word_label
@@ -352,59 +357,48 @@ def validate_cb3(bp: Blueprint, radius: int, cap_galleries: int = 10_000,
 
 
 # ---------------------------------------------------------------------------
-# subgroups and series
+# series
 
 
-def subgroup_closure(pres: PCPres, gens: Iterable[int],
-                     cap: int = 1 << 24) -> set[int]:
-    """Subgroup generated by `gens`, as an explicit element set (BFS)."""
-    gens = list(gens)
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = pres.mul(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    new.append(y)
-                    if len(seen) > cap:
-                        raise CapExceeded(f"subgroup closure cap {cap} exceeded")
-        frontier = new
-    return seen
+def _normal_span(pres: PCPres, gens: Sequence[int], seeds: Iterable[int]) -> tuple[int, ...]:
+    """An induced pc sequence of the normal closure of `seeds` under `gens`
+    in a consistent presentation: at most one element per depth, the index of
+    its lowest letter, ascending.  u_d ... u_k generate a subgroup in which
+    u_(d+1) ... u_k has index 2, so an element is sifted by multiplying it by
+    the basis element of its depth until it is 1 or joins the basis at a free
+    depth.  Once the squares and pairwise commutators of the basis sift to 1,
+    its products in depth order are a subgroup of order 2^|basis| (Holt, Eick
+    & O'Brien, Handbook of Computational Group Theory, 2005, ch. 8); once its
+    conjugates by `gens` do too, that subgroup is normal.  A sift that ends
+    in 1 stays so as the basis grows, so each element is sifted once."""
+    basis: dict[int, int] = {}
+    todo = list(seeds)
+    for x in todo:  # the list grows as it is read
+        while x:
+            d = (x & -x).bit_length()
+            b = basis.get(d)
+            if b is None:
+                todo += [pres.mul(x, x), *(pres.comm(x, y) for y in basis.values()),
+                         *(pres.conj(g, x) for g in gens)]
+                basis[d] = x
+                break
+            x = pres.mul(x, b)
+    return tuple(basis[d] for d in sorted(basis))
 
 
-def normal_closure(pres: PCPres, seed: Iterable[int],
-                   cap: int = 1 << 24) -> set[int]:
-    """Smallest normal subgroup containing `seed` (conjugation by the
-    presentation generators suffices since they generate)."""
-    gens = {x for x in seed if x}
-    group_gens = [pres.generator(i) for i in range(1, pres.k + 1)]
-    while True:
-        closure = subgroup_closure(pres, gens, cap)
-        new = {pres.conj(g, x) for x in closure for g in group_gens} - closure
-        if not new:
-            return closure
-        gens |= new
-
-
-def lower_central_series(pres: PCPres, cap: int = 1 << 24) -> list[Collection[int]]:
-    """gamma_1 = U, gamma_{i+1} = [gamma_i, U], until it reaches 1.
+def lower_central_series(pres: PCPres) -> list[tuple[int, ...]]:
+    """gamma_1 = U, gamma_{i+1} = [gamma_i, U], until it reaches 1, each
+    term as an induced pc sequence (`_normal_span`): its length is the
+    term's dimension over F_2.
 
     If N is the normal closure of X and U = <Y>, then [N, U] is the normal
     closure of [X, Y].  So each term is the normal closure of the
-    commutators of the previous term's generators with u_1 ... u_k, starting
-    from X = Y: k commutators per generator, not per element."""
-    if pres.order > cap:
-        raise CapExceeded(f"group order {pres.order} exceeds cap {cap}")
-    group_gens = [pres.generator(i) for i in range(1, pres.k + 1)]
-    series: list[Collection[int]] = [range(pres.order)]
-    gens: Iterable[int] = group_gens
-    while len(series[-1]) > 1:
-        gens = {pres.comm(x, g) for x in gens for g in group_gens}
-        nxt = normal_closure(pres, gens, cap)
-        if len(nxt) == len(series[-1]):
+    commutators of the previous term's sequence with u_1 ... u_k."""
+    gens = tuple(pres.generator(i) for i in range(1, pres.k + 1))
+    series = [gens]
+    while series[-1]:
+        term = _normal_span(pres, gens, [pres.comm(x, g) for x in series[-1] for g in gens])
+        if len(term) == len(series[-1]):
             raise RgdError("lower central series did not terminate; group not nilpotent?")
-        series.append(nxt)
+        series.append(term)
     return series

@@ -23,12 +23,11 @@ from rgdkit.blueprints import Blueprint
 from rgdkit.coxeter import CoxeterSystem, Word, word_label
 from rgdkit.errors import RgdError
 from rgdkit.galleries import Gallery, get_gallery, min_gal_s, shift
-from rgdkit.groupforge import (PCPres, build_Uw, presentation_for_gallery, relation_checks,
-                               subgroup_closure)
+from rgdkit.groupforge import PCPres, build_Uw, presentation_for_gallery, relation_checks
 from rgdkit.reports import Report, Violation
 from rgdkit.roots import Root, act, simple_root
 
-from tests.oracles import is_left_descent, prenilpotent
+from tests.oracles import is_left_descent, prenilpotent, subgroup_closure
 
 
 def reflected_into(cox: CoxeterSystem, s: int, roots: Sequence[Root],

@@ -38,19 +38,24 @@ reads each permutation's broken edges off `chambers._broken_edges`.
 reads them off the prefix galleries.  `is_reduced` compares a word with its
 normal form, where `get_gallery` refuses a word by the sign of the root its
 last letter crosses.
+
+`subgroup_closure` and `normal_closure` list the elements of a subgroup of
+U_w by breadth-first search, where `groupforge.lower_central_series` holds
+each term as an induced pc sequence of at most l(w) elements.
 """
 
 from __future__ import annotations
 
 from math import inf
 from operator import mul
+from typing import Iterable
 from weakref import WeakKeyDictionary
 
 from rgdkit.blueprints import Blueprint, LocalRank2, _checked, _pairs
 from rgdkit.coxeter import CoxeterSystem, Vector, Word, word_label
 from rgdkit.errors import CapExceeded, InternalConsistencyError, RgdError
 from rgdkit.galleries import Gallery, min_gal, min_gal_s, shift
-from rgdkit.groupforge import build_Uw, relation_checks
+from rgdkit.groupforge import PCPres, build_Uw, relation_checks
 from rgdkit.parabolics import ResidueGroup, ustausV_identity_check
 from rgdkit.reports import Report, Violation
 from rgdkit.roots import Residue2, Root, depth, expression, pair_order
@@ -336,3 +341,37 @@ def automorphism_edges_full(cs, gen: int) -> list[tuple[int, int, int, str]]:
                     if perm[j] not in adj[other][perm[i]]:
                         out.append((other, i, j, tag))
     return out
+
+
+def subgroup_closure(pres: PCPres, gens: Iterable[int],
+                     cap: int = 1 << 24) -> set[int]:
+    """Subgroup generated by `gens`, as an explicit element set (BFS)."""
+    gens = list(gens)
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = pres.mul(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+                    if len(seen) > cap:
+                        raise CapExceeded(f"subgroup closure cap {cap} exceeded")
+        frontier = new
+    return seen
+
+
+def normal_closure(pres: PCPres, seed: Iterable[int],
+                   cap: int = 1 << 24) -> set[int]:
+    """Smallest normal subgroup containing `seed` (conjugation by the
+    presentation generators suffices since they generate)."""
+    gens = {x for x in seed if x}
+    group_gens = [pres.generator(i) for i in range(1, pres.k + 1)]
+    while True:
+        closure = subgroup_closure(pres, gens, cap)
+        new = {pres.conj(g, x) for x in closure for g in group_gens} - closure
+        if not new:
+            return closure
+        gens |= new

@@ -32,8 +32,7 @@ def assert_same(a, b):
     assert a.checks == b.checks
 
 
-@pytest.fixture
-def tops(monkeypatch):
+def spy_tops(monkeypatch):
     """{base gallery word: top} of every consistency check that runs."""
     seen = {}
     original = PCPres.consistency_check
@@ -43,6 +42,11 @@ def tops(monkeypatch):
         return original(pres, top)
     monkeypatch.setattr(PCPres, "consistency_check", spy)
     return seen
+
+
+@pytest.fixture
+def tops(monkeypatch):
+    return spy_tops(monkeypatch)
 
 
 def keys(bp, words):

@@ -95,6 +95,9 @@ def test_trailing_fields_exit_2(text, line_no, kind, token, capsys, tmp_path):
 
 LONG = "x" * 5000
 CUT = "'" + "x" * 18 + "...'"  # how an error message shows LONG
+# a 3 000-value `rel` line of each refused kind: the value reads cut
+POSITIONS = " ".join(map(str, range(2, 3002)))
+INF_WORD = ".".join("12" * 1501)  # 3 002 letters; every position lies in (1, 3002)
 
 
 @pytest.mark.parametrize("file, argv, err", [
@@ -112,9 +115,26 @@ CUT = "'" + "x" * 18 + "...'"  # how an error message shows LONG
      "line 3: generator out of range in gallery 3.3.3.3.3.3.3.3.3...."),
     (None, ["--builtin", "rank2:m3", "group", ".".join("3" * 2500)],
      "generator out of range in '3.3.3.3.3.3.3.3.3....'"),
+    (None, ["--builtin", "rank2:m3", "group", "1." + "x" * 5000],
+     "bad word '1.xxxxxxxxxxxxxxxx...'; expected dot-separated generators"),
+    ("rank 2\nm 1 2 3\nrel 1.2.1 1 3 :" + " 5" * 3000 + "\n", ["validate"],
+     "line 3: relation value (5, 5, 5, 5, 5, 5,... not strictly between 1 and 3"),
+    ("rank 2\nm 1 2 3\nrel 1.2.1 1 3 :" + " 2" * 3000 + "\n", ["validate"],
+     "line 3: relation value (2, 2, 2, 2, 2, 2,... not strictly increasing"),
+    ("rank 3\nm 1 2 inf\nm 1 3 2\nm 2 3 2\nrel 3." + ".".join("12" * 1500) + ".1 1 3002 : "
+     + POSITIONS + "\n", ["validate"],
+     "line 5: relation value (2, 3, 4, 5, 6, 7,... leaves the open interval (1,3002) = []"),
+    ("rank 3\nm 1 2 inf\nm 1 3 2\nm 2 3 2\nrel " + ".".join("12" * 30 + "3" + "12" * 30)
+     + " 1 121 : 61\n", ["validate"],
+     "line 5: relation value (61,) leaves the open interval (1,121) = [2, 3, 4, 5, 6, 7,..."),
+    (f"rank 2\nm 1 2 inf\nrel {INF_WORD} 1 3002 : {POSITIONS[:-5]}\n"
+     f"rel {INF_WORD} 1 3002 : {POSITIONS}\n", ["validate"],
+     "line 4: relation value (2, 3, 4, 5, 6, 7,... contradicts line 3"),
 ], ids=["unexpected-field", "unknown-directive", "unknown-default-mode", "bad-builtin-name",
         "unknown-rank2-variant", "unknown-allempty-variant", "unknown-builtin-family",
-        "unreduced-gallery-word", "gallery-generator-out-of-range", "group-generator-out-of-range"])
+        "unreduced-gallery-word", "gallery-generator-out-of-range", "group-generator-out-of-range",
+        "group-bad-word", "value-not-between", "value-not-increasing", "value-leaves-interval",
+        "value-leaves-a-long-interval", "value-contradicts"])
 def test_a_long_token_is_echoed_cut(file, argv, err, capsys, tmp_path):
     # a 5 000-character token shows as its first 18 characters and '...'
     if file is not None:
@@ -132,7 +152,8 @@ def test_a_long_token_is_echoed_cut(file, argv, err, capsys, tmp_path):
 def test_group_word_is_ascii_digits(word, capsys):
     # a fullwidth digit is no generator, and a long letter is refused before `int` reads it
     assert main(["--builtin", "rank2:m3", "group", word]) == 2
-    assert capsys.readouterr().err == f"error: bad word {word!r}; expected dot-separated generators\n"
+    shown = word if len(word) <= 18 else word[:18] + "..."
+    assert capsys.readouterr().err == f"error: bad word {shown!r}; expected dot-separated generators\n"
 
 
 def test_group_refuses_long_word_before_normalizing(capsys, monkeypatch):
@@ -143,6 +164,17 @@ def test_group_refuses_long_word_before_normalizing(capsys, monkeypatch):
     word = ".".join(["1.2.3"] * 400)
     assert main(["--builtin", "allempty:universal3", "group", word]) == 2
     assert "exceeds group bit cap 24" in capsys.readouterr().err
+
+
+def test_group_bit_cap_is_the_one_bound_on_group(capsys):
+    # the lower central series holds no element sets, so U_w of order 2^26
+    # gets its series under --cap-group-bits 30
+    word = ".".join(["1.2.3"] * 8 + ["1", "2"])
+    assert main(["--builtin", "allempty:universal3", "--cap-group-bits", "30", "group", word]) == 0
+    out = capsys.readouterr().out
+    assert "order: 67108864\n" in out
+    assert out.endswith("nilpotency class: 1\nlower central series dims: [26, 0]\n"
+                        f"[PASS] U_w(allempty:universal3, w={word}): 1 checks, 0 violations\n")
 
 
 def test_group_cancelling_word_is_linear(capsys):

@@ -1,12 +1,16 @@
-"""Blueprint files fuzzed through the command line: whatever a file holds,
-`rgdkit --blueprint FILE validate` answers in its own bounded words.
+"""Inputs fuzzed through the command line: whatever a blueprint file or a
+`group` word holds, rgdkit answers in its own bounded words.
 
 A file is drawn from the `FIELDS` grammar, with short words and small
 numbers, or is a fixture with one token of one line replaced by a long, an
-empty or a non-ASCII one.  Every run exits 0, 1, 2 or 4 (3 is an internal
-error), prints no traceback, says a usage error (2) in one `error: ...`
-line, and writes no stderr line longer than 200 bytes.  A failure the
-search has found is pinned as an `@example`.
+empty or a non-ASCII one, or with the value of one `rel` line replaced by
+hundreds to thousands of numbers; it goes through `validate`.  A `group`
+word is a few dotted tokens (digits, empty, non-ASCII, long) or a long run
+of generators, on `rank2:m6lr` or `allempty:universal3`, with
+`--cap-group-bits` up to 30.  Every run exits 0, 1, 2 or 4 (3 is an
+internal error), prints no traceback, says a usage error (2) in one
+`error: ...` line, and writes no stderr line longer than 200 bytes.  A
+failure the search has found is pinned as an `@example`.
 """
 
 import contextlib
@@ -78,26 +82,79 @@ def fixture_files(draw):
     return "\n".join(lines) + "\n"
 
 
-@pytest.fixture(scope="module")
-def case_path(tmp_path_factory):
-    return tmp_path_factory.mktemp("fuzz") / "case.bp"
+REL_LINES = [(name, n) for name, lines in sorted(FIXTURE_LINES.items())
+             for n, line in enumerate(lines) if line.startswith("rel ")]
 
 
-@given(text=st.one_of(grammar_files(), fixture_files()))
-@example(text="rank 2\nm 1 2 3\n" + "x" * 5000 + " 2\n")  # unknown directive
-@example(text="rank 2\nm 1 2 3\ndefault " + "9" * 5000 + "\n")  # unknown default mode
-@example(text="rank 2 " + "x" * 5000 + "\nm 1 2 3\n")  # unexpected field
-@example(text="rank 2\nm 1 2 3\nrel " + ".".join("12" * 1250) + " 1 3 : 2\n")  # not reduced
-@example(text="rank 2\nm 1 2 3\nrel " + ".".join("123" * 833) + " 1 3 : 2\n")  # out of range
-@settings(max_examples=300, derandomize=True, deadline=2000)
-def test_every_file_is_answered_in_bounded_words(case_path, text):
-    case_path.write_text(text, encoding="utf-8")
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = cli.main(["--blueprint", str(case_path), "--radius", "2", "validate"])
-    err = err.getvalue()
+@st.composite
+def long_rel_files(draw):
+    """A fixture with the value of one `rel` line replaced by 100 to 3 000
+    numbers: one repeated, a run up or down, or a cycle."""
+    name, n = draw(st.sampled_from(REL_LINES))
+    lines = list(FIXTURE_LINES[name])
+    count, start = draw(st.integers(100, 3000)), draw(st.integers(0, 7))
+    values = draw(st.sampled_from([
+        [start] * count, range(start, start + count), range(start + count, start, -1),
+        [start + m % 4 for m in range(count)]]))
+    lines[n] = " ".join([*lines[n].split()[:4], ":", *map(str, values)])
+    return "\n".join(lines) + "\n"
+
+
+def assert_answered(code, err):
+    """The properties every run keeps."""
     assert code in (0, 1, 2, 4), err
     assert "Traceback" not in err
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
     assert all(len(line.encode()) <= 200 for line in err.splitlines()), err[:300]
+
+
+def run(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def case_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "case.bp"
+
+
+@given(text=st.one_of(grammar_files(), fixture_files(), long_rel_files()))
+@example(text="rank 2\nm 1 2 3\n" + "x" * 5000 + " 2\n")  # unknown directive
+@example(text="rank 2\nm 1 2 3\ndefault " + "9" * 5000 + "\n")  # unknown default mode
+@example(text="rank 2 " + "x" * 5000 + "\nm 1 2 3\n")  # unexpected field
+@example(text="rank 2\nm 1 2 3\nrel " + ".".join("12" * 1250) + " 1 3 : 2\n")  # not reduced
+@example(text="rank 2\nm 1 2 3\nrel " + ".".join("123" * 833) + " 1 3 : 2\n")  # out of range
+@example(text="rank 2\nm 1 2 3\nrel 1.2.1 1 3 :" + " 2" * 3000 + "\n")  # not increasing
+@example(text="rank 2\nm 1 2 3\nrel 1.2.1 1 3 :" + " 5" * 3000 + "\n")  # not between
+@example(text="rank 3\nm 1 2 inf\nm 1 3 2\nm 2 3 2\nrel "  # a 119-position open interval
+        + ".".join("12" * 30 + "3" + "12" * 30) + " 1 121 : 61\n")
+@settings(max_examples=400, derandomize=True, deadline=2000)
+def test_every_file_is_answered_in_bounded_words(case_path, text):
+    case_path.write_text(text, encoding="utf-8")
+    assert_answered(*run(["--blueprint", str(case_path), "--radius", "2", "validate"]))
+
+
+TOKEN = st.sampled_from(["1", "2", "3", "4", "0", "01", "", "e", "x", "３", "é", "١",
+                         "9" * 30, "1" * 5000, "x" * 5000])
+RUN = st.sampled_from(["1", "1.2", "2.1", "1.2.3", "3.2.1", "1.2.1.2.1.2"])
+
+
+@st.composite
+def group_words(draw):
+    """A few dotted tokens, or one run of generators repeated up to 2 000 times."""
+    if draw(st.booleans()):
+        return ".".join(draw(st.lists(TOKEN, max_size=6)))
+    return ".".join([draw(RUN)] * draw(st.integers(1, 2000)))
+
+
+@given(builtin=st.sampled_from(["rank2:m6lr", "allempty:universal3"]), word=group_words(),
+       cap=st.one_of(st.none(), st.integers(1, 30)))
+@example(builtin="rank2:m6lr", word="1." + "1" * 5000, cap=None)  # bad word
+@example(builtin="allempty:universal3", word=".".join("123" * 8 + "12"), cap=30)  # order 2^26
+@settings(max_examples=300, derandomize=True, deadline=2000)
+def test_every_group_word_is_answered_in_bounded_words(builtin, word, cap):
+    bits = [] if cap is None else ["--cap-group-bits", str(cap)]
+    assert_answered(*run(["--builtin", builtin, *bits, "group", word]))

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rgdkit import blueprints as bpmod
 from rgdkit import groupforge as gf
@@ -12,6 +12,7 @@ from rgdkit.parabolics import build_residue_group
 from tests.conftest import fixture_path
 from tests.coset_enum import group_order, relators
 from tests.lemma_checks import vws_iso_check
+from tests.oracles import normal_closure, subgroup_closure
 from tests.test_collect_oracle import cases
 
 
@@ -134,17 +135,17 @@ def test_build_uw_orders_match_enumeration(bp_m4, bp_m6):
 
 def test_subgroup_closure():
     p = raw_pres(3, A2)
-    assert gf.subgroup_closure(p, []) == {0}
-    whole = gf.subgroup_closure(p, [p.generator(i) for i in (1, 2, 3)])
+    assert subgroup_closure(p, []) == {0}
+    whole = subgroup_closure(p, [p.generator(i) for i in (1, 2, 3)])
     assert len(whole) == 8
     # u2 = [u1, u3], so u1 and u3 già generate everything
-    assert len(gf.subgroup_closure(p, [p.generator(1), p.generator(3)])) == 8
+    assert len(subgroup_closure(p, [p.generator(1), p.generator(3)])) == 8
 
 
 def test_lower_central_series():
     p = raw_pres(3, A2)
     series = gf.lower_central_series(p)
-    assert [len(g) for g in series] == [8, 2, 1]
+    assert [len(g) for g in series] == [3, 1, 0]
     assert nilpotency_class(p) == 2
 
     p2 = raw_pres(3, {})
@@ -160,20 +161,56 @@ def series_by_elements(pres):
     gens = [pres.generator(i) for i in range(1, pres.k + 1)]
     series = [set(range(pres.order))]
     while len(series[-1]) > 1:
-        series.append(gf.normal_closure(pres, {pres.comm(x, g) for x in series[-1] for g in gens}))
+        series.append(normal_closure(pres, {pres.comm(x, g) for x in series[-1] for g in gens}))
     return series
 
 
-def test_lower_central_series_matches_the_element_definition():
+def span(pres, term):
+    """The products of the subsets of an induced pc sequence, each in depth
+    order; they are 2^len(term) distinct elements."""
+    elements = [0]
+    for b in term:
+        elements += [pres.mul(x, b) for x in elements]
+    depths = [(b & -b).bit_length() for b in term]
+    assert depths == sorted(set(depths)) and len(set(elements)) == 1 << len(term)
+    return set(elements)
+
+
+def element_definition_presentations():
     presentations = [raw_pres(3, A2), raw_pres(4, B2), raw_pres(6, G2)]
     for name in ("rank2:m3", "rank2:m4", "rank2:m6lr", "rank2:m6rl"):
         bp = bpmod.builtin(name)
         presentations += [gf.build_Uw(bp, w)[0] for w in bp.cox.ball(6)]
-    bp = bpmod.ingest_path(fixture_path("rank3_g2_product.bp"))
-    presentations += [gf.build_Uw(bp, w)[0] for w in bp.cox.ball(4)]
+    for name in ("rank3_g2_product.bp", "rank3_cycle444.bp"):
+        bp = bpmod.ingest_path(fixture_path(name))
+        presentations += [gf.build_Uw(bp, w)[0] for w in bp.cox.ball(5)]
+    return presentations
+
+
+def test_lower_central_series_matches_the_element_definition():
+    presentations = element_definition_presentations()
     assert max(len(series_by_elements(p)) for p in presentations) == 4  # class 3 occurs
     for p in presentations:
-        assert [set(g) for g in gf.lower_central_series(p)] == series_by_elements(p)
+        assert [span(p, term) for term in gf.lower_central_series(p)] == series_by_elements(p)
+
+
+@given(cases())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_lower_central_series_matches_the_element_definition_on_random_tables(case):
+    k, rel = case[:2]
+    p = raw_pres(k, rel)
+    assume(p.consistency_check())
+    assert [span(p, term) for term in gf.lower_central_series(p)] == series_by_elements(p)
+
+
+def count_group_operations(monkeypatch):
+    """A list that gains one entry per `mul`, `comm` or `conj` call."""
+    calls = []
+    for name in ("mul", "comm", "conj"):
+        op = getattr(gf.PCPres, name)
+        monkeypatch.setattr(gf.PCPres, name,
+                            lambda self, x, y, op=op: calls.append(1) or op(self, x, y))
+    return calls
 
 
 def test_lower_central_series_commutes_generators_not_elements(monkeypatch):
@@ -185,8 +222,24 @@ def test_lower_central_series_commutes_generators_not_elements(monkeypatch):
     calls = []
     comm = gf.PCPres.comm
     monkeypatch.setattr(gf.PCPres, "comm", lambda self, x, y: calls.append(1) or comm(self, x, y))
-    assert [len(g) for g in gf.lower_central_series(pres)] == [1 << 12, 1]
+    assert [len(g) for g in gf.lower_central_series(pres)] == [12, 0]
     assert len(calls) <= pres.k ** 2
+
+
+def test_lower_central_series_work_budget(monkeypatch):
+    # the element closures made 192 group operations on the hexagon; the
+    # pc sequences stay within k^3 on every U_w of a G2 x A1 ball
+    bp = bpmod.builtin("rank2:m6lr")
+    pres, _ = gf.build_Uw(bp, (0, 1, 0, 1, 0, 1))
+    calls = count_group_operations(monkeypatch)
+    assert [len(g) for g in gf.lower_central_series(pres)] == [6, 3, 1, 0]
+    assert len(calls) < 192
+    bp = bpmod.ingest_path(fixture_path("rank3_g2_product.bp"))
+    for w in bp.cox.ball(5):
+        pres, _ = gf.build_Uw(bp, w)
+        calls.clear()
+        gf.lower_central_series(pres)
+        assert len(calls) <= pres.k ** 3, w
 
 
 def test_class_one_iff_every_square_trivial():
@@ -246,7 +299,7 @@ def test_tail_generators_span_the_masks_without_u1(bp_m4, bp_m6):
         presentations.append(gf.build_Uw(bp, bp.cox.longest_element((0, 1)))[0])
     for p in presentations:
         assert p.consistency_check()
-        tail = gf.subgroup_closure(p, [p.generator(i) for i in range(2, p.k + 1)])
+        tail = subgroup_closure(p, [p.generator(i) for i in range(2, p.k + 1)])
         assert tail == set(range(0, p.order, 2))
 
 

@@ -8,6 +8,8 @@ source, which must occur exactly once, the snippet's replacement, and the
 test that must catch it.  The mutant is compiled from `inspect.getsource`
 with the snippet replaced, in the module's globals, and installed by
 `monkeypatch`; the catcher must fail on it and pass on the unmutated code.
+A catcher that reaches the function through a test module's own import
+points that name at the installed one first.
 A refactor that removes a snippet fails here loudly and updates its row.
 
 DeMillo, Lipton & Sayward, "Hints on test data selection", IEEE Computer
@@ -26,10 +28,10 @@ from typing import Callable
 
 import pytest
 
-from rgdkit import blueprints
+from rgdkit import blueprints, galleries
 from rgdkit import chambers as ch
-from tests import (test_blueprints, test_chambers, test_collect_oracle, test_errors,
-                   test_parabolics, test_prefix_builds)
+from tests import (test_blueprints, test_cb3, test_chambers, test_collect_oracle, test_errors,
+                   test_groupforge, test_parabolics, test_prefix_builds, test_table_memos)
 
 # what a catcher raises when it fails: an assert, or a `pytest.raises`
 # that saw nothing raised
@@ -48,6 +50,12 @@ class Row:
 
 def _m3_systems():
     return {3: ch.build_CJ(blueprints.builtin("rank2:m3"), 0, 1)}
+
+
+def _own_get_gallery(mp):
+    """Point `test_prefix_builds`' own binding of `get_gallery` at the one
+    installed in `galleries`, the mutant once it is."""
+    mp.setattr(test_prefix_builds, "get_gallery", galleries.get_gallery)
 
 
 ROWS = [
@@ -122,6 +130,47 @@ ROWS = [
         "if p and p < 4 else ()",
         "if 1 < p < 4 else ()",
         lambda mp: test_prefix_builds.test_screened_columns_match_the_full_loop("rank2:m3")),
+    Row("weyl-first-pass-ignores-mismatches", "rgdkit.blueprints", "_weyl_by_descents",
+        "if bp.mismatches(G, get_gallery(cox, G.word[1:]), -1):",
+        "if False:",
+        lambda mp: test_table_memos.test_an_interior_weyl_violation_is_reported_at_both_sites()),
+    Row("weyl-first-pass-notes-a-cap", "rgdkit.blueprints", "_weyl_by_descents",
+        "            gals = min_gal(cox, w, gallery_cap)\n",
+        "            try:\n"
+        "                gals = min_gal(cox, w, gallery_cap)\n"
+        "            except CapExceeded:\n"
+        "                report.skip(f\"skipped w={word_label(w)}: more than {gallery_cap} "
+        "galleries\")\n"
+        "                continue\n",
+        lambda mp: test_table_memos.test_weyl_at_a_gallery_cap_matches_the_full_loop(
+            "rank2:m6lr")),
+    Row("weyl-first-pass-catches-caps-only", "rgdkit.blueprints", "_weyl_by_descents",
+        "except RgdError:",
+        "except CapExceeded:",
+        lambda mp: test_table_memos.test_a_table_that_fails_to_build_raises_as_in_the_full_loop()),
+    Row("gallery-warm-step-refuses-nothing", "rgdkit.galleries", "get_gallery",
+        "if cox.vec_sign(last) < 0:",
+        "if False:",
+        lambda mp: _own_get_gallery(mp)
+        or test_prefix_builds.test_get_gallery_refuses_exactly_the_unreduced_words("A2")),
+    Row("gallery-warm-step-builds-the-tail", "rgdkit.galleries", "get_gallery",
+        "cache.get(word[1:])",
+        "get_gallery(cox, word[1:]) if word else None",
+        lambda mp: _own_get_gallery(mp)
+        or test_prefix_builds.test_a_word_without_its_tail_gallery_takes_the_cold_pass(mp)),
+    Row("cb1-no-every-prefix-rerun", "rgdkit.blueprints", "validate_cb1",
+        "for immediate in (True, False):",
+        "for immediate in (True,):",
+        test_prefix_builds.test_cb1_falls_back_to_every_prefix_on_a_disagreement),
+    Row("cb3-always-takes-the-prefix-certificate", "rgdkit.groupforge", "build_Uw",
+        "if (k - 1, bp.table_no(prefix)) in consistent and not bp.mismatches(base, prefix, 0):",
+        "if True:",
+        lambda mp: test_cb3.test_prefix_tree_falls_back_when_the_prefix_table_differs(
+            test_cb3.spy_tops(mp))),
+    Row("span-drops-an-element-at-a-taken-depth", "rgdkit.groupforge", "_normal_span",
+        "x = pres.mul(x, b)",
+        "break",
+        lambda mp: test_groupforge.test_lower_central_series_matches_the_element_definition()),
 ]
 IDS = [row.name for row in ROWS]
 
