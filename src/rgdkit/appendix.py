@@ -9,15 +9,17 @@ residue (the directed one when m = 6), and U with its two tau maps is the
 `parabolics.ResidueGroup` of that gallery: anchor 1 is tau of its first
 letter, anchor m tau of its second.  A U that fails the consistency test
 is reported with its witness, and the suite does not run.
+
+In rank >= 3, `appendix_conjugation_check` transports conjugates of root
+groups outside the residue through the braid (tau_s tau_t)^m.  Its candidate
+roots are those crossed by elements of length at most DEPTH = 3, a fixed
+bound; the radius bounds only the ambient groups the transport may use.
 """
 
 from __future__ import annotations
 
-from math import inf
-
 from .blueprints import Blueprint
 from .coxeter import Word
-from .errors import RgdError
 from .galleries import get_gallery, oriented_gallery
 from .groupforge import PCPres, build_Uw, presentation_for_gallery
 from .parabolics import ResidueGroup
@@ -199,8 +201,6 @@ def verify_identity_chains(bp: Blueprint, s: int, t: int) -> Report:
     """Run the displayed-identity suite for the pair {s, t}."""
     G = oriented_gallery(bp.cox, s, t)
     m = len(G)
-    if m not in _SUITES:
-        raise RgdError(f"no identity suite for m = {m}")
     report = Report(f"identities({bp.name}, m={m})")
     rg = ResidueGroup(bp, presentation_for_gallery(bp, G))
     pres = rg.pres
@@ -217,10 +217,6 @@ def verify_identity_chains(bp: Blueprint, s: int, t: int) -> Report:
     for anchor, win, wout in taus:
         mp = rg.tau_maps[rg.s if anchor == 1 else rg.t]
         report.checks += 1
-        if any(x == anchor for x in win):
-            report.add(Violation(axiom="identity", gallery=G.label(),
-                                 expected=f"word avoiding {anchor}", found=str(win)))
-            continue
         image = pres.collect([mp[x] for x in win])
         if image != pres.collect(wout):
             report.add(Violation(axiom="identity", gallery=G.label(),
@@ -231,12 +227,17 @@ def verify_identity_chains(bp: Blueprint, s: int, t: int) -> Report:
 # ---------------------------------------------------------------------------
 # conjugation transport in rank >= 3
 
+# length bound of the elements whose crossed roots are the candidate alphas
+DEPTH = 3
 
-def appendix_conjugation_check(bp: Blueprint, s: int, t: int, r: int,
-                               depth_cap: int = 3) -> Report:
+
+def appendix_conjugation_check(bp: Blueprint, s: int, t: int, r: int) -> Report:
     """Check that (tau_s tau_t)^m fixes the generators u . u_alpha . u^-1 of
     the complement of the {s,t}-part, for every u in U_{s,t} and every root
-    alpha outside the dihedral residue representable within radius r.
+    alpha outside the dihedral residue that some element of length at most
+    DEPTH crosses, as far as it is representable within radius r.  The pair
+    {s, t} is spherical and the rank at least 3, as `cli.cmd_appendix`
+    ensures.
 
     Each tau step maps a normal form supported away from the moving wall to
     its reflected support, re-anchored in a minimal ambient group; instances
@@ -244,14 +245,8 @@ def appendix_conjugation_check(bp: Blueprint, s: int, t: int, r: int,
     unverifiable rather than assumed.
     """
     cox = bp.cox
-    m = cox.matrix.m(s, t)
-    if m == inf:
-        raise RgdError("spherical pair required")
-    m = int(m)
+    m = int(cox.matrix.m(s, t))
     report = Report(f"appendix-conj({bp.name}, {s + 1},{t + 1}, r={r})")
-    if cox.rank < 3:
-        report.note("rank < 3: no roots outside the dihedral residue")
-        return report
 
     engines: dict[Word, PCPres] = {}
 
@@ -285,7 +280,7 @@ def appendix_conjugation_check(bp: Blueprint, s: int, t: int, r: int,
 
     # candidate outside roots of bounded depth
     outside: dict = {}
-    for w in cox.ball(depth_cap):
+    for w in cox.ball(DEPTH):
         for rt in get_gallery(cox, w).roots:
             if any(rt.vec[i] for i in range(cox.rank) if i not in (s, t)):
                 outside.setdefault(rt.vec, rt)

@@ -138,8 +138,6 @@ def ustausV_identity_check(rg: ResidueGroup, alpha: Root) -> bool:
     """The two expansions of tau_s u_s tau_s (alpha) = u_s tau_s u_s (alpha)
     collect to the same normal form in N_R."""
     pres, tau = rg.pres, rg.tau_maps[rg.s]
-    if not rg.gallery.crosses(alpha) or alpha == rg.gallery.root(1):
-        raise RgdError("alpha must be a wall of R other than alpha_s")
     a = pres.position(alpha)
 
     def m_set(k: int) -> tuple[int, ...]:

@@ -1,21 +1,22 @@
-"""Exact arithmetic in the field Q(sqrt2, sqrt3), and the geometric
-representation of a Coxeter group over it.
+"""Exact arithmetic in the field Q(sqrt2, sqrt3).
 
 Every scalar is a + b*sqrt2 + c*sqrt3 + d*sqrt6 with rational a, b, c, d.
 Since {1, sqrt2, sqrt3, sqrt6} is a Q-basis, a value is zero iff all four
 coefficients are zero; signs of nonzero values are certified by rational
 interval arithmetic at increasing precision.
 
-The engine (`coxeter`, `roots`) computes in an integer root realization.
-`GeometricRealization` is the independent Tits representation with
-B(e_s, e_t) = -cos(pi/m_st); it is kept as the engine's differential oracle.
+The engine (`coxeter`, `roots`) computes in an integer root realization and
+uses none of this.  The scalars stay in the package because
+`perfbench/tracing.py` patches `QF24`'s operators by module; the Tits
+representation over them, the engine's differential oracle, is
+`GeometricRealization` in `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, isqrt
+from math import isqrt
 from typing import Union
 
 Rat = Union[int, Fraction]
@@ -150,54 +151,3 @@ _ZERO = QF24(Fraction(0), Fraction(0), Fraction(0), Fraction(0))
 
 ZERO = _ZERO
 ONE = QF24.of(1)
-
-# cos(pi/m) for every allowed label
-_COS = {2: ZERO, 3: QF24.of(Fraction(1, 2)), 4: QF24.of(0, Fraction(1, 2)),
-        6: QF24.of(0, 0, Fraction(1, 2)), inf: ONE}
-
-
-class GeometricRealization:
-    """Tits representation of a Coxeter matrix on vectors of QF24 scalars."""
-
-    def __init__(self, matrix):
-        n = self.rank = matrix.rank
-        self.bilinear = tuple(
-            tuple(ONE if i == j else -_COS[matrix.m(i, j)] for j in range(n))
-            for i in range(n))
-        self.basis = tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-
-    def bform(self, u, v) -> QF24:
-        total = ZERO
-        for ui, row in zip(u, self.bilinear):
-            for bij, vj in zip(row, v):
-                total = total + ui * bij * vj
-        return total
-
-    def reflect(self, s: int, v):
-        """sigma_s(v) = v - 2 B(e_s, v) e_s."""
-        coeff = self.bform(self.basis[s], v)
-        out = list(v)
-        out[s] = v[s] - (coeff + coeff)
-        return tuple(out)
-
-    def apply(self, word, v):
-        for s in reversed(word):
-            v = self.reflect(s, v)
-        return v
-
-    @staticmethod
-    def vec_sign(v) -> int:
-        """+1 for a positive vector, -1 for a negative one."""
-        signs = {c.sign() for c in v} - {0}
-        if len(signs) != 1:
-            raise ValueError(f"mixed-sign or zero vector is not a root image: {v}")
-        return signs.pop()
-
-    def pair_order(self, u, v) -> float:
-        """Order of r_u r_v for unit roots u != +-v, matched from |B(u, v)|^2."""
-        b = self.bform(u, v)
-        b2 = b * b
-        if (b2 - ONE).sign() >= 0:
-            return inf
-        return {ZERO: 2, QF24.of(Fraction(1, 4)): 3, QF24.of(Fraction(1, 2)): 4,
-                QF24.of(Fraction(3, 4)): 6}[b2]

@@ -42,9 +42,6 @@ class Report:
     def add(self, violation: Violation) -> None:
         self.violations.append(violation)
 
-    def note(self, text: str) -> None:
-        self.notes.append(text)
-
     def skip(self, text: str) -> None:
         """Note work left undone at a cap; a run with a skip is incomplete."""
         self.notes.append(text)

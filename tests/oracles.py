@@ -42,10 +42,16 @@ last letter crosses.
 `subgroup_closure` and `normal_closure` list the elements of a subgroup of
 U_w by breadth-first search, where `groupforge.lower_central_series` holds
 each term as an induced pc sequence of at most l(w) elements.
+
+`GeometricRealization` is the Tits representation with B(e_s, e_t) =
+-cos(pi/m_st) on vectors of `qf24.QF24` scalars, where the engine computes
+in the integer root realization of a generalized Cartan matrix; it is the
+engine's differential oracle (`tests/test_realization.py`).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import inf
 from operator import mul
 from typing import Iterable
@@ -57,6 +63,7 @@ from rgdkit.errors import CapExceeded, InternalConsistencyError, RgdError
 from rgdkit.galleries import Gallery, min_gal, min_gal_s, shift
 from rgdkit.groupforge import PCPres, build_Uw, relation_checks
 from rgdkit.parabolics import ResidueGroup, ustausV_identity_check
+from rgdkit.qf24 import ONE, QF24, ZERO
 from rgdkit.reports import Report, Violation
 from rgdkit.roots import Residue2, Root, depth, expression, pair_order
 
@@ -375,3 +382,55 @@ def normal_closure(pres: PCPres, seed: Iterable[int],
         if not new:
             return closure
         gens |= new
+
+
+# cos(pi/m) for every allowed label
+_COS = {2: ZERO, 3: QF24.of(Fraction(1, 2)), 4: QF24.of(0, Fraction(1, 2)),
+        6: QF24.of(0, 0, Fraction(1, 2)), inf: ONE}
+
+
+class GeometricRealization:
+    """Tits representation of a Coxeter matrix on vectors of QF24 scalars."""
+
+    def __init__(self, matrix):
+        n = self.rank = matrix.rank
+        self.bilinear = tuple(
+            tuple(ONE if i == j else -_COS[matrix.m(i, j)] for j in range(n))
+            for i in range(n))
+        self.basis = tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
+
+    def bform(self, u, v) -> QF24:
+        total = ZERO
+        for ui, row in zip(u, self.bilinear):
+            for bij, vj in zip(row, v):
+                total = total + ui * bij * vj
+        return total
+
+    def reflect(self, s: int, v):
+        """sigma_s(v) = v - 2 B(e_s, v) e_s."""
+        coeff = self.bform(self.basis[s], v)
+        out = list(v)
+        out[s] = v[s] - (coeff + coeff)
+        return tuple(out)
+
+    def apply(self, word, v):
+        for s in reversed(word):
+            v = self.reflect(s, v)
+        return v
+
+    @staticmethod
+    def vec_sign(v) -> int:
+        """+1 for a positive vector, -1 for a negative one."""
+        signs = {c.sign() for c in v} - {0}
+        if len(signs) != 1:
+            raise ValueError(f"mixed-sign or zero vector is not a root image: {v}")
+        return signs.pop()
+
+    def pair_order(self, u, v) -> float:
+        """Order of r_u r_v for unit roots u != +-v, matched from |B(u, v)|^2."""
+        b = self.bform(u, v)
+        b2 = b * b
+        if (b2 - ONE).sign() >= 0:
+            return inf
+        return {ZERO: 2, QF24.of(Fraction(1, 4)): 3, QF24.of(Fraction(1, 2)): 4,
+                QF24.of(Fraction(3, 4)): 6}[b2]

@@ -1,9 +1,12 @@
 """The displayed-identity suite and the braid conjugation transport."""
 
+from math import inf
+
 import pytest
 
 from rgdkit import appendix as ap
 from rgdkit import blueprints as bpmod
+from rgdkit.coxeter import ALLOWED_LABELS
 from rgdkit.galleries import oriented_gallery
 
 
@@ -48,33 +51,44 @@ def test_oriented_gallery_follows_direction():
 
 def test_conjugation_check_product_m2(bp_product_b2):
     # quadrangle x A1: braid on the {1,3} pair (m = 2) transports alpha_2 walls
-    report = ap.appendix_conjugation_check(bp_product_b2, 0, 2, r=5, depth_cap=2)
+    report = ap.appendix_conjugation_check(bp_product_b2, 0, 2, r=5)
     assert report.ok, report.to_text()
-    assert report.checks > 0
+    assert report.checks == 12
 
 
 def test_conjugation_check_product_m4(bp_product_b2):
-    report = ap.appendix_conjugation_check(bp_product_b2, 0, 1, r=5, depth_cap=2)
+    report = ap.appendix_conjugation_check(bp_product_b2, 0, 1, r=5)
     assert report.ok, report.to_text()
-    assert report.checks > 0
+    assert report.checks == 16
 
 
 def test_conjugation_check_product_m3(bp_product_a2):
-    report = ap.appendix_conjugation_check(bp_product_a2, 0, 1, r=5, depth_cap=2)
+    report = ap.appendix_conjugation_check(bp_product_a2, 0, 1, r=5)
     assert report.ok, report.to_text()
-    assert report.checks > 0
+    assert report.checks == 8
 
 
 def test_conjugation_check_product_m6(bp_product_g2):
-    report = ap.appendix_conjugation_check(bp_product_g2, 0, 1, r=7, depth_cap=1)
+    report = ap.appendix_conjugation_check(bp_product_g2, 0, 1, r=7)
     assert report.ok, report.to_text()
-    assert report.checks > 0
+    assert report.checks == 64
 
 
 def test_conjugation_check_rightangled(bp_rightangled3):
-    report = ap.appendix_conjugation_check(bp_rightangled3, 0, 1, r=4, depth_cap=2)
+    report = ap.appendix_conjugation_check(bp_rightangled3, 0, 1, r=4)
     assert report.ok, report.to_text()
-    assert report.checks > 0
+    assert report.checks == 19
     # deeper roots fall off the representable horizon and are reported
-    wide = ap.appendix_conjugation_check(bp_rightangled3, 0, 1, r=3, depth_cap=3)
+    assert report.notes == ["29 instances unverifiable at radius 4"]
+    wide = ap.appendix_conjugation_check(bp_rightangled3, 0, 1, r=3)
     assert any("unverifiable" in note for note in wide.notes)
+    assert (wide.checks, wide.skipped) == (9, 1)
+
+
+def test_suite_tables_fit_their_labels():
+    # a suite for every finite label, and each tau step's word avoids the
+    # generator at its anchor: tau of that end is defined only without it
+    assert sorted(ap._SUITES) == [m for m in ALLOWED_LABELS if m != inf]
+    for m, (_, taus) in ap._SUITES.items():
+        for anchor, win, _ in taus:
+            assert anchor in (1, m) and anchor not in win, (m, anchor, win)

@@ -308,6 +308,26 @@ def test_generator_arguments_are_checked(argv, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text,argv,err", [
+    ("rank 0\n", [], "error: line 1: rank must be positive\n"),
+    ("", [], "error: line 0: missing 'rank' directive\n"),
+    ("rank 2\nm 1 2 3\n", ["--builtin", "rank2:m3"],
+     "error: give either --builtin or --blueprint, not both\n"),
+    ("rank 2\nm 1 2 3\n", ["--cap-galleries", "0"], "error: caps must be positive\n"),
+    ("rank 2\nm 1 2 3\n", ["--cap-group-bits", "0"], "error: caps must be positive\n"),
+    (None, ["--builtin", "allempty:universal0"], "error: rank must be positive\n"),
+], ids=["rank-0", "empty-file", "builtin-and-blueprint", "cap-galleries-0",
+        "cap-group-bits-0", "universal0"])
+def test_boundary_refusals_exit_2(text, argv, err, capsys, tmp_path):
+    # the checks of outside input that every command runs behind
+    if text is not None:
+        path = tmp_path / "case.bp"
+        path.write_text(text)
+        argv = ["--blueprint", str(path), *argv]
+    assert main([*argv, "validate"]) == 2
+    assert capsys.readouterr() == ("", err)
+
+
 @pytest.mark.parametrize("name,witness", [
     ("g2_weyl_mutated.bp", "gallery=2.1.2.1.2.1 i=2 j=6 "),
     ("b2_cb2_mutated.bp", "gallery=2.1.2.1 i=1 j=4 "),

@@ -132,6 +132,7 @@ def test_longest_element():
     assert cox.longest_element((0,)) == (0,)
     assert cox.longest_element((0, 1)) == (0, 1, 0)
     assert len(cox_dihedral(6).longest_element((0, 1))) == 6
+    assert cox.longest_element(()) == ()
     with pytest.raises(NotSpherical):
         cox_universal(2).longest_element((0, 1))
 
@@ -177,6 +178,10 @@ def test_matrix_entries_validated():
     with pytest.raises(RgdError):  # two directions on one 6-edge
         CoxeterMatrix.from_dict(2, {(0, 1): 6},
                                 directed6=frozenset({(0, 1), (1, 0)}))
+    with pytest.raises(RgdError, match="^rank must be positive$"):
+        CoxeterMatrix.from_dict(0, {})
+    with pytest.raises(RgdError, match=r"^direction \(0,1\) on an edge not labeled 6$"):
+        CoxeterMatrix.from_dict(2, {(0, 1): 3}, directed6=frozenset({(0, 1)}))
     assert CoxeterMatrix.dihedral(6, direction=(0, 1)).m(0, 1) == 6
 
 

@@ -10,7 +10,7 @@ from rgdkit import groupforge as gf
 from rgdkit import roots as rt
 from rgdkit.coxeter import CoxeterMatrix, CoxeterSystem
 from rgdkit.errors import (CapExceeded, CollectionOverflow,
-                           InternalConsistencyError)
+                           InternalConsistencyError, RgdError)
 from rgdkit.roots import Root
 from tests.oracles import subgroup_closure
 
@@ -134,3 +134,5 @@ def test_relation_table_shape_validated():
         gf.PCPres(3, {(1, 3): (3,)})  # value outside the open range
     with pytest.raises(Exception):
         gf.PCPres(3, {(3, 1): (2,)})  # malformed key
+    with pytest.raises(RgdError, match=r"^relation word \(2, 2\) not strictly increasing$"):
+        gf.PCPres(3, {(1, 3): (2, 2)})

@@ -7,14 +7,18 @@ empty or a non-ASCII one, or with the value of one `rel` line replaced by
 hundreds to thousands of numbers; it goes through `validate`.  A `group`
 word is a few dotted tokens (digits, empty, non-ASCII, long) or a long run
 of generators, on `rank2:m6lr` or `allempty:universal3`, with
-`--cap-group-bits` up to 30.  Every run exits 0, 1, 2 or 4 (3 is an
-internal error), prints no traceback, says a usage error (2) in one
+`--cap-group-bits` up to 30.  A grammar file, or a rank-2 table of label
+4 or 6 with `default empty` and at most two relations (not Moufang, so the
+batteries fail), also goes through `residue`, `chambers`, `appendix` and
+`roots`, each run within a wall bound.  Every run exits 0, 1, 2 or 4 (3 is
+an internal error), prints no traceback, says a usage error (2) in one
 `error: ...` line, and writes no stderr line longer than 200 bytes.  A
 failure the search has found is pinned as an `@example`.
 """
 
 import contextlib
 import io
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -100,6 +104,26 @@ def long_rel_files(draw):
     return "\n".join(lines) + "\n"
 
 
+@st.composite
+def non_moufang_files(draw):
+    """A rank-2 table of label m = 4 or 6 with no relations by default
+    (`default empty`) and at most two drawn `rel` lines on a gallery of r_J:
+    U is abelian or nearly so, or inconsistent, so the residue and chamber
+    batteries and the identity suite find violations."""
+    m = draw(st.sampled_from([4, 6]))
+    lines = ["rank 2", f"m 1 2 {m}", "default empty"]
+    if m == 6:
+        lines.append(draw(st.sampled_from(["dir6 1 2", "dir6 2 1"])))
+    for _ in range(draw(st.integers(0, 2))):
+        first = draw(st.integers(1, 2))
+        word = ".".join(str((first + k - 1) % 2 + 1) for k in range(m))
+        i = draw(st.integers(1, m - 2))
+        j = draw(st.integers(i + 2, m))
+        ks = draw(st.sets(st.integers(i + 1, j - 1), min_size=1))
+        lines.append(f"rel {word} {i} {j} : " + " ".join(map(str, sorted(ks))))
+    return "\n".join(lines) + "\n"
+
+
 def assert_answered(code, err):
     """The properties every run keeps."""
     assert code in (0, 1, 2, 4), err
@@ -158,3 +182,25 @@ def group_words(draw):
 def test_every_group_word_is_answered_in_bounded_words(builtin, word, cap):
     bits = [] if cap is None else ["--cap-group-bits", str(cap)]
     assert_answered(*run(["--builtin", builtin, *bits, "group", word]))
+
+
+COMMANDS = [["residue", "-s", "1"], ["chambers", "-s", "1", "-t", "2"],
+            ["appendix", "-s", "1", "-t", "2"], ["roots"]]
+# seconds per run; the slowest drawn run, `chambers` on an all-empty
+# hexagon (189 chambers, most of them failing), takes about 0.3 to 0.5 s
+WALL_S = 5.0
+
+
+@given(text=st.one_of(grammar_files(), non_moufang_files()), command=st.sampled_from(COMMANDS))
+@example(text="rank 2\nm 1 2 4\ndefault empty\n", command=COMMANDS[1])  # tau^2, braid
+@example(text="rank 2\nm 1 2 6\ndir6 1 2\ndefault empty\n", command=COMMANDS[1])
+@example(text="rank 2\nm 1 2 4\ndefault empty\n", command=COMMANDS[2])  # an identity fails
+@example(text="rank 3\nm 1 2 4\nm 1 3 2\nm 2 3 2\ndefault rank2\n"  # CB3 at r_J
+         "rel 1.2.1.2 1 3 : 2\n", command=COMMANDS[2])
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_every_file_is_answered_by_every_command(case_path, text, command):
+    case_path.write_text(text, encoding="utf-8")
+    start = time.perf_counter()
+    answer = run(["--blueprint", str(case_path), "--radius", "2", *command])
+    assert time.perf_counter() - start < WALL_S, (text, command)
+    assert_answered(*answer)

@@ -1,7 +1,7 @@
 """The integer root realization against the geometric one over Q(sqrt2, sqrt3).
 
 The engine acts on integer vectors in the root lattice of a generalized
-Cartan matrix; `qf24.GeometricRealization` is the Tits representation with
+Cartan matrix; `oracles.GeometricRealization` is the Tits representation with
 B(e_s, e_t) = -cos(pi/m_st).  Both realize the same Coxeter group, so they
 must agree on normal forms, on the order of r_alpha r_beta for every pair of
 roots, and on every interval of every minimal gallery.  On the cycle types
@@ -17,8 +17,8 @@ from rgdkit import roots as rt
 from rgdkit.blueprints import ingest_path
 from rgdkit.coxeter import CoxeterMatrix, CoxeterSystem
 from rgdkit.galleries import min_gal
-from rgdkit.qf24 import GeometricRealization
 from tests.conftest import FIXTURES
+from tests.oracles import GeometricRealization
 
 RADIUS = 4
 

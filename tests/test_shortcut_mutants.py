@@ -158,6 +158,15 @@ ROWS = [
         "get_gallery(cox, word[1:]) if word else None",
         lambda mp: _own_get_gallery(mp)
         or test_prefix_builds.test_a_word_without_its_tail_gallery_takes_the_cold_pass(mp)),
+    Row("gallery-warm-step-by-apply", "rgdkit.galleries", "get_gallery",
+        "cox.reflect(word[0], tail.last) if tail.word else cox.basis[word[0]]",
+        "cox.apply(word[:-1], cox.basis[word[-1]])",
+        lambda mp: test_prefix_builds.test_warm_step_work_budget(mp, "rank3_cycle444.bp", 6)),
+    Row("gallery-warm-step-reflects-the-head", "rgdkit.galleries", "get_gallery",
+        "cox.reflect(word[0], tail.last)",
+        "cox.reflect(word[0], head.last)",
+        lambda mp: _own_get_gallery(mp)
+        or test_prefix_builds.test_get_gallery_refuses_exactly_the_unreduced_words("A3")),
     Row("cb1-no-every-prefix-rerun", "rgdkit.blueprints", "validate_cb1",
         "for immediate in (True, False):",
         "for immediate in (True,):",
