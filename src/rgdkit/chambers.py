@@ -43,7 +43,15 @@ elements of <J> are numbered (`w_elements`, id 0 the identity) with their
 right and left multiplication tables `rmul`/`lmul`, a W-distance row is a
 list of those ids, and tau_gen is read from `tau_table`, its coset formula
 evaluated once for every element of U.  No word arithmetic or collection
-runs per chamber pair.
+runs per chamber pair.  The group-side tables are prefix tables
+(`PCPres.prefix_table`): a mask y is y without its top letter j, times u_j,
+so g y is (g y') u_j, one letter folded onto an earlier entry.  Each coset
+is the prefix table of its least member over the letters of U_w's block,
+each row of `u_perm` that of u_i over u_1 ... u_k, and tau_gen on N that of
+the identity over the gen-images of the letters other than u_gen.
+`act_tau` evaluates the coset formula on many representatives of one type
+w and reads the part that depends on w once: `tau_perm` calls it once per
+type, `verify_action` once per chamber on all its members.
 """
 
 from __future__ import annotations
@@ -95,12 +103,16 @@ class ChamberSystemJ:
                      for gen in (s, t)}
         # chamber_of[w][g]: index of the chamber u U_w holding g.  A chamber is
         # named by the least member of its coset, the first g that meets it;
-        # members[i] lists the coset of chamber i in `coset_members` order
+        # members[i] lists the coset of chamber i in `coset_members` order.
+        # Chambers are numbered type by type, and reps[w] lists the
+        # representatives of type w in that order
         self.chambers: list[ChamberJ] = []
         self.members: list[list[int]] = []
         self.chamber_of: dict[Word, list[int]] = {}
+        reps: dict[Word, list[int]] = {}
         for w in self.w_elements:
             table = self.chamber_of[w] = [-1] * self.pres.order
+            reps[w] = []
             for g in range(self.pres.order):
                 if table[g] < 0:
                     coset = self.coset_members(w, g)
@@ -108,6 +120,7 @@ class ChamberSystemJ:
                         table[x] = len(self.chambers)
                     self.chambers.append(ChamberJ(w, g))
                     self.members.append(coset)
+                    reps[w].append(g)
         # panels[gen]: the gen-panels, each in ascending chamber order.  The
         # panel of u U_w is the coset u U_top, top the longer of w and w*gen,
         # which holds the chambers of types w and w*gen inside it
@@ -124,37 +137,39 @@ class ChamberSystemJ:
                 for i in panel:
                     cells[i] = {j for j in panel if j != i}
         # u_perm[i - 1][x]: the chamber u_i x, read off `chamber_of` through
-        # the left multiplication of u_i on U
+        # the left multiplication of u_i on U, the prefix table of u_i
         self.u_perm: list[list[int]] = []
-        for i in range(1, self.pres.k + 1):
-            left = [self.pres.mul(self.pres.generator(i), g) for g in range(self.pres.order)]
+        letters = range(1, self.pres.k + 1)
+        for i in letters:
+            left = self.pres.prefix_table(self.pres.generator(i), letters)
             self.u_perm.append([self.chamber_of[c.w][left[c.rep]] for c in self.chambers])
         # tau_table[gen][g] = (eps, tn, tn * u_gen) for g = n * u_gen^eps with n
-        # free of u_gen and tn = tau_gen(n); tau_perm[gen][x]: the chamber
-        # tau_gen x.  See `act_tau`
+        # free of u_gen and tn = tau_gen(n), filled at n and n * u_gen for
+        # each n; tau_perm[gen][x]: the chamber tau_gen x.  See `act_tau`
         self.tau_table: dict[int, list[tuple[int, int, int]]] = {}
         self.tau_perm: dict[int, list[int]] = {}
         for gen in (s, t):
             p = self.rg.position[gen]
             u = self.pres.generator(p)
-            rows = self.tau_table[gen] = []
-            for g in range(self.pres.order):
-                eps = g >> (p - 1) & 1
-                tn = self.rg.tau(gen, self.pres.mul(g, u) if eps else g)
-                rows.append((eps, tn, self.pres.mul(tn, u)))
-            self.tau_perm[gen] = [self.act_tau(gen, x) for x in range(len(self.chambers))]
+            # images[y]: tau_gen of the n in N whose bits other than p are y
+            images = self.pres.prefix_table(
+                0, [self.rg.tau_maps[gen][i] for i in letters if i != p])
+            rows = self.tau_table[gen] = [()] * self.pres.order
+            for y, tn in enumerate(images):
+                n = (y >> (p - 1) << p) | (y & u - 1)
+                tn_u = self.pres.mul(tn, u)
+                rows[n] = (0, tn, tn_u)
+                rows[self.pres.mul(n, u)] = (1, tn, tn_u)
+            self.tau_perm[gen] = [y for w in self.w_elements
+                                  for y in self.act_tau(gen, w, reps[w])]
 
     def coset_members(self, w: Word, g: int) -> list[int]:
-        mask = self.rg.mask(w)
-        out = []
-        # iterate all submasks of `mask`, including 0
-        x = mask
-        while True:
-            out.append(self.pres.mul(g, x))
-            if x == 0:
-                break
-            x = (x - 1) & mask
-        return out
+        """The coset g U_w, as g x over the submasks x of U_w's bits in
+        descending order.  U_w is the low or the high l(w) bits
+        (`ResidueGroup.mask`), so these are the prefix table of g over the
+        letters of that block, read backwards."""
+        shift = 0 if self.rg.mask(w) & 1 else self.pres.k - len(w)
+        return self.pres.prefix_table(g, range(shift + 1, shift + len(w) + 1))[::-1]
 
     def adjacent(self, x: int, y: int, gen: int) -> bool:
         """x ~_gen y for chambers a U_w and b U_w':  w' in {w, w*gen} and
@@ -166,16 +181,20 @@ class ChamberSystemJ:
         diff = self.pres.mul(self.pres.inv(a.rep), b.rep)
         return not diff & ~self.rg.mask(a.w) or not diff & ~self.rg.mask(ws)
 
-    def act_tau(self, gen: int, x: int, rep: int | None = None) -> int:
-        """The coset formula for tau_gen on chamber x, evaluated on a chosen
-        representative: g U_w with g = n u_gen^eps goes to tn U_{gen w} on a
-        descent or when eps = 0, and to tn u_gen U_w otherwise."""
-        c = self.chambers[x]
-        eps, tn, tn_u = self.tau_table[gen][c.rep if rep is None else rep]
-        sw = self.w_elements[self.lmul[gen][self.w_id[c.w]]]
-        if eps == 0 or len(sw) < len(c.w):
-            return self.chamber_of[sw][tn]
-        return self.chamber_of[c.w][tn_u]
+    def act_tau(self, gen: int, w: Word, reps: list[int]) -> list[int]:
+        """The coset formula for tau_gen on the chambers g U_w, one for each
+        g in `reps`: g U_w with g = n u_gen^eps goes to tn U_{gen w} on a
+        descent or when eps = 0, and to tn u_gen U_w otherwise.  The part
+        that depends on w alone is read once."""
+        sw = self.w_elements[self.lmul[gen][self.w_id[w]]]
+        on_sw, on_w = self.chamber_of[sw], self.chamber_of[w]
+        descent = len(sw) < len(w)
+        rows = self.tau_table[gen]
+        out = []
+        for g in reps:
+            eps, tn, tn_u = rows[g]
+            out.append(on_sw[tn] if eps == 0 or descent else on_w[tn_u])
+        return out
 
 
 def build_CJ(bp: Blueprint, s: int, t: int) -> ChamberSystemJ:
@@ -290,7 +309,7 @@ def _building(cs: ChamberSystemJ, sizes: dict[int, int]) -> Report:
     report.merge(rep)
     n = len(cs.chambers)
     words = cs.w_elements
-    labels = [c.label() for c in cs.chambers]
+    chambers = cs.chambers  # labels are rendered for a violation only
 
     for gen in (cs.s, cs.t):
         for panel in cs.panels[gen]:
@@ -310,7 +329,8 @@ def _building(cs: ChamberSystemJ, sizes: dict[int, int]) -> Report:
         for y in range(n):
             w = row[y]
             if (w == 0) != (x == y):
-                report.add(Violation(axiom="Bu1", w=labels[x], gallery=labels[y],
+                report.add(Violation(axiom="Bu1", w=chambers[x].label(),
+                                     gallery=chambers[y].label(),
                                      expected="delta=1 iff equal",
                                      found=word_label(words[w])))
             for gen, adj, rmul, ascent in gens:
@@ -323,16 +343,19 @@ def _building(cs: ChamberSystemJ, sizes: dict[int, int]) -> Report:
                     if got == ws:
                         reached = True
                     elif got != w:
-                        report.add(Violation(axiom="Bu2", w=labels[x], gallery=labels[z],
+                        report.add(Violation(axiom="Bu2", w=chambers[x].label(),
+                                             gallery=chambers[z].label(),
                                              expected=f"{word_label(words[w])} or "
                                                       f"{word_label(words[ws])}",
                                              found=word_label(words[got])))
                     elif ascent[w]:
-                        report.add(Violation(axiom="Bu2", w=labels[x], gallery=labels[z],
+                        report.add(Violation(axiom="Bu2", w=chambers[x].label(),
+                                             gallery=chambers[z].label(),
                                              expected=word_label(words[ws]),
                                              found=word_label(words[got])))
                 if not reached:
-                    report.add(Violation(axiom="Bu3", w=labels[x], gallery=labels[y],
+                    report.add(Violation(axiom="Bu3", w=chambers[x].label(),
+                                         gallery=chambers[y].label(),
                                          s=str(gen + 1), expected=word_label(words[ws]),
                                          found="missing"))
     return report
@@ -349,9 +372,8 @@ def verify_action(cs: ChamberSystemJ, gen: int) -> Report:
     n = len(chambers)
 
     for x, members in enumerate(cs.members):
-        for rep_bits in members:
-            report.checks += 1
-            got = cs.act_tau(gen, x, rep=rep_bits)
+        report.checks += len(members)
+        for got in cs.act_tau(gen, chambers[x].w, members):
             if got != perm_t[x]:
                 report.add(Violation(axiom="well-defined", w=chambers[x].label(),
                                      expected=chambers[perm_t[x]].label(),

@@ -15,7 +15,10 @@ of a mask x and a letter u_j, and the number of steps it takes, depend on
 collected from scratch at most once, and a hit credits its recorded steps
 against `step_cap`, so the cap trips exactly where the step-by-step loop
 would (Leedham-Green & Soicher, "Collection from the left and other
-strategies", J. Symbolic Comput. 9, 1990).
+strategies", J. Symbolic Comput. 9, 1990).  `prefix_table` lists a start
+times every product of a letter list in ascending order, each entry one
+letter folded onto an earlier one, as the normal form u_1^e1 ... u_k^ek is
+its prefix times its top letter.
 
 The consistency (overlap) test certifies that normal forms are unique,
 equivalently that the group has order exactly 2^k.  Its verdict depends on
@@ -193,6 +196,22 @@ class PCPres:
     def map_elem(self, mp: Mapping[int, int], x: int) -> int:
         """Send each normal-form letter i of x to the generator mp[i], then collect."""
         return self._fold(0, map(mp.__getitem__, _ascending(x)))
+
+    def prefix_table(self, start: int, letters: Sequence[int]) -> list[int]:
+        """[start * word(y) for y in range(2^n)], n = len(letters), where
+        word(y) is the product of letters[i] over the bits i of y, ascending.
+        The word of y is the word of y without its top bit i, then
+        letters[i]; so each entry after the first is one letter folded onto
+        an earlier entry, one `_fold` call each (and `step_cap` bounds each
+        call).  Over the letters 1 ... k, entry y is start * y; from 0 over
+        the images mp[i] of a block of letters i, entry y is `map_elem` of
+        the element whose bits in that block are y."""
+        out = [start]
+        fold = self._fold
+        for j in letters:  # the entries y with top bit i, for letters[i] = j
+            j = (j,)
+            out += [fold(x, j) for x in out]
+        return out
 
     # -- consistency ------------------------------------------------------
 

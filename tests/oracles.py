@@ -39,6 +39,12 @@ reads them off the prefix galleries.  `is_reduced` compares a word with its
 normal form, where `get_gallery` refuses a word by the sign of the root its
 last letter crosses.
 
+`coset_by_mul`, `left_multiplication_rows` and `tau_table_by_element` give
+a chamber system's cosets, left multiplications and tau rows one `mul` or
+`ResidueGroup.tau` per element, with U_w's bits read off Phi(w)
+(`u_w_mask`); the engine reads each entry off a prefix table, one letter
+folded onto an earlier entry (`PCPres.prefix_table`).
+
 `subgroup_closure` and `normal_closure` list the elements of a subgroup of
 U_w by breadth-first search, where `groupforge.lower_central_series` holds
 each term as an induced pc sequence of at most l(w) elements.
@@ -65,7 +71,7 @@ from rgdkit.groupforge import PCPres, build_Uw, relation_checks
 from rgdkit.parabolics import ResidueGroup, ustausV_identity_check
 from rgdkit.qf24 import ONE, QF24, ZERO
 from rgdkit.reports import Report, Violation
-from rgdkit.roots import Residue2, Root, depth, expression, pair_order
+from rgdkit.roots import Residue2, Root, depth, expression, pair_order, phi_w
 
 # system -> radius -> root vector -> membership bitmask over ball(radius)
 MASKS: WeakKeyDictionary[CoxeterSystem, dict[int, dict[Vector, int]]] = WeakKeyDictionary()
@@ -348,6 +354,41 @@ def automorphism_edges_full(cs, gen: int) -> list[tuple[int, int, int, str]]:
                     if perm[j] not in adj[other][perm[i]]:
                         out.append((other, i, j, tag))
     return out
+
+
+def u_w_mask(cs, w: Word) -> int:
+    """The bits of U_w in the presentation of a chamber system: the
+    positions of Phi(w), read off `phi_w`."""
+    return sum(1 << (cs.pres.position(root) - 1) for root in phi_w(cs.cox, w))
+
+
+def coset_by_mul(pres: PCPres, mask: int, g: int) -> list[int]:
+    """g x for every submask x of `mask`, descending, one `mul` each."""
+    out, x = [], mask
+    while True:
+        out.append(pres.mul(g, x))
+        if x == 0:
+            return out
+        x = (x - 1) & mask
+
+
+def left_multiplication_rows(pres: PCPres) -> list[list[int]]:
+    """[u_i g for g in U] for i = 1 ... k, one `mul` each."""
+    return [[pres.mul(pres.generator(i), g) for g in range(pres.order)]
+            for i in range(1, pres.k + 1)]
+
+
+def tau_table_by_element(rg: ResidueGroup, gen: int) -> list[tuple[int, int, int]]:
+    """(eps, tn, tn u_gen) for every g = n u_gen^eps, with n = g u_gen when
+    eps = 1 and tn from its own `ResidueGroup.tau`."""
+    pres, p = rg.pres, rg.position[gen]
+    u = pres.generator(p)
+    rows = []
+    for g in range(pres.order):
+        eps = g >> (p - 1) & 1
+        tn = rg.tau(gen, pres.mul(g, u) if eps else g)
+        rows.append((eps, tn, pres.mul(tn, u)))
+    return rows
 
 
 def subgroup_closure(pres: PCPres, gens: Iterable[int],

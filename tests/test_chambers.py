@@ -12,7 +12,8 @@ from rgdkit import chambers as ch
 from rgdkit.errors import Violated
 from rgdkit.groupforge import PCPres, reflected_positions
 from tests.conftest import FIXTURES, fixture_path
-from tests.oracles import automorphism_edges_full
+from tests.oracles import (automorphism_edges_full, coset_by_mul, left_multiplication_rows,
+                          tau_table_by_element, u_w_mask)
 
 EXPECTED_COUNTS = {2: 9, 3: 21, 4: 45, 6: 189}
 
@@ -76,7 +77,7 @@ def test_act_examples(systems):
     c0 = cs.chamber_of[()][0]        # U_1
     c_s = cs.chamber_of[(0,)][0]     # U_s
     # tau_s . U_1 = U_s
-    assert cs.act_tau(0, c0) == c_s
+    assert cs.act_tau(0, (), [0]) == [c_s]
     # u_s . U_1 = u_s U_1, a different chamber
     us = cs.pres.generator(cs.rg.position[0])
     assert cs.chamber_of[()][us] != c0
@@ -84,7 +85,7 @@ def test_act_examples(systems):
     # m = 2 concrete case: tau_s . u_s U_t = u_s U_t (ascent, u = u_s)
     cs2 = systems[2]
     ct = cs2.chamber_of[(1,)][cs2.pres.generator(cs2.rg.position[0])]
-    assert cs2.act_tau(0, ct) == ct
+    assert cs2.act_tau(0, (1,), [cs2.chambers[ct].rep]) == [ct]
 
 
 def test_action_respects_distance(systems):
@@ -159,8 +160,20 @@ def test_coset_table_partitions_U_into_cosets(table_system):
         for idx, cell in cells.items():
             c = cs.chambers[idx]
             assert c.w == w and c.rep == min(cell)
-            assert cell == set(cs.coset_members(w, c.rep))
+            assert cell == set(coset_by_mul(cs.pres, u_w_mask(cs, w), c.rep))
             assert len(cell) == 1 << len(w)
+
+
+def test_chamber_tables_match_the_elementwise_oracles(table_system):
+    # each coset, u_i row and tau row against one `mul` or `tau` per element
+    cs = table_system
+    for c, members in zip(cs.chambers, cs.members):
+        want = coset_by_mul(cs.pres, u_w_mask(cs, c.w), c.rep)
+        assert members == cs.coset_members(c.w, c.rep) == want, c.label()
+    assert cs.u_perm == [[cs.chamber_of[c.w][row[c.rep]] for c in cs.chambers]
+                         for row in left_multiplication_rows(cs.pres)]
+    for gen in (cs.s, cs.t):
+        assert cs.tau_table[gen] == tau_table_by_element(cs.rg, gen), gen
 
 
 def _swap_in_panels(cs, gen, a, b):
@@ -310,9 +323,8 @@ def test_act_tau_matches_the_coset_formula(table_system):
         root_map = reflected_positions(cs.pres.gallery, gen)
         for x, (c, members) in enumerate(zip(cs.chambers, cs.members)):
             assert members == cs.coset_members(c.w, c.rep)
-            for r in members:
-                want = _act_tau_formula(cs, gen, root_map, c, r)
-                assert cs.act_tau(gen, x, rep=r) == want, (gen, c.label(), r)
+            want = [_act_tau_formula(cs, gen, root_map, c, r) for r in members]
+            assert cs.act_tau(gen, c.w, members) == want, (gen, c.label())
             assert cs.tau_perm[gen][x] == _act_tau_formula(cs, gen, root_map, c, c.rep)
 
 
@@ -533,3 +545,59 @@ def test_chamber_battery_collects_each_product_once(monkeypatch):
     entries = {(x, j) for j, seen in enumerate(cs.pres._memo) for x in seen}
     assert len(misses) == len(keys) and keys == entries
     assert len(entries) <= cs.pres.k << cs.pres.k
+
+
+@pytest.mark.parametrize("name", ["rank2:m6lr", "rank2:m6rl"])
+def test_chamber_construction_folds_one_letter_per_call(monkeypatch, name):
+    # after `build_Uw`, every coset, u_i row and tau row of build_CJ hands
+    # `_fold` one letter; the letters are the entries of the prefix tables
+    # past their first (768 - 189 cosets, 6 * 63 u_i rows, 2 * 31 tau
+    # images) and the 2 * 64 one-letter products of the tau rows
+    letters, built = [], []
+    fold, build_uw, act_tau = PCPres._fold, ch.build_Uw, ch.ChamberSystemJ.act_tau
+
+    def counted(self, x, word):
+        word = tuple(word)
+        letters.append(len(word))
+        return fold(self, x, word)
+
+    def marked(*args, **kwargs):
+        out = build_uw(*args, **kwargs)
+        built.append(len(letters))
+        return out
+
+    monkeypatch.setattr(PCPres, "_fold", counted)
+    monkeypatch.setattr(ch, "build_Uw", marked)
+    cs = ch.build_CJ(blueprints.builtin(name), 0, 1)
+    chamber_letters = letters[built[0]:]
+    assert set(chamber_letters) == {1}
+    assert len(chamber_letters) == 579 + 378 + 62 + 128
+    # verify_action reads the w-dependent part of the coset formula once per
+    # chamber and the tau row once per member
+    reads = []
+
+    def read(self, gen, w, reps):
+        reads.append(len(reps))
+        return act_tau(self, gen, w, reps)
+
+    monkeypatch.setattr(ch.ChamberSystemJ, "act_tau", read)
+    for gen in (0, 1):
+        reads.clear()
+        assert ch.verify_action(cs, gen).ok
+        assert (len(reads), sum(reads)) == (len(cs.chambers), 768)
+
+
+def test_well_definedness_reads_every_member():
+    # a coset list whose first member, not the representative, is taken from
+    # another chamber of the same type with another tau image: the formula
+    # disagrees there alone, and verify_action names that chamber once
+    cs = ch.build_CJ(blueprints.builtin("rank2:m3"), 0, 1)
+    perm = cs.tau_perm[0]
+    x = next(i for i, members in enumerate(cs.members) if len(members) > 1)
+    other = next(i for i, c in enumerate(cs.chambers)
+                 if c.w == cs.chambers[x].w and perm[i] != perm[x])
+    cs.members[x] = [cs.members[other][0], *cs.members[x][1:]]
+    report = ch.verify_action(cs, 0)
+    assert [(v.axiom, v.w, v.expected, v.found) for v in report.violations] == [
+        ("well-defined", cs.chambers[x].label(), cs.chambers[perm[x]].label(),
+         cs.chambers[perm[other]].label())]

@@ -4,7 +4,9 @@
 oracle: it rewrites a word buffer from the left, swapping the first
 descending pair (a, b) to b, a followed by the reversed relation value of
 (b, a) and cancelling the first equal pair.  `mul`, `inv`, `comm`, `conj`
-and `map_elem` were this collection of the concatenated normal-form words.
+and `map_elem` were this collection of the concatenated normal-form words;
+`prefix_table`, which folds one letter onto an earlier entry per entry, must
+agree with `mul` and `map_elem` on every entry.
 The mask collector must agree on every table, consistent or not, because
 CB3 witnesses print the collected words of inconsistent tables.
 """
@@ -83,6 +85,25 @@ def test_mask_collection_matches_the_word_buffer(case):
     for p in (warm, warm, raw_pres(k, rel)):
         assert [p.collect(word), p.mul(x, y), p.inv(x), p.comm(x, y), p.conj(x, y),
                 p.map_elem(mp, x)] == expected
+
+
+@given(cases())
+@example((4, {(1, 3): (2,), (2, 4): (3,), (1, 4): (2, 3)}, [], 0b0110, 0b0011,
+          {1: 4, 2: 3, 3: 2, 4: 1}))
+@settings(max_examples=200, derandomize=True, deadline=2000)
+def test_prefix_table_matches_mul_and_map_elem(case):
+    # entry z of the table over letters 1 ... k is x * z, over the images of
+    # a map it is map_elem of z, and over the block of letters a ... k it is
+    # x times z shifted onto that block; on any table, consistent or not
+    k, rel, _, x, y, mp = case
+    p = raw_pres(k, rel)
+    letters = range(1, k + 1)
+    assert p.prefix_table(x, letters) == [p.mul(x, z) for z in range(p.order)]
+    assert p.prefix_table(0, [mp[i] for i in letters]) == [
+        p.map_elem(mp, z) for z in range(p.order)]
+    a = y % k + 1
+    assert p.prefix_table(x, range(a, k + 1)) == [
+        p.mul(x, z << (a - 1)) for z in range(1 << (k - a + 1))]
 
 
 @given(cases())

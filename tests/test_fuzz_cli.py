@@ -2,15 +2,18 @@
 `group` word holds, rgdkit answers in its own bounded words.
 
 A file is drawn from the `FIELDS` grammar, with short words and small
-numbers, or is a fixture with one token of one line replaced by a long, an
-empty or a non-ASCII one, or with the value of one `rel` line replaced by
-hundreds to thousands of numbers; it goes through `validate`.  A `group`
+numbers (a rank, a valid label for every pair and, on one draw in four,
+random lines more, so that most such files reach a verdict), or is a
+fixture with one token of one line replaced by a long, an empty or a
+non-ASCII one, or with the value of one `rel` line replaced by hundreds to
+thousands of numbers; it goes through `validate`.  A `group`
 word is a few dotted tokens (digits, empty, non-ASCII, long) or a long run
 of generators, on `rank2:m6lr` or `allempty:universal3`, with
 `--cap-group-bits` up to 30.  A grammar file, or a rank-2 table of label
 4 or 6 with `default empty` and at most two relations (not Moufang, so the
 batteries fail), also goes through `residue`, `chambers`, `appendix` and
-`roots`, each run within a wall bound.  Every run exits 0, 1, 2 or 4 (3 is
+`roots`, each run within a wall bound, and at least a third of those
+grammar files must reach a verdict there.  Every run exits 0, 1, 2 or 4 (3 is
 an internal error), prints no traceback, says a usage error (2) in one
 `error: ...` line, and writes no stderr line longer than 200 bytes.  A
 failure the search has found is pinned as an `@example`.
@@ -28,7 +31,8 @@ from rgdkit.blueprints import DEFAULT_MODES, FIELDS
 from tests.conftest import FIXTURES
 
 NUMBER = st.integers(0, 7).map(str)
-LABEL = st.sampled_from(["2", "3", "4", "6", "inf", "0", "5"])
+LABELS = ["2", "3", "4", "6", "inf"]
+LABEL = st.sampled_from([*LABELS, "0", "5"])
 # a strategy for each field name of FIELDS
 FIELD = {
     "N": NUMBER, "I": NUMBER, "J": NUMBER, "T": NUMBER, "S": NUMBER, "K": NUMBER,
@@ -59,17 +63,21 @@ def grammar_lines(draw):
 
 @st.composite
 def grammar_files(draw):
-    """A rank, a label for every pair (a direction for a 6), and a few more
-    lines of the grammar, in any order."""
-    rank = draw(st.integers(1, 3))
+    """A rank, most often 2 or 3, a valid label for every pair (a direction
+    for a 6), and on one draw in four a few more lines of the grammar, in
+    any order.  Those lines are mostly refused (exit 2); without them the
+    file reaches a verdict unless its pairs leave the command nothing to
+    check."""
+    rank = draw(st.sampled_from([2, 3, 2, 3, 1]))
     lines = [f"rank {rank}"]
     for i in range(1, rank + 1):
         for j in range(i + 1, rank + 1):
-            label = draw(LABEL)
+            label = draw(st.sampled_from(LABELS))
             lines.append(f"m {i} {j} {label}")
             if label == "6":
                 lines.append(draw(st.sampled_from([f"dir6 {i} {j}", f"dir6 {j} {i}"])))
-    lines += draw(st.lists(grammar_lines(), max_size=6))
+    if draw(st.sampled_from([False, False, False, True])):
+        lines += draw(st.lists(grammar_lines(), max_size=6))
     return "\n".join(draw(st.permutations(lines))) + "\n"
 
 
@@ -191,16 +199,32 @@ COMMANDS = [["residue", "-s", "1"], ["chambers", "-s", "1", "-t", "2"],
 WALL_S = 5.0
 
 
-@given(text=st.one_of(grammar_files(), non_moufang_files()), command=st.sampled_from(COMMANDS))
-@example(text="rank 2\nm 1 2 4\ndefault empty\n", command=COMMANDS[1])  # tau^2, braid
-@example(text="rank 2\nm 1 2 6\ndir6 1 2\ndefault empty\n", command=COMMANDS[1])
-@example(text="rank 2\nm 1 2 4\ndefault empty\n", command=COMMANDS[2])  # an identity fails
-@example(text="rank 3\nm 1 2 4\nm 1 3 2\nm 2 3 2\ndefault rank2\n"  # CB3 at r_J
-         "rel 1.2.1.2 1 3 : 2\n", command=COMMANDS[2])
-@settings(max_examples=150, derandomize=True, deadline=None)
-def test_every_file_is_answered_by_every_command(case_path, text, command):
-    case_path.write_text(text, encoding="utf-8")
-    start = time.perf_counter()
-    answer = run(["--blueprint", str(case_path), "--radius", "2", *command])
-    assert time.perf_counter() - start < WALL_S, (text, command)
-    assert_answered(*answer)
+def test_every_file_is_answered_by_every_command(case_path):
+    # every draw keeps the four properties within the wall bound; a grammar
+    # file refused with exit 2 tests the parser alone, so at least a third of
+    # the grammar draws must reach a verdict (exit 0, 1 or 4)
+    verdicts = []
+
+    @given(case=st.one_of(grammar_files().map(lambda text: (text, True)),
+                          non_moufang_files().map(lambda text: (text, False))),
+           command=st.sampled_from(COMMANDS))
+    @example(case=("rank 2\nm 1 2 4\ndefault empty\n", False),  # tau^2, braid
+             command=COMMANDS[1])
+    @example(case=("rank 2\nm 1 2 6\ndir6 1 2\ndefault empty\n", False), command=COMMANDS[1])
+    @example(case=("rank 2\nm 1 2 4\ndefault empty\n", False),  # an identity fails
+             command=COMMANDS[2])
+    @example(case=("rank 3\nm 1 2 4\nm 1 3 2\nm 2 3 2\ndefault rank2\n"  # CB3 at r_J
+                   "rel 1.2.1.2 1 3 : 2\n", False), command=COMMANDS[2])
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def answered(case, command):
+        text, grammar = case
+        case_path.write_text(text, encoding="utf-8")
+        start = time.perf_counter()
+        code, err = run(["--blueprint", str(case_path), "--radius", "2", *command])
+        assert time.perf_counter() - start < WALL_S, (text, command)
+        assert_answered(code, err)
+        if grammar:
+            verdicts.append(code != 2)
+
+    answered()
+    assert 3 * sum(verdicts) >= len(verdicts) > 0, (sum(verdicts), len(verdicts))

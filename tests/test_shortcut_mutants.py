@@ -180,6 +180,25 @@ ROWS = [
         "x = pres.mul(x, b)",
         "break",
         lambda mp: test_groupforge.test_lower_central_series_matches_the_element_definition()),
+    # entry y as the entry of y without its lowest bit times that bit's
+    # letter: the letters of y multiplied in descending order
+    Row("prefix-parent-clears-the-lowest-bit", "rgdkit.groupforge", "PCPres.prefix_table",
+        "    for j in letters:  # the entries y with top bit i, for letters[i] = j\n"
+        "        j = (j,)\n"
+        "        out += [fold(x, j) for x in out]\n",
+        "    for j in reversed(letters):\n"
+        "        j = (j,)\n"
+        "        out = [z for x in out for z in (x, fold(x, j))]\n",
+        lambda mp: test_collect_oracle.test_prefix_table_matches_mul_and_map_elem()),
+    Row("coset-high-block-shift-off-by-one", "rgdkit.chambers", "ChamberSystemJ.coset_members",
+        "self.pres.k - len(w)",
+        "self.pres.k - len(w) - 1",
+        lambda mp: test_chambers.test_chamber_tables_match_the_elementwise_oracles(
+            ch.build_CJ(blueprints.builtin("rank2:m6lr"), 0, 1))),
+    Row("action-compares-only-the-representative", "rgdkit.chambers", "verify_action",
+        "cs.act_tau(gen, chambers[x].w, members)",
+        "cs.act_tau(gen, chambers[x].w, [chambers[x].rep])",
+        lambda mp: test_chambers.test_well_definedness_reads_every_member()),
 ]
 IDS = [row.name for row in ROWS]
 
