@@ -53,7 +53,7 @@ from .errors import BlueprintError, CapExceeded, ParseError, RgdError
 from .galleries import (Gallery, get_gallery, min_gal, min_gal_s, oriented_gallery,
                         rj_gallery, shift)
 from .reports import Report, Violation
-from .roots import Root, common_residue, coroot_row, open_interval, pair_order
+from .roots import Residue2, Root, common_residue, coroot_row, open_interval, pair_order
 
 # Non-trivial commutation sets of the rank-2 Moufang tables over GF(2),
 # keyed by crossing positions (i, j) on the distinguished length-m gallery.
@@ -252,11 +252,28 @@ class LocalRank2:
     is empty too, and p >= 4 for an infinite pair.  So `answers` screens
     each column by p, with two dot products against cached coroot rows, and
     only the pairs with 0 < p < 4 reach `pair_value`.
+
+    `pair_value` answers one residue at a time.  A finite pair missing from
+    `_pair_cache` runs `common_residue` once, with its support check, and
+    `_fill` stores every pair of walls of the residue R = (gate, J) found:
+    the m(m - 1)/2 pairs of gate . Phi+_J, read off the base table of J with
+    each of its m roots moved by the gate once.  That is what `common_residue`
+    would give for each of those pairs on its own.  It sums the point over
+    D = <r_alpha, r_beta>, which is |D| times the projection of the point
+    onto Fix(D) along the plane of the two coroots.  Any two distinct walls
+    of R span the root plane gate . Phi_J, so every pair of them has the
+    same fixed space and the same coroot plane.  So every pair yields the
+    same point up to a positive factor, the fold gives the same gate and J,
+    and the fallback points behave alike; this covers finite parabolics of
+    rank >= 3 and rank >= 4, where a pair can lie in more than one residue.
+    Gallery roots are positive, so a finite pair whose residue is R is a
+    pair of walls of R, and a miss means that R has not been filled yet.
     """
 
     def __init__(self, cox: CoxeterSystem):
         self.cox = cox
-        # type J -> {root vectors of a pair: root vectors of its value}
+        # type J -> {root vectors of a pair: root vectors of its value}, over
+        # every pair of the m roots of Phi+_J
         self._base_tables: dict[tuple[int, int], dict[frozenset, tuple]] = {}
         self._pair_cache: dict[frozenset, frozenset] = {}
         # word[:j] -> (M(1, j), ..., M(j - 1, j)), each value `_checked`
@@ -268,9 +285,9 @@ class LocalRank2:
             return cached
         G = oriented_gallery(self.cox, *J)
         table: dict[frozenset, tuple] = {}
-        for (i, j), ks in RANK2_M_SETS[len(G)].items():
-            key = frozenset({G.root(i).vec, G.root(j).vec})
-            table[key] = tuple(G.root(k).vec for k in ks)
+        for i, j in _pairs(len(G)):
+            ks = RANK2_M_SETS[len(G)].get((i, j), ())
+            table[frozenset({G.root(i).vec, G.root(j).vec})] = tuple(G.root(k).vec for k in ks)
         self._base_tables[J] = table
         return table
 
@@ -333,19 +350,18 @@ class LocalRank2:
         if cached is not None:
             return cached
         order = pair_order(self.cox, alpha, beta)
-        if order == inf or order == 2:
-            value = frozenset()
-        else:
-            value = self._residue_value(alpha, beta)
-        self._pair_cache[key] = value
-        return value
+        if order != inf and order != 2:
+            self._fill(common_residue(self.cox, alpha, beta))
+        return self._pair_cache.setdefault(key, frozenset())
 
-    def _residue_value(self, alpha: Root, beta: Root) -> frozenset:
-        """The base table's value at gate^-1 . alpha, gate^-1 . beta, carried
-        back by the gate; only vectors are read, as table keys and positions."""
-        R = common_residue(self.cox, alpha, beta)
-        value = self._base_table(R.J).get(frozenset(R.images), ())
-        return frozenset(Root(self.cox.apply(R.base, v)) for v in value)
+    def _fill(self, R: Residue2) -> None:
+        """Store every pair of walls of R with its value: the base table of
+        R.J with each of its roots moved by the gate once; only vectors are
+        read, as table keys and positions."""
+        table = self._base_table(R.J)
+        moved = {v: Root(self.cox.apply(R.base, v)) for v in frozenset().union(*table)}
+        for pair, value in table.items():
+            self._pair_cache[frozenset(map(moved.get, pair))] = frozenset(map(moved.get, value))
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +441,7 @@ def ingest(text: str, name: str = "file") -> Blueprint:
     for i in range(rank):
         for j in range(i + 1, rank):
             if (i, j) not in labels:
-                raise ParseError(rank_line, f"missing label for pair ({i},{j})")
+                raise ParseError(rank_line, f"missing label for pair ({i + 1},{j + 1})")
     try:
         matrix = CoxeterMatrix.from_dict(rank, labels, frozenset(directed))
     except RgdError as exc:  # a bad rank

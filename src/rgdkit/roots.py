@@ -236,7 +236,13 @@ def common_residue(cox: CoxeterSystem, alpha: Root, beta: Root) -> Residue2:
     projects onto the fixed space of both reflections, and for this
     symmetric point it can vanish or land on a face of larger type; then
     the less symmetric interior points (3^j) and (3^(n-j)) are tried, and
-    if none gives |J| = 2 the call fails.
+    if none gives |J| = 2 the call fails.  The sum is |<r_alpha, r_beta>|
+    times the projection of the point onto the common fixed space along the
+    plane of the two coroots, and every pair of distinct walls of one
+    residue R has the same fixed space and coroot plane.  So up to a
+    positive factor the point depends only on R, not on the pair, and every
+    pair of walls of the residue found finds it again (`LocalRank2` fills
+    all of its pairs from one call).
 
     The fold is checked, not trusted: both gate^-1 . alpha and
     gate^-1 . beta must be supported on J (`local_root`), or the call fails.

@@ -26,6 +26,9 @@ from a shorter one that is known; these are the cross-checks.
 `local_answers_full` sends every pair of every column through
 `LocalRank2.value`, where `LocalRank2.answers` screens a column by pairing
 products and sends only the pairs with 0 < p < 4 on to `pair_value`.
+`pair_value_per_pair` finds the common residue of each root pair on its
+own, where `LocalRank2.pair_value` fills every pair of walls of a residue
+from one `common_residue` call.
 
 `tau_on_residue_full` tests tau_s^2 = 1 and (u_s tau_s)^3 = 1 on every
 element of N_R, where `tau_on_residue` tests them on the generators once
@@ -63,15 +66,16 @@ from operator import mul
 from typing import Iterable
 from weakref import WeakKeyDictionary
 
-from rgdkit.blueprints import Blueprint, LocalRank2, _checked, _pairs
+from rgdkit.blueprints import RANK2_M_SETS, Blueprint, LocalRank2, _checked, _pairs
 from rgdkit.coxeter import CoxeterSystem, Vector, Word, word_label
 from rgdkit.errors import CapExceeded, InternalConsistencyError, RgdError
-from rgdkit.galleries import Gallery, min_gal, min_gal_s, shift
+from rgdkit.galleries import Gallery, min_gal, min_gal_s, oriented_gallery, shift
 from rgdkit.groupforge import PCPres, build_Uw, relation_checks
 from rgdkit.parabolics import ResidueGroup, ustausV_identity_check
 from rgdkit.qf24 import ONE, QF24, ZERO
 from rgdkit.reports import Report, Violation
-from rgdkit.roots import Residue2, Root, depth, expression, pair_order, phi_w
+from rgdkit.roots import (Residue2, Root, common_residue, depth, expression, pair_order,
+                          phi_w)
 
 # system -> radius -> root vector -> membership bitmask over ball(radius)
 MASKS: WeakKeyDictionary[CoxeterSystem, dict[int, dict[Vector, int]]] = WeakKeyDictionary()
@@ -239,6 +243,20 @@ def residue_roots(cox: CoxeterSystem, R: Residue2) -> list[Root]:
     if len({r.vec for r in out}) != m:
         raise InternalConsistencyError("residue walls are not distinct")
     return out
+
+
+def pair_value_per_pair(cox: CoxeterSystem, alpha: Root, beta: Root) -> frozenset:
+    """`LocalRank2.pair_value` with one `common_residue` per root pair: empty
+    for order 2 or inf, else the Moufang table entry of the base residue at
+    the pair's images gate^-1 . alpha, gate^-1 . beta, carried back by the
+    gate."""
+    if alpha == beta or pair_order(cox, alpha, beta) in (2, inf):
+        return frozenset()
+    R = common_residue(cox, alpha, beta)
+    G = oriented_gallery(cox, *R.J)
+    positions = {root.vec: p for p, root in enumerate(G.roots, 1)}
+    ks = RANK2_M_SETS[len(G)].get(tuple(sorted(positions[v] for v in R.images)), ())
+    return frozenset(Root(cox.apply(R.base, G.root(k).vec)) for k in ks)
 
 
 def cb1_full(bp: Blueprint, r: int, gallery_cap: int = 10_000) -> Report:

@@ -381,7 +381,7 @@ def test_ingest_rejects_a_missing_label_before_building_the_matrix(monkeypatch):
     with pytest.raises(ParseError) as err:
         bpmod.ingest("rank 1000000\n")
     assert err.value.line_no == 1
-    assert str(err.value) == "line 1: missing label for pair (0,1)"
+    assert str(err.value) == "line 1: missing label for pair (1,2)"
 
 
 def test_strict_default_raises():

@@ -10,6 +10,11 @@ retry from another point and land on a residue of another type that gives
 the same values, so there the `default rank2` tables are compared instead,
 and `validate` must pass on every small diagram.
 
+`LocalRank2` runs `common_residue` once per residue and fills every pair
+of its walls; the per-pair path (`oracles.pair_value_per_pair`) must give
+every pair the same value, on every system here and on the benchmark's
+rank-3 diagrams, and the work budget pins one call per residue.
+
 The fold is checked by a support test (`roots.local_root`): r_gamma
 stabilizes gate<J> iff gate^-1 . gamma is supported on J.  Its oracle is
 `stabilizes_residue`, the normal form of the conjugated reflection word,
@@ -24,12 +29,14 @@ import pytest
 
 from rgdkit import blueprints as bpmod
 from rgdkit import roots as rt
-from rgdkit.blueprints import Blueprint, ingest, ingest_path
+from rgdkit.blueprints import Blueprint, LocalRank2, builtin, ingest, ingest_path
 from rgdkit.cli import main
 from rgdkit.coxeter import CoxeterMatrix, CoxeterSystem
 from rgdkit.errors import InternalConsistencyError, RgdError
-from rgdkit.galleries import get_gallery, min_gal
+from rgdkit.galleries import get_gallery, min_gal, rj_gallery
 from tests.conftest import FIXTURES
+from tests.oracles import pair_value_per_pair
+from tests.test_goldens import GOLDENS, run
 
 RADIUS = 4
 
@@ -242,3 +249,62 @@ def test_default_rank2_validates_every_small_diagram(tmp_path, capsys):
             failed.append((labels, capsys.readouterr().err))
     capsys.readouterr()
     assert len(cases) == 129 and not failed
+
+
+# every `default rank2` system above, and the rank-3 diagrams of the
+# benchmark's `validate-rank3-moufang` under every renaming of the
+# generators, the hexagon in both directions
+FILL_SYSTEMS = {
+    **MATRICES,
+    **{name: (lambda args=args: _labels(*args)) for name, args in FINITE_PARABOLICS.items()},
+    **{f"bench_{label}_{''.join(map(str, perm))}{'_flip' * flip}":
+       (lambda text=run.rank3_text(label, perm, flip): ingest(text).cox.matrix)
+       for label, _ in run.RANK3_INPUTS for perm in itertools.permutations((1, 2, 3))
+       for flip in ((False, True) if label == 6 else (False,))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FILL_SYSTEMS))
+def test_residue_fill_matches_the_per_pair_oracle(name):
+    # every pair of order 2, 3, 4 or 6 crossed by one gallery in ball(RADIUS),
+    # read from a fresh `LocalRank2` that fills a residue per miss, has the
+    # value of its own `common_residue` and base-table entry
+    cox = CoxeterSystem(FILL_SYSTEMS[name]())
+    local = LocalRank2(cox)
+    for alpha, beta in finite_pairs(cox, orders=(2, 3, 4, 6)):
+        assert local.pair_value(alpha, beta) == pair_value_per_pair(cox, alpha, beta), (
+            alpha.describe(), beta.describe())
+
+
+def count_common_residue(monkeypatch) -> list[int]:
+    """A one-element counter of the `common_residue` calls of `LocalRank2`."""
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return common(*args)
+
+    common = bpmod.common_residue
+    monkeypatch.setattr(bpmod, "common_residue", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["rank2:m6lr", "rank2:m6rl"])
+def test_one_common_residue_call_fills_both_rj_tables(monkeypatch, name):
+    # the hexagon's one residue: its 15 pairs come from the first miss
+    calls = count_common_residue(monkeypatch)
+    bp = builtin(name)
+    tables = [bp.relations(rj_gallery(bp.cox, s, t)) for s, t in ((0, 1), (1, 0))]
+    assert all(any(table.values()) for table in tables)
+    assert calls == [1]
+
+
+def test_one_hexagon_pass_makes_one_common_residue_call_per_job(tmp_path, monkeypatch):
+    # each of the 10 jobs builds a fresh blueprint with the one residue
+    monkeypatch.chdir(tmp_path)
+    jobs, _, _ = run.workload("rank2-hexagon", 1)
+    (run.WORK / "reports").mkdir(parents=True)
+    calls = count_common_residue(monkeypatch)
+    _, _, outcomes = run.run_pass(jobs)
+    assert run.check(jobs, outcomes, GOLDENS)[0] == []
+    assert len(jobs) == 10 and calls == [10]

@@ -31,7 +31,8 @@ import pytest
 from rgdkit import blueprints, galleries
 from rgdkit import chambers as ch
 from tests import (test_blueprints, test_cb3, test_chambers, test_collect_oracle, test_errors,
-                   test_groupforge, test_parabolics, test_prefix_builds, test_table_memos)
+                   test_groupforge, test_parabolics, test_prefix_builds, test_residue,
+                   test_table_memos)
 
 # what a catcher raises when it fails: an assert, or a `pytest.raises`
 # that saw nothing raised
@@ -199,6 +200,23 @@ ROWS = [
         "cs.act_tau(gen, chambers[x].w, members)",
         "cs.act_tau(gen, chambers[x].w, [chambers[x].rep])",
         lambda mp: test_chambers.test_well_definedness_reads_every_member()),
+    # (3, inf, inf) has residues with gates other than the identity
+    Row("residue-fill-leaves-values-unmoved", "rgdkit.blueprints", "LocalRank2._fill",
+        "frozenset(map(moved.get, value))",
+        "frozenset(map(Root, value))",
+        lambda mp: test_residue.test_residue_fill_matches_the_per_pair_oracle("3_inf_inf")),
+    Row("residue-fill-keys-on-base-roots", "rgdkit.blueprints", "LocalRank2._fill",
+        "frozenset(map(moved.get, pair))",
+        "frozenset(map(Root, pair))",
+        lambda mp: test_residue.test_residue_fill_matches_the_per_pair_oracle("3_inf_inf")),
+    Row("residue-fill-stores-only-the-requested-pair", "rgdkit.blueprints",
+        "LocalRank2.pair_value",
+        "        self._fill(common_residue(self.cox, alpha, beta))\n",
+        "        kept = dict(self._pair_cache)\n"
+        "        self._fill(common_residue(self.cox, alpha, beta))\n"
+        "        self._pair_cache = {**kept, key: self._pair_cache.get(key, frozenset())}\n",
+        lambda mp: test_residue.test_one_common_residue_call_fills_both_rj_tables(
+            mp, "rank2:m6lr")),
 ]
 IDS = [row.name for row in ROWS]
 
